@@ -15,7 +15,7 @@ routines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,54 +29,61 @@ OFFSETS = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
 class StencilMatrix:
     """Banded operator over interior nodes with a 3x3 stencil footprint.
 
-    coeffs[k1+1, k2+1, j0, i0] multiplies the value at node
-    (i0+1+k1, j0+1+k2); planes referencing boundary nodes are zero.
+    coeffs[..., k1+1, k2+1, j0, i0] multiplies the value at node
+    (i0+1+k1, j0+1+k2); planes referencing boundary nodes are zero.  An
+    optional leading species axis S holds one operator per species, or one
+    (S = 1) shared by all of them; it broadcasts against the operand's
+    leading axes.  `offsets` lists the offsets whose plane is not all zero.
     """
 
     grid: Grid2D
-    coeffs: np.ndarray  # (3, 3, My-1, Mx-1)
-    species: int = 0
+    coeffs: np.ndarray  # (..., 3, 3, My-1, Mx-1)
+    offsets: tuple = field(init=False)
 
-    @property
-    def n(self) -> int:
-        return self.grid.n_interior
+    def __post_init__(self):
+        self.offsets = tuple((k1, k2) for k1, k2 in OFFSETS
+                             if np.any(self.coeffs[..., k1 + 1, k2 + 1, :, :]))
 
     def row_sums(self) -> np.ndarray:
-        return self.coeffs.sum(axis=(0, 1))
+        return self.coeffs.sum(axis=(-4, -3))
 
     def to_dense(self) -> np.ndarray:
-        """Dense (n, n) matrix; test/oracle use only."""
+        """Dense (..., n, n) matrix, one per leading index; test/oracle use only."""
         g = self.grid
-        A = np.zeros((g.n_interior, g.n_interior))
+        A = np.zeros(self.coeffs.shape[:-4] + (g.n_interior, g.n_interior))
+        j0, i0 = np.mgrid[0:g.ny, 0:g.nx]
         for k1, k2 in OFFSETS:
-            plane = self.coeffs[k1 + 1, k2 + 1]
-            for j0 in range(g.ny):
-                for i0 in range(g.nx):
-                    ii, jj = i0 + k1, j0 + k2
-                    if 0 <= ii < g.nx and 0 <= jj < g.ny:
-                        A[j0 * g.nx + i0, jj * g.nx + ii] = plane[j0, i0]
+            ii, jj = i0 + k1, j0 + k2
+            inside = (0 <= ii) & (ii < g.nx) & (0 <= jj) & (jj < g.ny)
+            A[..., (j0 * g.nx + i0)[inside], (jj * g.nx + ii)[inside]] = \
+                self.coeffs[..., k1 + 1, k2 + 1, :, :][..., inside]
         return A
 
 
-def apply_full(coeffs: np.ndarray, w_full: np.ndarray) -> np.ndarray:
-    """Apply 3x3-offset coefficients to a full node array (My+1, Mx+1).
+def apply_full(coeffs: np.ndarray, w_full: np.ndarray, *,
+               offsets=OFFSETS) -> np.ndarray:
+    """Apply 3x3-offset coefficients to full node arrays (..., My+1, Mx+1).
 
-    Returns the action on interior nodes, shape (My-1, Mx-1).
+    Leading axes of coeffs (..., 3, 3, My-1, Mx-1) and w_full broadcast; the
+    result holds the interior nodes, (..., My-1, Mx-1).  Only the listed
+    offsets are summed, in order; leaving out all-zero planes changes nothing.
     """
-    ny, nx = coeffs.shape[2], coeffs.shape[3]
-    out = np.zeros((ny, nx))
-    for k1, k2 in OFFSETS:
-        out += coeffs[k1 + 1, k2 + 1] * w_full[1 + k2:1 + k2 + ny, 1 + k1:1 + k1 + nx]
+    ny, nx = coeffs.shape[-2:]
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-4], w_full.shape[:-2])
+                   + (ny, nx))
+    for k1, k2 in offsets:
+        out += coeffs[..., k1 + 1, k2 + 1, :, :] \
+            * w_full[..., 1 + k2:1 + k2 + ny, 1 + k1:1 + k1 + nx]
     return out
 
 
 def zero_boundary_offsets(coeffs: np.ndarray) -> np.ndarray:
     """Zero the coefficient entries whose offset leaves the interior."""
     out = coeffs.copy()
-    out[0, :, :, 0] = 0.0    # k1 = -1 at i = 1
-    out[2, :, :, -1] = 0.0   # k1 = +1 at i = Mx-1
-    out[:, 0, 0, :] = 0.0    # k2 = -1 at j = 1
-    out[:, 2, -1, :] = 0.0   # k2 = +1 at j = My-1
+    out[..., 0, :, :, 0] = 0.0    # k1 = -1 at i = 1
+    out[..., 2, :, :, -1] = 0.0   # k1 = +1 at i = Mx-1
+    out[..., :, 0, 0, :] = 0.0    # k2 = -1 at j = 1
+    out[..., :, 2, -1, :] = 0.0   # k2 = +1 at j = My-1
     return out
 
 
@@ -91,10 +98,18 @@ def boundary_values_full(problem: ProblemSpec, l: int, grid: Grid2D, t: float) -
     return w
 
 
+def coefficient_fields(problem: ProblemSpec, l: int, XX: np.ndarray,
+                       YY: np.ndarray):
+    """(a, b, c, d) of species l at the nodes (XX, YY), each of XX's shape."""
+    return tuple(np.broadcast_to(np.asarray(fn(l, XX, YY), dtype=float),
+                                 XX.shape)
+                 for fn in (problem.diffusion_a, problem.diffusion_b,
+                            problem.advection_c, problem.advection_d))
+
+
 def check_diffusion_positive(problem: ProblemSpec, l: int, grid: Grid2D) -> None:
-    XX, YY = grid.full_mesh()
-    for name, fn in (("a", problem.diffusion_a), ("b", problem.diffusion_b)):
-        vals = np.broadcast_to(np.asarray(fn(l, XX, YY), dtype=float), XX.shape)
+    a, b, _, _ = coefficient_fields(problem, l, *grid.full_mesh())
+    for name, vals in (("a", a), ("b", b)):
         if np.any(vals <= 0):
             j, i = np.unravel_index(np.argmin(vals), vals.shape)
             raise ValueError(
@@ -102,20 +117,10 @@ def check_diffusion_positive(problem: ProblemSpec, l: int, grid: Grid2D) -> None
                 f"(i={i}, j={j}), value {vals[j, i]:.3e}")
 
 
-def _interior_coefficients(problem: ProblemSpec, l: int, grid: Grid2D):
-    XX, YY = grid.interior_mesh()
-    shape = XX.shape
-
-    def ev(fn):
-        return np.broadcast_to(np.asarray(fn(l, XX, YY), dtype=float), shape)
-
-    return ev(problem.diffusion_a), ev(problem.diffusion_b), \
-        ev(problem.advection_c), ev(problem.advection_d)
-
-
 def cds_full_stencil(problem: ProblemSpec, l: int, grid: Grid2D) -> np.ndarray:
     """All 9 coefficient planes of the 5-point operator (corners zero)."""
-    a, b, c, d = _interior_coefficients(problem, l, grid)
+    check_diffusion_positive(problem, l, grid)
+    a, b, c, d = coefficient_fields(problem, l, *grid.interior_mesh())
     hx, hy = grid.hx, grid.hy
     coeffs = np.zeros((3, 3, grid.ny, grid.nx))
     coeffs[2, 1] = c / (2 * hx) - a / hx ** 2
@@ -128,10 +133,8 @@ def cds_full_stencil(problem: ProblemSpec, l: int, grid: Grid2D) -> np.ndarray:
 
 def assemble_cds(problem: ProblemSpec, l: int, grid: Grid2D) -> StencilMatrix:
     """5-point matrix of -a d2x - b d2y + c dx + d dy, boundary columns folded out."""
-    check_diffusion_positive(problem, l, grid)
     return StencilMatrix(grid=grid,
-                         coeffs=zero_boundary_offsets(cds_full_stencil(problem, l, grid)),
-                         species=l)
+                         coeffs=zero_boundary_offsets(cds_full_stencil(problem, l, grid)))
 
 
 def cds_boundary_vector(problem: ProblemSpec, l: int, grid: Grid2D, t: float) -> np.ndarray:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cds import (StencilMatrix, apply_full, boundary_values_full,
-                  check_diffusion_positive, zero_boundary_offsets)
+                  check_diffusion_positive, coefficient_fields,
+                  zero_boundary_offsets)
 from .grid import Grid2D
 from .model import ProblemSpec
 
@@ -57,17 +58,6 @@ class CompactCoefficients:
     gamma_tilde: np.ndarray
 
 
-def _full_fields(problem: ProblemSpec, l: int, grid: Grid2D):
-    XX, YY = grid.full_mesh()
-    shape = XX.shape
-
-    def ev(fn):
-        return np.broadcast_to(np.asarray(fn(l, XX, YY), dtype=float), shape)
-
-    return ev(problem.diffusion_a), ev(problem.diffusion_b), \
-        ev(problem.advection_c), ev(problem.advection_d)
-
-
 def _diffs(F: np.ndarray, hx: float, hy: float):
     """Central first/second differences of a full-grid field at interior nodes."""
     I = F[1:-1, 1:-1]
@@ -87,7 +77,7 @@ def compact_coefficients(problem: ProblemSpec, l: int, grid: Grid2D) -> CompactC
     """
     check_diffusion_positive(problem, l, grid)
     hx, hy = grid.hx, grid.hy
-    A, B, C, D = _full_fields(problem, l, grid)
+    A, B, C, D = coefficient_fields(problem, l, *grid.full_mesh())
     a, dxa, dxxa, dya, dyya = _diffs(A, hx, hy)
     b, dxb, dxxb, dyb, dyyb = _diffs(B, hx, hy)
     c, dxc, dxxc, dyc, dyyc = _diffs(C, hx, hy)
@@ -158,7 +148,7 @@ def _printed_stencil_p(problem: ProblemSpec, l: int, grid: Grid2D,
     """Reference tabulated entries of P (sigma = hx/hy)."""
     hx, hy = grid.hx, grid.hy
     sg = hx / hy
-    A, B, C, D = _full_fields(problem, l, grid)
+    A, B, C, D = coefficient_fields(problem, l, *grid.full_mesh())
     a, dxa, dxxa, dya, dyya = _diffs(A, hx, hy)
     b, dxb, dxxb, dyb, dyyb = _diffs(B, hx, hy)
     c, dxc, dxxc, dyc, dyyc = _diffs(C, hx, hy)
@@ -218,8 +208,7 @@ def assemble_cfds_p(problem: ProblemSpec, l: int, grid: Grid2D,
     """9-point matrix whose action equals 6 hx^2 l^h on interior fields."""
     return StencilMatrix(grid=grid,
                          coeffs=zero_boundary_offsets(
-                             cfds_full_stencil_p(problem, l, grid, variant)),
-                         species=l)
+                             cfds_full_stencil_p(problem, l, grid, variant)))
 
 
 def assemble_cfds_q(problem: ProblemSpec, l: int, grid: Grid2D,
@@ -227,8 +216,7 @@ def assemble_cfds_q(problem: ProblemSpec, l: int, grid: Grid2D,
     """5-point mass matrix Q = 6 hx^2 nu^h (row sums 6 hx^2 exactly)."""
     return StencilMatrix(grid=grid,
                          coeffs=zero_boundary_offsets(
-                             cfds_full_stencil_q(problem, l, grid, variant)),
-                         species=l)
+                             cfds_full_stencil_q(problem, l, grid, variant)))
 
 
 def cfds_boundary_vectors(problem: ProblemSpec, l: int, grid: Grid2D, t: float,

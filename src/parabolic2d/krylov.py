@@ -43,18 +43,20 @@ class KrylovReport:
 
 
 def matvec(A: StencilMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x for one species block, zero contribution outside the interior."""
+    """y = A x over the last axis (n,), broadcasting leading species axes.
+
+    Boundary nodes contribute zero.  x of shape (L, n) applies every species
+    block in one call.
+    """
     x = np.asarray(x, dtype=float)
     g = A.grid
-    if x.shape != (g.n_interior,):
-        raise ValueError(f"operand shape {x.shape}, expected ({g.n_interior},)")
-    w = np.zeros((g.My + 1, g.Mx + 1))
-    w[1:-1, 1:-1] = x.reshape(g.ny, g.nx)
-    return apply_full(A.coeffs, w).ravel()
-
-
-def as_operator(A: StencilMatrix) -> LinearOperator:
-    return LinearOperator(n=A.n, apply=lambda x: matvec(A, x))
+    if x.ndim == 0 or x.shape[-1] != g.n_interior:
+        raise ValueError(f"operand shape {x.shape}, expected (..., {g.n_interior})")
+    lead = x.shape[:-1]
+    w = np.zeros(lead + (g.My + 1, g.Mx + 1))
+    w[..., 1:-1, 1:-1] = x.reshape(lead + (g.ny, g.nx))
+    y = apply_full(A.coeffs, w, offsets=A.offsets)
+    return y.reshape(y.shape[:-2] + (g.n_interior,))
 
 
 def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
@@ -64,18 +66,16 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
 
     A is a LinearOperator (or any callable on vectors).  On a recurrence
     breakdown the iteration restarts once from the current iterate; a second
-    breakdown raises KrylovBreakdown.  Exceeding maxit cycles returns a
-    non-converged report.
+    breakdown raises KrylovBreakdown.  Exceeding maxit cycles, or a residual
+    norm that is no longer finite, returns a non-converged report.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     apply_A = A.apply if isinstance(A, LinearOperator) else A
-    if precond is not None:
-        inner_apply = lambda v: apply_A(precond(v))  # noqa: E731
-    else:
-        inner_apply = apply_A
+    inner_apply = apply_A if precond is None else \
+        (lambda v: apply_A(precond(v)))
 
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
@@ -96,10 +96,11 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
         res = np.linalg.norm(b - inner_apply(z)) / norm_b
         return x, KrylovReport(iters, res, converged)
 
-    if np.linalg.norm(rs[0]) <= tol * norm_b:
+    rnorm = np.linalg.norm(rs[0])
+    if rnorm <= tol * norm_b:
         return finish(True)
 
-    while iters < maxit:
+    while iters < maxit and np.isfinite(rnorm):
         rho0 = -omega * rho0
         broke = False
         for j in range(ell):
@@ -122,7 +123,8 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
             rs[j + 1] = inner_apply(rs[j])
             z = z + alpha * us[0]
             iters += 1.0 / ell
-            if np.linalg.norm(rs[0]) <= tol * norm_b:
+            rnorm = np.linalg.norm(rs[0])
+            if rnorm <= tol * norm_b:
                 return finish(True)
 
         if not broke:
@@ -160,7 +162,8 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
                     us[0] = us[0] - gamma[j] * us[j]
                     z = z + gamma_pp[j] * rs[j]
                     rs[0] = rs[0] - gamma_p[j] * rs[j]
-                if np.linalg.norm(rs[0]) <= tol * norm_b:
+                rnorm = np.linalg.norm(rs[0])
+                if rnorm <= tol * norm_b:
                     return finish(True)
 
         if broke:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import cds as cds_mod
 from . import cfds as cfds_mod
 from .cds import StencilMatrix, apply_full
 from .grid import Grid2D, TimeGrid, validate_field
-from .krylov import LinearOperator, bicgstab_l, matvec
+from .krylov import KrylovBreakdown, LinearOperator, bicgstab_l, matvec
 from .model import ProblemSpec, check_compatibility
 
 KINDS = ("cds", "cfds")
@@ -46,17 +47,16 @@ class SolverFailure(RuntimeError):
 class Scheme:
     """Assembled spatial operators for one problem/grid/scheme combination.
 
-    kind "cds" carries stiffness matrices only (mass = identity); "cfds"
-    carries (P, Q) pairs.  The unzeroed coefficient planes are kept for
-    boundary folding.
+    "cds" carries the stiffness operator P (mass = identity), "cfds" the pair
+    (P, Q), each with a species axis of length L, or 1 when all species share
+    their coefficient fields; the unzeroed tensors serve boundary folding.
     """
 
     kind: str
-    P: List[StencilMatrix]
-    p_full: List[np.ndarray]
-    Q: Optional[List[StencilMatrix]] = None
-    q_full: Optional[List[np.ndarray]] = None
-    variant: str = "derived"
+    P: StencilMatrix
+    p_full: np.ndarray  # (S, 3, 3, My-1, Mx-1)
+    Q: Optional[StencilMatrix] = None
+    q_full: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -80,22 +80,24 @@ def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str,
                  variant: str = "derived") -> Scheme:
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    P, p_full, Q, q_full = [], [], [], []
+    # species with identical coefficient fields share one stencil, built once
+    mesh = grid.full_mesh()
+    first, owner = {}, []
     for l in range(problem.L):
-        cds_mod.check_diffusion_positive(problem, l, grid)
-        if kind == "cds":
-            full = cds_mod.cds_full_stencil(problem, l, grid)
-        else:
-            full = cfds_mod.cfds_full_stencil_p(problem, l, grid, variant)
-            qf = cfds_mod.cfds_full_stencil_q(problem, l, grid, variant)
-            q_full.append(qf)
-            Q.append(StencilMatrix(grid, cds_mod.zero_boundary_offsets(qf), l))
-        p_full.append(full)
-        P.append(StencilMatrix(grid, cds_mod.zero_boundary_offsets(full), l))
-    if kind == "cds":
-        return Scheme(kind=kind, P=P, p_full=p_full, variant=variant)
-    return Scheme(kind=kind, P=P, p_full=p_full, Q=Q, q_full=q_full,
-                  variant=variant)
+        key = b"".join(f.tobytes() for f in
+                       cds_mod.coefficient_fields(problem, l, *mesh))
+        owner.append(first.setdefault(key, l))
+    rows = owner if len(first) > 1 else owner[:1]
+    builds = [cds_mod.cds_full_stencil] if kind == "cds" else [
+        partial(cfds_mod.cfds_full_stencil_p, variant=variant),
+        partial(cfds_mod.cfds_full_stencil_q, variant=variant)]
+    operators = []  # P, p_full, then Q, q_full for cfds
+    for build in builds:
+        planes = {l: build(problem, l, grid) for l in first.values()}
+        full = np.stack([planes[l] for l in rows])
+        operators += [StencilMatrix(grid, cds_mod.zero_boundary_offsets(full)),
+                      full]
+    return Scheme(kind, *operators)
 
 
 def _interior_xy(grid: Grid2D):
@@ -115,73 +117,69 @@ def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
 
 
 def _boundary_phi(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
-                  tau: float, theta: float, t_n: float) -> np.ndarray:
+                  tau: float, theta: float, t_n: float,
+                  t1: float) -> np.ndarray:
     """Theta-averaged boundary contribution Phi^th, shape (L, n)."""
-    L = problem.L
-    t1 = t_n + tau
-    rings0 = np.stack([cds_mod.boundary_values_full(problem, l, grid, t_n)
-                       for l in range(L)])
-    rings1 = np.stack([cds_mod.boundary_values_full(problem, l, grid, t1)
-                       for l in range(L)])
-    phi = np.zeros((L, grid.n_interior))
+    L, n = problem.L, grid.n_interior
+    rings0, rings1 = (np.stack([cds_mod.boundary_values_full(problem, l, grid, t)
+                                for l in range(L)]) for t in (t_n, t1))
     if scheme.kind == "cds":
-        for l in range(L):
-            p0 = -apply_full(scheme.p_full[l], rings0[l]).ravel()
-            p1 = -apply_full(scheme.p_full[l], rings1[l]).ravel()
-            phi[l] = theta * p1 + (1.0 - theta) * p0
-        return phi
+        p0 = -apply_full(scheme.p_full, rings0).reshape(L, n)
+        p1 = -apply_full(scheme.p_full, rings1).reshape(L, n)
+        return theta * p1 + (1.0 - theta) * p0
 
     XX, YY = grid.full_mesh()
     rate = (rings1 - rings0) / tau
-    for m, rings in ((0, rings0), (1, rings1)):
-        t_m = t1 if m else t_n
-        w = theta if m else 1.0 - theta
-        rhs = np.asarray(problem.reaction(XX, YY, t_m, rings), dtype=float)
-        for l in range(L):
-            rl = rhs[l] - rate[l]
-            if problem.forcing is not None:
-                rl = rl + problem.forcing(l, XX, YY, t_m)
-            rl[1:-1, 1:-1] = 0.0
-            phi[l] += w * (-apply_full(scheme.p_full[l], rings[l])
-                           + apply_full(scheme.q_full[l], rl)).ravel()
+    phi = np.zeros((L, n))
+    for t_m, rings, w in ((t_n, rings0, 1.0 - theta), (t1, rings1, theta)):
+        rl = np.asarray(problem.reaction(XX, YY, t_m, rings), dtype=float) - rate
+        if problem.forcing is not None:
+            rl = rl + np.stack([problem.forcing(l, XX, YY, t_m)
+                                for l in range(L)])
+        rl[:, 1:-1, 1:-1] = 0.0
+        phi += w * (-apply_full(scheme.p_full, rings)
+                    + apply_full(scheme.q_full, rl)).reshape(L, n)
     return phi
+
+
+def _step_terms(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
+                tau: float, theta: float, t_n: float, t1: float,
+                W_old: np.ndarray):
+    """(t1, R^0, Phi^th): the residual terms fixed within the step from
+    (t_n, W_old) to the new layer t1; R^0 and Phi^th have shape (L, n)."""
+    return (t1, _interior_rhs(problem, grid, t_n, W_old),
+            _boundary_phi(scheme, problem, grid, tau, theta, t_n, t1))
 
 
 def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
              problem: ProblemSpec, grid: Grid2D, tau: float, theta: float,
-             t_n: float) -> np.ndarray:
-    """Nonlinear residual Ups(W_new) of the theta-scheme step from t_n."""
-    t1 = t_n + tau
+             t_n: float, *, terms: Optional[tuple] = None) -> np.ndarray:
+    """Nonlinear residual Ups(W_new) of the theta-scheme step from t_n.
+
+    `terms` holds the parts fixed within the step (see _step_terms); without
+    it they are computed here for the new layer t_n + tau.
+    """
+    if terms is None:
+        terms = _step_terms(scheme, problem, grid, tau, theta, t_n,
+                            t_n + tau, W_old)
+    t1, R0, phi = terms
     R1 = _interior_rhs(problem, grid, t1, W_new)
-    R0 = _interior_rhs(problem, grid, t_n, W_old)
-    phi = _boundary_phi(scheme, problem, grid, tau, theta, t_n)
-    ups = np.empty_like(W_new)
-    for l in range(problem.L):
-        wth = theta * W_new[l] + (1.0 - theta) * W_old[l]
-        rth = theta * R1[l] + (1.0 - theta) * R0[l]
-        if scheme.kind == "cds":
-            ups[l] = (W_new[l] - W_old[l]) / tau + matvec(scheme.P[l], wth) \
-                - rth - phi[l]
-        else:
-            ups[l] = matvec(scheme.Q[l], W_new[l] - W_old[l]) / tau \
-                + matvec(scheme.P[l], wth) - matvec(scheme.Q[l], rth) - phi[l]
-    return ups
+    wth = theta * W_new + (1.0 - theta) * W_old
+    rth = theta * R1 + (1.0 - theta) * R0
+    if scheme.kind == "cds":
+        return (W_new - W_old) / tau + matvec(scheme.P, wth) - rth - phi
+    return matvec(scheme.Q, W_new - W_old) / tau + matvec(scheme.P, wth) \
+        - matvec(scheme.Q, rth) - phi
 
 
 def _apply_jacobian(scheme: Scheme, J: np.ndarray, tau: float, theta: float,
                     x: np.ndarray) -> np.ndarray:
     """Action of the Newton matrix on x (L, n) for reaction Jacobian J (L, L, n)."""
     Jx = np.einsum("lmn,mn->ln", J, x)
-    out = np.empty_like(x)
-    for l in range(x.shape[0]):
-        if scheme.kind == "cds":
-            out[l] = x[l] / tau + theta * matvec(scheme.P[l], x[l]) \
-                - theta * Jx[l]
-        else:
-            out[l] = matvec(scheme.Q[l], x[l]) / tau \
-                + theta * matvec(scheme.P[l], x[l]) \
-                - theta * matvec(scheme.Q[l], Jx[l])
-    return out
+    if scheme.kind == "cds":
+        return x / tau + theta * matvec(scheme.P, x) - theta * Jx
+    return matvec(scheme.Q, x) / tau + theta * matvec(scheme.P, x) \
+        - theta * matvec(scheme.Q, Jx)
 
 
 def newton_matrix_apply(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
@@ -193,73 +191,78 @@ def newton_matrix_apply(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
     return _apply_jacobian(scheme, J, tau, theta, x)
 
 
-def _jacobian_diagonal(scheme: Scheme, J: np.ndarray, tau: float,
-                       theta: float) -> np.ndarray:
-    L, n = J.shape[0], J.shape[2]
-    diag = np.empty((L, n))
-    for l in range(L):
-        p00 = scheme.P[l].coeffs[1, 1].ravel()
-        if scheme.kind == "cds":
-            diag[l] = 1.0 / tau + theta * p00 - theta * J[l, l]
-        else:
-            q00 = scheme.Q[l].coeffs[1, 1].ravel()
-            diag[l] = q00 / tau + theta * p00 - theta * q00 * J[l, l]
-    return diag
+def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
+                  it: int) -> None:
+    """Raise SolverFailure naming the first non-finite entry of v (L, ..., n)."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        idx = np.unravel_index(np.argmin(finite), v.shape)
+        raise SolverFailure(
+            f"non-finite {what} at t={t_n:.6g}, Newton iteration {it}: "
+            f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
+            f"j={idx[-1] // grid.nx + 1})")
 
 
 def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
             grid: Grid2D, tau: float, theta: float, *,
+            t_next: Optional[float] = None,
             newton_tol: float = 1e-11, max_newton: int = 25,
-            krylov_tol: float = 1e-10, ell: int = 2, krylov_maxit: int = 200,
-            jacobi_precondition: bool = False) -> StepState:
+            krylov_tol: float = 1e-10, ell: int = 2,
+            krylov_maxit: int = 200) -> StepState:
     """One theta-scheme step by inexact Newton iteration.
 
-    Converged when ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and
-    the residual satisfies the same scaled bound, so the accepted layer always
-    fulfils ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).
+    The new layer sits at t_next (default state.t + tau).  Converged when
+    ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
+    satisfies the same scaled bound, so the accepted layer always fulfils
+    ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite residual,
+    reaction Jacobian or Newton update fails at once, naming species and node.
     """
     t_start = time.perf_counter()
     L, n = state.W.shape
     t_n = state.t
-    t1 = t_n + tau
+    t1 = t_n + tau if t_next is None else t_next
     xi, yi = _interior_xy(grid)
     W_old = state.W
     W = W_old.copy()
-    ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n)
+    terms = _step_terms(scheme, problem, grid, tau, theta, t_n, t1, W_old)
+    ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
+                   terms=terms)
     cycles: List[float] = []
-    converged = False
-    for _ in range(max_newton):
+    for it in range(max_newton):
+        _check_finite("residual", ups, grid, t_n, it)
         J = np.asarray(problem.reaction_jacobian(xi, yi, t1, W), dtype=float)
+        _check_finite("reaction Jacobian", J, grid, t_n, it)
         op = LinearOperator(
             L * n, lambda v: _apply_jacobian(scheme, J, tau, theta,
                                              v.reshape(L, n)).ravel())
-        precond = None
-        if jacobi_precondition:
-            dinv = 1.0 / _jacobian_diagonal(scheme, J, tau, theta).ravel()
-            precond = lambda v: dinv * v  # noqa: E731
-        delta, krep = bicgstab_l(op, -ups.ravel(), tol=krylov_tol, ell=ell,
-                                 maxit=krylov_maxit, precond=precond)
+        try:
+            delta, krep = bicgstab_l(op, -ups.ravel(), tol=krylov_tol, ell=ell,
+                                     maxit=krylov_maxit)
+        except KrylovBreakdown as exc:
+            raise SolverFailure(f"inner solver broke down at t={t_n:.6g}, "
+                                f"Newton iteration {it}: {exc}") from exc
         cycles.append(krep.iterations)
+        delta = delta.reshape(L, n)
+        _check_finite("Newton update", delta, grid, t_n, it)
         if not krep.converged:
             raise SolverFailure(
                 f"inner solver stalled at t={t_n:.6g} "
                 f"(relative residual {krep.final_relative_residual:.3e} "
                 f"after {krep.iterations:.1f} cycles)")
-        W = W + delta.reshape(L, n)
+        W = W + delta
         scale = 1.0 + np.max(np.abs(W))
-        ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n)
+        ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
+                       terms=terms)
         if np.max(np.abs(delta)) <= newton_tol * scale \
                 and np.max(np.abs(ups)) <= newton_tol * scale:
-            converged = True
             break
-    if not converged:
+    else:
         raise SolverFailure(
             f"Newton did not converge in {max_newton} iterations at "
             f"t={t_n:.6g}")
-    final_res = float(np.max(np.abs(ups)))
     report = SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
                           wall_ms=(time.perf_counter() - t_start) * 1e3,
-                          final_residual=final_res)
+                          final_residual=float(np.max(np.abs(ups))))
     return StepState(t=t1, W=W, reports=state.reports + [report])
 
 
@@ -286,7 +289,8 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     for n in range(time_grid.N):
         try:
             state = advance(state, scheme, problem, grid, time_grid.tau,
-                            theta, **solver_options)
+                            theta, t_next=time_grid.t(n + 1),
+                            **solver_options)
         except SolverFailure as exc:
             exc.step = n
             raise SolverFailure(f"step {n} failed: {exc}", step=n) from exc

@@ -134,3 +134,15 @@ def test_apply_full_matches_boundary_ring_definition():
     full = cds_full_stencil(prob, 2, g)
     phi = cds_boundary_vector(prob, 2, g, 3.0)
     assert np.allclose(phi, -apply_full(full, ring).ravel())
+
+
+def test_zero_plane_skip_matches_full_sum():
+    from parabolic2d.cfds import assemble_cfds_p, assemble_cfds_q
+    prob = make_example1()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    w = np.random.default_rng(12).standard_normal((3, g.My + 1, g.Mx + 1))
+    for A, live in ((assemble_cds(prob, 0, g), 5), (assemble_cfds_q(prob, 0, g), 5),
+                    (assemble_cfds_p(prob, 0, g), 9)):
+        assert len(A.offsets) == live
+        assert np.array_equal(apply_full(A.coeffs, w, offsets=A.offsets),
+                              apply_full(A.coeffs, w))

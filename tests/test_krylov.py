@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from parabolic2d import build_grid, make_example1
+from parabolic2d import build_grid, build_scheme, make_example1, make_example2
 from parabolic2d.cds import StencilMatrix, assemble_cds
+from parabolic2d.cfds import assemble_cfds_p, assemble_cfds_q
 from parabolic2d.krylov import (KrylovBreakdown, LinearOperator, bicgstab_l,
                                 matvec)
 
@@ -171,3 +174,52 @@ def test_bicgstab_jacobi_preconditioning():
     x, rep = bicgstab_l(op, b, tol=1e-11, precond=lambda v: v / d)
     assert rep.converged
     assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
+
+
+def test_bicgstab_stops_on_nonfinite_residual():
+    # a NaN in the operator must not run the cycle limit
+    applied = []
+
+    def apply(v):
+        applied.append(1)
+        out = 2.0 * v
+        out[3] = np.nan
+        return out
+
+    _, rep = bicgstab_l(LinearOperator(8, apply), np.ones(8), maxit=200)
+    assert not rep.converged
+    assert len(applied) <= 2 * 2 + 2   # at most one BiCGStab(2) cycle
+
+
+def species_varied_problem():
+    # the manufactured problem with a diffusion that differs per species
+    return dataclasses.replace(
+        make_example1(), diffusion_a=lambda l, x, y: np.full(
+            np.shape(np.asarray(x, float)), 1.0 + 0.2 * l))
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("make,S", [(species_varied_problem, 10),
+                                    (make_example2, 1)])
+def test_batched_matvec_matches_per_species_dense(make, S, kind):
+    prob = make()
+    g = build_grid(prob.X, prob.Y, 6, 5)
+    sch = build_scheme(prob, g, kind)
+    x = np.random.default_rng(5).standard_normal((prob.L, g.n_interior))
+    if kind == "cds":
+        pairs = [(sch.P, lambda l: assemble_cds(prob, l, g))]
+    else:
+        pairs = [(sch.P, lambda l: assemble_cfds_p(prob, l, g)),
+                 (sch.Q, lambda l: assemble_cfds_q(prob, l, g))]
+    for A, assemble in pairs:
+        assert A.coeffs.shape == (S, 3, 3, g.ny, g.nx)
+        y = matvec(A, x)
+        dense = np.broadcast_to(A.to_dense(), (prob.L,) + 2 * (g.n_interior,))
+        expected = np.einsum("lij,lj->li", dense, x)
+        assert np.allclose(y, expected, rtol=0,
+                           atol=1e-13 * np.max(np.abs(expected)))
+        for l in range(prob.L):
+            # the species-at-a-time product through the public assembler
+            single = assemble(l)
+            assert np.array_equal(single.coeffs, A.coeffs[l % S])
+            assert np.array_equal(matvec(single, x[l]), y[l])

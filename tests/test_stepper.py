@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,12 +87,11 @@ def test_newton_matrix_reduces_to_mass_and_stiffness():
     from parabolic2d.krylov import matvec
     sch = build_scheme(prob, g, "cds")
     y = newton_matrix_apply(sch, prob, g, tau, theta, W, x, 0.1)
-    assert np.allclose(y[0], x[0] / tau + theta * matvec(sch.P[0], x[0]),
-                       rtol=1e-14)
+    assert np.allclose(y, x / tau + theta * matvec(sch.P, x), rtol=1e-14)
     sch = build_scheme(prob, g, "cfds")
     y = newton_matrix_apply(sch, prob, g, tau, theta, W, x, 0.1)
-    assert np.allclose(y[0], matvec(sch.Q[0], x[0]) / tau
-                       + theta * matvec(sch.P[0], x[0]), rtol=1e-14)
+    assert np.allclose(y, matvec(sch.Q, x) / tau + theta * matvec(sch.P, x),
+                       rtol=1e-14)
 
 
 def test_newton_matrix_is_residual_derivative():
@@ -233,7 +234,7 @@ def test_initial_field_shape():
 
 
 def test_step_boundary_terms_match_public_folds():
-    # the stepper caches unzeroed stencils for speed; its theta-averaged
+    # the stepper keeps unzeroed stencils for speed; its theta-averaged
     # boundary contribution must agree with composing the public
     # boundary-vector operations at the two time levels
     from parabolic2d import make_example2
@@ -247,14 +248,14 @@ def test_step_boundary_terms_match_public_folds():
     t1 = t0 + tau
 
     sch = build_scheme(prob, g, "cds")
-    phi = _boundary_phi(sch, prob, g, tau, theta, t0)
+    phi = _boundary_phi(sch, prob, g, tau, theta, t0, t1)
     for l in (0, 4, 9):
         expected = theta * cds_boundary_vector(prob, l, g, t1) \
             + (1 - theta) * cds_boundary_vector(prob, l, g, t0)
         assert np.allclose(phi[l], expected, rtol=1e-13)
 
     sch = build_scheme(prob, g, "cfds")
-    phi = _boundary_phi(sch, prob, g, tau, theta, t0)
+    phi = _boundary_phi(sch, prob, g, tau, theta, t0, t1)
 
     def quotient(l, x, y):
         return (prob.boundary(l, x, y, t1) - prob.boundary(l, x, y, t0)) / tau
@@ -265,3 +266,135 @@ def test_step_boundary_terms_match_public_folds():
         expected = theta * (p1 + q1) + (1 - theta) * (p0 + q0)
         assert np.allclose(phi[l], expected, rtol=1e-12,
                            atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_hoisted_step_matches_public_residual_driver():
+    # advance evaluates R^0 and Phi^th once per step; a Newton loop that
+    # calls the public 8-argument residual on every iteration must land on
+    # the same bits
+    from parabolic2d import make_example2
+    from parabolic2d.krylov import LinearOperator, bicgstab_l
+
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 8, 8)
+    tau, theta, t_n = 22.5, 0.5, 45.0
+    W0 = initial_field(prob, g)
+    for kind in ("cds", "cfds"):
+        sch = build_scheme(prob, g, kind)
+        W = W0.copy()
+        ups = residual(W, W0, sch, prob, g, tau, theta, t_n)
+        for _ in range(25):
+            op = LinearOperator(W.size, lambda v, W=W: newton_matrix_apply(
+                sch, prob, g, tau, theta, W, v.reshape(W.shape),
+                t_n + tau).ravel())
+            delta, rep = bicgstab_l(op, -ups.ravel(), tol=1e-10, ell=2,
+                                    maxit=200)
+            assert rep.converged
+            delta = delta.reshape(W.shape)
+            W = W + delta
+            ups = residual(W, W0, sch, prob, g, tau, theta, t_n)
+            scale = 1.0 + np.max(np.abs(W))
+            if np.max(np.abs(delta)) <= 1e-11 * scale \
+                    and np.max(np.abs(ups)) <= 1e-11 * scale:
+                break
+        st = advance(StepState(t=t_n, W=W0), sch, prob, g, tau, theta)
+        assert np.array_equal(st.W, W), kind
+        assert st.t == t_n + tau
+
+
+def test_krylov_breakdown_becomes_solver_failure(monkeypatch, tmp_path):
+    from parabolic2d import stepper
+    from parabolic2d.cli import main
+    from parabolic2d.krylov import KrylovBreakdown
+
+    def broken(*args, **kwargs):
+        raise KrylovBreakdown("breakdown persisted after restart")
+
+    monkeypatch.setattr(stepper, "bicgstab_l", broken)
+    prob = make_example1()
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    tg = build_time_grid(prob.T, 3)
+    with pytest.raises(SolverFailure, match="broke down") as exc:
+        integrate(prob, g, tg, build_scheme(prob, g, "cds"), theta=0.5)
+    assert exc.value.step == 0
+    rc = main(["--problem", "manufactured", "--scheme", "cds",
+               "--mesh", "4x4x2", "--out", str(tmp_path / "run")])
+    assert rc == 1
+
+
+def nan_at_node(kind):
+    """1-species heat problem whose reaction, or its Jacobian, is NaN at the
+    interior node (i=2, j=3) of a 5x5 mesh on the unit square."""
+    base = constant_problem()
+
+    def bad(x, y):
+        return np.isclose(x, 0.4) & np.isclose(y, 0.6)
+
+    def reaction(x, y, t, u):
+        out = np.zeros_like(np.asarray(u, float))
+        if kind == "reaction":
+            out[0][bad(x, y)] = np.nan
+        return out
+
+    def jacobian(x, y, t, u):
+        out = base.reaction_jacobian(x, y, t, u)
+        if kind == "jacobian":
+            out[0, 0][bad(x, y)] = np.nan
+        return out
+
+    return ProblemSpec(
+        L=1, diffusion_a=base.diffusion_a, diffusion_b=base.diffusion_b,
+        advection_c=base.advection_c, advection_d=base.advection_d,
+        reaction=reaction, reaction_jacobian=jacobian,
+        boundary=lambda l, x, y, t: np.full(np.shape(np.asarray(x, float)), 1.0),
+        initial=lambda l, x, y: np.full(np.shape(np.asarray(x, float)), 1.0),
+        X=1.0, Y=1.0, T=1.0)
+
+
+@pytest.mark.parametrize("kind,what", [("reaction", "residual"),
+                                       ("jacobian", "reaction Jacobian")])
+def test_nonfinite_input_fails_at_once_naming_the_node(kind, what):
+    prob = nan_at_node(kind)
+    g = build_grid(1, 1, 5, 5)
+    st = StepState(t=0.0, W=np.full((1, g.n_interior), 1.5))
+    with pytest.raises(SolverFailure, match=rf"non-finite {what} .* "
+                       r"iteration 0: species 0, node \(i=2, j=3\)"):
+        advance(st, build_scheme(prob, g, "cds"), prob, g, 0.25, 0.5)
+
+
+def test_nonfinite_newton_update_fails_at_once(monkeypatch):
+    # an update poisoned inside the inner solver must stop the step on the
+    # spot, naming where, instead of iterating on NaN
+    from parabolic2d import stepper
+    from parabolic2d.krylov import KrylovReport
+
+    def poisoned(op, b, **kwargs):
+        delta = np.zeros_like(b)
+        delta[9] = np.inf   # node (i=2, j=3) of the 4x4 interior
+        return delta, KrylovReport(1.0, 0.0, True)
+
+    monkeypatch.setattr(stepper, "bicgstab_l", poisoned)
+    prob = constant_problem()
+    g = build_grid(1, 1, 5, 5)
+    st = StepState(t=0.0, W=np.full((1, g.n_interior), 1.5))
+    with pytest.raises(SolverFailure, match=r"non-finite Newton update .* "
+                       r"iteration 0: species 0, node \(i=2, j=3\)"):
+        advance(st, build_scheme(prob, g, "cds"), prob, g, 0.25, 0.5)
+
+
+def test_layer_times_come_from_time_grid():
+    # ten steps of 0.1: summing tau would put the last layer at
+    # 0.9999999999999999, TimeGrid.t(10) puts it at 1.0
+    seen = []
+    base = constant_problem()
+
+    def boundary(l, x, y, t):
+        seen.append(t)
+        return base.boundary(l, x, y, t)
+
+    prob = dataclasses.replace(base, boundary=boundary)
+    g = build_grid(1, 1, 4, 4)
+    tg = build_time_grid(1.0, 10)
+    integrate(prob, g, tg, build_scheme(prob, g, "cds"), theta=0.5)
+    assert max(seen) == 1.0
+    assert set(seen) <= {tg.t(n) for n in range(tg.N + 1)}
