@@ -120,9 +120,10 @@ def _compose(terms) -> np.ndarray:
     return out
 
 
-def cfds_full_stencil_p(problem: ProblemSpec, l: int, grid: Grid2D,
-                        variant: str = "derived") -> np.ndarray:
-    """All 9 coefficient planes of P = 6 hx^2 l^h."""
+def cfds_full_stencils(problem: ProblemSpec, l: int, grid: Grid2D,
+                       variant: str = "derived"):
+    """All 9 coefficient planes of P = 6 hx^2 l^h and of Q = 6 hx^2 nu^h,
+    (p_full, q_full), from one evaluation of the compact coefficients."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown cfds variant {variant!r}")
     cc = compact_coefficients(problem, l, grid)
@@ -139,8 +140,10 @@ def cfds_full_stencil_p(problem: ProblemSpec, l: int, grid: Grid2D,
             (cc.theta_tilde, sx2, sy1),
             (cc.gamma_tilde, sx1, sy1),
         ])
-        return 6 * hx ** 2 * coeffs
-    return _printed_stencil_p(problem, l, grid, cc)
+        p_full = 6 * hx ** 2 * coeffs
+    else:
+        p_full = _printed_stencil_p(problem, l, grid, cc)
+    return p_full, _stencil_q(grid, cc, variant)
 
 
 def _printed_stencil_p(problem: ProblemSpec, l: int, grid: Grid2D,
@@ -183,12 +186,9 @@ def _printed_stencil_p(problem: ProblemSpec, l: int, grid: Grid2D,
     return coeffs
 
 
-def cfds_full_stencil_q(problem: ProblemSpec, l: int, grid: Grid2D,
-                        variant: str = "derived") -> np.ndarray:
+def _stencil_q(grid: Grid2D, cc: CompactCoefficients,
+               variant: str) -> np.ndarray:
     """All 9 coefficient planes of Q = 6 hx^2 nu^h (corners identically zero)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown cfds variant {variant!r}")
-    cc = compact_coefficients(problem, l, grid)
     hx, hy = grid.hx, grid.hy
     ny, nx = grid.ny, grid.nx
     coeffs = np.zeros((3, 3, ny, nx))
@@ -206,17 +206,15 @@ def cfds_full_stencil_q(problem: ProblemSpec, l: int, grid: Grid2D,
 def assemble_cfds_p(problem: ProblemSpec, l: int, grid: Grid2D,
                     variant: str = "derived") -> StencilMatrix:
     """9-point matrix whose action equals 6 hx^2 l^h on interior fields."""
-    return StencilMatrix(grid=grid,
-                         coeffs=zero_boundary_offsets(
-                             cfds_full_stencil_p(problem, l, grid, variant)))
+    p_full, _ = cfds_full_stencils(problem, l, grid, variant)
+    return StencilMatrix(grid=grid, coeffs=zero_boundary_offsets(p_full))
 
 
 def assemble_cfds_q(problem: ProblemSpec, l: int, grid: Grid2D,
                     variant: str = "derived") -> StencilMatrix:
     """5-point mass matrix Q = 6 hx^2 nu^h (row sums 6 hx^2 exactly)."""
-    return StencilMatrix(grid=grid,
-                         coeffs=zero_boundary_offsets(
-                             cfds_full_stencil_q(problem, l, grid, variant)))
+    _, q_full = cfds_full_stencils(problem, l, grid, variant)
+    return StencilMatrix(grid=grid, coeffs=zero_boundary_offsets(q_full))
 
 
 def cfds_boundary_vectors(problem: ProblemSpec, l: int, grid: Grid2D, t: float,
@@ -233,8 +231,7 @@ def cfds_boundary_vectors(problem: ProblemSpec, l: int, grid: Grid2D, t: float,
     boundary_dt(l, x, y) supplies du/dt on the boundary (e.g. a difference
     quotient of the Dirichlet data); omit it for static boundary data.
     """
-    p_full = cfds_full_stencil_p(problem, l, grid, variant)
-    q_full = cfds_full_stencil_q(problem, l, grid, variant)
+    p_full, q_full = cfds_full_stencils(problem, l, grid, variant)
     ring = boundary_values_full(problem, l, grid, t)
     phi_p = -apply_full(p_full, ring).ravel()
     rhs_ring = boundary_rhs_full(problem, l, grid, t, boundary_dt)
@@ -259,7 +256,7 @@ def boundary_rhs_full(problem: ProblemSpec, l: int, grid: Grid2D, t: float,
             for m in range(problem.L)])
         r = np.asarray(problem.reaction(xe, ye, t, ub), dtype=float)[l]
         if problem.forcing is not None:
-            r = r + problem.forcing(l, xe, ye, t)
+            r = r + np.asarray(problem.forcing(xe, ye, t), dtype=float)[l]
         if boundary_dt is not None:
             r = r - np.broadcast_to(
                 np.asarray(boundary_dt(l, xe, ye), dtype=float), xe.shape)

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import analysis, model, richardson
 from .grid import Grid2D, TimeGrid, build_grid, build_time_grid, lex_index
-from .stepper import SolverFailure, average_counts, build_scheme, integrate
+from .stepper import (SolverFailure, average_counts, build_scheme,
+                      check_solver_options, integrate)
 
 CSV_COLUMNS = ("problem", "scheme", "re_mode", "Mx", "My", "N", "species",
                "error", "ratio", "order", "newton_avg", "krylov_avg", "wall_ms")
@@ -63,7 +64,6 @@ class RunConfig:
     krylov_tol: float = 1e-10
     ell: int = 2
     out_dir: str = "runs"
-    deterministic: bool = True
     cfds_variant: str = "derived"
 
 
@@ -99,6 +99,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"chemistry: must be as-printed or corrected, "
                           f"got {cfg.chemistry!r}")
     mu_value(cfg)
+    check_solver_options(ConfigError, newton_tol=cfg.newton_tol,
+                         krylov_tol=cfg.krylov_tol, ell=cfg.ell)
     if cfg.problem == "airpollution":
         for Mx, My, _ in cfg.meshes:
             probe_node(cfg, Mx, My)  # raises if the probe misses a node
@@ -318,7 +320,6 @@ def write_metadata(cfg: RunConfig, path: str) -> None:
         f.write(f"krylov_tol={_fmt(cfg.krylov_tol)}\n")
         f.write(f"ell={cfg.ell}\n")
         f.write(f"cfds_variant={cfg.cfds_variant}\n")
-        f.write(f"deterministic={int(cfg.deterministic)}\n")
         f.write(f"git_revision={git_revision()}\n")
 
 
@@ -384,8 +385,6 @@ def config_from_sources(file_values: dict, args: argparse.Namespace) -> RunConfi
     if "mesh" in file_values:
         cfg.meshes = [parse_mesh(t) for t in
                       file_values["mesh"].replace(",", " ").split()]
-    if "deterministic" in file_values:
-        cfg.deterministic = file_values["deterministic"].lower() in ("1", "true", "yes")
 
     if args.problem is not None:
         cfg.problem = args.problem
@@ -407,8 +406,6 @@ def config_from_sources(file_values: dict, args: argparse.Namespace) -> RunConfi
         cfg.probe = parse_probe(args.probe)
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.deterministic:
-        cfg.deterministic = True
     if args.cfds_variant is not None:
         cfg.cfds_variant = args.cfds_variant
     return cfg
@@ -432,8 +429,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--chemistry", choices=("as-printed", "corrected"))
     p.add_argument("--probe", help="center, sixth, or i,j node indices")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--deterministic", action="store_true",
-                   help="fixed-order reductions (always on; recorded in metadata)")
     p.add_argument("--cfds-variant", dest="cfds_variant",
                    choices=("derived", "as-printed"))
     p.add_argument("--config", help="flat key=value config file")

@@ -5,7 +5,8 @@ A problem is
     du_l/dt - a_l u_xx - b_l u_yy + c_l u_x + d_l u_y = R_l(x,y,t,u) [+ xi_l],
 
 on [0,X] x [0,Y] x (0,T] with Dirichlet boundary data and initial data.
-All coefficient/data callables must broadcast over numpy coordinate arrays.
+All callables broadcast over numpy coordinate arrays; the reaction R and
+the forcing xi return every species at once, shape (L, ...).
 
 Two ready-made problems are provided:
 
@@ -64,7 +65,7 @@ class ProblemSpec:
         advection_c(l, x, y), advection_d(l, x, y)
         reaction(x, y, t, u)          u: (L, ...) -> (L, ...)
         reaction_jacobian(x, y, t, u) -> (L, L, ...)
-        forcing(l, x, y, t)           optional, manufactured problems only
+        forcing(x, y, t)              -> (L, ...), manufactured problems only
         boundary(l, x, y, t), initial(l, x, y)
     """
 
@@ -92,15 +93,17 @@ def manufactured_solution(x, y, t, X: float = DEFAULT_X, Y: float = DEFAULT_Y,
         * np.sin(np.pi * y / Y)
 
 
-def manufactured_forcing(l: int, x, y, t, *, X: float = DEFAULT_X,
+def manufactured_forcing(x, y, t, *, X: float = DEFAULT_X,
                          Y: float = DEFAULT_Y, T: float = DEFAULT_T,
                          K: float = DEFAULT_K, wind: WindParams,
                          rates: airchem.RateSet,
                          chemistry: str = "as-printed"):
-    """Source xi_l that makes the manufactured solution solve the full system.
+    """Sources xi of all species, shape (L, ...), that make the manufactured
+    solution solve the full system.
 
-    Closed form of u_t - K lap(u) + c u_x + d u_y - R_l(u,...,u) at the
-    exact solution: with s = sin(pi x/X) sin(pi y/Y) and e = exp(-t/T),
+    Closed form of u_t - K lap(u) + c u_x + d u_y - R(u,...,u) at the
+    exact solution, whose species-independent part is computed once: with
+    s = sin(pi x/X) sin(pi y/Y) and e = exp(-t/T),
 
         u    = e s,                u_t = -u/T,
         lap u = -pi^2 (1/X^2 + 1/Y^2) u,
@@ -119,8 +122,8 @@ def manufactured_forcing(l: int, x, y, t, *, X: float = DEFAULT_X,
     u_y = e * (np.pi / Y) * sx * np.cos(np.pi * y / Y)
     c, d = rotational_wind(x, y, wind)
     uvec = np.broadcast_to(u, (airchem.N_SPECIES,) + np.shape(u))
-    R_l = airchem.reaction_rates(uvec, rates, variant=chemistry)[l]
-    return u_t - K * lap + c * u_x + d * u_y - R_l
+    R = airchem.reaction_rates(uvec, rates, variant=chemistry)
+    return (u_t - K * lap + c * u_x + d * u_y) - R
 
 
 def _constant_field(value: float):
@@ -129,29 +132,33 @@ def _constant_field(value: float):
     return field
 
 
+def _wind_and_chemistry(cos_theta: float, mu: float, chemistry: str):
+    """(fields, wind, rates): the ProblemSpec fields shared by both examples
+    (L=10, constant diffusion, rotational wind of rate mu about the domain
+    centre, the chemistry's reaction map and Jacobian) and their parameters."""
+    if cos_theta <= 0:
+        raise ValueError(f"cos_theta must be positive, got {cos_theta}")
+    rates = airchem.rate_coefficients(cos_theta)
+    wind = WindParams(mu=mu, xc=DEFAULT_X / 2.0, yc=DEFAULT_Y / 2.0)
+    diffusion = _constant_field(DEFAULT_K)
+    return dict(
+        L=airchem.N_SPECIES, diffusion_a=diffusion, diffusion_b=diffusion,
+        advection_c=lambda l, x, y: rotational_wind(x, y, wind)[0],
+        advection_d=lambda l, x, y: rotational_wind(x, y, wind)[1],
+        reaction=lambda x, y, t, u: airchem.reaction_rates(
+            u, rates, variant=chemistry),
+        reaction_jacobian=lambda x, y, t, u: airchem.reaction_jacobian(
+            u, rates, variant=chemistry)), wind, rates
+
+
 def make_example1(cos_theta: float = 1.0, chemistry: str = "as-printed") -> ProblemSpec:
     """Manufactured-solution problem: L=10, constant diffusion, rotational wind,
     full chemistry plus the compensating forcing, homogeneous Dirichlet data."""
-    if cos_theta <= 0:
-        raise ValueError(f"cos_theta must be positive, got {cos_theta}")
     X, Y, T, K = DEFAULT_X, DEFAULT_Y, DEFAULT_T, DEFAULT_K
-    rates = airchem.rate_coefficients(cos_theta)
-    wind = WindParams(mu=MU_STANDARD, xc=X / 2.0, yc=Y / 2.0)
+    fields, wind, rates = _wind_and_chemistry(cos_theta, MU_STANDARD, chemistry)
 
-    def advection_c(l, x, y):
-        return rotational_wind(x, y, wind)[0]
-
-    def advection_d(l, x, y):
-        return rotational_wind(x, y, wind)[1]
-
-    def reaction(x, y, t, u):
-        return airchem.reaction_rates(u, rates, variant=chemistry)
-
-    def reaction_jac(x, y, t, u):
-        return airchem.reaction_jacobian(u, rates, variant=chemistry)
-
-    def forcing(l, x, y, t):
-        return manufactured_forcing(l, x, y, t, X=X, Y=Y, T=T, K=K,
+    def forcing(x, y, t):
+        return manufactured_forcing(x, y, t, X=X, Y=Y, T=T, K=K,
                                     wind=wind, rates=rates, chemistry=chemistry)
 
     def boundary(l, x, y, t):
@@ -160,12 +167,8 @@ def make_example1(cos_theta: float = 1.0, chemistry: str = "as-printed") -> Prob
     def initial(l, x, y):
         return manufactured_solution(x, y, 0.0, X, Y, T)
 
-    return ProblemSpec(L=airchem.N_SPECIES,
-                       diffusion_a=_constant_field(K), diffusion_b=_constant_field(K),
-                       advection_c=advection_c, advection_d=advection_d,
-                       reaction=reaction, reaction_jacobian=reaction_jac,
-                       boundary=boundary, initial=initial, forcing=forcing,
-                       X=X, Y=Y, T=T)
+    return ProblemSpec(**fields, boundary=boundary, initial=initial,
+                       forcing=forcing, X=X, Y=Y, T=T)
 
 
 def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
@@ -176,25 +179,9 @@ def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
     boundary signal is const_l*(sin(t/C)+2) with const_l = u0_l/2, the unique
     amplitude for which boundary and initial data agree at t=0.
     """
-    if cos_theta <= 0:
-        raise ValueError(f"cos_theta must be positive, got {cos_theta}")
-    X, Y, T, K = DEFAULT_X, DEFAULT_Y, DEFAULT_T, DEFAULT_K
-    rates = airchem.rate_coefficients(cos_theta)
-    wind = WindParams(mu=mu, xc=X / 2.0, yc=Y / 2.0)
+    fields, _, _ = _wind_and_chemistry(cos_theta, mu, chemistry)
     u0 = np.asarray(EXAMPLE2_INITIAL, dtype=float)
     consts = u0 / 2.0
-
-    def advection_c(l, x, y):
-        return rotational_wind(x, y, wind)[0]
-
-    def advection_d(l, x, y):
-        return rotational_wind(x, y, wind)[1]
-
-    def reaction(x, y, t, u):
-        return airchem.reaction_rates(u, rates, variant=chemistry)
-
-    def reaction_jac(x, y, t, u):
-        return airchem.reaction_jacobian(u, rates, variant=chemistry)
 
     def boundary(l, x, y, t):
         sig = airchem.boundary_signal(t, consts[l], C)
@@ -203,12 +190,7 @@ def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
     def initial(l, x, y):
         return np.full(np.shape(np.asarray(x, dtype=float)), u0[l])
 
-    return ProblemSpec(L=airchem.N_SPECIES,
-                       diffusion_a=_constant_field(K), diffusion_b=_constant_field(K),
-                       advection_c=advection_c, advection_d=advection_d,
-                       reaction=reaction, reaction_jacobian=reaction_jac,
-                       boundary=boundary, initial=initial, forcing=None,
-                       X=X, Y=Y, T=T)
+    return ProblemSpec(**fields, boundary=boundary, initial=initial)
 
 
 def check_compatibility(problem: ProblemSpec, grid: Grid2D, rtol: float = 1e-12) -> None:

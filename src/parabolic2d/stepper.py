@@ -9,18 +9,18 @@ and for the compact scheme
     Ups = Q (W1 - W0)/tau + P W^th - Q R^th - Phi^th,
 
 with Z^th = theta Z^1 + (1-theta) Z^0 for Z in {W, R, Phi}.  R is the
-reaction (plus manufactured forcing, when present) on interior nodes; Phi
+reaction (plus manufactured forcing xi, when present) on interior nodes; Phi
 folds the Dirichlet data (and, for the compact scheme, the boundary values of
 r - du/dt weighted by Q).  Each step solves Ups(W1) = 0 by Newton iteration
 with BiCGStab(ell) inner solves; the initial guess on the new time layer is
-the solution on the previous one.
+the solution on the previous one.  R^0, Phi^th and xi(t1) depend only on the
+time layers, so they are evaluated once per step, every species in one call.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -88,13 +88,13 @@ def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str,
                        cds_mod.coefficient_fields(problem, l, *mesh))
         owner.append(first.setdefault(key, l))
     rows = owner if len(first) > 1 else owner[:1]
-    builds = [cds_mod.cds_full_stencil] if kind == "cds" else [
-        partial(cfds_mod.cfds_full_stencil_p, variant=variant),
-        partial(cfds_mod.cfds_full_stencil_q, variant=variant)]
+    # (p_full,) for cds, (p_full, q_full) for cfds, per distinct species
+    planes = {l: (cds_mod.cds_full_stencil(problem, l, grid),) if kind == "cds"
+              else cfds_mod.cfds_full_stencils(problem, l, grid, variant)
+              for l in first.values()}
     operators = []  # P, p_full, then Q, q_full for cfds
-    for build in builds:
-        planes = {l: build(problem, l, grid) for l in first.values()}
-        full = np.stack([planes[l] for l in rows])
+    for k in range(len(planes[0])):
+        full = np.stack([planes[l][k] for l in rows])
         operators += [StencilMatrix(grid, cds_mod.zero_boundary_offsets(full)),
                       full]
     return Scheme(kind, *operators)
@@ -105,15 +105,17 @@ def _interior_xy(grid: Grid2D):
     return XX.ravel(), YY.ravel()
 
 
+def _interior_forcing(problem: ProblemSpec, grid: Grid2D, t: float):
+    """Forcing xi(t) at interior nodes, shape (L, n); None without forcing."""
+    return None if problem.forcing is None else np.asarray(
+        problem.forcing(*_interior_xy(grid), t), dtype=float)
+
+
 def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
-                  W: np.ndarray) -> np.ndarray:
-    """Reaction plus forcing at interior nodes, shape (L, n)."""
-    xi, yi = _interior_xy(grid)
-    R = np.asarray(problem.reaction(xi, yi, t, W), dtype=float)
-    if problem.forcing is not None:
-        R = R + np.stack([problem.forcing(l, xi, yi, t)
-                          for l in range(problem.L)])
-    return R
+                  W: np.ndarray, forcing: Optional[np.ndarray]) -> np.ndarray:
+    """Reaction plus the forcing xi(t) at interior nodes, shape (L, n)."""
+    R = np.asarray(problem.reaction(*_interior_xy(grid), t, W), dtype=float)
+    return R if forcing is None else R + forcing
 
 
 def _boundary_phi(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
@@ -134,8 +136,7 @@ def _boundary_phi(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
     for t_m, rings, w in ((t_n, rings0, 1.0 - theta), (t1, rings1, theta)):
         rl = np.asarray(problem.reaction(XX, YY, t_m, rings), dtype=float) - rate
         if problem.forcing is not None:
-            rl = rl + np.stack([problem.forcing(l, XX, YY, t_m)
-                                for l in range(L)])
+            rl = rl + np.asarray(problem.forcing(XX, YY, t_m), dtype=float)
         rl[:, 1:-1, 1:-1] = 0.0
         phi += w * (-apply_full(scheme.p_full, rings)
                     + apply_full(scheme.q_full, rl)).reshape(L, n)
@@ -145,9 +146,12 @@ def _boundary_phi(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
 def _step_terms(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
                 tau: float, theta: float, t_n: float, t1: float,
                 W_old: np.ndarray):
-    """(t1, R^0, Phi^th): the residual terms fixed within the step from
-    (t_n, W_old) to the new layer t1; R^0 and Phi^th have shape (L, n)."""
-    return (t1, _interior_rhs(problem, grid, t_n, W_old),
+    """(t1, xi(t1), R^0, Phi^th): the residual terms fixed within the step
+    from (t_n, W_old) to the new layer t1; the forcing xi(t1) (None without
+    forcing), R^0 and Phi^th have shape (L, n)."""
+    R0 = _interior_rhs(problem, grid, t_n, W_old,
+                       _interior_forcing(problem, grid, t_n))
+    return (t1, _interior_forcing(problem, grid, t1), R0,
             _boundary_phi(scheme, problem, grid, tau, theta, t_n, t1))
 
 
@@ -162,8 +166,8 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     if terms is None:
         terms = _step_terms(scheme, problem, grid, tau, theta, t_n,
                             t_n + tau, W_old)
-    t1, R0, phi = terms
-    R1 = _interior_rhs(problem, grid, t1, W_new)
+    t1, xi1, R0, phi = terms
+    R1 = _interior_rhs(problem, grid, t1, W_new, xi1)
     wth = theta * W_new + (1.0 - theta) * W_old
     rth = theta * R1 + (1.0 - theta) * R0
     if scheme.kind == "cds":
@@ -203,6 +207,16 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
             f"j={idx[-1] // grid.nx + 1})")
 
 
+def check_solver_options(error=ValueError, **options) -> None:
+    """Raise `error` for a non-positive tolerance (newton_tol, krylov_tol)
+    or an iteration limit (max_newton, ell, krylov_maxit) below 1."""
+    for name, value in options.items():
+        if name.endswith("_tol") and not value > 0:
+            raise error(f"{name} must be positive, got {value}")
+        if name in ("max_newton", "ell", "krylov_maxit") and not value >= 1:
+            raise error(f"{name} must be at least 1, got {value}")
+
+
 def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
             grid: Grid2D, tau: float, theta: float, *,
             t_next: Optional[float] = None,
@@ -217,6 +231,9 @@ def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite residual,
     reaction Jacobian or Newton update fails at once, naming species and node.
     """
+    check_solver_options(newton_tol=newton_tol, max_newton=max_newton,
+                         krylov_tol=krylov_tol, ell=ell,
+                         krylov_maxit=krylov_maxit)
     t_start = time.perf_counter()
     L, n = state.W.shape
     t_n = state.t
@@ -278,11 +295,13 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
               **solver_options):
     """March the nodal initial data through all N steps.
 
-    Returns (final field, list of per-step SolverReports).  Step failures
+    Returns (final field, list of per-step SolverReports).  Invalid solver
+    options raise ValueError before the first step; step failures
     propagate as SolverFailure with the failing step index attached.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
+    check_solver_options(**solver_options)
     check_compatibility(problem, grid)
     state = StepState(t=0.0, W=validate_field(initial_field(problem, grid),
                                               grid, problem.L))

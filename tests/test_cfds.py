@@ -3,8 +3,8 @@ import pytest
 
 from parabolic2d import build_grid, make_example1, manufactured_solution
 from parabolic2d.cfds import (assemble_cfds_p, assemble_cfds_q,
-                              cfds_boundary_vectors, cfds_full_stencil_p,
-                              cfds_full_stencil_q, compact_coefficients)
+                              cfds_boundary_vectors, cfds_full_stencils,
+                              compact_coefficients)
 from parabolic2d.krylov import matvec
 from parabolic2d.model import MU_STANDARD, ProblemSpec
 
@@ -41,7 +41,7 @@ def test_gamma_value_equal_spacing():
 def test_classical_compact_laplacian_stencil():
     # constant a=b=1, square cells: P/1 has center 20, edges -4, corners -1
     g = build_grid(1.0, 1.0, 5, 5)
-    P = cfds_full_stencil_p(constant_problem(), 0, g)
+    P, _ = cfds_full_stencils(constant_problem(), 0, g)
     c = P[:, :, 2, 2] / (6 * g.hx ** 2) * 6 * g.hx ** 2  # raw scaled entries
     assert c[1, 1] == pytest.approx(20.0)
     for k1, k2 in [(0, 1), (2, 1), (1, 0), (1, 2)]:
@@ -53,7 +53,7 @@ def test_classical_compact_laplacian_stencil():
 
 def test_classical_compact_mass_stencil():
     g = build_grid(1.0, 1.0, 5, 5)
-    Q = cfds_full_stencil_q(constant_problem(), 0, g)
+    _, Q = cfds_full_stencils(constant_problem(), 0, g)
     w = Q[:, :, 2, 2] / (6 * g.hx ** 2)
     assert w[1, 1] == pytest.approx(2.0 / 3.0)
     for k1, k2 in [(0, 1), (2, 1), (1, 0), (1, 2)]:
@@ -63,7 +63,7 @@ def test_classical_compact_mass_stencil():
 def test_q_corners_zero_and_row_sums_exact():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 9, 6)
-    Q = cfds_full_stencil_q(prob, 1, g)
+    _, Q = cfds_full_stencils(prob, 1, g)
     for k1 in (0, 2):
         for k2 in (0, 2):
             assert np.all(Q[k1, k2] == 0.0)
@@ -73,7 +73,7 @@ def test_q_corners_zero_and_row_sums_exact():
 def test_p_row_sums_vanish():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    P = cfds_full_stencil_p(prob, 0, g)
+    P, _ = cfds_full_stencils(prob, 0, g)
     assert np.allclose(P.sum(axis=(0, 1)), 0.0,
                        atol=1e-12 * np.max(np.abs(P)))
 
@@ -83,8 +83,8 @@ def test_printed_variant_differs_only_at_known_sites():
     # composition in the first-order term of the (+-1, 0) entries only
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    P_derived = cfds_full_stencil_p(prob, 0, g, variant="derived")
-    P_printed = cfds_full_stencil_p(prob, 0, g, variant="as-printed")
+    P_derived, _ = cfds_full_stencils(prob, 0, g, variant="derived")
+    P_printed, _ = cfds_full_stencils(prob, 0, g, variant="as-printed")
     scale = np.max(np.abs(P_derived))
     for k1 in range(3):
         for k2 in range(3):
@@ -99,16 +99,16 @@ def test_printed_variant_differs_only_at_known_sites():
 def test_printed_variant_matches_composition_for_constant_coefficients():
     g = build_grid(1.0, 1.0, 6, 6)
     prob = constant_problem(a=2.0, b=0.5)
-    assert np.allclose(cfds_full_stencil_p(prob, 0, g, "derived"),
-                       cfds_full_stencil_p(prob, 0, g, "as-printed"),
+    assert np.allclose(cfds_full_stencils(prob, 0, g, "derived")[0],
+                       cfds_full_stencils(prob, 0, g, "as-printed")[0],
                        rtol=1e-13)
 
 
 def test_q_variant_difference():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    Qd = cfds_full_stencil_q(prob, 0, g, "derived")
-    Qp = cfds_full_stencil_q(prob, 0, g, "as-printed")
+    _, Qd = cfds_full_stencils(prob, 0, g, "derived")
+    _, Qp = cfds_full_stencils(prob, 0, g, "as-printed")
     assert np.allclose(Qd[2, 1], Qp[2, 1])          # x-direction entries agree
     assert not np.allclose(Qd[1, 2], Qp[1, 2])      # y-direction entries differ
 
@@ -143,7 +143,7 @@ def test_semidiscrete_identity_fourth_order():
         u = manufactured_solution(XX, YY, t, X, Y, T).ravel()
         u_t = -u / T
         uvec = np.broadcast_to(u, (prob.L,) + u.shape)
-        xi = prob.forcing(0, XX.ravel(), YY.ravel(), t)
+        xi = prob.forcing(XX.ravel(), YY.ravel(), t)[0]
         r = prob.reaction(XX.ravel(), YY.ravel(), t, uvec)[0] + xi
         P = assemble_cfds_p(prob, 0, g)
         Q = assemble_cfds_q(prob, 0, g)
@@ -159,8 +159,29 @@ def test_division_by_vanishing_diffusion_reported():
         compact_coefficients(constant_problem(a=0.0), 0, build_grid(1, 1, 4, 4))
 
 
+@pytest.mark.parametrize("variant", ["derived", "as-printed"])
+def test_compact_coefficients_evaluated_once_per_stencil_pair(monkeypatch,
+                                                              variant):
+    from parabolic2d import cfds, make_example2
+    from parabolic2d.stepper import build_scheme
+    calls = []
+    original = cfds.compact_coefficients
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(cfds, "compact_coefficients", counted)
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    build_scheme(prob, g, "cfds", variant=variant)
+    assert calls == [0]   # one distinct species set, one evaluation
+    cfds_boundary_vectors(prob, 3, g, 0.0, variant=variant)
+    assert calls == [0, 3]
+
+
 def test_unknown_variant_rejected():
     prob = constant_problem()
     g = build_grid(1, 1, 4, 4)
     with pytest.raises(ValueError):
-        cfds_full_stencil_p(prob, 0, g, variant="bogus")
+        cfds_full_stencils(prob, 0, g, variant="bogus")

@@ -6,9 +6,10 @@ import pytest
 
 from parabolic2d import build_grid
 from parabolic2d.cli import (CSV_COLUMNS, ConfigError, RunConfig,
-                             emit_field_dump, main, parse_mesh, parse_probe,
-                             probe_node, read_field_dump, run_study,
-                             validate_config)
+                             config_from_sources, emit_field_dump,
+                             load_config_file, main, make_parser, parse_mesh,
+                             parse_probe, probe_node, read_field_dump,
+                             run_study, validate_config)
 
 
 def test_parse_mesh():
@@ -102,8 +103,7 @@ def test_run_study_manufactured(tmp_path):
 def test_run_study_deterministic_rerun(tmp_path):
     def run(tag):
         cfg = RunConfig(problem="manufactured", scheme="cds",
-                        meshes=[(4, 4, 4)], out_dir=str(tmp_path / tag),
-                        deterministic=True)
+                        meshes=[(4, 4, 4)], out_dir=str(tmp_path / tag))
         out = run_study(cfg)
         with open(os.path.join(out, "convergence.csv")) as f:
             lines = f.read().splitlines()
@@ -152,3 +152,13 @@ def test_main_bad_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this line has no equals sign\n")
     assert main(["--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("line", ["ell = 0", "newton_tol = 0", "krylov_tol = -1"])
+def test_invalid_solver_option_in_config_file(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = 4x4x2\n{line}\n")
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        validate_config(config_from_sources(
+            load_config_file(str(cfg)), make_parser().parse_args([])))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2

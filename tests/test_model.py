@@ -56,7 +56,7 @@ def _fd_pde_residual(prob, l, x, y, t):
     d = prob.advection_d(l, np.asarray(x), np.asarray(y))
     uvec = np.broadcast_to(u(x, y, t), (prob.L,))
     R = prob.reaction(np.asarray(x), np.asarray(y), t, uvec)[l]
-    xi = prob.forcing(l, np.asarray(x), np.asarray(y), t)
+    xi = prob.forcing(np.asarray(x), np.asarray(y), t)[l]
     return u_t - K * u_xx - K * u_yy + c * u_x + d * u_y - R - xi
 
 
@@ -83,7 +83,17 @@ def test_forcing_at_center_has_no_advection_part():
     uvec = np.broadcast_to(u, (10,))
     for l in range(10):
         R = prob.reaction(np.asarray(x), np.asarray(y), t, uvec)[l]
-        assert prob.forcing(l, x, y, t) == pytest.approx(expected_lin - R, rel=1e-12)
+        assert prob.forcing(x, y, t)[l] == pytest.approx(expected_lin - R, rel=1e-12)
+
+
+def test_forcing_returns_every_species_at_once():
+    prob = make_example1()
+    assert prob.forcing(250.0, 100.0, 77.0).shape == (prob.L,)
+    x, y = np.meshgrid(np.linspace(0, 500, 4), np.linspace(0, 500, 3))
+    F = prob.forcing(x, y, 77.0)
+    assert F.shape == (prob.L, 3, 4)
+    assert np.array_equal(F.reshape(prob.L, -1),
+                          prob.forcing(x.ravel(), y.ravel(), 77.0))
 
 
 def test_forcing_vanishes_at_corners():
@@ -92,7 +102,7 @@ def test_forcing_vanishes_at_corners():
     prob = make_example1()
     for (x, y) in [(0, 0), (500, 0), (0, 500), (500, 500)]:
         for l in (0, 4, 9):
-            assert abs(float(prob.forcing(l, float(x), float(y), 77.0))) < 1e-18
+            assert abs(float(prob.forcing(float(x), float(y), 77.0)[l])) < 1e-18
 
 
 def test_example1_boundary_is_homogeneous():

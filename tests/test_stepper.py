@@ -64,7 +64,7 @@ def test_residual_affine_in_forcing():
         advection_c=prob.advection_c, advection_d=prob.advection_d,
         reaction=prob.reaction, reaction_jacobian=prob.reaction_jacobian,
         boundary=prob.boundary, initial=prob.initial,
-        forcing=lambda l, x, y, t: prob.forcing(l, x, y, t) + kappa,
+        forcing=lambda x, y, t: prob.forcing(x, y, t) + kappa,
         X=prob.X, Y=prob.Y, T=prob.T)
     g = build_grid(prob.X, prob.Y, 6, 6)
     sch0 = build_scheme(prob, g, "cds")
@@ -183,8 +183,65 @@ def test_failure_carries_step_index():
     tg = build_time_grid(prob.T, 3)
     sch = build_scheme(prob, g, "cds")
     with pytest.raises(SolverFailure) as exc:
-        integrate(prob, g, tg, sch, theta=0.5, max_newton=0)
+        integrate(prob, g, tg, sch, theta=0.5, max_newton=1, newton_tol=1e-300)
     assert exc.value.step == 0
+
+
+@pytest.mark.parametrize("option,value", [
+    ("ell", 0), ("krylov_tol", 0.0), ("krylov_maxit", 0), ("newton_tol", -1e-9),
+    ("newton_tol", float("nan")), ("max_newton", 0)])
+def test_invalid_solver_options_rejected_before_the_first_step(option, value):
+    # no problem data may be evaluated: neither initial data nor reactions
+    calls = []
+    base = make_example1()
+    prob = dataclasses.replace(
+        base, reaction=lambda *a: calls.append(a) or base.reaction(*a),
+        initial=lambda *a: calls.append(a) or base.initial(*a))
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    sch = build_scheme(prob, g, "cds")
+    with pytest.raises(ValueError, match=option):
+        integrate(prob, g, build_time_grid(prob.T, 2), sch, **{option: value})
+    with pytest.raises(ValueError, match=option):
+        advance(StepState(t=0.0, W=initial_field(base, g)), sch, prob, g,
+                720.0, 0.5, **{option: value})
+    assert calls == []
+
+
+def test_forcing_evaluated_twice_per_step():
+    # xi(t_n) enters R^0 and xi(t1) the new layer's reaction; both are
+    # evaluated once per step for all species, not per Newton iteration
+    base = make_example1()
+    calls = []
+
+    def forcing(x, y, t):
+        calls.append(t)
+        return base.forcing(x, y, t)
+
+    prob = dataclasses.replace(base, forcing=forcing)
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    tg = build_time_grid(prob.T, 5)
+    W, reports = integrate(prob, g, tg, build_scheme(prob, g, "cds"))
+    assert sum(r.newton_iters for r in reports) > tg.N
+    assert len(calls) == 2 * tg.N
+    assert calls == [t for n in range(tg.N) for t in (tg.t(n), tg.t(n + 1))]
+    W0, _ = integrate(base, g, tg, build_scheme(base, g, "cds"))
+    assert np.array_equal(W, W0)
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_residual_with_step_terms_matches_plain_call(kind):
+    from parabolic2d.stepper import _step_terms
+    prob = make_example1()
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    sch = build_scheme(prob, g, kind)
+    tau, theta, t_n = 90.0, 0.5, 100.0
+    rng = np.random.default_rng(11)
+    W0 = nodal_exact_field(prob, g, t_n)
+    W1 = W0 + 1e-3 * rng.standard_normal(W0.shape)
+    terms = _step_terms(sch, prob, g, tau, theta, t_n, t_n + tau, W0)
+    assert np.array_equal(
+        residual(W1, W0, sch, prob, g, tau, theta, t_n, terms=terms),
+        residual(W1, W0, sch, prob, g, tau, theta, t_n))
 
 
 @pytest.mark.parametrize("kind,tol", [("cds", 1.0), ("cfds", 1.0)])
