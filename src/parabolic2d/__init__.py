@@ -14,14 +14,14 @@ from .model import (ProblemSpec, WindParams, MU_FAST, MU_STANDARD,
                     manufactured_solution, rotational_wind)
 from .airchem import (RateSet, SPECIES, boundary_signal, rate_coefficients,
                       reaction_jacobian, reaction_rates)
-from .cds import StencilMatrix, assemble_cds, cds_boundary_vector
+from .cds import StencilMatrix, assemble_cds
 from .cfds import (CompactCoefficients, assemble_cfds_p, assemble_cfds_q,
-                   cfds_boundary_vectors, compact_coefficients)
+                   compact_coefficients)
 from .krylov import (KrylovBreakdown, KrylovReport, LinearOperator,
                      bicgstab_l, matvec)
 from .stepper import (Scheme, SolverFailure, SolverReport, StepState, advance,
-                      average_counts, build_scheme, initial_field, integrate,
-                      newton_matrix_apply, residual)
+                      average_counts, boundary_fold, build_scheme,
+                      initial_field, integrate, newton_matrix_apply, residual)
 from .richardson import (REWeights, extrapolate_space, extrapolate_spacetime,
                          re_weights)
 from .analysis import (ConvergenceRow, max_norm_error, positivity_scan,

@@ -9,8 +9,7 @@ interior nodes, with entries (offsets relative to the centre node)
 
 Stencil matrices store one coefficient plane per offset; coefficients that
 would reference boundary nodes are zeroed in the matrix, and their
-contribution is folded into a right-hand-side vector by the boundary-vector
-routines.
+contribution is folded into the right-hand side by stepper.boundary_fold.
 """
 
 from __future__ import annotations
@@ -87,17 +86,6 @@ def zero_boundary_offsets(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def boundary_values_full(problem: ProblemSpec, l: int, grid: Grid2D, t: float) -> np.ndarray:
-    """Full node array with Dirichlet data on the boundary ring, zero inside."""
-    xs, ys = grid.x_nodes(), grid.y_nodes()
-    w = np.zeros((grid.My + 1, grid.Mx + 1))
-    w[0, :] = problem.boundary(l, xs, np.zeros_like(xs), t)
-    w[-1, :] = problem.boundary(l, xs, np.full_like(xs, grid.Y), t)
-    w[1:-1, 0] = problem.boundary(l, np.zeros_like(ys[1:-1]), ys[1:-1], t)
-    w[1:-1, -1] = problem.boundary(l, np.full_like(ys[1:-1], grid.X), ys[1:-1], t)
-    return w
-
-
 def coefficient_fields(problem: ProblemSpec, l: int, XX: np.ndarray,
                        YY: np.ndarray):
     """(a, b, c, d) of species l at the nodes (XX, YY), each of XX's shape."""
@@ -135,14 +123,3 @@ def assemble_cds(problem: ProblemSpec, l: int, grid: Grid2D) -> StencilMatrix:
     """5-point matrix of -a d2x - b d2y + c dx + d dy, boundary columns folded out."""
     return StencilMatrix(grid=grid,
                          coeffs=zero_boundary_offsets(cds_full_stencil(problem, l, grid)))
-
-
-def cds_boundary_vector(problem: ProblemSpec, l: int, grid: Grid2D, t: float) -> np.ndarray:
-    """Vector Phi with -(stencil coefficient)*(boundary value) contributions.
-
-    (P u - Phi) applied to interior values then equals the stencil applied
-    with the true Dirichlet data in place.
-    """
-    coeffs = cds_full_stencil(problem, l, grid)
-    ring = boundary_values_full(problem, l, grid, t)
-    return -apply_full(coeffs, ring).ravel()

@@ -64,7 +64,6 @@ class RunConfig:
     krylov_tol: float = 1e-10
     ell: int = 2
     out_dir: str = "runs"
-    cfds_variant: str = "derived"
 
 
 def mu_value(cfg: RunConfig) -> float:
@@ -91,6 +90,9 @@ def validate_config(cfg: RunConfig) -> None:
     for m in cfg.meshes:
         if len(m) != 3 or any(int(v) != v or v < 2 for v in m[:2]) or m[2] < 1:
             raise ConfigError(f"mesh: invalid triple {m}")
+    mxs = [m[0] for m in cfg.meshes]
+    if any(b <= a for a, b in zip(mxs, mxs[1:])):
+        raise ConfigError(f"mesh: Mx must increase strictly, got {mxs}")
     if cfg.re_mode not in RE_MODES:
         raise ConfigError(f"re: must be one of {RE_MODES}, got {cfg.re_mode!r}")
     if cfg.cos_theta <= 0:
@@ -142,7 +144,7 @@ def _fmt(x) -> str:
 def _solve(cfg, problem, Mx: int, My: int, N: int):
     grid = build_grid(problem.X, problem.Y, Mx, My)
     tg = build_time_grid(problem.T, N)
-    scheme = build_scheme(problem, grid, cfg.scheme, variant=cfg.cfds_variant)
+    scheme = build_scheme(problem, grid, cfg.scheme)
     t0 = time.perf_counter()
     W, reports = integrate(problem, grid, tg, scheme, theta=cfg.theta,
                            newton_tol=cfg.newton_tol, krylov_tol=cfg.krylov_tol,
@@ -201,8 +203,7 @@ def run_study(cfg: RunConfig) -> str:
         for r, (Mx, My, N, W, grid, tg, *_rest) in enumerate(results):
             errors[r] = analysis.max_norm_error(W, exact, grid, tg.T)
     else:
-        ref_vals = None
-        finest = max(range(len(results)), key=lambda r: results[r][0])
+        finest = len(results) - 1   # Mx increases along the list
         Mx, My = results[finest][0], results[finest][1]
         i, j = probe_node(cfg, Mx, My)
         ref_vals = results[finest][3][:, lex_index(i, j, Mx)]
@@ -215,19 +216,16 @@ def run_study(cfg: RunConfig) -> str:
 
     rows = []
     for l in range(L):
-        prev = None
+        # ratio and order against the previous mesh with a finite error
+        finite = [r for r in range(len(results)) if math.isfinite(errors[r, l])]
+        table = dict(zip(finite, analysis.ratio_and_order(
+            [(results[r][0], errors[r, l]) for r in finite])))
         for r, (Mx, My, N, W, grid, tg, reports, wall) in enumerate(results):
-            err = errors[r, l]
-            ratio = order = math.nan
-            if prev is not None and math.isfinite(err) and math.isfinite(prev[1]):
-                ratio = prev[1] / err if err != 0 else math.inf
-                if prev[1] > 0 and err > 0:
-                    order = math.log(prev[1] / err) / math.log(Mx / prev[0])
+            row = table.get(r, analysis.ConvergenceRow(Mx, My, math.nan))
             newton_avg, krylov_avg = average_counts(reports)
             rows.append((cfg.problem, cfg.scheme, cfg.re_mode, Mx, My, N, l,
-                         err, ratio, order, newton_avg, krylov_avg, wall))
-            if math.isfinite(err):
-                prev = (Mx, err)
+                         errors[r, l], row.ratio, row.order, newton_avg,
+                         krylov_avg, wall))
 
     csv_path = os.path.join(cfg.out_dir, "convergence.csv")
     with open(csv_path, "w") as f:
@@ -250,6 +248,7 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
     """
     L = u.shape[0]
     xs, ys = grid.x_nodes(), grid.y_nodes()
+    (j_ring, i_ring), (x_ring, y_ring) = grid.boundary_ring()
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                         suffix=".part")
     try:
@@ -258,12 +257,7 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
                 full = np.zeros((grid.My + 1, grid.Mx + 1))
                 full[1:-1, 1:-1] = u[l].reshape(grid.ny, grid.nx)
                 if boundary is not None:
-                    full[0, :] = boundary(l, xs, np.zeros_like(xs), t)
-                    full[-1, :] = boundary(l, xs, np.full_like(xs, grid.Y), t)
-                    full[1:-1, 0] = boundary(l, np.zeros_like(ys[1:-1]),
-                                             ys[1:-1], t)
-                    full[1:-1, -1] = boundary(l, np.full_like(ys[1:-1], grid.X),
-                                              ys[1:-1], t)
+                    full[j_ring, i_ring] = boundary(l, x_ring, y_ring, t)
                 f.write(f"# species {l} t {_fmt(float(t))}\n")
                 f.write("x,y,value\n")
                 for j in range(grid.My + 1):
@@ -319,7 +313,6 @@ def write_metadata(cfg: RunConfig, path: str) -> None:
         f.write(f"newton_tol={_fmt(cfg.newton_tol)}\n")
         f.write(f"krylov_tol={_fmt(cfg.krylov_tol)}\n")
         f.write(f"ell={cfg.ell}\n")
-        f.write(f"cfds_variant={cfg.cfds_variant}\n")
         f.write(f"git_revision={git_revision()}\n")
 
 
@@ -331,6 +324,11 @@ def parse_mesh(text: str) -> Tuple[int, int, int]:
         return tuple(int(p) for p in parts)  # type: ignore[return-value]
     except ValueError:
         raise ConfigError(f"mesh: expected integers in {text!r}")
+
+
+def parse_meshes(text: str) -> List[Tuple[int, int, int]]:
+    """Mesh triples separated by commas or whitespace."""
+    return [parse_mesh(t) for t in text.replace(",", " ").split()]
 
 
 def parse_probe(text: str):
@@ -360,54 +358,45 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def config_from_sources(file_values: dict, args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    str_fields = {"problem": "problem", "scheme": "scheme", "re": "re_mode",
-                  "chemistry": "chemistry", "out": "out_dir",
-                  "cfds-variant": "cfds_variant"}
-    for key, attr in str_fields.items():
-        if key in file_values:
-            setattr(cfg, attr, file_values[key])
-    for key, attr, conv in (("theta", "theta", float),
-                            ("cos_theta", "cos_theta", float),
-                            ("newton_tol", "newton_tol", float),
-                            ("krylov_tol", "krylov_tol", float),
-                            ("ell", "ell", int)):
-        if key in file_values:
-            try:
-                setattr(cfg, attr, conv(file_values[key]))
-            except ValueError:
-                raise ConfigError(f"{key}: bad value {file_values[key]!r}")
-    if "mu" in file_values:
-        cfg.mu_mode = file_values["mu"]
-    if "probe" in file_values:
-        cfg.probe = parse_probe(file_values["probe"])
-    if "mesh" in file_values:
-        cfg.meshes = [parse_mesh(t) for t in
-                      file_values["mesh"].replace(",", " ").split()]
+# (config-file key, RunConfig attribute, parser of the text value); the
+# command-line flag of the same name overrides the file; repeated flags
+# (--mesh) are joined like a file list
+CONFIG_KEYS = (
+    ("problem", "problem", str),
+    ("scheme", "scheme", str),
+    ("theta", "theta", float),
+    ("mesh", "meshes", parse_meshes),
+    ("re", "re_mode", str),
+    ("mu", "mu_mode", str),
+    ("cos_theta", "cos_theta", float),
+    ("chemistry", "chemistry", str),
+    ("probe", "probe", parse_probe),
+    ("newton_tol", "newton_tol", float),
+    ("krylov_tol", "krylov_tol", float),
+    ("ell", "ell", int),
+    ("out", "out_dir", str),
+)
 
-    if args.problem is not None:
-        cfg.problem = args.problem
-    if args.scheme is not None:
-        cfg.scheme = args.scheme
-    if args.theta is not None:
-        cfg.theta = args.theta
-    if args.mesh:
-        cfg.meshes = [parse_mesh(t) for t in args.mesh]
-    if args.re is not None:
-        cfg.re_mode = args.re
-    if args.mu is not None:
-        cfg.mu_mode = args.mu
-    if args.cos_theta is not None:
-        cfg.cos_theta = args.cos_theta
-    if args.chemistry is not None:
-        cfg.chemistry = args.chemistry
-    if args.probe is not None:
-        cfg.probe = parse_probe(args.probe)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.cfds_variant is not None:
-        cfg.cfds_variant = args.cfds_variant
+
+def config_from_sources(file_values: dict, args: argparse.Namespace) -> RunConfig:
+    known = [key for key, _, _ in CONFIG_KEYS]
+    unknown = sorted(set(file_values) - set(known))
+    if unknown:
+        raise ConfigError(f"config: unknown key {unknown[0]!r} "
+                          f"(known keys: {', '.join(known)})")
+    cfg = RunConfig()
+    for key, attr, parse in CONFIG_KEYS:
+        flag = getattr(args, key, None)
+        for text in (file_values.get(key),
+                     " ".join(flag) if isinstance(flag, list) else flag):
+            if text is None:
+                continue
+            try:
+                setattr(cfg, attr, parse(text))
+            except ConfigError:
+                raise
+            except ValueError:
+                raise ConfigError(f"{key}: bad value {text!r}")
     return cfg
 
 
@@ -419,18 +408,16 @@ def make_parser() -> argparse.ArgumentParser:
                     "Richardson extrapolation).")
     p.add_argument("--problem", choices=PROBLEMS)
     p.add_argument("--scheme", choices=("cds", "cfds"))
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta")
     p.add_argument("--mesh", action="append", metavar="MxxMyxN",
                    help="mesh triple, e.g. 16x16x64 (repeatable)")
     p.add_argument("--re", choices=RE_MODES, help="Richardson extrapolation mode")
     p.add_argument("--mu", help="wind rate: standard, fast, or a number")
-    p.add_argument("--cos-theta", dest="cos_theta", type=float,
+    p.add_argument("--cos-theta", dest="cos_theta",
                    help="cosine of the solar zenith angle")
     p.add_argument("--chemistry", choices=("as-printed", "corrected"))
     p.add_argument("--probe", help="center, sixth, or i,j node indices")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--cfds-variant", dest="cfds_variant",
-                   choices=("derived", "as-printed"))
     p.add_argument("--config", help="flat key=value config file")
     return p
 

@@ -3,8 +3,9 @@
 Interior unknowns are stored per species as flat blocks of length
 (Mx-1)*(My-1), ordered x-fastest (lexicographically): node (i, j) with
 1 <= i <= Mx-1, 1 <= j <= My-1 sits at position (j-1)*(Mx-1) + (i-1).
-Boundary values are never stored in field vectors; assembly folds them
-into right-hand-side vectors.
+Boundary values are never stored in field vectors; the stepper folds
+their values on the boundary ring (Grid2D.boundary_ring) into the
+right-hand side.
 
 A "field vector" throughout the package is a numpy array of shape
 (L, (Mx-1)*(My-1)), one block row per species.
@@ -53,6 +54,14 @@ class Grid2D:
     def full_mesh(self):
         """Coordinate arrays of all nodes, shape (My+1, Mx+1)."""
         return np.meshgrid(self.x_nodes(), self.y_nodes())
+
+    def boundary_ring(self):
+        """The 2(Mx+My) boundary nodes, row-major: ((j, i), (x, y)), their
+        indices into the full (My+1, Mx+1) node array and their coordinates."""
+        inner = np.zeros((self.My + 1, self.Mx + 1), dtype=bool)
+        inner[1:-1, 1:-1] = True
+        j, i = np.nonzero(~inner)
+        return (j, i), (self.x_nodes()[i], self.y_nodes()[j])
 
 
 @dataclass(frozen=True)

@@ -195,20 +195,13 @@ def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
 
 def check_compatibility(problem: ProblemSpec, grid: Grid2D, rtol: float = 1e-12) -> None:
     """Require boundary(l,.,.,0) == initial(l,.,.) on boundary nodes."""
-    xs, ys = grid.x_nodes(), grid.y_nodes()
-    edges = [
-        (xs, np.zeros_like(xs)),
-        (xs, np.full_like(xs, grid.Y)),
-        (np.zeros_like(ys), ys),
-        (np.full_like(ys, grid.X), ys),
-    ]
+    _, (x, y) = grid.boundary_ring()
     for l in range(problem.L):
-        for xe, ye in edges:
-            g = np.asarray(problem.boundary(l, xe, ye, 0.0), dtype=float)
-            p = np.asarray(problem.initial(l, xe, ye), dtype=float)
-            scale = np.maximum(np.abs(p), 1.0)
-            if np.any(np.abs(g - p) > rtol * scale):
-                raise ValueError(
-                    f"species {l}: boundary data at t=0 incompatible with "
-                    f"initial data (max deviation "
-                    f"{np.max(np.abs(g - p) / scale):.3e})")
+        g = np.asarray(problem.boundary(l, x, y, 0.0), dtype=float)
+        p = np.asarray(problem.initial(l, x, y), dtype=float)
+        scale = np.maximum(np.abs(p), 1.0)
+        if np.any(np.abs(g - p) > rtol * scale):
+            raise ValueError(
+                f"species {l}: boundary data at t=0 incompatible with "
+                f"initial data (max deviation "
+                f"{np.max(np.abs(g - p) / scale):.3e})")

@@ -11,7 +11,8 @@ and for the compact scheme
 with Z^th = theta Z^1 + (1-theta) Z^0 for Z in {W, R, Phi}.  R is the
 reaction (plus manufactured forcing xi, when present) on interior nodes; Phi
 folds the Dirichlet data (and, for the compact scheme, the boundary values of
-r - du/dt weighted by Q).  Each step solves Ups(W1) = 0 by Newton iteration
+r - du/dt weighted by Q); boundary_fold builds it from the data on the
+boundary ring.  Each step solves Ups(W1) = 0 by Newton iteration
 with BiCGStab(ell) inner solves; the initial guess on the new time layer is
 the solution on the previous one.  R^0, Phi^th and xi(t1) depend only on the
 time layers, so they are evaluated once per step, every species in one call.
@@ -49,7 +50,8 @@ class Scheme:
 
     "cds" carries the stiffness operator P (mass = identity), "cfds" the pair
     (P, Q), each with a species axis of length L, or 1 when all species share
-    their coefficient fields; the unzeroed tensors serve boundary folding.
+    their coefficient fields.  P and Q have their boundary offsets zeroed;
+    the unzeroed tensors p_full and q_full keep them for boundary_fold.
     """
 
     kind: str
@@ -76,8 +78,7 @@ class StepState:
     reports: List[SolverReport] = field(default_factory=list)
 
 
-def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str,
-                 variant: str = "derived") -> Scheme:
+def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
     # species with identical coefficient fields share one stencil, built once
@@ -90,7 +91,7 @@ def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str,
     rows = owner if len(first) > 1 else owner[:1]
     # (p_full,) for cds, (p_full, q_full) for cfds, per distinct species
     planes = {l: (cds_mod.cds_full_stencil(problem, l, grid),) if kind == "cds"
-              else cfds_mod.cfds_full_stencils(problem, l, grid, variant)
+              else cfds_mod.cfds_full_stencils(problem, l, grid)
               for l in first.values()}
     operators = []  # P, p_full, then Q, q_full for cfds
     for k in range(len(planes[0])):
@@ -118,29 +119,42 @@ def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
     return R if forcing is None else R + forcing
 
 
+def boundary_fold(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
+                  t: float, g: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Boundary part Phi(t) of the right-hand side, shape (L, n).
+
+    g holds the Dirichlet data of every species at time t on the nodes of
+    grid.boundary_ring(), shape (L, 2(Mx+My)), and rate their time
+    derivative there.  "cds" gives Phi = -P g; "cfds" gives
+    Phi = -P g + Q (r(g) + xi - rate), with the reaction r and the forcing
+    xi evaluated on the ring only, so that Q dU/dt + P U = Q R + Phi.  P and
+    Q act through the unzeroed tensors, whose boundary offsets reach the ring.
+    """
+    (j, i), (x, y) = grid.boundary_ring()
+    full = np.zeros(g.shape[:1] + (grid.My + 1, grid.Mx + 1))
+    full[:, j, i] = g
+    phi = -apply_full(scheme.p_full, full)
+    if scheme.kind == "cfds":
+        r = np.asarray(problem.reaction(x, y, t, g), dtype=float) - rate
+        if problem.forcing is not None:
+            r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
+        full[:, j, i] = r
+        phi = phi + apply_full(scheme.q_full, full)
+    return phi.reshape(g.shape[0], grid.n_interior)
+
+
 def _boundary_phi(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
                   tau: float, theta: float, t_n: float,
                   t1: float) -> np.ndarray:
-    """Theta-averaged boundary contribution Phi^th, shape (L, n)."""
-    L, n = problem.L, grid.n_interior
-    rings0, rings1 = (np.stack([cds_mod.boundary_values_full(problem, l, grid, t)
-                                for l in range(L)]) for t in (t_n, t1))
-    if scheme.kind == "cds":
-        p0 = -apply_full(scheme.p_full, rings0).reshape(L, n)
-        p1 = -apply_full(scheme.p_full, rings1).reshape(L, n)
-        return theta * p1 + (1.0 - theta) * p0
-
-    XX, YY = grid.full_mesh()
-    rate = (rings1 - rings0) / tau
-    phi = np.zeros((L, n))
-    for t_m, rings, w in ((t_n, rings0, 1.0 - theta), (t1, rings1, theta)):
-        rl = np.asarray(problem.reaction(XX, YY, t_m, rings), dtype=float) - rate
-        if problem.forcing is not None:
-            rl = rl + np.asarray(problem.forcing(XX, YY, t_m), dtype=float)
-        rl[:, 1:-1, 1:-1] = 0.0
-        phi += w * (-apply_full(scheme.p_full, rings)
-                    + apply_full(scheme.q_full, rl)).reshape(L, n)
-    return phi
+    """Theta-averaged boundary contribution Phi^th, shape (L, n), with the
+    difference quotient of the Dirichlet data as their time derivative."""
+    _, (x, y) = grid.boundary_ring()
+    g0, g1 = (np.stack([np.broadcast_to(
+        np.asarray(problem.boundary(l, x, y, t), dtype=float), x.shape)
+        for l in range(problem.L)]) for t in (t_n, t1))
+    rate = (g1 - g0) / tau
+    return theta * boundary_fold(scheme, problem, grid, t1, g1, rate) \
+        + (1.0 - theta) * boundary_fold(scheme, problem, grid, t_n, g0, rate)
 
 
 def _step_terms(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from parabolic2d import build_grid, make_example1
-from parabolic2d.cds import (apply_full, assemble_cds, boundary_values_full,
-                             cds_boundary_vector, cds_full_stencil)
+from parabolic2d import boundary_fold, build_grid, build_scheme, make_example1
+from parabolic2d.cds import apply_full, assemble_cds, cds_full_stencil
 from parabolic2d.model import ProblemSpec
 
 
@@ -21,6 +20,20 @@ def constant_problem(a=1.0, b=1.0, c=0.0, d=0.0, boundary=0.0):
         boundary=lambda l, x, y, t: np.full(np.shape(np.asarray(x, float)), boundary),
         initial=lambda l, x, y: np.full(np.shape(np.asarray(x, float)), boundary),
         X=1.0, Y=1.0, T=1.0)
+
+
+def ring_data(prob, g, t):
+    """Dirichlet data of every species on g's boundary ring, (L, 2(Mx+My))."""
+    _, (x, y) = g.boundary_ring()
+    return np.stack([np.broadcast_to(prob.boundary(l, x, y, t), x.shape)
+                     for l in range(prob.L)]).astype(float)
+
+
+def fold(prob, g, kind, t):
+    """boundary_fold of the whole problem at t, with static data (rate 0)."""
+    data = ring_data(prob, g, t)
+    return boundary_fold(build_scheme(prob, g, kind), prob, g, t, data,
+                         np.zeros_like(data))
 
 
 def test_discrete_laplacian_stencil():
@@ -68,14 +81,14 @@ def test_rejects_nonpositive_diffusion():
 def test_boundary_vector_homogeneous_is_zero():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    assert np.all(cds_boundary_vector(prob, 0, g, 57.0) == 0.0)
+    assert np.all(fold(prob, g, "cds", 57.0) == 0.0)
 
 
 def test_boundary_vector_single_interior_node():
     gval = 3.5
     prob = constant_problem(boundary=gval)
     g = build_grid(1.0, 1.0, 2, 2)
-    phi = cds_boundary_vector(prob, 0, g, 0.0)
+    phi = fold(prob, g, "cds", 0.0)[0]
     assert phi.shape == (1,)
     assert phi[0] == pytest.approx(gval * (2 / g.hx ** 2 + 2 / g.hy ** 2))
 
@@ -97,7 +110,7 @@ def test_linear_boundary_data_exactness():
     XX, _ = g.interior_mesh()
     u = XX.ravel()
     from parabolic2d.krylov import matvec
-    res = matvec(A, u) - cds_boundary_vector(prob, 0, g, 0.0)
+    res = matvec(A, u) - fold(prob, g, "cds", 0.0)[0]
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -113,7 +126,7 @@ def test_consistency_second_order():
         XX, YY = g.interior_mesh()
         u = np.sin(np.pi * XX / X) * np.sin(np.pi * YY / Y)
         A = assemble_cds(prob, 0, g)
-        lhs = matvec(A, u.ravel()) - cds_boundary_vector(prob, 0, g, 0.0)
+        lhs = matvec(A, u.ravel()) - fold(prob, g, "cds", 0.0)[0]
         K = 1.8
         lap = -(np.pi ** 2) * (1 / X ** 2 + 1 / Y ** 2) * u
         ux = (np.pi / X) * np.cos(np.pi * XX / X) * np.sin(np.pi * YY / Y)
@@ -127,12 +140,15 @@ def test_consistency_second_order():
 
 
 def test_apply_full_matches_boundary_ring_definition():
-    prob = make_example1()
+    from parabolic2d import make_example2
+    prob = make_example2()
     g = build_grid(prob.X, prob.Y, 5, 5)
-    ring = boundary_values_full(prob, 2, g, 3.0)
-    assert np.all(ring[1:-1, 1:-1] == 0.0)
+    (j, i), _ = g.boundary_ring()
+    ring = np.zeros((g.My + 1, g.Mx + 1))
+    ring[j, i] = ring_data(prob, g, 3.0)[2]
     full = cds_full_stencil(prob, 2, g)
-    phi = cds_boundary_vector(prob, 2, g, 3.0)
+    phi = fold(prob, g, "cds", 3.0)[2]
+    assert np.any(phi != 0.0)
     assert np.allclose(phi, -apply_full(full, ring).ravel())
 
 

@@ -3,12 +3,11 @@ import pytest
 
 from parabolic2d import build_grid, make_example1, manufactured_solution
 from parabolic2d.cfds import (assemble_cfds_p, assemble_cfds_q,
-                              cfds_boundary_vectors, cfds_full_stencils,
-                              compact_coefficients)
+                              cfds_full_stencils, compact_coefficients)
 from parabolic2d.krylov import matvec
-from parabolic2d.model import MU_STANDARD, ProblemSpec
+from parabolic2d.model import MU_STANDARD
 
-from test_cds import constant_problem
+from test_cds import constant_problem, fold
 
 
 def test_constant_coefficient_invariants():
@@ -78,61 +77,26 @@ def test_p_row_sums_vanish():
                        atol=1e-12 * np.max(np.abs(P)))
 
 
-def test_printed_variant_differs_only_at_known_sites():
-    # with the rotational wind the reference table deviates from the operator
-    # composition in the first-order term of the (+-1, 0) entries only
-    prob = make_example1()
-    g = build_grid(prob.X, prob.Y, 8, 8)
-    P_derived, _ = cfds_full_stencils(prob, 0, g, variant="derived")
-    P_printed, _ = cfds_full_stencils(prob, 0, g, variant="as-printed")
-    scale = np.max(np.abs(P_derived))
-    for k1 in range(3):
-        for k2 in range(3):
-            same = np.allclose(P_derived[k1, k2], P_printed[k1, k2],
-                               atol=1e-12 * scale)
-            if (k1, k2) in ((0, 1), (2, 1)):
-                assert not same, "expected deviation at the (+-1,0) entries"
-            else:
-                assert same, f"unexpected deviation at offset {(k1-1, k2-1)}"
-
-
-def test_printed_variant_matches_composition_for_constant_coefficients():
-    g = build_grid(1.0, 1.0, 6, 6)
-    prob = constant_problem(a=2.0, b=0.5)
-    assert np.allclose(cfds_full_stencils(prob, 0, g, "derived")[0],
-                       cfds_full_stencils(prob, 0, g, "as-printed")[0],
-                       rtol=1e-13)
-
-
-def test_q_variant_difference():
-    prob = make_example1()
-    g = build_grid(prob.X, prob.Y, 8, 8)
-    _, Qd = cfds_full_stencils(prob, 0, g, "derived")
-    _, Qp = cfds_full_stencils(prob, 0, g, "as-printed")
-    assert np.allclose(Qd[2, 1], Qp[2, 1])          # x-direction entries agree
-    assert not np.allclose(Qd[1, 2], Qp[1, 2])      # y-direction entries differ
-
-
 def test_boundary_vectors_zero_for_zero_data():
     prob = constant_problem(a=1.8, b=1.8, boundary=0.0)
     g = build_grid(1.0, 1.0, 6, 6)
-    phi_p, phi_q = cfds_boundary_vectors(prob, 0, g, 0.0)
-    assert np.all(phi_p == 0.0) and np.all(phi_q == 0.0)
+    assert np.all(fold(prob, g, "cfds", 0.0) == 0.0)
 
 
 def test_boundary_vectors_footprint():
     from parabolic2d import make_example2
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    phi_p, _ = cfds_boundary_vectors(prob, 0, g, 0.0)
-    inner = phi_p.reshape(g.ny, g.nx)[1:-1, 1:-1]
+    phi = fold(prob, g, "cfds", 0.0)[0]
+    inner = phi.reshape(g.ny, g.nx)[1:-1, 1:-1]
     assert np.all(inner == 0.0)
-    assert np.any(phi_p != 0.0)
+    assert np.any(phi != 0.0)
 
 
 def test_semidiscrete_identity_fourth_order():
-    # P u - Phi_P must equal Q (r - du/dt) + Phi_Q up to O(h^4) after
-    # unscaling by 6 hx^2, on the manufactured solution at a frozen time
+    # P u - Q (r - du/dt) must equal the boundary fold Phi up to O(h^4)
+    # after unscaling by 6 hx^2, on the manufactured solution at a frozen
+    # time (the solution and its time derivative vanish on the boundary)
     prob = make_example1()
     X, Y, T = prob.X, prob.Y, prob.T
     t = 360.0
@@ -147,8 +111,8 @@ def test_semidiscrete_identity_fourth_order():
         r = prob.reaction(XX.ravel(), YY.ravel(), t, uvec)[0] + xi
         P = assemble_cfds_p(prob, 0, g)
         Q = assemble_cfds_q(prob, 0, g)
-        phi_p, phi_q = cfds_boundary_vectors(prob, 0, g, t)
-        res = matvec(P, u) - phi_p - matvec(Q, r - u_t) - phi_q
+        phi = fold(prob, g, "cfds", t)[0]
+        res = matvec(P, u) - matvec(Q, r - u_t) - phi
         errs.append(np.max(np.abs(res)) / (6 * g.hx ** 2))
     orders = [np.log2(errs[i - 1] / errs[i]) for i in (1, 2)]
     assert all(3.6 <= o <= 4.4 for o in orders), (errs, orders)
@@ -159,9 +123,7 @@ def test_division_by_vanishing_diffusion_reported():
         compact_coefficients(constant_problem(a=0.0), 0, build_grid(1, 1, 4, 4))
 
 
-@pytest.mark.parametrize("variant", ["derived", "as-printed"])
-def test_compact_coefficients_evaluated_once_per_stencil_pair(monkeypatch,
-                                                              variant):
+def test_compact_coefficients_evaluated_once_per_stencil_pair(monkeypatch):
     from parabolic2d import cfds, make_example2
     from parabolic2d.stepper import build_scheme
     calls = []
@@ -174,14 +136,23 @@ def test_compact_coefficients_evaluated_once_per_stencil_pair(monkeypatch,
     monkeypatch.setattr(cfds, "compact_coefficients", counted)
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    build_scheme(prob, g, "cfds", variant=variant)
+    build_scheme(prob, g, "cfds")
     assert calls == [0]   # one distinct species set, one evaluation
-    cfds_boundary_vectors(prob, 3, g, 0.0, variant=variant)
+    assemble_cfds_q(prob, 3, g)
     assert calls == [0, 3]
 
 
-def test_unknown_variant_rejected():
-    prob = constant_problem()
-    g = build_grid(1, 1, 4, 4)
-    with pytest.raises(ValueError):
-        cfds_full_stencils(prob, 0, g, variant="bogus")
+def test_cfds_fold_evaluates_reaction_on_the_ring_only():
+    import dataclasses
+    from parabolic2d import make_example2
+    base = make_example2()
+    shapes = []
+
+    def reaction(x, y, t, u):
+        shapes.append((np.shape(x), np.shape(y), np.shape(u)))
+        return base.reaction(x, y, t, u)
+
+    prob = dataclasses.replace(base, reaction=reaction)
+    g = build_grid(prob.X, prob.Y, 7, 5)
+    fold(prob, g, "cfds", 30.0)
+    assert shapes == [((24,), (24,), (prob.L, 24))]

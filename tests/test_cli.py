@@ -162,3 +162,44 @@ def test_invalid_solver_option_in_config_file(tmp_path, line):
         validate_config(config_from_sources(
             load_config_file(str(cfg)), make_parser().parse_args([])))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("scheme", ["cds", "cfds"])
+@pytest.mark.parametrize("line", ["cos-theta = 0.5", "cfds-variant = bogus"])
+def test_unknown_config_key_rejected(tmp_path, scheme, line):
+    # the flag spelling cos-theta used to be ignored silently; cfds-variant
+    # is no longer a key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = 4x4x2\n{line}\n")
+    with pytest.raises(ConfigError, match=repr(line.split()[0])):
+        config_from_sources(load_config_file(str(cfg)),
+                            make_parser().parse_args([]))
+    assert main(["--config", str(cfg), "--scheme", scheme,
+                 "--out", str(tmp_path / "x")]) == 2
+
+
+def test_mesh_order_checked_before_any_solve(tmp_path, monkeypatch):
+    from parabolic2d import cli
+    solves = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ConfigError, match="increase"):
+        validate_config(RunConfig(meshes=[(4, 4, 2), (4, 4, 4)]))
+    rc = main(["--problem", "manufactured", "--mesh", "4x4x2",
+               "--mesh", "4x4x4", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert solves == []
+
+
+def test_config_table_serves_file_and_flags(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("cos_theta = 0.5\nell = 3\nmesh = 4x4x2, 8x8x4\n"
+                       "probe = 1,2\n")
+    args = make_parser().parse_args(["--theta", "1", "--mesh", "6x6x2",
+                                     "--mesh", "12x12x2"])
+    cfg = config_from_sources(load_config_file(str(cfgfile)), args)
+    assert (cfg.cos_theta, cfg.ell, cfg.theta) == (0.5, 3, 1.0)
+    assert cfg.meshes == [(6, 6, 2), (12, 12, 2)]   # flags override the file
+    assert cfg.probe == (1, 2)
+    with pytest.raises(ConfigError, match="theta: bad value"):
+        config_from_sources({}, make_parser().parse_args(["--theta", "x"]))

@@ -12,6 +12,16 @@ def test_build_grid_paper_mesh():
     assert g.n_interior == 49
 
 
+def test_boundary_ring_lists_every_boundary_node_once():
+    g = build_grid(3.0, 2.0, 7, 5)
+    (j, i), (x, y) = g.boundary_ring()
+    assert len(j) == len(i) == 2 * (g.Mx + g.My) == 24
+    assert len(set(zip(j.tolist(), i.tolist()))) == 24
+    on_edge = (i == 0) | (i == g.Mx) | (j == 0) | (j == g.My)
+    assert np.all(on_edge)
+    assert np.array_equal(x, g.x_nodes()[i]) and np.array_equal(y, g.y_nodes()[j])
+
+
 def test_build_grid_smallest():
     g = build_grid(1, 1, 2, 2)
     assert g.n_interior == 1

@@ -290,39 +290,68 @@ def test_initial_field_shape():
     assert np.max(W) <= 1.0 + 1e-12
 
 
-def test_step_boundary_terms_match_public_folds():
-    # the stepper keeps unzeroed stencils for speed; its theta-averaged
-    # boundary contribution must agree with composing the public
-    # boundary-vector operations at the two time levels
-    from parabolic2d import make_example2
-    from parabolic2d.cds import cds_boundary_vector
-    from parabolic2d.cfds import cfds_boundary_vectors
+def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
+    """Phi^th from the data on the whole node array with the interior
+    zeroed, applied through the unzeroed tensors."""
+    from parabolic2d.cds import apply_full
+    XX, YY = g.full_mesh()
+    data = {}
+    for t in (t0, t1):
+        w = np.stack([np.broadcast_to(prob.boundary(l, XX, YY, t), XX.shape)
+                      for l in range(prob.L)]).astype(float)
+        w[:, 1:-1, 1:-1] = 0.0
+        data[t] = w
+    rate = (data[t1] - data[t0]) / tau
+    phi = np.zeros((prob.L, g.n_interior))
+    for t, weight in ((t0, 1.0 - theta), (t1, theta)):
+        part = -apply_full(sch.p_full, data[t])
+        if sch.kind == "cfds":
+            r = prob.reaction(XX, YY, t, data[t]) - rate
+            if prob.forcing is not None:
+                r = r + prob.forcing(XX, YY, t)
+            r[:, 1:-1, 1:-1] = 0.0
+            part = part + apply_full(sch.q_full, r)
+        phi += weight * part.reshape(prob.L, g.n_interior)
+    return phi
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("example", ["make_example1", "make_example2"])
+def test_boundary_phi_matches_full_array_reference(kind, example):
+    import parabolic2d
     from parabolic2d.stepper import _boundary_phi
 
-    prob = make_example2()
+    prob = getattr(parabolic2d, example)()
     g = build_grid(prob.X, prob.Y, 6, 6)
     tau, theta, t0 = 7.5, 0.4, 33.0
-    t1 = t0 + tau
+    sch = build_scheme(prob, g, kind)
+    phi = _boundary_phi(sch, prob, g, tau, theta, t0, t0 + tau)
+    expected = reference_boundary_phi(sch, prob, g, tau, theta, t0, t0 + tau)
+    # example 1 has homogeneous Dirichlet data: its cds fold vanishes
+    trivial = (kind, example) == ("cds", "make_example1")
+    assert np.any(expected != 0.0) != trivial
+    assert np.allclose(phi, expected, rtol=1e-12,
+                       atol=1e-12 * np.max(np.abs(expected)))
 
-    sch = build_scheme(prob, g, "cds")
-    phi = _boundary_phi(sch, prob, g, tau, theta, t0, t1)
-    for l in (0, 4, 9):
-        expected = theta * cds_boundary_vector(prob, l, g, t1) \
-            + (1 - theta) * cds_boundary_vector(prob, l, g, t0)
-        assert np.allclose(phi[l], expected, rtol=1e-13)
 
-    sch = build_scheme(prob, g, "cfds")
-    phi = _boundary_phi(sch, prob, g, tau, theta, t0, t1)
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_integrate_calls_boundary_once_per_species_and_layer(kind):
+    # each step evaluates the Dirichlet data of every species on the whole
+    # ring at t_n and t1; the compatibility check adds one call per species
+    from parabolic2d import make_example2
+    base = make_example2()
+    calls = []
 
-    def quotient(l, x, y):
-        return (prob.boundary(l, x, y, t1) - prob.boundary(l, x, y, t0)) / tau
+    def boundary(l, x, y, t):
+        calls.append(np.shape(x))
+        return base.boundary(l, x, y, t)
 
-    for l in (0, 4, 9):
-        p0, q0 = cfds_boundary_vectors(prob, l, g, t0, boundary_dt=quotient)
-        p1, q1 = cfds_boundary_vectors(prob, l, g, t1, boundary_dt=quotient)
-        expected = theta * (p1 + q1) + (1 - theta) * (p0 + q0)
-        assert np.allclose(phi[l], expected, rtol=1e-12,
-                           atol=1e-12 * np.max(np.abs(expected)))
+    prob = dataclasses.replace(base, boundary=boundary)
+    g = build_grid(prob.X, prob.Y, 6, 4)
+    tg = build_time_grid(30.0, 3)
+    integrate(prob, g, tg, build_scheme(prob, g, kind), theta=0.5)
+    assert len(calls) == 2 * prob.L * tg.N + prob.L
+    assert set(calls) == {(2 * (g.Mx + g.My),)}
 
 
 def test_hoisted_step_matches_public_residual_driver():
