@@ -7,7 +7,11 @@ counts fractionally (with ell=2 a single BiCG step counts as 0.5), which is
 the convention used by the iteration-count reports.
 
 No preconditioning is applied unless a `precond` callable is supplied; it is
-used as a right preconditioner, so the reported residual is the true one.
+used as a right preconditioner.  A converged solve reports the recursive
+residual that met the tolerance; only a non-converged one pays an extra
+application for the true residual ||b - A x||/||b||.  From a zero guess the
+first residual is b itself, so a converged solve without restart makes
+exactly 2 ell applications per cycle.
 """
 
 from __future__ import annotations
@@ -62,7 +66,11 @@ def matvec(A: StencilMatrix, x: np.ndarray) -> np.ndarray:
 def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
                tol: float = 1e-10, ell: int = 2, maxit: int = 200,
                precond: Optional[Callable] = None):
-    """Solve A x = b to ||b - A x|| <= tol ||b||; returns (x, KrylovReport).
+    """Solve A x = b until the recursive residual is <= tol ||b||.
+
+    Returns (x, KrylovReport).  A converged report carries that recursive
+    residual, which can differ from the true ||b - A x|| in the last digits;
+    the true residual is computed only for a non-converged report.
 
     A is a LinearOperator (or any callable on vectors).  On a recurrence
     breakdown the iteration restarts once from the current iterate; a second
@@ -82,8 +90,11 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
     if norm_b == 0.0:
         return np.zeros_like(b), KrylovReport(0.0, 0.0, True)
 
-    z = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r0 = b - inner_apply(z)
+    if x0 is None:
+        z, r0 = np.zeros_like(b), b.copy()
+    else:
+        z = np.array(x0, dtype=float)
+        r0 = b - inner_apply(z)
     rtilde = r0.copy()
     rho0, alpha, omega = 1.0, 0.0, 1.0
     rs = [r0] + [None] * ell
@@ -93,8 +104,8 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
 
     def finish(converged: bool):
         x = precond(z) if precond is not None else z
-        res = np.linalg.norm(b - inner_apply(z)) / norm_b
-        return x, KrylovReport(iters, res, converged)
+        res = rnorm if converged else np.linalg.norm(b - inner_apply(z))
+        return x, KrylovReport(iters, res / norm_b, converged)
 
     rnorm = np.linalg.norm(rs[0])
     if rnorm <= tol * norm_b:

@@ -16,6 +16,11 @@ boundary ring.  Each step solves Ups(W1) = 0 by Newton iteration
 with BiCGStab(ell) inner solves; the initial guess on the new time layer is
 the solution on the previous one.  R^0, Phi^th and xi(t1) depend only on the
 time layers, so they are evaluated once per step, every species in one call.
+
+The Newton matrix is I/tau + theta P - theta J (central) or
+Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian;
+the compact one is applied as B x - theta Q (J x), with the stencil
+B = Q/tau + theta P built once per step.  The residual keeps P and Q apart.
 """
 
 from __future__ import annotations
@@ -190,14 +195,24 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
         - matvec(scheme.Q, rth) - phi
 
 
-def _apply_jacobian(scheme: Scheme, J: np.ndarray, tau: float, theta: float,
-                    x: np.ndarray) -> np.ndarray:
-    """Action of the Newton matrix on x (L, n) for reaction Jacobian J (L, L, n)."""
+def _newton_stencil(scheme: Scheme, tau: float,
+                    theta: float) -> Optional[StencilMatrix]:
+    """B = Q/tau + theta P, the spatial part of the compact Newton matrix,
+    fixed for a step; None for "cds"."""
+    if scheme.kind == "cds":
+        return None
+    return StencilMatrix(scheme.P.grid,
+                         scheme.Q.coeffs / tau + theta * scheme.P.coeffs)
+
+
+def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
+                    tau: float, theta: float, x: np.ndarray) -> np.ndarray:
+    """Action of the Newton matrix on x (L, n) for reaction Jacobian J
+    (L, L, n); B is _newton_stencil(scheme, tau, theta)."""
     Jx = np.einsum("lmn,mn->ln", J, x)
     if scheme.kind == "cds":
         return x / tau + theta * matvec(scheme.P, x) - theta * Jx
-    return matvec(scheme.Q, x) / tau + theta * matvec(scheme.P, x) \
-        - theta * matvec(scheme.Q, Jx)
+    return matvec(B, x) - theta * matvec(scheme.Q, Jx)
 
 
 def newton_matrix_apply(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
@@ -206,7 +221,8 @@ def newton_matrix_apply(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
     """Matrix-free application of the step Jacobian at iterate W_lin."""
     xi, yi = _interior_xy(grid)
     J = np.asarray(problem.reaction_jacobian(xi, yi, t, W_lin), dtype=float)
-    return _apply_jacobian(scheme, J, tau, theta, x)
+    return _apply_jacobian(scheme, _newton_stencil(scheme, tau, theta), J,
+                           tau, theta, x)
 
 
 def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
@@ -256,6 +272,7 @@ def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
     W_old = state.W
     W = W_old.copy()
     terms = _step_terms(scheme, problem, grid, tau, theta, t_n, t1, W_old)
+    B = _newton_stencil(scheme, tau, theta)
     ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
                    terms=terms)
     cycles: List[float] = []
@@ -264,7 +281,7 @@ def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
         J = np.asarray(problem.reaction_jacobian(xi, yi, t1, W), dtype=float)
         _check_finite("reaction Jacobian", J, grid, t_n, it)
         op = LinearOperator(
-            L * n, lambda v: _apply_jacobian(scheme, J, tau, theta,
+            L * n, lambda v: _apply_jacobian(scheme, B, J, tau, theta,
                                              v.reshape(L, n)).ravel())
         try:
             delta, krep = bicgstab_l(op, -ups.ravel(), tol=krylov_tol, ell=ell,

@@ -115,9 +115,64 @@ def test_bicgstab_report_contract():
     A = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
     op = LinearOperator(n, lambda v: A @ v)
     tol = 1e-11
-    _, rep = bicgstab_l(op, rng.standard_normal(n), tol=tol)
+    b = rng.standard_normal(n)
+    x, rep = bicgstab_l(op, b, tol=tol)
     assert rep.converged
     assert rep.final_relative_residual <= tol
+    # the reported value is the recursive residual; the true one must also
+    # meet the tolerance
+    assert np.linalg.norm(b - A @ x) <= tol * np.linalg.norm(b)
+
+
+def recording(A):
+    """LinearOperator for the matrix A that records every operand."""
+    seen = []
+
+    def apply(v):
+        seen.append(v.copy())
+        return A @ v
+
+    return LinearOperator(A.shape[0], apply), seen
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_converged_solve_makes_two_ell_applications_per_cycle(ell):
+    rng = np.random.default_rng(51 + ell)
+    n = 30
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    op, seen = recording(A)
+    x, rep = bicgstab_l(op, rng.standard_normal(n), tol=1e-12, ell=ell)
+    assert rep.converged and rep.iterations > 1
+    assert len(seen) == 2 * ell * rep.iterations
+    assert not any(np.all(v == 0.0) for v in seen)
+
+
+def test_initial_guess_is_the_first_operand():
+    rng = np.random.default_rng(53)
+    n = 20
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    op, seen = recording(A)
+    b, x0 = rng.standard_normal((2, n))
+    x, rep = bicgstab_l(op, b, x0=x0, tol=1e-12)
+    assert rep.converged
+    assert np.array_equal(seen[0], x0)
+    assert len(seen) == 2 * 2 * rep.iterations + 1
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_nonconverged_solve_reports_the_true_residual():
+    rng = np.random.default_rng(59)
+    n = 60
+    A = np.diag(np.logspace(0, 8, n)) \
+        + 1e-2 * rng.standard_normal((n, n)) / np.sqrt(n)
+    op, seen = recording(A)
+    b = rng.standard_normal(n)
+    x, rep = bicgstab_l(op, b, tol=1e-14, maxit=1)
+    assert not rep.converged
+    # the last application is the residual check on the returned iterate
+    assert np.array_equal(seen[-1], x)
+    assert rep.final_relative_residual == \
+        np.linalg.norm(b - A @ x) / np.linalg.norm(b)
 
 
 def test_bicgstab_newton_matrix_cycle_count():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from parabolic2d import (build_grid, build_time_grid, build_scheme, integrate,
-                         make_example1, manufactured_solution, max_norm_error)
+                         make_example1, make_example2, manufactured_solution,
+                         max_norm_error)
 from parabolic2d.model import ProblemSpec
 from parabolic2d.stepper import (SolverFailure, StepState, advance,
                                  initial_field, newton_matrix_apply, residual)
 
 from test_cds import constant_problem
+from test_krylov import species_varied_problem
 
 
 def nodal_exact_field(prob, grid, t):
@@ -484,3 +486,105 @@ def test_layer_times_come_from_time_grid():
     integrate(prob, g, tg, build_scheme(prob, g, "cds"), theta=0.5)
     assert max(seen) == 1.0
     assert set(seen) <= {tg.t(n) for n in range(tg.N + 1)}
+
+
+def dense_newton_matrix(sch, J, tau, theta):
+    """Q/tau + theta P - theta Q blockdiag(J) of a cfds scheme as one dense
+    (L n, L n) matrix, from StencilMatrix.to_dense."""
+    L, _, n = J.shape
+    P = np.broadcast_to(sch.P.to_dense(), (L, n, n))
+    Q = np.broadcast_to(sch.Q.to_dense(), (L, n, n))
+    A = np.zeros((L, n, L, n))
+    for l in range(L):
+        A[l, :, l, :] = Q[l] / tau + theta * P[l]
+        for m in range(L):
+            A[l, :, m, :] -= theta * Q[l] * J[l, m][None, :]
+    return A.reshape(L * n, L * n)
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.0])
+@pytest.mark.parametrize("make,S", [(species_varied_problem, 10),
+                                    (make_example2, 1)])
+def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
+    from parabolic2d.stepper import _apply_jacobian, _newton_stencil
+
+    prob = make()
+    g = build_grid(prob.X, prob.Y, 5, 4)
+    sch = build_scheme(prob, g, "cfds")
+    assert sch.Q.coeffs.shape[0] == S
+    tau = 3.0
+    rng = np.random.default_rng(61)
+    J = rng.standard_normal((prob.L, prob.L, g.n_interior))
+    x = rng.standard_normal((prob.L, g.n_interior))
+    y = _apply_jacobian(sch, _newton_stencil(sch, tau, theta), J, tau, theta,
+                        x)
+    expected = (dense_newton_matrix(sch, J, tau, theta)
+                @ x.ravel()).reshape(x.shape)
+    assert np.allclose(y, expected, rtol=1e-12,
+                       atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_central_newton_matrix_keeps_its_arithmetic():
+    from parabolic2d import make_example2
+    from parabolic2d.krylov import matvec
+    from parabolic2d.stepper import _apply_jacobian, _newton_stencil
+
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 6, 5)
+    sch = build_scheme(prob, g, "cds")
+    tau, theta = 3.0, 0.4
+    assert _newton_stencil(sch, tau, theta) is None
+    rng = np.random.default_rng(67)
+    J = rng.standard_normal((prob.L, prob.L, g.n_interior))
+    x = rng.standard_normal((prob.L, g.n_interior))
+    y = _apply_jacobian(sch, None, J, tau, theta, x)
+    expected = x / tau + theta * matvec(sch.P, x) \
+        - theta * np.einsum("lmn,mn->ln", J, x)
+    assert np.array_equal(y, expected)
+
+
+@pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 2)])
+def test_krylov_application_stencil_products(monkeypatch, kind, products):
+    # each inner-solver application costs one stencil product for cds and
+    # two (B x and Q (J x)) for cfds
+    from parabolic2d import make_example2, stepper
+    from parabolic2d.krylov import LinearOperator
+
+    counts = {"apply": 0, "matvec": 0}
+    inside = []
+    real_matvec, real_bicgstab = stepper.matvec, stepper.bicgstab_l
+
+    def matvec(A, x):
+        counts["matvec"] += bool(inside)
+        return real_matvec(A, x)
+
+    def bicgstab(op, b, **kwargs):
+        def apply(v):
+            counts["apply"] += 1
+            inside.append(v)
+            try:
+                return op(v)
+            finally:
+                inside.pop()
+        return real_bicgstab(LinearOperator(op.n, apply), b, **kwargs)
+
+    monkeypatch.setattr(stepper, "matvec", matvec)
+    monkeypatch.setattr(stepper, "bicgstab_l", bicgstab)
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    integrate(prob, g, build_time_grid(60.0, 2), build_scheme(prob, g, kind))
+    assert counts["apply"] > 0
+    assert counts["matvec"] == products * counts["apply"]
+
+
+def test_air_compact_iteration_averages():
+    # the benchmark's air-cfds-32 fingerprint: merging Q/tau + theta P into
+    # one stencil must not move a single Krylov half-cycle
+    from parabolic2d import make_example2
+    from parabolic2d.stepper import average_counts
+
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 32, 32)
+    _, reports = integrate(prob, g, build_time_grid(prob.T, 64),
+                           build_scheme(prob, g, "cfds"), theta=0.5)
+    assert average_counts(reports) == (2.109375, 2.6703703703703705)
