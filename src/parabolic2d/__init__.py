@@ -17,11 +17,10 @@ from .airchem import (RateSet, SPECIES, boundary_signal, rate_coefficients,
 from .cds import StencilMatrix, assemble_cds
 from .cfds import (CompactCoefficients, assemble_cfds_p, assemble_cfds_q,
                    compact_coefficients)
-from .krylov import (KrylovBreakdown, KrylovReport, LinearOperator,
-                     bicgstab_l, matvec)
-from .stepper import (Scheme, SolverFailure, SolverReport, StepState, advance,
+from .krylov import KrylovBreakdown, KrylovReport, bicgstab_l, matvec
+from .stepper import (Scheme, SolverFailure, SolverReport, advance,
                       average_counts, boundary_fold, build_scheme,
-                      initial_field, integrate, newton_matrix_apply, residual)
+                      initial_field, integrate, residual)
 from .richardson import (REWeights, extrapolate_space, extrapolate_spacetime,
                          re_weights)
 from .analysis import (ConvergenceRow, max_norm_error, positivity_scan,

@@ -7,14 +7,16 @@ interior nodes, with entries (offsets relative to the centre node)
     (0, +-1): +-d/(2hy) - b/hy^2
     (0,  0):  2a/hx^2 + 2b/hy^2
 
-Stencil matrices store one coefficient plane per offset; coefficients that
-would reference boundary nodes are zeroed in the matrix, and their
-contribution is folded into the right-hand side by stepper.boundary_fold.
+A stencil matrix stores one plane per live offset over the full node
+array: the coefficients at the interior nodes, unzeroed where the offset
+reaches a boundary node, and zeros on the boundary ring.  The product pads
+its operand with a zero ring, so those boundary coefficients act only in
+stepper.boundary_fold, which applies the same planes to the boundary data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,62 +30,87 @@ OFFSETS = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
 class StencilMatrix:
     """Banded operator over interior nodes with a 3x3 stencil footprint.
 
-    coeffs[..., k1+1, k2+1, j0, i0] multiplies the value at node
-    (i0+1+k1, j0+1+k2); planes referencing boundary nodes are zero.  An
-    optional leading species axis S holds one operator per species, or one
-    (S = 1) shared by all of them; it broadcasts against the operand's
-    leading axes.  `offsets` lists the offsets whose plane is not all zero.
+    planes[m, ..., j, i] multiplies, at node (i, j) of the full node array,
+    the value at (i+k1, j+k2) for the m-th live offset (k1, k2) = offsets[m],
+    in OFFSETS order; the boundary ring of every plane is zero.  An optional
+    species axis after the plane axis broadcasts against the operand's
+    leading axes (an axis of length 1, or none, by copying).
     """
 
     grid: Grid2D
-    coeffs: np.ndarray  # (..., 3, 3, My-1, Mx-1)
-    offsets: tuple = field(init=False)
+    planes: np.ndarray  # (k, ..., My+1, Mx+1)
+    offsets: tuple      # k live offsets
 
-    def __post_init__(self):
-        self.offsets = tuple((k1, k2) for k1, k2 in OFFSETS
-                             if np.any(self.coeffs[..., k1 + 1, k2 + 1, :, :]))
+    @classmethod
+    def from_coeffs(cls, grid: Grid2D, coeffs) -> StencilMatrix:
+        """Stack the live planes of coeffs[..., k1+1, k2+1, j-1, i-1], shape
+        (..., 3, 3, My-1, Mx-1), or of a list of such per-species arrays (3,
+        3, My-1, Mx-1), where one array may serve several species."""
+        split = isinstance(coeffs, list)
+        lead = (len(coeffs),) if split else coeffs.shape[:-4]
+        species = coeffs if split else \
+            list(coeffs.reshape((-1,) + coeffs.shape[-4:]))
+        distinct = {id(s): s for s in species}.values()
+        offsets = tuple((k1, k2) for k1, k2 in OFFSETS if any(
+            np.any(s[k1 + 1, k2 + 1]) for s in distinct))
+        planes = np.zeros((len(offsets), len(species), grid.My + 1,
+                           grid.Mx + 1))
+        for plane, (k1, k2) in zip(planes, offsets):
+            for row, s in zip(plane, species):
+                row[1:-1, 1:-1] = s[k1 + 1, k2 + 1]
+        return cls(grid, planes.reshape((len(offsets),) + lead
+                                        + planes.shape[-2:]), offsets)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The (..., 3, 3, My-1, Mx-1) coefficients, dead offsets zero."""
+        out = np.zeros(self.planes.shape[1:-2]
+                       + (3, 3, self.grid.ny, self.grid.nx))
+        for plane, (k1, k2) in zip(self.planes, self.offsets):
+            out[..., k1 + 1, k2 + 1, :, :] = plane[..., 1:-1, 1:-1]
+        return out
 
     def row_sums(self) -> np.ndarray:
+        """Stencil sum at each interior node, boundary coefficients included."""
         return self.coeffs.sum(axis=(-4, -3))
 
     def to_dense(self) -> np.ndarray:
         """Dense (..., n, n) matrix, one per leading index; test/oracle use only."""
         g = self.grid
-        A = np.zeros(self.coeffs.shape[:-4] + (g.n_interior, g.n_interior))
+        A = np.zeros(self.planes.shape[1:-2] + (g.n_interior, g.n_interior))
         j0, i0 = np.mgrid[0:g.ny, 0:g.nx]
-        for k1, k2 in OFFSETS:
+        for plane, (k1, k2) in zip(self.planes, self.offsets):
             ii, jj = i0 + k1, j0 + k2
             inside = (0 <= ii) & (ii < g.nx) & (0 <= jj) & (jj < g.ny)
             A[..., (j0 * g.nx + i0)[inside], (jj * g.nx + ii)[inside]] = \
-                self.coeffs[..., k1 + 1, k2 + 1, :, :][..., inside]
+                plane[..., 1:-1, 1:-1][..., inside]
         return A
 
 
-def apply_full(coeffs: np.ndarray, w_full: np.ndarray, *,
-               offsets=OFFSETS) -> np.ndarray:
-    """Apply 3x3-offset coefficients to full node arrays (..., My+1, Mx+1).
-
-    Leading axes of coeffs (..., 3, 3, My-1, Mx-1) and w_full broadcast; the
-    result holds the interior nodes, (..., My-1, Mx-1).  Only the listed
-    offsets are summed, in order; leaving out all-zero planes changes nothing.
+def apply_full(planes: np.ndarray, w_full: np.ndarray, *,
+               offsets) -> np.ndarray:
+    """Apply a plane stack (k, ..., My+1, Mx+1) to full node arrays w_full
+    (..., My+1, Mx+1), broadcasting the leading axes by copying; the result
+    holds the interior nodes, (..., My-1, Mx-1).  On the flattened arrays,
+    plane m adds planes[m] * w shifted by k2 (Mx+1) + k1 onto a zero start,
+    in one contiguous multiply-add over all species, in the listed order.
     """
-    ny, nx = coeffs.shape[-2:]
-    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-4], w_full.shape[:-2])
-                   + (ny, nx))
-    for k1, k2 in offsets:
-        out += coeffs[..., k1 + 1, k2 + 1, :, :] \
-            * w_full[..., 1 + k2:1 + k2 + ny, 1 + k1:1 + k1 + nx]
-    return out
-
-
-def zero_boundary_offsets(coeffs: np.ndarray) -> np.ndarray:
-    """Zero the coefficient entries whose offset leaves the interior."""
-    out = coeffs.copy()
-    out[..., 0, :, :, 0] = 0.0    # k1 = -1 at i = 1
-    out[..., 2, :, :, -1] = 0.0   # k1 = +1 at i = Mx-1
-    out[..., :, 0, 0, :] = 0.0    # k2 = -1 at j = 1
-    out[..., :, 2, -1, :] = 0.0   # k2 = +1 at j = My-1
-    return out
+    k, shape, ncol = len(planes), w_full.shape, w_full.shape[-1]
+    if planes.shape[1:] != shape:
+        shape = np.broadcast_shapes(planes.shape[1:], shape)
+        planes = np.broadcast_to(planes.reshape(
+            (k,) + (1,) * (len(shape) + 1 - planes.ndim) + planes.shape[1:]),
+            (k,) + shape)
+        w_full = np.broadcast_to(w_full, shape)
+    w = w_full.reshape(-1)
+    planes = planes.reshape(k, w.size)
+    out = np.zeros(w.size)
+    lo, hi = ncol + 1, w.size - ncol - 1   # first and past last interior node
+    acc, term = out[lo:hi], np.empty(hi - lo)
+    for plane, (k1, k2) in zip(planes, offsets):
+        s = k2 * ncol + k1
+        acc += np.multiply(plane[lo:hi], w[lo + s:hi + s], out=term)
+    return out.reshape(shape)[..., 1:-1, 1:-1]
 
 
 def coefficient_fields(problem: ProblemSpec, l: int, XX: np.ndarray,
@@ -121,5 +148,4 @@ def cds_full_stencil(problem: ProblemSpec, l: int, grid: Grid2D) -> np.ndarray:
 
 def assemble_cds(problem: ProblemSpec, l: int, grid: Grid2D) -> StencilMatrix:
     """5-point matrix of -a d2x - b d2y + c dx + d dy, boundary columns folded out."""
-    return StencilMatrix(grid=grid,
-                         coeffs=zero_boundary_offsets(cds_full_stencil(problem, l, grid)))
+    return StencilMatrix.from_coeffs(grid, cds_full_stencil(problem, l, grid))

@@ -29,17 +29,6 @@ class KrylovBreakdown(RuntimeError):
 
 
 @dataclass
-class LinearOperator:
-    """A square operator given by its action; apply(x) must be linear."""
-
-    n: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
-
-@dataclass
 class KrylovReport:
     iterations: float
     final_relative_residual: float
@@ -59,7 +48,7 @@ def matvec(A: StencilMatrix, x: np.ndarray) -> np.ndarray:
     lead = x.shape[:-1]
     w = np.zeros(lead + (g.My + 1, g.Mx + 1))
     w[..., 1:-1, 1:-1] = x.reshape(lead + (g.ny, g.nx))
-    y = apply_full(A.coeffs, w, offsets=A.offsets)
+    y = apply_full(A.planes, w, offsets=A.offsets)
     return y.reshape(y.shape[:-2] + (g.n_interior,))
 
 
@@ -72,7 +61,10 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
     residual, which can differ from the true ||b - A x|| in the last digits;
     the true residual is computed only for a non-converged report.
 
-    A is a LinearOperator (or any callable on vectors).  On a recurrence
+    A is a linear callable on vectors.  The solver updates
+    in place only arrays it owns: b and x0 are never written, and every
+    result of A is copied into solver storage, so A may return one reused
+    output buffer.  The returned x is a new array.  On a recurrence
     breakdown the iteration restarts once from the current iterate; a second
     breakdown raises KrylovBreakdown.  Exceeding maxit cycles, or a residual
     norm that is no longer finite, returns a non-converged report.
@@ -81,9 +73,7 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
         raise ValueError("ell must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    apply_A = A.apply if isinstance(A, LinearOperator) else A
-    inner_apply = apply_A if precond is None else \
-        (lambda v: apply_A(precond(v)))
+    inner_apply = A if precond is None else (lambda v: A(precond(v)))
 
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
@@ -97,8 +87,9 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
         r0 = b - inner_apply(z)
     rtilde = r0.copy()
     rho0, alpha, omega = 1.0, 0.0, 1.0
-    rs = [r0] + [None] * ell
-    us = [np.zeros_like(b)] + [None] * ell
+    rs = [r0] + [np.empty_like(b) for _ in range(ell)]
+    us = [np.zeros_like(b)] + [np.empty_like(b) for _ in range(ell)]
+    buf = np.empty_like(b)
     iters = 0.0
     restarted = False
 
@@ -122,17 +113,18 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
             beta = alpha * rho1 / rho0
             rho0 = rho1
             for i in range(j + 1):
-                us[i] = rs[i] - beta * us[i]
-            us[j + 1] = inner_apply(us[j])
+                us[i] *= -beta
+                us[i] += rs[i]
+            np.copyto(us[j + 1], inner_apply(us[j]))
             gam = np.dot(us[j + 1], rtilde)
             if gam == 0.0:
                 broke = True
                 break
             alpha = rho0 / gam
             for i in range(j + 1):
-                rs[i] = rs[i] - alpha * us[i + 1]
-            rs[j + 1] = inner_apply(rs[j])
-            z = z + alpha * us[0]
+                rs[i] -= np.multiply(alpha, us[i + 1], out=buf)
+            np.copyto(rs[j + 1], inner_apply(rs[j]))
+            z += np.multiply(alpha, us[0], out=buf)
             iters += 1.0 / ell
             rnorm = np.linalg.norm(rs[0])
             if rnorm <= tol * norm_b:
@@ -146,7 +138,7 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
             for j in range(1, ell + 1):
                 for i in range(1, j):
                     tau[i, j] = np.dot(rs[j], rs[i]) / sigma[i]
-                    rs[j] = rs[j] - tau[i, j] * rs[i]
+                    rs[j] -= np.multiply(tau[i, j], rs[i], out=buf)
                 sigma[j] = np.dot(rs[j], rs[j])
                 if sigma[j] == 0.0:
                     broke = True
@@ -166,13 +158,13 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
                 for j in range(1, ell):
                     gamma_pp[j] = gamma[j + 1] + np.dot(tau[j, j + 1:ell],
                                                         gamma[j + 2:ell + 1])
-                z = z + gamma[1] * rs[0]
-                rs[0] = rs[0] - gamma_p[ell] * rs[ell]
-                us[0] = us[0] - gamma[ell] * us[ell]
+                z += np.multiply(gamma[1], rs[0], out=buf)
+                rs[0] -= np.multiply(gamma_p[ell], rs[ell], out=buf)
+                us[0] -= np.multiply(gamma[ell], us[ell], out=buf)
                 for j in range(1, ell):
-                    us[0] = us[0] - gamma[j] * us[j]
-                    z = z + gamma_pp[j] * rs[j]
-                    rs[0] = rs[0] - gamma_p[j] * rs[j]
+                    us[0] -= np.multiply(gamma[j], us[j], out=buf)
+                    z += np.multiply(gamma_pp[j], rs[j], out=buf)
+                    rs[0] -= np.multiply(gamma_p[j], rs[j], out=buf)
                 rnorm = np.linalg.norm(rs[0])
                 if rnorm <= tol * norm_b:
                     return finish(True)

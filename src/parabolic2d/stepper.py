@@ -26,16 +26,16 @@ B = Q/tau + theta P built once per step.  The residual keeps P and Q apart.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import cds as cds_mod
 from . import cfds as cfds_mod
-from .cds import StencilMatrix, apply_full
+from .cds import OFFSETS, StencilMatrix, apply_full
 from .grid import Grid2D, TimeGrid, validate_field
-from .krylov import KrylovBreakdown, LinearOperator, bicgstab_l, matvec
+from .krylov import KrylovBreakdown, bicgstab_l, matvec
 from .model import ProblemSpec, check_compatibility
 
 KINDS = ("cds", "cfds")
@@ -54,16 +54,13 @@ class Scheme:
     """Assembled spatial operators for one problem/grid/scheme combination.
 
     "cds" carries the stiffness operator P (mass = identity), "cfds" the pair
-    (P, Q), each with a species axis of length L, or 1 when all species share
-    their coefficient fields.  P and Q have their boundary offsets zeroed;
-    the unzeroed tensors p_full and q_full keep them for boundary_fold.
+    (P, Q), each a plane stack with a species axis of length L; their
+    boundary coefficients reach the Dirichlet data in boundary_fold only.
     """
 
     kind: str
     P: StencilMatrix
-    p_full: np.ndarray  # (S, 3, 3, My-1, Mx-1)
     Q: Optional[StencilMatrix] = None
-    q_full: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -76,13 +73,6 @@ class SolverReport:
     final_residual: float
 
 
-@dataclass
-class StepState:
-    t: float
-    W: np.ndarray
-    reports: List[SolverReport] = field(default_factory=list)
-
-
 def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
@@ -93,17 +83,12 @@ def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
         key = b"".join(f.tobytes() for f in
                        cds_mod.coefficient_fields(problem, l, *mesh))
         owner.append(first.setdefault(key, l))
-    rows = owner if len(first) > 1 else owner[:1]
-    # (p_full,) for cds, (p_full, q_full) for cfds, per distinct species
-    planes = {l: (cds_mod.cds_full_stencil(problem, l, grid),) if kind == "cds"
-              else cfds_mod.cfds_full_stencils(problem, l, grid)
-              for l in first.values()}
-    operators = []  # P, p_full, then Q, q_full for cfds
-    for k in range(len(planes[0])):
-        full = np.stack([planes[l][k] for l in rows])
-        operators += [StencilMatrix(grid, cds_mod.zero_boundary_offsets(full)),
-                      full]
-    return Scheme(kind, *operators)
+    # (P,) for cds, (P, Q) for cfds, per distinct species
+    stencils = {l: (cds_mod.cds_full_stencil(problem, l, grid),)
+                if kind == "cds" else cfds_mod.cfds_full_stencils(problem, l, grid)
+                for l in first.values()}
+    return Scheme(kind, *(StencilMatrix.from_coeffs(
+        grid, [stencils[l][k] for l in owner]) for k in range(len(stencils[0]))))
 
 
 def _interior_xy(grid: Grid2D):
@@ -132,19 +117,20 @@ def boundary_fold(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
     grid.boundary_ring(), shape (L, 2(Mx+My)), and rate their time
     derivative there.  "cds" gives Phi = -P g; "cfds" gives
     Phi = -P g + Q (r(g) + xi - rate), with the reaction r and the forcing
-    xi evaluated on the ring only, so that Q dU/dt + P U = Q R + Phi.  P and
-    Q act through the unzeroed tensors, whose boundary offsets reach the ring.
+    xi evaluated on the ring only, so that Q dU/dt + P U = Q R + Phi.  The
+    boundary coefficients of P and Q reach the ring.
     """
     (j, i), (x, y) = grid.boundary_ring()
     full = np.zeros(g.shape[:1] + (grid.My + 1, grid.Mx + 1))
     full[:, j, i] = g
-    phi = -apply_full(scheme.p_full, full)
+    phi = -apply_full(scheme.P.planes, full, offsets=scheme.P.offsets)
     if scheme.kind == "cfds":
         r = np.asarray(problem.reaction(x, y, t, g), dtype=float) - rate
         if problem.forcing is not None:
             r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
         full[:, j, i] = r
-        phi = phi + apply_full(scheme.q_full, full)
+        phi = phi + apply_full(scheme.Q.planes, full,
+                               offsets=scheme.Q.offsets)
     return phi.reshape(g.shape[0], grid.n_interior)
 
 
@@ -198,31 +184,31 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
 def _newton_stencil(scheme: Scheme, tau: float,
                     theta: float) -> Optional[StencilMatrix]:
     """B = Q/tau + theta P, the spatial part of the compact Newton matrix,
-    fixed for a step; None for "cds"."""
+    fixed for a step; None for "cds".  A dead offset of P or Q counts as
+    zeros."""
     if scheme.kind == "cds":
         return None
-    return StencilMatrix(scheme.P.grid,
-                         scheme.Q.coeffs / tau + theta * scheme.P.coeffs)
+    P, Q = (dict(zip(A.offsets, A.planes)) for A in (scheme.P, scheme.Q))
+    offsets = tuple(o for o in OFFSETS if o in P or o in Q)
+    return StencilMatrix(scheme.P.grid, np.stack(
+        [Q.get(o, 0.0) / tau + theta * P.get(o, 0.0) for o in offsets]), offsets)
 
 
 def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
                     tau: float, theta: float, x: np.ndarray) -> np.ndarray:
     """Action of the Newton matrix on x (L, n) for reaction Jacobian J
-    (L, L, n); B is _newton_stencil(scheme, tau, theta)."""
+    (L, L, n); B is _newton_stencil(scheme, tau, theta).  Evaluated in place
+    as ((x/tau) + theta (P x)) - theta (J x), or (B x) - theta (Q (J x))."""
     Jx = np.einsum("lmn,mn->ln", J, x)
     if scheme.kind == "cds":
-        return x / tau + theta * matvec(scheme.P, x) - theta * Jx
-    return matvec(B, x) - theta * matvec(scheme.Q, Jx)
-
-
-def newton_matrix_apply(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
-                        tau: float, theta: float, W_lin: np.ndarray,
-                        x: np.ndarray, t: float) -> np.ndarray:
-    """Matrix-free application of the step Jacobian at iterate W_lin."""
-    xi, yi = _interior_xy(grid)
-    J = np.asarray(problem.reaction_jacobian(xi, yi, t, W_lin), dtype=float)
-    return _apply_jacobian(scheme, _newton_stencil(scheme, tau, theta), J,
-                           tau, theta, x)
+        y, Px = x / tau, matvec(scheme.P, x)
+        Px *= theta
+        y += Px
+    else:
+        y, Jx = matvec(B, x), matvec(scheme.Q, Jx)
+    Jx *= theta
+    y -= Jx
+    return y
 
 
 def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
@@ -247,15 +233,16 @@ def check_solver_options(error=ValueError, **options) -> None:
             raise error(f"{name} must be at least 1, got {value}")
 
 
-def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
-            grid: Grid2D, tau: float, theta: float, *,
+def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
+            problem: ProblemSpec, grid: Grid2D, tau: float, theta: float, *,
             t_next: Optional[float] = None,
             newton_tol: float = 1e-11, max_newton: int = 25,
             krylov_tol: float = 1e-10, ell: int = 2,
-            krylov_maxit: int = 200) -> StepState:
-    """One theta-scheme step by inexact Newton iteration.
+            krylov_maxit: int = 200):
+    """One theta-scheme step from the layer W_old at t_n by inexact Newton
+    iteration; returns (new layer, SolverReport).
 
-    The new layer sits at t_next (default state.t + tau).  Converged when
+    The new layer sits at t_next (default t_n + tau).  Converged when
     ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
     satisfies the same scaled bound, so the accepted layer always fulfils
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite residual,
@@ -265,11 +252,9 @@ def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
                          krylov_tol=krylov_tol, ell=ell,
                          krylov_maxit=krylov_maxit)
     t_start = time.perf_counter()
-    L, n = state.W.shape
-    t_n = state.t
+    L, n = W_old.shape
     t1 = t_n + tau if t_next is None else t_next
     xi, yi = _interior_xy(grid)
-    W_old = state.W
     W = W_old.copy()
     terms = _step_terms(scheme, problem, grid, tau, theta, t_n, t1, W_old)
     B = _newton_stencil(scheme, tau, theta)
@@ -280,12 +265,11 @@ def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
         _check_finite("residual", ups, grid, t_n, it)
         J = np.asarray(problem.reaction_jacobian(xi, yi, t1, W), dtype=float)
         _check_finite("reaction Jacobian", J, grid, t_n, it)
-        op = LinearOperator(
-            L * n, lambda v: _apply_jacobian(scheme, B, J, tau, theta,
-                                             v.reshape(L, n)).ravel())
         try:
-            delta, krep = bicgstab_l(op, -ups.ravel(), tol=krylov_tol, ell=ell,
-                                     maxit=krylov_maxit)
+            delta, krep = bicgstab_l(
+                lambda v: _apply_jacobian(scheme, B, J, tau, theta,
+                                          v.reshape(L, n)).ravel(),
+                -ups.ravel(), tol=krylov_tol, ell=ell, maxit=krylov_maxit)
         except KrylovBreakdown as exc:
             raise SolverFailure(f"inner solver broke down at t={t_n:.6g}, "
                                 f"Newton iteration {it}: {exc}") from exc
@@ -308,10 +292,9 @@ def advance(state: StepState, scheme: Scheme, problem: ProblemSpec,
         raise SolverFailure(
             f"Newton did not converge in {max_newton} iterations at "
             f"t={t_n:.6g}")
-    report = SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
-                          wall_ms=(time.perf_counter() - t_start) * 1e3,
-                          final_residual=float(np.max(np.abs(ups))))
-    return StepState(t=t1, W=W, reports=state.reports + [report])
+    return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
+                           wall_ms=(time.perf_counter() - t_start) * 1e3,
+                           final_residual=float(np.max(np.abs(ups))))
 
 
 def initial_field(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
@@ -334,17 +317,18 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     check_solver_options(**solver_options)
     check_compatibility(problem, grid)
-    state = StepState(t=0.0, W=validate_field(initial_field(problem, grid),
-                                              grid, problem.L))
+    W = validate_field(initial_field(problem, grid), grid, problem.L)
+    reports: List[SolverReport] = []
     for n in range(time_grid.N):
         try:
-            state = advance(state, scheme, problem, grid, time_grid.tau,
-                            theta, t_next=time_grid.t(n + 1),
-                            **solver_options)
+            W, report = advance(W, time_grid.t(n), scheme, problem, grid,
+                                time_grid.tau, theta,
+                                t_next=time_grid.t(n + 1), **solver_options)
         except SolverFailure as exc:
             exc.step = n
             raise SolverFailure(f"step {n} failed: {exc}", step=n) from exc
-    return state.W, state.reports
+        reports.append(report)
+    return W, reports
 
 
 def average_counts(reports: List[SolverReport]):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parabolic2d import boundary_fold, build_grid, build_scheme, make_example1
-from parabolic2d.cds import apply_full, assemble_cds, cds_full_stencil
+from parabolic2d.cds import OFFSETS, apply_full, assemble_cds, cds_full_stencil
 from parabolic2d.model import ProblemSpec
 
 
@@ -149,7 +149,10 @@ def test_apply_full_matches_boundary_ring_definition():
     full = cds_full_stencil(prob, 2, g)
     phi = fold(prob, g, "cds", 3.0)[2]
     assert np.any(phi != 0.0)
-    assert np.allclose(phi, -apply_full(full, ring).ravel())
+    # the padded-window sum of the full stencil over the ring data
+    window = sum(full[k1 + 1, k2 + 1] * ring[1 + k2:g.My + k2, 1 + k1:g.Mx + k1]
+                 for k1, k2 in OFFSETS)
+    assert np.allclose(phi, -window.ravel())
 
 
 def test_zero_plane_skip_matches_full_sum():
@@ -160,5 +163,8 @@ def test_zero_plane_skip_matches_full_sum():
     for A, live in ((assemble_cds(prob, 0, g), 5), (assemble_cfds_q(prob, 0, g), 5),
                     (assemble_cfds_p(prob, 0, g), 9)):
         assert len(A.offsets) == live
-        assert np.array_equal(apply_full(A.coeffs, w, offsets=A.offsets),
-                              apply_full(A.coeffs, w))
+        every = np.zeros((len(OFFSETS),) + A.planes.shape[1:])
+        for plane, offset in zip(A.planes, A.offsets):
+            every[OFFSETS.index(offset)] = plane
+        assert np.array_equal(apply_full(A.planes, w, offsets=A.offsets),
+                              apply_full(every, w, offsets=OFFSETS))
