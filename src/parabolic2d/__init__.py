@@ -14,9 +14,8 @@ from .model import (ProblemSpec, WindParams, MU_FAST, MU_STANDARD,
                     manufactured_solution, rotational_wind)
 from .airchem import (RateSet, SPECIES, boundary_signal, rate_coefficients,
                       reaction_jacobian, reaction_rates)
-from .cds import StencilMatrix, assemble_cds
-from .cfds import (CompactCoefficients, assemble_cfds_p, assemble_cfds_q,
-                   compact_coefficients)
+from .cds import StencilMatrix
+from .cfds import CompactCoefficients, compact_coefficients
 from .krylov import KrylovBreakdown, KrylovReport, bicgstab_l, matvec
 from .stepper import (Scheme, SolverFailure, SolverReport, advance,
                       average_counts, boundary_fold, build_scheme,

@@ -25,13 +25,8 @@ class ConvergenceRow:
     Mx: int
     My: int
     error: float
-    N: Optional[int] = None
-    species: Optional[int] = None
     ratio: float = math.nan
     order: float = math.nan
-    newton_avg: float = math.nan
-    krylov_avg: float = math.nan
-    wall_ms: float = math.nan
 
 
 def max_norm_error(u_num: np.ndarray, exact, grid: Grid2D, t: float) -> np.ndarray:
@@ -80,6 +75,8 @@ def probe_values(u: np.ndarray, grid: Grid2D, x: float, y: float) -> np.ndarray:
     if abs(fi - i) > 1e-9 * max(1.0, abs(fi)) or abs(fj - j) > 1e-9 * max(1.0, abs(fj)):
         raise ValueError(f"probe point ({x}, {y}) is not a node of the "
                          f"{grid.Mx}x{grid.My} grid")
+    if not 1 <= j <= grid.My - 1:
+        raise ValueError(f"j={j} outside interior range 1..{grid.My - 1}")
     k = lex_index(i, j, grid.Mx)
     return np.asarray(u, dtype=float)[:, k]
 

@@ -28,89 +28,73 @@ OFFSETS = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
 
 @dataclass
 class StencilMatrix:
-    """Banded operator over interior nodes with a 3x3 stencil footprint.
+    """Banded operator over the interior nodes of L species with a 3x3
+    stencil footprint.
 
-    planes[m, ..., j, i] multiplies, at node (i, j) of the full node array,
-    the value at (i+k1, j+k2) for the m-th live offset (k1, k2) = offsets[m],
-    in OFFSETS order; the boundary ring of every plane is zero.  An optional
-    species axis after the plane axis broadcasts against the operand's
-    leading axes (an axis of length 1, or none, by copying).
+    planes[m, l, j, i] multiplies, at node (i, j) of species l's full node
+    array, the value at (i+k1, j+k2) for the m-th live offset (k1, k2) =
+    offsets[m], in OFFSETS order; the boundary ring of every plane is zero.
     """
 
     grid: Grid2D
-    planes: np.ndarray  # (k, ..., My+1, Mx+1)
+    planes: np.ndarray  # (k, L, My+1, Mx+1)
     offsets: tuple      # k live offsets
 
     @classmethod
-    def from_coeffs(cls, grid: Grid2D, coeffs) -> StencilMatrix:
-        """Stack the live planes of coeffs[..., k1+1, k2+1, j-1, i-1], shape
-        (..., 3, 3, My-1, Mx-1), or of a list of such per-species arrays (3,
-        3, My-1, Mx-1), where one array may serve several species."""
-        split = isinstance(coeffs, list)
-        lead = (len(coeffs),) if split else coeffs.shape[:-4]
-        species = coeffs if split else \
-            list(coeffs.reshape((-1,) + coeffs.shape[-4:]))
-        distinct = {id(s): s for s in species}.values()
+    def from_coeffs(cls, grid: Grid2D, coeffs: list) -> StencilMatrix:
+        """Stack the live planes of a list of per-species coefficient arrays
+        coeffs[l][k1+1, k2+1, j-1, i-1], each (3, 3, My-1, Mx-1), where one
+        array may serve several species."""
+        distinct = {id(s): s for s in coeffs}.values()
         offsets = tuple((k1, k2) for k1, k2 in OFFSETS if any(
             np.any(s[k1 + 1, k2 + 1]) for s in distinct))
-        planes = np.zeros((len(offsets), len(species), grid.My + 1,
+        planes = np.zeros((len(offsets), len(coeffs), grid.My + 1,
                            grid.Mx + 1))
         for plane, (k1, k2) in zip(planes, offsets):
-            for row, s in zip(plane, species):
+            for row, s in zip(plane, coeffs):
                 row[1:-1, 1:-1] = s[k1 + 1, k2 + 1]
-        return cls(grid, planes.reshape((len(offsets),) + lead
-                                        + planes.shape[-2:]), offsets)
+        return cls(grid, planes, offsets)
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The (..., 3, 3, My-1, Mx-1) coefficients, dead offsets zero."""
-        out = np.zeros(self.planes.shape[1:-2]
+        """The (L, 3, 3, My-1, Mx-1) coefficients, dead offsets zero."""
+        out = np.zeros(self.planes.shape[1:2]
                        + (3, 3, self.grid.ny, self.grid.nx))
         for plane, (k1, k2) in zip(self.planes, self.offsets):
-            out[..., k1 + 1, k2 + 1, :, :] = plane[..., 1:-1, 1:-1]
+            out[:, k1 + 1, k2 + 1] = plane[:, 1:-1, 1:-1]
         return out
 
-    def row_sums(self) -> np.ndarray:
-        """Stencil sum at each interior node, boundary coefficients included."""
-        return self.coeffs.sum(axis=(-4, -3))
-
     def to_dense(self) -> np.ndarray:
-        """Dense (..., n, n) matrix, one per leading index; test/oracle use only."""
+        """Dense (L, n, n) matrix, one per species; test/oracle use only."""
         g = self.grid
-        A = np.zeros(self.planes.shape[1:-2] + (g.n_interior, g.n_interior))
+        A = np.zeros(self.planes.shape[1:2] + (g.n_interior, g.n_interior))
         j0, i0 = np.mgrid[0:g.ny, 0:g.nx]
         for plane, (k1, k2) in zip(self.planes, self.offsets):
             ii, jj = i0 + k1, j0 + k2
             inside = (0 <= ii) & (ii < g.nx) & (0 <= jj) & (jj < g.ny)
-            A[..., (j0 * g.nx + i0)[inside], (jj * g.nx + ii)[inside]] = \
-                plane[..., 1:-1, 1:-1][..., inside]
+            A[:, (j0 * g.nx + i0)[inside], (jj * g.nx + ii)[inside]] = \
+                plane[:, 1:-1, 1:-1][:, inside]
         return A
 
 
 def apply_full(planes: np.ndarray, w_full: np.ndarray, *,
                offsets) -> np.ndarray:
-    """Apply a plane stack (k, ..., My+1, Mx+1) to full node arrays w_full
-    (..., My+1, Mx+1), broadcasting the leading axes by copying; the result
-    holds the interior nodes, (..., My-1, Mx-1).  On the flattened arrays,
-    plane m adds planes[m] * w shifted by k2 (Mx+1) + k1 onto a zero start,
-    in one contiguous multiply-add over all species, in the listed order.
+    """Apply a plane stack (k, L, My+1, Mx+1) to the full node arrays w_full
+    (L, My+1, Mx+1); the result holds the interior nodes, (L, My-1, Mx-1).
+    On the flattened arrays, plane m adds planes[m] * w shifted by
+    k2 (Mx+1) + k1 onto a zero start, in one contiguous multiply-add over
+    all species, in the listed order.
     """
-    k, shape, ncol = len(planes), w_full.shape, w_full.shape[-1]
-    if planes.shape[1:] != shape:
-        shape = np.broadcast_shapes(planes.shape[1:], shape)
-        planes = np.broadcast_to(planes.reshape(
-            (k,) + (1,) * (len(shape) + 1 - planes.ndim) + planes.shape[1:]),
-            (k,) + shape)
-        w_full = np.broadcast_to(w_full, shape)
+    ncol = w_full.shape[-1]
     w = w_full.reshape(-1)
-    planes = planes.reshape(k, w.size)
+    planes = planes.reshape(len(planes), w.size)
     out = np.zeros(w.size)
     lo, hi = ncol + 1, w.size - ncol - 1   # first and past last interior node
     acc, term = out[lo:hi], np.empty(hi - lo)
     for plane, (k1, k2) in zip(planes, offsets):
         s = k2 * ncol + k1
         acc += np.multiply(plane[lo:hi], w[lo + s:hi + s], out=term)
-    return out.reshape(shape)[..., 1:-1, 1:-1]
+    return out.reshape(w_full.shape)[:, 1:-1, 1:-1]
 
 
 def coefficient_fields(problem: ProblemSpec, l: int, XX: np.ndarray,
@@ -144,8 +128,3 @@ def cds_full_stencil(problem: ProblemSpec, l: int, grid: Grid2D) -> np.ndarray:
     coeffs[1, 0] = -d / (2 * hy) - b / hy ** 2
     coeffs[1, 1] = 2 * a / hx ** 2 + 2 * b / hy ** 2
     return coeffs
-
-
-def assemble_cds(problem: ProblemSpec, l: int, grid: Grid2D) -> StencilMatrix:
-    """5-point matrix of -a d2x - b d2y + c dx + d dy, boundary columns folded out."""
-    return StencilMatrix.from_coeffs(grid, cds_full_stencil(problem, l, grid))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cds import StencilMatrix, check_diffusion_positive, coefficient_fields
+from .cds import check_diffusion_positive, coefficient_fields
 from .grid import Grid2D
 from .model import ProblemSpec
 
@@ -141,15 +141,3 @@ def _stencil_q(grid: Grid2D, cc: CompactCoefficients) -> np.ndarray:
     coeffs[1, 2] = hx ** 2 / 4 * (2 - cc.b_tilde * hy)
     coeffs[1, 0] = hx ** 2 / 4 * (2 + cc.b_tilde * hy)
     return coeffs
-
-
-def assemble_cfds_p(problem: ProblemSpec, l: int, grid: Grid2D) -> StencilMatrix:
-    """9-point matrix whose action equals 6 hx^2 l^h on interior fields."""
-    p_full, _ = cfds_full_stencils(problem, l, grid)
-    return StencilMatrix.from_coeffs(grid, p_full)
-
-
-def assemble_cfds_q(problem: ProblemSpec, l: int, grid: Grid2D) -> StencilMatrix:
-    """5-point mass matrix Q = 6 hx^2 nu^h (row sums 6 hx^2 exactly)."""
-    _, q_full = cfds_full_stencils(problem, l, grid)
-    return StencilMatrix.from_coeffs(grid, q_full)

@@ -34,8 +34,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import analysis, model, richardson
+from .airchem import VARIANTS
 from .grid import Grid2D, TimeGrid, build_grid, build_time_grid, lex_index
-from .stepper import (SolverFailure, average_counts, build_scheme,
+from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
                       check_solver_options, integrate)
 
 CSV_COLUMNS = ("problem", "scheme", "re_mode", "Mx", "My", "N", "species",
@@ -81,8 +82,8 @@ def mu_value(cfg: RunConfig) -> float:
 def validate_config(cfg: RunConfig) -> None:
     if cfg.problem not in PROBLEMS:
         raise ConfigError(f"problem: must be one of {PROBLEMS}, got {cfg.problem!r}")
-    if cfg.scheme not in ("cds", "cfds"):
-        raise ConfigError(f"scheme: must be cds or cfds, got {cfg.scheme!r}")
+    if cfg.scheme not in KINDS:
+        raise ConfigError(f"scheme: must be one of {KINDS}, got {cfg.scheme!r}")
     if not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError(f"theta: must be in [0, 1], got {cfg.theta}")
     if not cfg.meshes:
@@ -97,8 +98,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"re: must be one of {RE_MODES}, got {cfg.re_mode!r}")
     if cfg.cos_theta <= 0:
         raise ConfigError(f"cos-theta: must be positive, got {cfg.cos_theta}")
-    if cfg.chemistry not in ("as-printed", "corrected"):
-        raise ConfigError(f"chemistry: must be as-printed or corrected, "
+    if cfg.chemistry not in VARIANTS:
+        raise ConfigError(f"chemistry: must be one of {VARIANTS}, "
                           f"got {cfg.chemistry!r}")
     mu_value(cfg)
     check_solver_options(ConfigError, newton_tol=cfg.newton_tol,
@@ -407,7 +408,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "systems (central and compact schemes, optional "
                     "Richardson extrapolation).")
     p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--scheme", choices=("cds", "cfds"))
+    p.add_argument("--scheme", choices=KINDS)
     p.add_argument("--theta")
     p.add_argument("--mesh", action="append", metavar="MxxMyxN",
                    help="mesh triple, e.g. 16x16x64 (repeatable)")
@@ -415,7 +416,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="wind rate: standard, fast, or a number")
     p.add_argument("--cos-theta", dest="cos_theta",
                    help="cosine of the solar zenith angle")
-    p.add_argument("--chemistry", choices=("as-printed", "corrected"))
+    p.add_argument("--chemistry", choices=VARIANTS)
     p.add_argument("--probe", help="center, sixth, or i,j node indices")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="flat key=value config file")

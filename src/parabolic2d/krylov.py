@@ -36,20 +36,18 @@ class KrylovReport:
 
 
 def matvec(A: StencilMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x over the last axis (n,), broadcasting leading species axes.
+    """y = A x for x of shape (L, n), every species block in one call.
 
-    Boundary nodes contribute zero.  x of shape (L, n) applies every species
-    block in one call.
+    Boundary nodes contribute zero.
     """
     x = np.asarray(x, dtype=float)
     g = A.grid
-    if x.ndim == 0 or x.shape[-1] != g.n_interior:
-        raise ValueError(f"operand shape {x.shape}, expected (..., {g.n_interior})")
-    lead = x.shape[:-1]
-    w = np.zeros(lead + (g.My + 1, g.Mx + 1))
-    w[..., 1:-1, 1:-1] = x.reshape(lead + (g.ny, g.nx))
-    y = apply_full(A.planes, w, offsets=A.offsets)
-    return y.reshape(y.shape[:-2] + (g.n_interior,))
+    shape = (A.planes.shape[1], g.n_interior)
+    if x.shape != shape:
+        raise ValueError(f"operand shape {x.shape}, expected {shape}")
+    w = np.zeros((shape[0], g.My + 1, g.Mx + 1))
+    w[:, 1:-1, 1:-1] = x.reshape(shape[0], g.ny, g.nx)
+    return apply_full(A.planes, w, offsets=A.offsets).reshape(shape)
 
 
 def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,

@@ -25,6 +25,7 @@ B = Q/tau + theta P built once per step.  The residual keeps P and Q apart.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -225,12 +226,16 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
 
 def check_solver_options(error=ValueError, **options) -> None:
     """Raise `error` for a non-positive tolerance (newton_tol, krylov_tol)
-    or an iteration limit (max_newton, ell, krylov_maxit) below 1."""
+    or an iteration limit (max_newton, ell, krylov_maxit) that is not an
+    integer of at least 1; a bool is not an integer here."""
     for name, value in options.items():
         if name.endswith("_tol") and not value > 0:
             raise error(f"{name} must be positive, got {value}")
-        if name in ("max_newton", "ell", "krylov_maxit") and not value >= 1:
-            raise error(f"{name} must be at least 1, got {value}")
+        if name in ("max_newton", "ell", "krylov_maxit") and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral) or value < 1):
+            raise error(f"{name} must be an integer of at least 1, "
+                        f"got {value!r}")
 
 
 def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,

@@ -106,3 +106,7 @@ def test_probe_values_and_validation():
     assert v[0] == u[0, lex_index(4, 4, 8)]
     with pytest.raises(ValueError):
         probe_values(u, g, 83.33, 83.33)
+    # a node on each of the four sides (top, bottom, left, right)
+    for x, y in ((250.0, 500.0), (250.0, 0.0), (0.0, 250.0), (500.0, 250.0)):
+        with pytest.raises(ValueError, match="outside interior range"):
+            probe_values(u, g, x, y)

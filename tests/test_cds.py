@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from parabolic2d import boundary_fold, build_grid, build_scheme, make_example1
-from parabolic2d.cds import OFFSETS, apply_full, assemble_cds, cds_full_stencil
+from parabolic2d.cds import (OFFSETS, StencilMatrix, apply_full,
+                             cds_full_stencil)
 from parabolic2d.model import ProblemSpec
 
 
@@ -36,11 +37,16 @@ def fold(prob, g, kind, t):
                          np.zeros_like(data))
 
 
+def cds_operator(prob, l, g):
+    """The single-species operator of species l, a stack with L = 1."""
+    return StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, l, g)])
+
+
 def test_discrete_laplacian_stencil():
     g = build_grid(1.0, 1.0, 5, 5)
     h = g.hx
-    A = assemble_cds(constant_problem(), 0, g)
-    c = A.coeffs[:, :, 2, 2]  # interior node away from the boundary
+    # interior node away from the boundary
+    c = cds_full_stencil(constant_problem(), 0, g)[:, :, 2, 2]
     assert c[1, 1] == pytest.approx(4 / h ** 2)
     assert c[0, 1] == pytest.approx(-1 / h ** 2)
     assert c[2, 1] == pytest.approx(-1 / h ** 2)
@@ -51,31 +57,31 @@ def test_discrete_laplacian_stencil():
 def test_advection_entry_value():
     # hx = 0.5, a = 1, c = 1: east coefficient = c/(2hx) - a/hx^2 = -3
     g = build_grid(2.0, 2.0, 4, 4)
-    A = assemble_cds(constant_problem(a=1.0, c=1.0), 0, g)
-    assert A.coeffs[2, 1, 1, 1] == pytest.approx(-3.0)
+    c = cds_full_stencil(constant_problem(a=1.0, c=1.0), 0, g)
+    assert c[2, 1, 1, 1] == pytest.approx(-3.0)
 
 
 def test_corner_offsets_zero():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    A = assemble_cds(prob, 3, g)
+    c = cds_full_stencil(prob, 3, g)
     for k1 in (0, 2):
         for k2 in (0, 2):
-            assert np.all(A.coeffs[k1, k2] == 0.0)
+            assert np.all(c[k1, k2] == 0.0)
 
 
 def test_row_sums_vanish_in_full_interior():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    A = assemble_cds(prob, 0, g)
-    rs = A.row_sums()
-    assert np.allclose(rs[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(A.coeffs)))
+    c = cds_full_stencil(prob, 0, g)
+    rs = c.sum(axis=(0, 1))   # boundary coefficients included
+    assert np.allclose(rs[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(c)))
 
 
 def test_rejects_nonpositive_diffusion():
     bad = constant_problem(a=0.0)
     with pytest.raises(ValueError, match="diffusion"):
-        assemble_cds(bad, 0, build_grid(1, 1, 4, 4))
+        cds_full_stencil(bad, 0, build_grid(1, 1, 4, 4))
 
 
 def test_boundary_vector_homogeneous_is_zero():
@@ -106,11 +112,11 @@ def test_linear_boundary_data_exactness():
         initial=lambda l, x, y: np.asarray(x, float).copy(),
         X=1.0, Y=1.0, T=1.0)
     g = build_grid(1.0, 1.0, 7, 5)
-    A = assemble_cds(prob, 0, g)
+    A = cds_operator(prob, 0, g)
     XX, _ = g.interior_mesh()
     u = XX.ravel()
     from parabolic2d.krylov import matvec
-    res = matvec(A, u) - fold(prob, g, "cds", 0.0)[0]
+    res = matvec(A, u[None])[0] - fold(prob, g, "cds", 0.0)[0]
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -125,8 +131,8 @@ def test_consistency_second_order():
         g = build_grid(X, Y, M, M)
         XX, YY = g.interior_mesh()
         u = np.sin(np.pi * XX / X) * np.sin(np.pi * YY / Y)
-        A = assemble_cds(prob, 0, g)
-        lhs = matvec(A, u.ravel()) - fold(prob, g, "cds", 0.0)[0]
+        A = cds_operator(prob, 0, g)
+        lhs = matvec(A, u.ravel()[None])[0] - fold(prob, g, "cds", 0.0)[0]
         K = 1.8
         lap = -(np.pi ** 2) * (1 / X ** 2 + 1 / Y ** 2) * u
         ux = (np.pi / X) * np.cos(np.pi * XX / X) * np.sin(np.pi * YY / Y)
@@ -156,12 +162,12 @@ def test_apply_full_matches_boundary_ring_definition():
 
 
 def test_zero_plane_skip_matches_full_sum():
-    from parabolic2d.cfds import assemble_cfds_p, assemble_cfds_q
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    w = np.random.default_rng(12).standard_normal((3, g.My + 1, g.Mx + 1))
-    for A, live in ((assemble_cds(prob, 0, g), 5), (assemble_cfds_q(prob, 0, g), 5),
-                    (assemble_cfds_p(prob, 0, g), 9)):
+    w = np.random.default_rng(12).standard_normal(
+        (prob.L, g.My + 1, g.Mx + 1))
+    cds, cfds = build_scheme(prob, g, "cds"), build_scheme(prob, g, "cfds")
+    for A, live in ((cds.P, 5), (cfds.Q, 5), (cfds.P, 9)):
         assert len(A.offsets) == live
         every = np.zeros((len(OFFSETS),) + A.planes.shape[1:])
         for plane, offset in zip(A.planes, A.offsets):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from parabolic2d import build_grid, make_example1, manufactured_solution
-from parabolic2d.cfds import (assemble_cfds_p, assemble_cfds_q,
-                              cfds_full_stencils, compact_coefficients)
+from parabolic2d.cds import StencilMatrix
+from parabolic2d.cfds import cfds_full_stencils, compact_coefficients
 from parabolic2d.krylov import matvec
 from parabolic2d.model import MU_STANDARD
 
@@ -109,10 +109,10 @@ def test_semidiscrete_identity_fourth_order():
         uvec = np.broadcast_to(u, (prob.L,) + u.shape)
         xi = prob.forcing(XX.ravel(), YY.ravel(), t)[0]
         r = prob.reaction(XX.ravel(), YY.ravel(), t, uvec)[0] + xi
-        P = assemble_cfds_p(prob, 0, g)
-        Q = assemble_cfds_q(prob, 0, g)
+        P, Q = (StencilMatrix.from_coeffs(g, [c])
+                for c in cfds_full_stencils(prob, 0, g))
         phi = fold(prob, g, "cfds", t)[0]
-        res = matvec(P, u) - matvec(Q, r - u_t) - phi
+        res = matvec(P, u[None])[0] - matvec(Q, (r - u_t)[None])[0] - phi
         errs.append(np.max(np.abs(res)) / (6 * g.hx ** 2))
     orders = [np.log2(errs[i - 1] / errs[i]) for i in (1, 2)]
     assert all(3.6 <= o <= 4.4 for o in orders), (errs, orders)
@@ -138,7 +138,7 @@ def test_compact_coefficients_evaluated_once_per_stencil_pair(monkeypatch):
     g = build_grid(prob.X, prob.Y, 6, 6)
     build_scheme(prob, g, "cfds")
     assert calls == [0]   # one distinct species set, one evaluation
-    assemble_cfds_q(prob, 3, g)
+    cfds_full_stencils(prob, 3, g)
     assert calls == [0, 3]
 
 

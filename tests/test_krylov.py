@@ -4,29 +4,29 @@ import numpy as np
 import pytest
 
 from parabolic2d import build_grid, build_scheme, make_example1, make_example2
-from parabolic2d.cds import StencilMatrix, assemble_cds
-from parabolic2d.cfds import assemble_cfds_p, assemble_cfds_q
+from parabolic2d.cds import StencilMatrix, cds_full_stencil
+from parabolic2d.cfds import cfds_full_stencils
 from parabolic2d.krylov import KrylovBreakdown, bicgstab_l, matvec
 
 
 def identity_stencil(grid):
     c = np.zeros((3, 3, grid.ny, grid.nx))
     c[1, 1] = 1.0
-    return StencilMatrix.from_coeffs(grid, c)
+    return StencilMatrix.from_coeffs(grid, [c])
 
 
 def test_matvec_identity():
     g = build_grid(1, 1, 5, 4)
     A = identity_stencil(g)
-    x = np.arange(g.n_interior, dtype=float)
+    x = np.arange(g.n_interior, dtype=float)[None]
     assert np.array_equal(matvec(A, x), x)
 
 
 def test_matvec_annihilates_constants_in_full_interior():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    A = assemble_cds(prob, 0, g)
-    y = matvec(A, np.ones(g.n_interior)).reshape(g.ny, g.nx)
+    A = StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, 0, g)])
+    y = matvec(A, np.ones((1, g.n_interior))).reshape(g.ny, g.nx)
     assert np.allclose(y[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(A.coeffs)))
 
 
@@ -34,24 +34,27 @@ def test_matvec_against_dense_oracle():
     rng = np.random.default_rng(41)
     g = build_grid(1, 1, 4, 4)  # 3x3 interior
     c = rng.standard_normal((3, 3, g.ny, g.nx))
-    A = StencilMatrix.from_coeffs(g, c)
-    dense = A.to_dense()
+    A = StencilMatrix.from_coeffs(g, [c])
+    dense = A.to_dense()[0]
     for _ in range(5):
         x = rng.standard_normal(g.n_interior)
-        assert np.allclose(matvec(A, x), dense @ x, rtol=0, atol=1e-14)
+        assert np.allclose(matvec(A, x[None])[0], dense @ x, rtol=0,
+                           atol=1e-14)
 
 
 def test_matvec_dimension_mismatch():
     g = build_grid(1, 1, 4, 4)
     with pytest.raises(ValueError):
-        matvec(identity_stencil(g), np.zeros(5))
+        matvec(identity_stencil(g), np.zeros((1, 5)))
+    with pytest.raises(ValueError):   # the species axis is required
+        matvec(identity_stencil(g), np.zeros(g.n_interior))
 
 
 def test_operator_linearity():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    A = assemble_cds(prob, 2, g)
-    op = lambda v: matvec(A, v)
+    A = StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, 2, g)])
+    op = lambda v: matvec(A, v[None])[0]
     rng = np.random.default_rng(8)
     for _ in range(10):
         x, y = rng.standard_normal((2, g.n_interior))
@@ -317,21 +320,20 @@ def test_batched_matvec_matches_per_species_dense(make, S, kind):
     sch = build_scheme(prob, g, kind)
     x = np.random.default_rng(5).standard_normal((prob.L, g.n_interior))
     if kind == "cds":
-        pairs = [(sch.P, lambda l: assemble_cds(prob, l, g))]
+        pairs = [(sch.P, lambda l: cds_full_stencil(prob, l, g))]
     else:
-        pairs = [(sch.P, lambda l: assemble_cfds_p(prob, l, g)),
-                 (sch.Q, lambda l: assemble_cfds_q(prob, l, g))]
-    for A, assemble in pairs:
+        pairs = [(sch.P, lambda l: cfds_full_stencils(prob, l, g)[0]),
+                 (sch.Q, lambda l: cfds_full_stencils(prob, l, g)[1])]
+    for A, stencil in pairs:
         # the stack repeats S distinct stencils over the L species
         assert A.coeffs.shape == (prob.L, 3, 3, g.ny, g.nx)
         assert len(np.unique(A.coeffs.reshape(prob.L, -1), axis=0)) == S
         y = matvec(A, x)
-        dense = np.broadcast_to(A.to_dense(), (prob.L,) + 2 * (g.n_interior,))
-        expected = np.einsum("lij,lj->li", dense, x)
+        expected = np.einsum("lij,lj->li", A.to_dense(), x)
         assert np.allclose(y, expected, rtol=0,
                            atol=1e-13 * np.max(np.abs(expected)))
         for l in range(prob.L):
-            # the species-at-a-time product through the public assembler
-            single = assemble(l)
-            assert np.array_equal(single.coeffs, A.coeffs[l])
-            assert np.array_equal(matvec(single, x[l]), y[l])
+            # the species-at-a-time product of species l's own stencil
+            single = StencilMatrix.from_coeffs(g, [stencil(l)])
+            assert np.array_equal(single.coeffs[0], A.coeffs[l])
+            assert np.array_equal(matvec(single, x[l:l + 1])[0], y[l])

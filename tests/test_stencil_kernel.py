@@ -20,35 +20,35 @@ def padded_window_sum(coeffs, w_full, offsets):
     array: a zero start, then coefficient times shifted window, added one
     offset at a time in the given order."""
     ny, nx = coeffs.shape[-2:]
-    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-4], w_full.shape[:-2])
-                   + (ny, nx))
+    out = np.zeros((len(coeffs), ny, nx))
     for k1, k2 in offsets:
-        out += coeffs[..., k1 + 1, k2 + 1, :, :] \
-            * w_full[..., 1 + k2:1 + k2 + ny, 1 + k1:1 + k1 + nx]
+        out += coeffs[:, k1 + 1, k2 + 1] \
+            * w_full[:, 1 + k2:1 + k2 + ny, 1 + k1:1 + k1 + nx]
     return out
 
 
 def operator(name, S):
-    """P or Q of the species-varied problem (species axis L), or B, with the
-    species axis kept ("L"), of length 1 ("1") or absent ("none")."""
+    """P or Q of the species-varied problem, or B, each with L distinct
+    species rows ("L"), or with species 2's row tiled over all L ("1")."""
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob, g, "cds" if name == "cds" else "cfds")
-    if S != "L":
-        part = 2 if S == "none" else slice(2, 3)
-        sch = Scheme(sch.kind, *(StencilMatrix.from_coeffs(g, A.coeffs[part])
-                                 for A in (sch.P, sch.Q) if A is not None))
+    if S == "1":
+        sch = Scheme(sch.kind, *(StencilMatrix.from_coeffs(
+            g, [A.coeffs[2]] * prob.L) for A in (sch.P, sch.Q) if A is not None))
     return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q,
             "B": _newton_stencil(sch, 3.0, 0.4)}[name], prob.L
 
 
-@pytest.mark.parametrize("S", ["none", "1", "L"])
+@pytest.mark.parametrize("S", ["1", "L"])
 @pytest.mark.parametrize("name,live", [("cds", 5), ("cfds-P", 9),
                                        ("cfds-Q", 5), ("B", 9)])
 def test_kernel_matches_padded_window_literal(name, live, S):
     A, L = operator(name, S)
     assert len(A.offsets) == live
-    assert A.planes.shape[1:-2] == {"none": (), "1": (1,), "L": (L,)}[S]
+    assert A.planes.shape[1] == L
+    distinct = len(np.unique(A.coeffs.reshape(L, -1), axis=0))
+    assert distinct == {"1": 1, "L": L}[S]
     g = A.grid
     rng = np.random.default_rng(83)
     w = rng.standard_normal((L, g.My + 1, g.Mx + 1))
@@ -79,22 +79,23 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 
 @settings(max_examples=60, deadline=None)
-@given(mesh=grids, lead=st.sampled_from([(), (1,), (3,)]),
+@given(mesh=grids, L=st.integers(1, 3), shared=st.booleans(),
        live=st.sets(st.sampled_from(OFFSETS)), seed=seeds)
-def test_matvec_matches_dense_oracle(mesh, lead, live, seed):
+def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
+    # L distinct stencils, or one stencil array serving every species
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(lead + (3, 3, g.ny, g.nx))
+    coeffs = rng.standard_normal((1 if shared else L, 3, 3, g.ny, g.nx))
     for k1, k2 in set(OFFSETS) - live:
-        coeffs[..., k1 + 1, k2 + 1, :, :] = 0.0
+        coeffs[:, k1 + 1, k2 + 1] = 0.0
+    coeffs = list(coeffs) * L if shared else list(coeffs)
     A = StencilMatrix.from_coeffs(g, coeffs)
     assert A.offsets == tuple(o for o in OFFSETS if o in live)
-    assert np.array_equal(A.coeffs, coeffs)
+    assert np.array_equal(A.coeffs, np.stack(coeffs))
     assert np.all(A.planes[..., [0, -1], :] == 0.0)
     assert np.all(A.planes[..., [0, -1]] == 0.0)
-    x = rng.standard_normal((3, g.n_interior))
-    dense = np.broadcast_to(A.to_dense(), (3,) + 2 * (g.n_interior,))
-    expected = np.einsum("lij,lj->li", dense, x)
+    x = rng.standard_normal((L, g.n_interior))
+    expected = np.einsum("lij,lj->li", A.to_dense(), x)
     assert np.allclose(matvec(A, x), expected, rtol=0,
                        atol=1e-13 * max(1.0, np.max(np.abs(expected))))
 
@@ -109,7 +110,7 @@ def test_fold_matches_ring_definition(mesh, kind, L, seed):
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
     P, Q = (StencilMatrix.from_coeffs(
-        g, rng.standard_normal((L, 3, 3, g.ny, g.nx))) for _ in range(2))
+        g, list(rng.standard_normal((L, 3, 3, g.ny, g.nx)))) for _ in range(2))
     scheme = Scheme(kind, P, Q if kind == "cfds" else None)
     (j, i), _ = g.boundary_ring()
     data, rate = rng.standard_normal((2, L, len(i)))

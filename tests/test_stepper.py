@@ -191,7 +191,8 @@ def test_failure_carries_step_index():
 
 @pytest.mark.parametrize("option,value", [
     ("ell", 0), ("krylov_tol", 0.0), ("krylov_maxit", 0), ("newton_tol", -1e-9),
-    ("newton_tol", float("nan")), ("max_newton", 0)])
+    ("newton_tol", float("nan")), ("max_newton", 0), ("ell", 2.5),
+    ("max_newton", 2.5), ("ell", True), ("krylov_maxit", 2.5)])
 def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     # no problem data may be evaluated: neither initial data nor reactions
     calls = []
@@ -207,6 +208,17 @@ def test_invalid_solver_options_rejected_before_the_first_step(option, value):
         advance(initial_field(base, g), 0.0, sch, prob, g, 720.0, 0.5,
                 **{option: value})
     assert calls == []
+
+
+def test_numpy_integer_iteration_limits_accepted():
+    prob = make_example1()
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    sch = build_scheme(prob, g, "cds")
+    tg = build_time_grid(prob.T, 1)
+    W, _ = integrate(prob, g, tg, sch)
+    W_np, _ = integrate(prob, g, tg, sch, ell=np.int64(2),
+                        max_newton=np.int32(25), krylov_maxit=np.int64(200))
+    assert np.array_equal(W_np, W)
 
 
 def test_forcing_evaluated_twice_per_step():
@@ -491,8 +503,7 @@ def dense_newton_matrix(sch, J, tau, theta):
     """Q/tau + theta P - theta Q blockdiag(J) of a cfds scheme as one dense
     (L n, L n) matrix, from StencilMatrix.to_dense."""
     L, _, n = J.shape
-    P = np.broadcast_to(sch.P.to_dense(), (L, n, n))
-    Q = np.broadcast_to(sch.Q.to_dense(), (L, n, n))
+    P, Q = sch.P.to_dense(), sch.Q.to_dense()
     A = np.zeros((L, n, L, n))
     for l in range(L):
         A[l, :, l, :] = Q[l] / tau + theta * P[l]
