@@ -48,9 +48,10 @@ class RateSet:
 
 
 def rate_coefficients(cos_theta: float) -> RateSet:
-    """Reaction-rate coefficients; k2, k5, k7 are photolytic in cos(theta)."""
-    if cos_theta <= 0:
-        raise ValueError(f"cos_theta must be positive, got {cos_theta}")
+    """Reaction-rate coefficients; k2, k5, k7 are photolytic in cos(theta),
+    which must lie in (0, 1]."""
+    if not 0 < cos_theta <= 1:
+        raise ValueError(f"cos_theta must be in (0, 1], got {cos_theta}")
     return RateSet(
         k1=6.0e-12,
         k2=7.8e-05 * np.exp(-0.87 / cos_theta),

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import analysis, model, richardson
-from .airchem import VARIANTS
+from .airchem import VARIANTS, rate_coefficients
 from .grid import Grid2D, TimeGrid, build_grid, build_time_grid, lex_index
 from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
                       check_solver_options, integrate)
@@ -73,10 +73,13 @@ def mu_value(cfg: RunConfig) -> float:
     if cfg.mu_mode == "fast":
         return model.MU_FAST
     try:
-        return float(cfg.mu_mode)
+        mu = float(cfg.mu_mode)
     except (TypeError, ValueError):
         raise ConfigError(f"mu: expected 'standard', 'fast' or a number, "
                           f"got {cfg.mu_mode!r}")
+    if not math.isfinite(mu):
+        raise ConfigError(f"mu: must be finite, got {cfg.mu_mode!r}")
+    return mu
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -96,8 +99,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"mesh: Mx must increase strictly, got {mxs}")
     if cfg.re_mode not in RE_MODES:
         raise ConfigError(f"re: must be one of {RE_MODES}, got {cfg.re_mode!r}")
-    if cfg.cos_theta <= 0:
-        raise ConfigError(f"cos-theta: must be positive, got {cfg.cos_theta}")
+    try:
+        rate_coefficients(cfg.cos_theta)
+    except ValueError as exc:
+        raise ConfigError(f"cos-theta: {exc}") from None
     if cfg.chemistry not in VARIANTS:
         raise ConfigError(f"chemistry: must be one of {VARIANTS}, "
                           f"got {cfg.chemistry!r}")

@@ -14,6 +14,7 @@ A "field vector" throughout the package is a numpy array of shape
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,15 @@ class Grid2D:
     def interior_mesh(self):
         """Coordinate arrays of interior nodes, shape (My-1, Mx-1)."""
         return np.meshgrid(self.x_nodes()[1:-1], self.y_nodes()[1:-1])
+
+    @cached_property
+    def interior_xy(self):
+        """Flat coordinates (x, y) of the interior nodes in field order,
+        shape (n,) each; computed once per grid and read-only."""
+        xy = tuple(a.ravel() for a in self.interior_mesh())
+        for a in xy:
+            a.flags.writeable = False
+        return xy
 
     def full_mesh(self):
         """Coordinate arrays of all nodes, shape (My+1, Mx+1)."""

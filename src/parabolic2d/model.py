@@ -136,8 +136,8 @@ def _wind_and_chemistry(cos_theta: float, mu: float, chemistry: str):
     """(fields, wind, rates): the ProblemSpec fields shared by both examples
     (L=10, constant diffusion, rotational wind of rate mu about the domain
     centre, the chemistry's reaction map and Jacobian) and their parameters."""
-    if cos_theta <= 0:
-        raise ValueError(f"cos_theta must be positive, got {cos_theta}")
+    if not np.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     rates = airchem.rate_coefficients(cos_theta)
     wind = WindParams(mu=mu, xc=DEFAULT_X / 2.0, yc=DEFAULT_Y / 2.0)
     diffusion = _constant_field(DEFAULT_K)

@@ -14,13 +14,25 @@ folds the Dirichlet data (and, for the compact scheme, the boundary values of
 r - du/dt weighted by Q); boundary_fold builds it from the data on the
 boundary ring.  Each step solves Ups(W1) = 0 by Newton iteration
 with BiCGStab(ell) inner solves; the initial guess on the new time layer is
-the solution on the previous one.  R^0, Phi^th and xi(t1) depend only on the
-time layers, so they are evaluated once per step, every species in one call.
+the solution on the previous one.
+
+What depends only on the run or on one time layer is evaluated once.  Per
+run: the stencil B below, fixed by tau and theta, and the interior
+coordinates (Grid2D.interior_xy, per grid).  Per layer t, every species in
+one call: the Dirichlet data g(t) on the boundary ring, the forcing xi(t)
+and the rate-free fold F(t) = -P g, or F(t) = -P g + Q (r(g) + xi) for the
+compact scheme.  A step combines its two layers as
+
+    Phi^th = theta F(t1) + (1-theta) F(t_n),
+
+minus, for the compact scheme, Q applied to (g(t1) - g(t_n))/tau on the
+boundary ring.  integrate carries the last
+layer to the next step, with the R^1 of the accepted residual as its R^0.
 
 The Newton matrix is I/tau + theta P - theta J (central) or
 Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian;
 the compact one is applied as B x - theta Q (J x), with the stencil
-B = Q/tau + theta P built once per step.  The residual keeps P and Q apart.
+B = Q/tau + theta P.  The residual keeps P and Q apart.
 """
 
 from __future__ import annotations
@@ -92,73 +104,95 @@ def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
         grid, [stencils[l][k] for l in owner]) for k in range(len(stencils[0]))))
 
 
-def _interior_xy(grid: Grid2D):
-    XX, YY = grid.interior_mesh()
-    return XX.ravel(), YY.ravel()
-
-
-def _interior_forcing(problem: ProblemSpec, grid: Grid2D, t: float):
-    """Forcing xi(t) at interior nodes, shape (L, n); None without forcing."""
-    return None if problem.forcing is None else np.asarray(
-        problem.forcing(*_interior_xy(grid), t), dtype=float)
-
-
 def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
                   W: np.ndarray, forcing: Optional[np.ndarray]) -> np.ndarray:
     """Reaction plus the forcing xi(t) at interior nodes, shape (L, n)."""
-    R = np.asarray(problem.reaction(*_interior_xy(grid), t, W), dtype=float)
+    R = np.asarray(problem.reaction(*grid.interior_xy, t, W), dtype=float)
     return R if forcing is None else R + forcing
 
 
+def _ring_product(A: StencilMatrix, grid: Grid2D, v: np.ndarray) -> np.ndarray:
+    """A applied to the values v (L, 2(Mx+My)) on the nodes of
+    grid.boundary_ring(), zero elsewhere; shape (L, n)."""
+    (j, i), _ = grid.boundary_ring()
+    full = np.zeros(v.shape[:1] + (grid.My + 1, grid.Mx + 1))
+    full[:, j, i] = v
+    return apply_full(A.planes, full, offsets=A.offsets).reshape(
+        v.shape[0], grid.n_interior)
+
+
 def boundary_fold(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
-                  t: float, g: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Boundary part Phi(t) of the right-hand side, shape (L, n).
+                  t: float, g: np.ndarray) -> np.ndarray:
+    """Rate-free boundary part F(t) of the right-hand side, shape (L, n).
 
     g holds the Dirichlet data of every species at time t on the nodes of
-    grid.boundary_ring(), shape (L, 2(Mx+My)), and rate their time
-    derivative there.  "cds" gives Phi = -P g; "cfds" gives
-    Phi = -P g + Q (r(g) + xi - rate), with the reaction r and the forcing
-    xi evaluated on the ring only, so that Q dU/dt + P U = Q R + Phi.  The
+    grid.boundary_ring(), shape (L, 2(Mx+My)).  "cds" gives F = -P g;
+    "cfds" gives F = -P g + Q (r(g) + xi), with the reaction r and the
+    forcing xi evaluated on the ring only; _boundary_phi subtracts Q times
+    the time derivative of g, so that Q dU/dt + P U = Q R + Phi.  The
     boundary coefficients of P and Q reach the ring.
     """
-    (j, i), (x, y) = grid.boundary_ring()
-    full = np.zeros(g.shape[:1] + (grid.My + 1, grid.Mx + 1))
-    full[:, j, i] = g
-    phi = -apply_full(scheme.P.planes, full, offsets=scheme.P.offsets)
+    F = -_ring_product(scheme.P, grid, g)
     if scheme.kind == "cfds":
-        r = np.asarray(problem.reaction(x, y, t, g), dtype=float) - rate
+        _, (x, y) = grid.boundary_ring()
+        r = np.asarray(problem.reaction(x, y, t, g), dtype=float)
         if problem.forcing is not None:
             r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
-        full[:, j, i] = r
-        phi = phi + apply_full(scheme.Q.planes, full,
-                               offsets=scheme.Q.offsets)
-    return phi.reshape(g.shape[0], grid.n_interior)
+        F = F + _ring_product(scheme.Q, grid, r)
+    return F
 
 
-def _boundary_phi(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
-                  tau: float, theta: float, t_n: float,
-                  t1: float) -> np.ndarray:
-    """Theta-averaged boundary contribution Phi^th, shape (L, n), with the
-    difference quotient of the Dirichlet data as their time derivative."""
+@dataclass
+class _Layer:
+    """The terms of time layer t that the steps into and out of it share:
+    the Dirichlet data g on the boundary ring (L, 2(Mx+My)), the interior
+    forcing xi (L, n) or None, the rate-free fold F = boundary_fold(t, g)
+    (L, n), and R, the reaction plus forcing of the layer's latest field
+    (None until a residual evaluates it)."""
+
+    t: float
+    g: np.ndarray
+    xi: Optional[np.ndarray]
+    F: np.ndarray
+    R: Optional[np.ndarray] = None
+
+
+def _layer(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
+           t: float) -> _Layer:
+    """g, xi and F of the layer t, every species in one call each."""
     _, (x, y) = grid.boundary_ring()
-    g0, g1 = (np.stack([np.broadcast_to(
+    g = np.stack([np.broadcast_to(
         np.asarray(problem.boundary(l, x, y, t), dtype=float), x.shape)
-        for l in range(problem.L)]) for t in (t_n, t1))
-    rate = (g1 - g0) / tau
-    return theta * boundary_fold(scheme, problem, grid, t1, g1, rate) \
-        + (1.0 - theta) * boundary_fold(scheme, problem, grid, t_n, g0, rate)
+        for l in range(problem.L)])
+    xi = None if problem.forcing is None else np.asarray(
+        problem.forcing(*grid.interior_xy, t), dtype=float)
+    return _Layer(t, g, xi, boundary_fold(scheme, problem, grid, t, g))
+
+
+def _boundary_phi(scheme: Scheme, grid: Grid2D, tau: float, theta: float,
+                  old: _Layer, new: _Layer) -> np.ndarray:
+    """Theta-averaged boundary contribution Phi^th of the step from layer
+    old to layer new, shape (L, n): theta F(t1) + (1-theta) F(t_n), and for
+    "cfds" minus Q applied to the difference quotient (g1 - g0)/tau, the
+    time derivative of the Dirichlet data on the ring."""
+    phi = theta * new.F + (1.0 - theta) * old.F
+    if scheme.kind == "cfds":
+        phi -= _ring_product(scheme.Q, grid, (new.g - old.g) / tau)
+    return phi
 
 
 def _step_terms(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
                 tau: float, theta: float, t_n: float, t1: float,
-                W_old: np.ndarray):
-    """(t1, xi(t1), R^0, Phi^th): the residual terms fixed within the step
-    from (t_n, W_old) to the new layer t1; the forcing xi(t1) (None without
-    forcing), R^0 and Phi^th have shape (L, n)."""
-    R0 = _interior_rhs(problem, grid, t_n, W_old,
-                       _interior_forcing(problem, grid, t_n))
-    return (t1, _interior_forcing(problem, grid, t1), R0,
-            _boundary_phi(scheme, problem, grid, tau, theta, t_n, t1))
+                W_old: np.ndarray, old: Optional[_Layer] = None):
+    """(old, new, Phi^th): the residual terms fixed within the step from
+    (t_n, W_old) to t1; old is the layer t_n with R = R^0 at W_old, new the
+    layer t1.  A carried `old` must be that layer of W_old; without it the
+    layer and its R^0 are evaluated here."""
+    if old is None:
+        old = _layer(scheme, problem, grid, t_n)
+        old.R = _interior_rhs(problem, grid, t_n, W_old, old.xi)
+    new = _layer(scheme, problem, grid, t1)
+    return old, new, _boundary_phi(scheme, grid, tau, theta, old, new)
 
 
 def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
@@ -167,15 +201,17 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     """Nonlinear residual Ups(W_new) of the theta-scheme step from t_n.
 
     `terms` holds the parts fixed within the step (see _step_terms); without
-    it they are computed here for the new layer t_n + tau.
+    it they are computed here for the new layer t_n + tau.  The reaction
+    plus forcing R1 at W_new is kept in the new layer, so after an accepted
+    step that layer is the old layer of the next one.
     """
     if terms is None:
         terms = _step_terms(scheme, problem, grid, tau, theta, t_n,
                             t_n + tau, W_old)
-    t1, xi1, R0, phi = terms
-    R1 = _interior_rhs(problem, grid, t1, W_new, xi1)
+    old, new, phi = terms
+    R1 = new.R = _interior_rhs(problem, grid, new.t, W_new, new.xi)
     wth = theta * W_new + (1.0 - theta) * W_old
-    rth = theta * R1 + (1.0 - theta) * R0
+    rth = theta * R1 + (1.0 - theta) * old.R
     if scheme.kind == "cds":
         return (W_new - W_old) / tau + matvec(scheme.P, wth) - rth - phi
     return matvec(scheme.Q, W_new - W_old) / tau + matvec(scheme.P, wth) \
@@ -185,7 +221,7 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
 def _newton_stencil(scheme: Scheme, tau: float,
                     theta: float) -> Optional[StencilMatrix]:
     """B = Q/tau + theta P, the spatial part of the compact Newton matrix,
-    fixed for a step; None for "cds".  A dead offset of P or Q counts as
+    fixed for a run; None for "cds".  A dead offset of P or Q counts as
     zeros."""
     if scheme.kind == "cds":
         return None
@@ -193,6 +229,16 @@ def _newton_stencil(scheme: Scheme, tau: float,
     offsets = tuple(o for o in OFFSETS if o in P or o in Q)
     return StencilMatrix(scheme.P.grid, np.stack(
         [Q.get(o, 0.0) / tau + theta * P.get(o, 0.0) for o in offsets]), offsets)
+
+
+@dataclass
+class _Run:
+    """What the steps of one run share: the compact Newton stencil B
+    (_newton_stencil, None for "cds"), fixed by tau and theta, and the last
+    accepted layer (None before the first step)."""
+
+    B: Optional[StencilMatrix]
+    layer: Optional[_Layer] = None
 
 
 def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
@@ -225,12 +271,13 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
 
 
 def check_solver_options(error=ValueError, **options) -> None:
-    """Raise `error` for a non-positive tolerance (newton_tol, krylov_tol)
-    or an iteration limit (max_newton, ell, krylov_maxit) that is not an
-    integer of at least 1; a bool is not an integer here."""
+    """Raise `error` for a tolerance (newton_tol, krylov_tol) that is not
+    positive and finite, or an iteration limit (max_newton, ell,
+    krylov_maxit) that is not an integer of at least 1; a bool is not an
+    integer here."""
     for name, value in options.items():
-        if name.endswith("_tol") and not value > 0:
-            raise error(f"{name} must be positive, got {value}")
+        if name.endswith("_tol") and not 0 < value < np.inf:
+            raise error(f"{name} must be positive and finite, got {value}")
         if name in ("max_newton", "ell", "krylov_maxit") and (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Integral) or value < 1):
@@ -243,7 +290,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
             t_next: Optional[float] = None,
             newton_tol: float = 1e-11, max_newton: int = 25,
             krylov_tol: float = 1e-10, ell: int = 2,
-            krylov_maxit: int = 200):
+            krylov_maxit: int = 200, run: Optional[_Run] = None):
     """One theta-scheme step from the layer W_old at t_n by inexact Newton
     iteration; returns (new layer, SolverReport).
 
@@ -252,6 +299,8 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     satisfies the same scaled bound, so the accepted layer always fulfils
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite residual,
     reaction Jacobian or Newton update fails at once, naming species and node.
+    `run` carries B and the accepted layer from step to step (integrate
+    passes one); without it the step builds its own.
     """
     check_solver_options(newton_tol=newton_tol, max_newton=max_newton,
                          krylov_tol=krylov_tol, ell=ell,
@@ -259,10 +308,12 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     t_start = time.perf_counter()
     L, n = W_old.shape
     t1 = t_n + tau if t_next is None else t_next
-    xi, yi = _interior_xy(grid)
+    if run is None:
+        run = _Run(_newton_stencil(scheme, tau, theta))
+    xi, yi = grid.interior_xy
     W = W_old.copy()
-    terms = _step_terms(scheme, problem, grid, tau, theta, t_n, t1, W_old)
-    B = _newton_stencil(scheme, tau, theta)
+    terms = _step_terms(scheme, problem, grid, tau, theta, t_n, t1, W_old,
+                        run.layer)
     ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
                    terms=terms)
     cycles: List[float] = []
@@ -272,7 +323,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
         _check_finite("reaction Jacobian", J, grid, t_n, it)
         try:
             delta, krep = bicgstab_l(
-                lambda v: _apply_jacobian(scheme, B, J, tau, theta,
+                lambda v: _apply_jacobian(scheme, run.B, J, tau, theta,
                                           v.reshape(L, n)).ravel(),
                 -ups.ravel(), tol=krylov_tol, ell=ell, maxit=krylov_maxit)
         except KrylovBreakdown as exc:
@@ -297,13 +348,14 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
         raise SolverFailure(
             f"Newton did not converge in {max_newton} iterations at "
             f"t={t_n:.6g}")
+    run.layer = terms[1]
     return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
                            wall_ms=(time.perf_counter() - t_start) * 1e3,
                            final_residual=float(np.max(np.abs(ups))))
 
 
 def initial_field(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
-    xi, yi = _interior_xy(grid)
+    xi, yi = grid.interior_xy
     return np.stack([np.broadcast_to(
         np.asarray(problem.initial(l, xi, yi), dtype=float), xi.shape)
         for l in range(problem.L)])
@@ -324,11 +376,13 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     check_compatibility(problem, grid)
     W = validate_field(initial_field(problem, grid), grid, problem.L)
     reports: List[SolverReport] = []
+    run = _Run(_newton_stencil(scheme, time_grid.tau, theta))
     for n in range(time_grid.N):
         try:
             W, report = advance(W, time_grid.t(n), scheme, problem, grid,
                                 time_grid.tau, theta,
-                                t_next=time_grid.t(n + 1), **solver_options)
+                                t_next=time_grid.t(n + 1), run=run,
+                                **solver_options)
         except SolverFailure as exc:
             exc.step = n
             raise SolverFailure(f"step {n} failed: {exc}", step=n) from exc

@@ -36,6 +36,12 @@ def test_rejects_nonpositive_cos_theta():
         rate_coefficients(-0.5)
 
 
+@pytest.mark.parametrize("cos_theta", [float("nan"), float("inf"), 1.5])
+def test_rejects_cos_theta_outside_unit_interval(cos_theta):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        rate_coefficients(cos_theta)
+
+
 def test_rates_vanish_at_zero(k1):
     assert np.array_equal(reaction_rates(np.zeros(10), k1), np.zeros(10))
 

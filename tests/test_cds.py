@@ -31,10 +31,9 @@ def ring_data(prob, g, t):
 
 
 def fold(prob, g, kind, t):
-    """boundary_fold of the whole problem at t, with static data (rate 0)."""
-    data = ring_data(prob, g, t)
-    return boundary_fold(build_scheme(prob, g, kind), prob, g, t, data,
-                         np.zeros_like(data))
+    """boundary_fold of the whole problem at t."""
+    return boundary_fold(build_scheme(prob, g, kind), prob, g, t,
+                         ring_data(prob, g, t))
 
 
 def cds_operator(prob, l, g):

@@ -154,7 +154,8 @@ def test_main_bad_config_file(tmp_path):
     assert main(["--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("line", ["ell = 0", "newton_tol = 0", "krylov_tol = -1"])
+@pytest.mark.parametrize("line", ["ell = 0", "newton_tol = 0", "krylov_tol = -1",
+                                  "newton_tol = inf", "krylov_tol = nan"])
 def test_invalid_solver_option_in_config_file(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"mesh = 4x4x2\n{line}\n")
@@ -188,6 +189,24 @@ def test_mesh_order_checked_before_any_solve(tmp_path, monkeypatch):
     rc = main(["--problem", "manufactured", "--mesh", "4x4x2",
                "--mesh", "4x4x4", "--out", str(tmp_path / "x")])
     assert rc == 2
+    assert solves == []
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--mu", "nan"), ("--mu", "inf"), ("--cos-theta", "nan"),
+    ("--cos-theta", "inf"), ("--cos-theta", "1.5")])
+def test_nonfinite_wind_and_sun_rejected_before_any_solve(tmp_path, monkeypatch,
+                                                          flag, value):
+    # these used to reach step 0 (exit 1, non-finite residual) or, for
+    # cos-theta inf, complete with a meaningless chemistry
+    from parabolic2d import cli
+    solves = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *args, **kwargs: solves.append(args))
+    argv = ["--problem", "airpollution", "--mesh", "4x4x2", flag, value]
+    with pytest.raises(ConfigError, match=flag[2:]):
+        validate_config(config_from_sources({}, make_parser().parse_args(argv)))
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert solves == []
 
 

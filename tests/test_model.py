@@ -119,6 +119,12 @@ def test_example1_rejects_bad_cos_theta():
         make_example2(cos_theta=-1.0)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+def test_example2_rejects_nonfinite_mu(mu):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        make_example2(mu=mu)
+
+
 def test_example2_initial_values():
     prob = make_example2()
     xs = np.linspace(0, 500, 7)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from parabolic2d import build_grid, build_scheme
 from parabolic2d.cds import OFFSETS, StencilMatrix, apply_full
 from parabolic2d.krylov import matvec
-from parabolic2d.stepper import Scheme, _newton_stencil, boundary_fold
+from parabolic2d.stepper import (Scheme, _newton_stencil, _ring_product,
+                                 boundary_fold)
 
 from test_cds import constant_problem
 from test_krylov import bits, species_varied_problem
@@ -106,7 +107,8 @@ def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
 def test_fold_matches_ring_definition(mesh, kind, L, seed):
     # Phi at an interior node collects, from every ring node inside its 3x3
     # footprint, -P times the data and, for cfds, Q times (r - rate); the
-    # reaction of constant_problem is zero
+    # reaction of constant_problem is zero, and the rate term is the one
+    # _boundary_phi subtracts
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
     P, Q = (StencilMatrix.from_coeffs(
@@ -114,7 +116,9 @@ def test_fold_matches_ring_definition(mesh, kind, L, seed):
     scheme = Scheme(kind, P, Q if kind == "cfds" else None)
     (j, i), _ = g.boundary_ring()
     data, rate = rng.standard_normal((2, L, len(i)))
-    phi = boundary_fold(scheme, constant_problem(), g, 0.0, data, rate)
+    phi = boundary_fold(scheme, constant_problem(), g, 0.0, data)
+    if kind == "cfds":
+        phi -= _ring_product(Q, g, rate)
     expected = np.zeros((L, g.ny, g.nx))
     Pc, Qc = P.coeffs, Q.coeffs
     for r, (jr, ir) in enumerate(zip(j, i)):

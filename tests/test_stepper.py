@@ -192,7 +192,8 @@ def test_failure_carries_step_index():
 @pytest.mark.parametrize("option,value", [
     ("ell", 0), ("krylov_tol", 0.0), ("krylov_maxit", 0), ("newton_tol", -1e-9),
     ("newton_tol", float("nan")), ("max_newton", 0), ("ell", 2.5),
-    ("max_newton", 2.5), ("ell", True), ("krylov_maxit", 2.5)])
+    ("max_newton", 2.5), ("ell", True), ("krylov_maxit", 2.5),
+    ("newton_tol", float("inf")), ("krylov_tol", float("inf"))])
 def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     # no problem data may be evaluated: neither initial data nor reactions
     calls = []
@@ -221,9 +222,9 @@ def test_numpy_integer_iteration_limits_accepted():
     assert np.array_equal(W_np, W)
 
 
-def test_forcing_evaluated_twice_per_step():
-    # xi(t_n) enters R^0 and xi(t1) the new layer's reaction; both are
-    # evaluated once per step for all species, not per Newton iteration
+def test_forcing_evaluated_once_per_layer():
+    # xi(t) enters the reaction of both steps that touch the layer t; it is
+    # evaluated once per layer for all species, not per step or iteration
     base = make_example1()
     calls = []
 
@@ -236,8 +237,8 @@ def test_forcing_evaluated_twice_per_step():
     tg = build_time_grid(prob.T, 5)
     W, reports = integrate(prob, g, tg, build_scheme(prob, g, "cds"))
     assert sum(r.newton_iters for r in reports) > tg.N
-    assert len(calls) == 2 * tg.N
-    assert calls == [t for n in range(tg.N) for t in (tg.t(n), tg.t(n + 1))]
+    assert len(calls) == tg.N + 1
+    assert calls == [tg.t(n) for n in range(tg.N + 1)]
     W0, _ = integrate(base, g, tg, build_scheme(base, g, "cds"))
     assert np.array_equal(W, W0)
 
@@ -333,13 +334,14 @@ def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
 @pytest.mark.parametrize("example", ["make_example1", "make_example2"])
 def test_boundary_phi_matches_full_array_reference(kind, example):
     import parabolic2d
-    from parabolic2d.stepper import _boundary_phi
+    from parabolic2d.stepper import _boundary_phi, _layer
 
     prob = getattr(parabolic2d, example)()
     g = build_grid(prob.X, prob.Y, 6, 6)
     tau, theta, t0 = 7.5, 0.4, 33.0
     sch = build_scheme(prob, g, kind)
-    phi = _boundary_phi(sch, prob, g, tau, theta, t0, t0 + tau)
+    phi = _boundary_phi(sch, g, tau, theta, _layer(sch, prob, g, t0),
+                        _layer(sch, prob, g, t0 + tau))
     expected = reference_boundary_phi(sch, prob, g, tau, theta, t0, t0 + tau)
     # example 1 has homogeneous Dirichlet data: its cds fold vanishes
     trivial = (kind, example) == ("cds", "make_example1")
@@ -350,8 +352,9 @@ def test_boundary_phi_matches_full_array_reference(kind, example):
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
 def test_integrate_calls_boundary_once_per_species_and_layer(kind):
-    # each step evaluates the Dirichlet data of every species on the whole
-    # ring at t_n and t1; the compatibility check adds one call per species
+    # the Dirichlet data of every species are evaluated on the whole ring
+    # once per layer t_0..t_N; the compatibility check adds one call per
+    # species
     from parabolic2d import make_example2
     base = make_example2()
     calls = []
@@ -364,8 +367,41 @@ def test_integrate_calls_boundary_once_per_species_and_layer(kind):
     g = build_grid(prob.X, prob.Y, 6, 4)
     tg = build_time_grid(30.0, 3)
     integrate(prob, g, tg, build_scheme(prob, g, kind), theta=0.5)
-    assert len(calls) == 2 * prob.L * tg.N + prob.L
+    assert len(calls) == prob.L * (tg.N + 1) + prob.L
     assert set(calls) == {(2 * (g.Mx + g.My),)}
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("example", ["make_example1", "make_example2"])
+def test_integrate_matches_plain_advance_loop(kind, example):
+    # integrate carries each layer's terms and R^0 from step to step; plain
+    # advance calls evaluate them afresh and must land on the same bits
+    import parabolic2d
+    prob = getattr(parabolic2d, example)()
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    tg = build_time_grid(prob.T, 4)
+    sch = build_scheme(prob, g, kind)
+    W_run, reports = integrate(prob, g, tg, sch, theta=0.5)
+    W = initial_field(prob, g)
+    for n in range(tg.N):
+        W, report = advance(W, tg.t(n), sch, prob, g, tg.tau, 0.5,
+                            t_next=tg.t(n + 1))
+        assert report.krylov_cycles == reports[n].krylov_cycles
+    assert np.array_equal(W_run, W)
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_newton_stencil_built_once_per_integrate(kind, monkeypatch):
+    from parabolic2d import make_example2, stepper
+    built = []
+    newton_stencil = stepper._newton_stencil
+    monkeypatch.setattr(stepper, "_newton_stencil",
+                        lambda *a: built.append(a) or newton_stencil(*a))
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    tg = build_time_grid(30.0, 3)
+    integrate(prob, g, tg, build_scheme(prob, g, kind), theta=0.5)
+    assert len(built) == 1
 
 
 def test_hoisted_step_matches_public_residual_driver():
