@@ -19,7 +19,7 @@ from parabolic2d import (build_grid, build_time_grid, build_scheme, integrate,
 problem = make_example1()
 
 
-def exact(l, x, y, t):
+def exact(x, y, t):
     return manufactured_solution(x, y, t, problem.X, problem.Y, problem.T)
 
 

@@ -20,7 +20,7 @@ problem = make_example1()
 cache = {}
 
 
-def exact(l, x, y, t):
+def exact(x, y, t):
     return manufactured_solution(x, y, t, problem.X, problem.Y, problem.T)
 
 

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import Grid2D, lex_index, restrict, to_interior_grid
+from .model import species_field
 
 
 @dataclass
@@ -30,13 +31,12 @@ class ConvergenceRow:
 
 
 def max_norm_error(u_num: np.ndarray, exact, grid: Grid2D, t: float) -> np.ndarray:
-    """Per-species max |exact - u_num| over interior nodes at time t."""
+    """Per-species max |exact - u_num| over interior nodes at time t;
+    exact(x, y, t) returns every species at once, or one field for all."""
     XX, YY = grid.interior_mesh()
     u2 = to_interior_grid(np.asarray(u_num, dtype=float), grid)
-    errs = np.empty(u2.shape[0])
-    for l in range(u2.shape[0]):
-        errs[l] = np.max(np.abs(np.asarray(exact(l, XX, YY, t), dtype=float) - u2[l]))
-    return errs
+    e = species_field("exact", exact(XX, YY, t), len(u2), XX.shape)
+    return np.max(np.abs(e - u2), axis=(1, 2))
 
 
 def _order(err_prev: float, err_cur: float, m_prev: int, m_cur: int) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid2D
-from .model import ProblemSpec
+from .model import ProblemSpec, species_field
 
 OFFSETS = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
 
@@ -41,18 +41,16 @@ class StencilMatrix:
     offsets: tuple      # k live offsets
 
     @classmethod
-    def from_coeffs(cls, grid: Grid2D, coeffs: list) -> StencilMatrix:
-        """Stack the live planes of a list of per-species coefficient arrays
-        coeffs[l][k1+1, k2+1, j-1, i-1], each (3, 3, My-1, Mx-1), where one
-        array may serve several species."""
-        distinct = {id(s): s for s in coeffs}.values()
-        offsets = tuple((k1, k2) for k1, k2 in OFFSETS if any(
-            np.any(s[k1 + 1, k2 + 1]) for s in distinct))
-        planes = np.zeros((len(offsets), len(coeffs), grid.My + 1,
-                           grid.Mx + 1))
+    def from_coeffs(cls, grid: Grid2D, coeffs: np.ndarray,
+                    L: int) -> StencilMatrix:
+        """Tile the coefficients coeffs[s, k1+1, k2+1, j-1, i-1], shape
+        (S, 3, 3, My-1, Mx-1), into the live planes of L species: S = L
+        gives one row per species, S = 1 one row for every species."""
+        offsets = tuple((k1, k2) for k1, k2 in OFFSETS
+                        if np.any(coeffs[:, k1 + 1, k2 + 1]))
+        planes = np.zeros((len(offsets), L, grid.My + 1, grid.Mx + 1))
         for plane, (k1, k2) in zip(planes, offsets):
-            for row, s in zip(plane, coeffs):
-                row[1:-1, 1:-1] = s[k1 + 1, k2 + 1]
+            plane[:, 1:-1, 1:-1] = coeffs[:, k1 + 1, k2 + 1]
         return cls(grid, planes, offsets)
 
     @property
@@ -97,34 +95,33 @@ def apply_full(planes: np.ndarray, w_full: np.ndarray, *,
     return out.reshape(w_full.shape)[:, 1:-1, 1:-1]
 
 
-def coefficient_fields(problem: ProblemSpec, l: int, XX: np.ndarray,
-                       YY: np.ndarray):
-    """(a, b, c, d) of species l at the nodes (XX, YY), each of XX's shape."""
-    return tuple(np.broadcast_to(np.asarray(fn(l, XX, YY), dtype=float),
-                                 XX.shape)
-                 for fn in (problem.diffusion_a, problem.diffusion_b,
-                            problem.advection_c, problem.advection_d))
-
-
-def check_diffusion_positive(problem: ProblemSpec, l: int, grid: Grid2D) -> None:
-    a, b, _, _ = coefficient_fields(problem, l, *grid.full_mesh())
+def coefficient_fields(problem: ProblemSpec, grid: Grid2D):
+    """(a, b, c, d) on the full node array, each (S, My+1, Mx+1) with one
+    species axis for the four: S = L if any of them returns a species axis
+    of length L, else S = 1.  Raises ValueError naming the species and node of the smallest
+    nonpositive diffusion coefficient."""
+    XX, YY = grid.full_mesh()
+    a, b, c, d = np.broadcast_arrays(*(
+        species_field(fn, getattr(problem, fn)(XX, YY), problem.L, XX.shape)
+        for fn in ("diffusion_a", "diffusion_b", "advection_c", "advection_d")))
     for name, vals in (("a", a), ("b", b)):
         if np.any(vals <= 0):
-            j, i = np.unravel_index(np.argmin(vals), vals.shape)
+            l, j, i = np.unravel_index(np.argmin(vals), vals.shape)
             raise ValueError(
-                f"species {l}: diffusion coefficient {name} nonpositive at node "
-                f"(i={i}, j={j}), value {vals[j, i]:.3e}")
+                f"species {l}: diffusion coefficient {name} nonpositive at "
+                f"node (i={i}, j={j}), value {vals[l, j, i]:.3e}")
+    return a, b, c, d
 
 
-def cds_full_stencil(problem: ProblemSpec, l: int, grid: Grid2D) -> np.ndarray:
-    """All 9 coefficient planes of the 5-point operator (corners zero)."""
-    check_diffusion_positive(problem, l, grid)
-    a, b, c, d = coefficient_fields(problem, l, *grid.interior_mesh())
+def cds_full_stencil(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
+    """All 9 coefficient planes of the 5-point operator (corners zero),
+    (S, 3, 3, My-1, Mx-1) over coefficient_fields' species axis."""
+    a, b, c, d = (f[:, 1:-1, 1:-1] for f in coefficient_fields(problem, grid))
     hx, hy = grid.hx, grid.hy
-    coeffs = np.zeros((3, 3, grid.ny, grid.nx))
-    coeffs[2, 1] = c / (2 * hx) - a / hx ** 2
-    coeffs[0, 1] = -c / (2 * hx) - a / hx ** 2
-    coeffs[1, 2] = d / (2 * hy) - b / hy ** 2
-    coeffs[1, 0] = -d / (2 * hy) - b / hy ** 2
-    coeffs[1, 1] = 2 * a / hx ** 2 + 2 * b / hy ** 2
+    coeffs = np.zeros((len(a), 3, 3, grid.ny, grid.nx))
+    coeffs[:, 2, 1] = c / (2 * hx) - a / hx ** 2
+    coeffs[:, 0, 1] = -c / (2 * hx) - a / hx ** 2
+    coeffs[:, 1, 2] = d / (2 * hy) - b / hy ** 2
+    coeffs[:, 1, 0] = -d / (2 * hy) - b / hy ** 2
+    coeffs[:, 1, 1] = 2 * a / hx ** 2 + 2 * b / hy ** 2
     return coeffs

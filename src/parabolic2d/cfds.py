@@ -28,14 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cds import check_diffusion_positive, coefficient_fields
+from .cds import coefficient_fields
 from .grid import Grid2D
 from .model import ProblemSpec
 
 
 @dataclass(frozen=True)
 class CompactCoefficients:
-    """Node-wise coefficient fields of l^h and nu^h, shape (My-1, Mx-1) each."""
+    """Node-wise coefficient fields of l^h and nu^h, shape (S, My-1, Mx-1) each."""
 
     a_tilde: np.ndarray
     b_tilde: np.ndarray
@@ -50,25 +50,24 @@ class CompactCoefficients:
 
 
 def _diffs(F: np.ndarray, hx: float, hy: float):
-    """Central first/second differences of a full-grid field at interior nodes."""
-    I = F[1:-1, 1:-1]
-    dx = (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * hx)
-    dxx = (F[1:-1, 2:] - 2 * I + F[1:-1, :-2]) / hx ** 2
-    dy = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * hy)
-    dyy = (F[2:, 1:-1] - 2 * I + F[:-2, 1:-1]) / hy ** 2
+    """Central first/second differences of full-grid fields at interior nodes."""
+    I = F[..., 1:-1, 1:-1]
+    dx = (F[..., 1:-1, 2:] - F[..., 1:-1, :-2]) / (2 * hx)
+    dxx = (F[..., 1:-1, 2:] - 2 * I + F[..., 1:-1, :-2]) / hx ** 2
+    dy = (F[..., 2:, 1:-1] - F[..., :-2, 1:-1]) / (2 * hy)
+    dyy = (F[..., 2:, 1:-1] - 2 * I + F[..., :-2, 1:-1]) / hy ** 2
     return I, dx, dxx, dy, dyy
 
 
-def compact_coefficients(problem: ProblemSpec, l: int, grid: Grid2D) -> CompactCoefficients:
+def compact_coefficients(problem: ProblemSpec, grid: Grid2D) -> CompactCoefficients:
     """Evaluate the ten compact coefficient fields at every interior node.
 
     Coefficient differences at nodes adjacent to the boundary use the
     coefficient values at boundary nodes (the fields live on the closed
     domain).
     """
-    check_diffusion_positive(problem, l, grid)
     hx, hy = grid.hx, grid.hy
-    A, B, C, D = coefficient_fields(problem, l, *grid.full_mesh())
+    A, B, C, D = coefficient_fields(problem, grid)
     a, dxa, dxxa, dya, dyya = _diffs(A, hx, hy)
     b, dxb, dxxb, dyb, dyyb = _diffs(B, hx, hy)
     c, dxc, dxxc, dyc, dyyc = _diffs(C, hx, hy)
@@ -103,18 +102,18 @@ def _basis(hx: float, hy: float):
 
 
 def _compose(terms) -> np.ndarray:
-    """Sum coefficient * (x-stencil outer y-stencil) into (3,3,ny,nx) planes."""
-    first = terms[0][0]
-    out = np.zeros((3, 3) + np.shape(first))
+    """Sum coefficient * (x-stencil outer y-stencil) into (S,3,3,ny,nx) planes."""
+    shape = np.shape(terms[0][0])
+    out = np.zeros(shape[:1] + (3, 3) + shape[1:])
     for coef, sx, sy in terms:
-        out += coef[None, None] * np.einsum("i,j->ij", sx, sy)[:, :, None, None]
+        out += coef[:, None, None] * np.einsum("i,j->ij", sx, sy)[:, :, None, None]
     return out
 
 
-def cfds_full_stencils(problem: ProblemSpec, l: int, grid: Grid2D):
+def cfds_full_stencils(problem: ProblemSpec, grid: Grid2D):
     """All 9 coefficient planes of P = 6 hx^2 l^h and of Q = 6 hx^2 nu^h,
-    (p_full, q_full), from one evaluation of the compact coefficients."""
-    cc = compact_coefficients(problem, l, grid)
+    (p_full, q_full), each (S, 3, 3, My-1, Mx-1), from one evaluation."""
+    cc = compact_coefficients(problem, grid)
     hx, hy = grid.hx, grid.hy
     ident, sx1, sy1, sx2, sy2 = _basis(hx, hy)
     coeffs = _compose([
@@ -133,11 +132,10 @@ def cfds_full_stencils(problem: ProblemSpec, l: int, grid: Grid2D):
 def _stencil_q(grid: Grid2D, cc: CompactCoefficients) -> np.ndarray:
     """All 9 coefficient planes of Q = 6 hx^2 nu^h (corners identically zero)."""
     hx, hy = grid.hx, grid.hy
-    ny, nx = grid.ny, grid.nx
-    coeffs = np.zeros((3, 3, ny, nx))
-    coeffs[1, 1] = np.full((ny, nx), 4 * hx ** 2)
-    coeffs[2, 1] = hx ** 2 / 4 * (2 - cc.a_tilde * hx)
-    coeffs[0, 1] = hx ** 2 / 4 * (2 + cc.a_tilde * hx)
-    coeffs[1, 2] = hx ** 2 / 4 * (2 - cc.b_tilde * hy)
-    coeffs[1, 0] = hx ** 2 / 4 * (2 + cc.b_tilde * hy)
+    coeffs = np.zeros((len(cc.a_tilde), 3, 3, grid.ny, grid.nx))
+    coeffs[:, 1, 1] = 4 * hx ** 2
+    coeffs[:, 2, 1] = hx ** 2 / 4 * (2 - cc.a_tilde * hx)
+    coeffs[:, 0, 1] = hx ** 2 / 4 * (2 + cc.a_tilde * hx)
+    coeffs[:, 1, 2] = hx ** 2 / 4 * (2 - cc.b_tilde * hy)
+    coeffs[:, 1, 0] = hx ** 2 / 4 * (2 + cc.b_tilde * hy)
     return coeffs

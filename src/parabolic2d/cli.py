@@ -203,11 +203,10 @@ def run_study(cfg: RunConfig) -> str:
     L = problem.L
     errors = np.full((len(results), L), math.nan)
     if cfg.problem == "manufactured":
-        def exact(l, x, y, t):
-            return model.manufactured_solution(x, y, t, problem.X, problem.Y,
-                                               problem.T)
         for r, (Mx, My, N, W, grid, tg, *_rest) in enumerate(results):
-            errors[r] = analysis.max_norm_error(W, exact, grid, tg.T)
+            # the problem's X, Y and T are manufactured_solution's defaults
+            errors[r] = analysis.max_norm_error(
+                W, model.manufactured_solution, grid, tg.T)
     else:
         finest = len(results) - 1   # Mx increases along the list
         Mx, My = results[finest][0], results[finest][1]
@@ -248,28 +247,30 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
     """Text dump of a field: per species, rows "x,y,value" over all nodes.
 
     Rows are emitted row-major in y (all x for y=0, then y=hy, ...) and
-    include boundary nodes; their values come from the boundary callable
-    (zero if none is given).  Values carry 17 significant digits so a parsed
-    dump reproduces the field exactly.
+    include boundary nodes; their values come from one call of
+    boundary(x, y, t) for every species (zero if none is given).  Values
+    carry 17 significant digits so a parsed dump reproduces the field
+    exactly.
     """
     L = u.shape[0]
     xs, ys = grid.x_nodes(), grid.y_nodes()
-    (j_ring, i_ring), (x_ring, y_ring) = grid.boundary_ring()
+    full = np.zeros((L, grid.My + 1, grid.Mx + 1))
+    full[:, 1:-1, 1:-1] = u.reshape(L, grid.ny, grid.nx)
+    if boundary is not None:
+        (jr, ir), (xr, yr) = grid.boundary_ring()
+        full[:, jr, ir] = model.species_field(
+            "boundary", boundary(xr, yr, t), L, xr.shape)
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                         suffix=".part")
     try:
         with os.fdopen(tmp_fd, "w") as f:
             for l in range(L):
-                full = np.zeros((grid.My + 1, grid.Mx + 1))
-                full[1:-1, 1:-1] = u[l].reshape(grid.ny, grid.nx)
-                if boundary is not None:
-                    full[j_ring, i_ring] = boundary(l, x_ring, y_ring, t)
                 f.write(f"# species {l} t {_fmt(float(t))}\n")
                 f.write("x,y,value\n")
                 for j in range(grid.My + 1):
                     for i in range(grid.Mx + 1):
                         f.write(f"{_fmt(xs[i])},{_fmt(ys[j])},"
-                                f"{_fmt(full[j, i])}\n")
+                                f"{_fmt(full[l, j, i])}\n")
         os.replace(tmp_path, path)
     except OSError:
         if os.path.exists(tmp_path):

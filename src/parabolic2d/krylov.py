@@ -11,7 +11,8 @@ used as a right preconditioner.  A converged solve reports the recursive
 residual that met the tolerance; only a non-converged one pays an extra
 application for the true residual ||b - A x||/||b||.  From a zero guess the
 first residual is b itself, so a converged solve without restart makes
-exactly 2 ell applications per cycle.
+exactly 2 ell applications per cycle, or 2 ell iterations - 1 when it stops
+inside the BiCG part, which tests before it makes a step's second one.
 """
 
 from __future__ import annotations
@@ -121,12 +122,12 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
             alpha = rho0 / gam
             for i in range(j + 1):
                 rs[i] -= np.multiply(alpha, us[i + 1], out=buf)
-            np.copyto(rs[j + 1], inner_apply(rs[j]))
             z += np.multiply(alpha, us[0], out=buf)
             iters += 1.0 / ell
             rnorm = np.linalg.norm(rs[0])
             if rnorm <= tol * norm_b:
                 return finish(True)
+            np.copyto(rs[j + 1], inner_apply(rs[j]))
 
         if not broke:
             # minimal-residual polynomial step (modified Gram-Schmidt)

@@ -5,8 +5,10 @@ A problem is
     du_l/dt - a_l u_xx - b_l u_yy + c_l u_x + d_l u_y = R_l(x,y,t,u) [+ xi_l],
 
 on [0,X] x [0,Y] x (0,T] with Dirichlet boundary data and initial data.
-All callables broadcast over numpy coordinate arrays; the reaction R and
-the forcing xi return every species at once, shape (L, ...).
+All callables broadcast over numpy coordinate arrays and return every
+species at once, species axis first, shape (L, ...).  A coefficient,
+boundary or initial result without a species axis (or with one of length
+1) holds for every species: it broadcasts to (L, ...).
 
 Two ready-made problems are provided:
 
@@ -60,13 +62,15 @@ def rotational_wind(x, y, w: WindParams):
 class ProblemSpec:
     """An L-species problem: coefficients, reaction map, boundary/initial data.
 
-    Callable conventions (l is the 0-based species index, arrays broadcast):
-        diffusion_a(l, x, y), diffusion_b(l, x, y)   -> positive fields
-        advection_c(l, x, y), advection_d(l, x, y)
+    Every callable returns all species at once, species axis first, for
+    coordinate arrays x, y of one shape; a coefficient, boundary or initial
+    result without a species axis holds for every species:
+        diffusion_a(x, y), diffusion_b(x, y)   -> positive fields
+        advection_c(x, y), advection_d(x, y)
         reaction(x, y, t, u)          u: (L, ...) -> (L, ...)
         reaction_jacobian(x, y, t, u) -> (L, L, ...)
         forcing(x, y, t)              -> (L, ...), manufactured problems only
-        boundary(l, x, y, t), initial(l, x, y)
+        boundary(x, y, t), initial(x, y)
     """
 
     L: int
@@ -82,6 +86,19 @@ class ProblemSpec:
     X: float = DEFAULT_X
     Y: float = DEFAULT_Y
     T: float = DEFAULT_T
+
+
+def species_field(what: str, value, L: int, shape: tuple) -> np.ndarray:
+    """The result `value` of the callable `what` as an (S,) + shape array:
+    S = L for a leading species axis of length L, else S = 1, a result that
+    holds for every species.  ValueError if it does not broadcast to that."""
+    v = np.asarray(value, dtype=float)
+    S = L if v.ndim > len(shape) and len(v) == L else 1
+    try:
+        return np.broadcast_to(v, (S,) + shape)
+    except ValueError:
+        raise ValueError(f"{what}: result of shape {v.shape} does not "
+                         f"broadcast to (1 or L={L},) + {shape}") from None
 
 
 def manufactured_solution(x, y, t, X: float = DEFAULT_X, Y: float = DEFAULT_Y,
@@ -126,25 +143,24 @@ def manufactured_forcing(x, y, t, *, X: float = DEFAULT_X,
     return (u_t - K * lap + c * u_x + d * u_y) - R
 
 
-def _constant_field(value: float):
-    def field(l, x, y):
-        return np.full(np.shape(np.asarray(x, dtype=float)), value)
-    return field
-
-
 def _wind_and_chemistry(cos_theta: float, mu: float, chemistry: str):
     """(fields, wind, rates): the ProblemSpec fields shared by both examples
     (L=10, constant diffusion, rotational wind of rate mu about the domain
     centre, the chemistry's reaction map and Jacobian) and their parameters."""
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
+    if chemistry not in airchem.VARIANTS:
+        raise ValueError(f"chemistry must be one of {airchem.VARIANTS}, "
+                         f"got {chemistry!r}")
     rates = airchem.rate_coefficients(cos_theta)
     wind = WindParams(mu=mu, xc=DEFAULT_X / 2.0, yc=DEFAULT_Y / 2.0)
-    diffusion = _constant_field(DEFAULT_K)
+
+    def diffusion(x, y):
+        return np.full(np.shape(x), DEFAULT_K)
     return dict(
         L=airchem.N_SPECIES, diffusion_a=diffusion, diffusion_b=diffusion,
-        advection_c=lambda l, x, y: rotational_wind(x, y, wind)[0],
-        advection_d=lambda l, x, y: rotational_wind(x, y, wind)[1],
+        advection_c=lambda x, y: rotational_wind(x, y, wind)[0],
+        advection_d=lambda x, y: rotational_wind(x, y, wind)[1],
         reaction=lambda x, y, t, u: airchem.reaction_rates(
             u, rates, variant=chemistry),
         reaction_jacobian=lambda x, y, t, u: airchem.reaction_jacobian(
@@ -156,19 +172,13 @@ def make_example1(cos_theta: float = 1.0, chemistry: str = "as-printed") -> Prob
     full chemistry plus the compensating forcing, homogeneous Dirichlet data."""
     X, Y, T, K = DEFAULT_X, DEFAULT_Y, DEFAULT_T, DEFAULT_K
     fields, wind, rates = _wind_and_chemistry(cos_theta, MU_STANDARD, chemistry)
-
-    def forcing(x, y, t):
-        return manufactured_forcing(x, y, t, X=X, Y=Y, T=T, K=K,
-                                    wind=wind, rates=rates, chemistry=chemistry)
-
-    def boundary(l, x, y, t):
-        return np.zeros(np.shape(np.asarray(x, dtype=float)))
-
-    def initial(l, x, y):
-        return manufactured_solution(x, y, 0.0, X, Y, T)
-
-    return ProblemSpec(**fields, boundary=boundary, initial=initial,
-                       forcing=forcing, X=X, Y=Y, T=T)
+    return ProblemSpec(
+        **fields, X=X, Y=Y, T=T,
+        boundary=lambda x, y, t: np.zeros(np.shape(x)),
+        initial=lambda x, y: manufactured_solution(x, y, 0.0, X, Y, T),
+        forcing=lambda x, y, t: manufactured_forcing(
+            x, y, t, X=X, Y=Y, T=T, K=K, wind=wind, rates=rates,
+            chemistry=chemistry))
 
 
 def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
@@ -182,26 +192,24 @@ def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
     fields, _, _ = _wind_and_chemistry(cos_theta, mu, chemistry)
     u0 = np.asarray(EXAMPLE2_INITIAL, dtype=float)
     consts = u0 / 2.0
-
-    def boundary(l, x, y, t):
-        sig = airchem.boundary_signal(t, consts[l], C)
-        return np.broadcast_to(sig, np.shape(np.asarray(x, dtype=float))).copy()
-
-    def initial(l, x, y):
-        return np.full(np.shape(np.asarray(x, dtype=float)), u0[l])
-
-    return ProblemSpec(**fields, boundary=boundary, initial=initial)
+    return ProblemSpec(
+        **fields,
+        boundary=lambda x, y, t: np.multiply.outer(
+            airchem.boundary_signal(t, consts, C), np.ones(np.shape(x))),
+        initial=lambda x, y: np.multiply.outer(u0, np.ones(np.shape(x))))
 
 
 def check_compatibility(problem: ProblemSpec, grid: Grid2D, rtol: float = 1e-12) -> None:
-    """Require boundary(l,.,.,0) == initial(l,.,.) on boundary nodes."""
+    """Require boundary(.,.,0) == initial(.,.) on boundary nodes; the error
+    names the first species where they differ."""
     _, (x, y) = grid.boundary_ring()
-    for l in range(problem.L):
-        g = np.asarray(problem.boundary(l, x, y, 0.0), dtype=float)
-        p = np.asarray(problem.initial(l, x, y), dtype=float)
-        scale = np.maximum(np.abs(p), 1.0)
-        if np.any(np.abs(g - p) > rtol * scale):
-            raise ValueError(
-                f"species {l}: boundary data at t=0 incompatible with "
-                f"initial data (max deviation "
-                f"{np.max(np.abs(g - p) / scale):.3e})")
+    g = species_field("boundary", problem.boundary(x, y, 0.0), problem.L,
+                      x.shape)
+    p = species_field("initial", problem.initial(x, y), problem.L, x.shape)
+    dev, scale = np.abs(g - p), np.maximum(np.abs(p), 1.0)
+    bad = np.any(dev > rtol * scale, axis=1)
+    if np.any(bad):
+        l = int(np.argmax(bad))
+        raise ValueError(
+            f"species {l}: boundary data at t=0 incompatible with "
+            f"initial data (max deviation {np.max((dev / scale)[l]):.3e})")

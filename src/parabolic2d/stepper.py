@@ -6,7 +6,7 @@ For the central scheme the fully discrete residual per species block is
 
 and for the compact scheme
 
-    Ups = Q (W1 - W0)/tau + P W^th - Q R^th - Phi^th,
+    Ups = Q ((W1 - W0)/tau - R^th) + P W^th - Phi^th,
 
 with Z^th = theta Z^1 + (1-theta) Z^0 for Z in {W, R, Phi}.  R is the
 reaction (plus manufactured forcing xi, when present) on interior nodes; Phi
@@ -49,7 +49,7 @@ from . import cfds as cfds_mod
 from .cds import OFFSETS, StencilMatrix, apply_full
 from .grid import Grid2D, TimeGrid, validate_field
 from .krylov import KrylovBreakdown, bicgstab_l, matvec
-from .model import ProblemSpec, check_compatibility
+from .model import ProblemSpec, check_compatibility, species_field
 
 KINDS = ("cds", "cfds")
 
@@ -87,21 +87,15 @@ class SolverReport:
 
 
 def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
+    """The operators of `kind`, assembled once over the species axis of the
+    problem's coefficient fields (length 1 when every species shares them)
+    and tiled to the L species."""
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    # species with identical coefficient fields share one stencil, built once
-    mesh = grid.full_mesh()
-    first, owner = {}, []
-    for l in range(problem.L):
-        key = b"".join(f.tobytes() for f in
-                       cds_mod.coefficient_fields(problem, l, *mesh))
-        owner.append(first.setdefault(key, l))
-    # (P,) for cds, (P, Q) for cfds, per distinct species
-    stencils = {l: (cds_mod.cds_full_stencil(problem, l, grid),)
-                if kind == "cds" else cfds_mod.cfds_full_stencils(problem, l, grid)
-                for l in first.values()}
-    return Scheme(kind, *(StencilMatrix.from_coeffs(
-        grid, [stencils[l][k] for l in owner]) for k in range(len(stencils[0]))))
+    stencils = ((cds_mod.cds_full_stencil(problem, grid),) if kind == "cds"
+                else cfds_mod.cfds_full_stencils(problem, grid))
+    return Scheme(kind, *(StencilMatrix.from_coeffs(grid, c, problem.L)
+                          for c in stencils))
 
 
 def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
@@ -161,9 +155,9 @@ def _layer(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
            t: float) -> _Layer:
     """g, xi and F of the layer t, every species in one call each."""
     _, (x, y) = grid.boundary_ring()
-    g = np.stack([np.broadcast_to(
-        np.asarray(problem.boundary(l, x, y, t), dtype=float), x.shape)
-        for l in range(problem.L)])
+    g = np.broadcast_to(species_field("boundary", problem.boundary(x, y, t),
+                                      problem.L, x.shape),
+                        (problem.L,) + x.shape)
     xi = None if problem.forcing is None else np.asarray(
         problem.forcing(*grid.interior_xy, t), dtype=float)
     return _Layer(t, g, xi, boundary_fold(scheme, problem, grid, t, g))
@@ -214,8 +208,8 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     rth = theta * R1 + (1.0 - theta) * old.R
     if scheme.kind == "cds":
         return (W_new - W_old) / tau + matvec(scheme.P, wth) - rth - phi
-    return matvec(scheme.Q, W_new - W_old) / tau + matvec(scheme.P, wth) \
-        - matvec(scheme.Q, rth) - phi
+    return matvec(scheme.Q, (W_new - W_old) / tau - rth) \
+        + matvec(scheme.P, wth) - phi
 
 
 def _newton_stencil(scheme: Scheme, tau: float,
@@ -355,10 +349,10 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
 
 
 def initial_field(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
-    xi, yi = grid.interior_xy
-    return np.stack([np.broadcast_to(
-        np.asarray(problem.initial(l, xi, yi), dtype=float), xi.shape)
-        for l in range(problem.L)])
+    W = np.empty((problem.L, grid.n_interior))
+    W[:] = species_field("initial", problem.initial(*grid.interior_xy),
+                         problem.L, W.shape[1:])
+    return W
 
 
 def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,

@@ -11,9 +11,14 @@ from parabolic2d.grid import lex_index
 def test_max_norm_zero_for_exact_field():
     g = build_grid(1, 1, 5, 5)
     XX, YY = g.interior_mesh()
-    exact = lambda l, x, y, t: (l + 1) * x * y + t
+    exact = lambda x, y, t: np.multiply.outer([1.0, 2.0], x * y) + t
     u = np.stack([(l + 1) * XX.ravel() * YY.ravel() + 3.0 for l in range(2)])
     assert np.array_equal(max_norm_error(u, exact, g, 3.0), np.zeros(2))
+    # a result without a species axis holds for every species
+    err = max_norm_error(u, lambda x, y, t: x * y + t, g, 3.0)
+    assert err[0] == 0.0 and err[1] == np.max(XX * YY)
+    with pytest.raises(ValueError, match="^exact: "):
+        max_norm_error(u, lambda x, y, t: np.ones((3,) + x.shape), g, 3.0)
 
 
 def test_ratio_and_order_doubling():

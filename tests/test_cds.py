@@ -9,7 +9,7 @@ from parabolic2d.model import ProblemSpec
 
 def constant_problem(a=1.0, b=1.0, c=0.0, d=0.0, boundary=0.0):
     def f(v):
-        return lambda l, x, y: np.full(np.shape(np.asarray(x, float)), v)
+        return lambda x, y: np.full(np.shape(x), v)
     def zero_reaction(x, y, t, u):
         return np.zeros_like(np.asarray(u, float))
     def zero_jac(x, y, t, u):
@@ -18,16 +18,16 @@ def constant_problem(a=1.0, b=1.0, c=0.0, d=0.0, boundary=0.0):
     return ProblemSpec(
         L=1, diffusion_a=f(a), diffusion_b=f(b), advection_c=f(c),
         advection_d=f(d), reaction=zero_reaction, reaction_jacobian=zero_jac,
-        boundary=lambda l, x, y, t: np.full(np.shape(np.asarray(x, float)), boundary),
-        initial=lambda l, x, y: np.full(np.shape(np.asarray(x, float)), boundary),
+        boundary=lambda x, y, t: np.full(np.shape(x), boundary),
+        initial=lambda x, y: np.full(np.shape(x), boundary),
         X=1.0, Y=1.0, T=1.0)
 
 
 def ring_data(prob, g, t):
     """Dirichlet data of every species on g's boundary ring, (L, 2(Mx+My))."""
     _, (x, y) = g.boundary_ring()
-    return np.stack([np.broadcast_to(prob.boundary(l, x, y, t), x.shape)
-                     for l in range(prob.L)]).astype(float)
+    return np.broadcast_to(prob.boundary(x, y, t),
+                           (prob.L,) + x.shape).astype(float)
 
 
 def fold(prob, g, kind, t):
@@ -36,16 +36,16 @@ def fold(prob, g, kind, t):
                          ring_data(prob, g, t))
 
 
-def cds_operator(prob, l, g):
-    """The single-species operator of species l, a stack with L = 1."""
-    return StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, l, g)])
+def cds_operator(prob, g):
+    """The operator shared by every species of prob, a stack with L = 1."""
+    return StencilMatrix.from_coeffs(g, cds_full_stencil(prob, g), 1)
 
 
 def test_discrete_laplacian_stencil():
     g = build_grid(1.0, 1.0, 5, 5)
     h = g.hx
     # interior node away from the boundary
-    c = cds_full_stencil(constant_problem(), 0, g)[:, :, 2, 2]
+    c = cds_full_stencil(constant_problem(), g)[0, :, :, 2, 2]
     assert c[1, 1] == pytest.approx(4 / h ** 2)
     assert c[0, 1] == pytest.approx(-1 / h ** 2)
     assert c[2, 1] == pytest.approx(-1 / h ** 2)
@@ -56,14 +56,14 @@ def test_discrete_laplacian_stencil():
 def test_advection_entry_value():
     # hx = 0.5, a = 1, c = 1: east coefficient = c/(2hx) - a/hx^2 = -3
     g = build_grid(2.0, 2.0, 4, 4)
-    c = cds_full_stencil(constant_problem(a=1.0, c=1.0), 0, g)
-    assert c[2, 1, 1, 1] == pytest.approx(-3.0)
+    c = cds_full_stencil(constant_problem(a=1.0, c=1.0), g)
+    assert c[0, 2, 1, 1, 1] == pytest.approx(-3.0)
 
 
 def test_corner_offsets_zero():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    c = cds_full_stencil(prob, 3, g)
+    c = cds_full_stencil(prob, g)[0]
     for k1 in (0, 2):
         for k2 in (0, 2):
             assert np.all(c[k1, k2] == 0.0)
@@ -72,7 +72,7 @@ def test_corner_offsets_zero():
 def test_row_sums_vanish_in_full_interior():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    c = cds_full_stencil(prob, 0, g)
+    c = cds_full_stencil(prob, g)[0]
     rs = c.sum(axis=(0, 1))   # boundary coefficients included
     assert np.allclose(rs[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(c)))
 
@@ -80,7 +80,44 @@ def test_row_sums_vanish_in_full_interior():
 def test_rejects_nonpositive_diffusion():
     bad = constant_problem(a=0.0)
     with pytest.raises(ValueError, match="diffusion"):
-        cds_full_stencil(bad, 0, build_grid(1, 1, 4, 4))
+        cds_full_stencil(bad, build_grid(1, 1, 4, 4))
+
+
+@pytest.mark.parametrize("species_axis", [False, True])
+def test_nonpositive_diffusion_names_species_and_node(species_axis):
+    # b dips to -1 at the node (i=3, j=1) of a 5x4 mesh on the unit square,
+    # for every species (no species axis) or for species 2 of 3 only
+    import dataclasses
+    grid = build_grid(1.0, 1.0, 5, 4)
+
+    def diffusion_b(x, y):
+        dip = np.where(np.isclose(x, 0.6) & np.isclose(y, 0.25), -1.0, 1.0)
+        return np.stack([np.ones_like(dip), np.ones_like(dip), dip]) \
+            if species_axis else dip
+
+    prob = dataclasses.replace(constant_problem(), L=3,
+                               diffusion_b=diffusion_b)
+    species = 2 if species_axis else 0
+    match = (rf"^species {species}: diffusion coefficient b nonpositive at "
+             r"node \(i=3, j=1\), value -1.000e\+00$")
+    for kind in ("cds", "cfds"):
+        with pytest.raises(ValueError, match=match):
+            build_scheme(prob, grid, kind)
+
+
+@pytest.mark.parametrize("name", ["diffusion_a", "advection_d", "boundary",
+                                  "initial"])
+def test_species_axis_neither_one_nor_L_rejected(name):
+    # L = 3, but the callable returns 2 species
+    import dataclasses
+    from parabolic2d import build_time_grid, integrate
+    base = dataclasses.replace(constant_problem(), L=3)
+    prob = dataclasses.replace(base, **{name: lambda x, y, *t: np.ones(
+        (2,) + np.shape(x))})
+    g = build_grid(1.0, 1.0, 4, 4)
+    with pytest.raises(ValueError, match=rf"^{name}: result of shape \(2, "):
+        integrate(prob, g, build_time_grid(1.0, 1),
+                  build_scheme(prob, g, "cds"))
 
 
 def test_boundary_vector_homogeneous_is_zero():
@@ -101,17 +138,17 @@ def test_boundary_vector_single_interior_node():
 def test_linear_boundary_data_exactness():
     # u = x solves -lap u = 0; P u - Phi must vanish on nodal values of x
     def f(v):
-        return lambda l, x, y: np.full(np.shape(np.asarray(x, float)), v)
+        return lambda x, y: np.full(np.shape(x), v)
     prob = constant_problem()
     prob = ProblemSpec(
         L=1, diffusion_a=f(1.0), diffusion_b=f(1.0), advection_c=f(0.0),
         advection_d=f(0.0), reaction=prob.reaction,
         reaction_jacobian=prob.reaction_jacobian,
-        boundary=lambda l, x, y, t: np.asarray(x, float).copy(),
-        initial=lambda l, x, y: np.asarray(x, float).copy(),
+        boundary=lambda x, y, t: np.asarray(x, float).copy(),
+        initial=lambda x, y: np.asarray(x, float).copy(),
         X=1.0, Y=1.0, T=1.0)
     g = build_grid(1.0, 1.0, 7, 5)
-    A = cds_operator(prob, 0, g)
+    A = cds_operator(prob, g)
     XX, _ = g.interior_mesh()
     u = XX.ravel()
     from parabolic2d.krylov import matvec
@@ -130,14 +167,14 @@ def test_consistency_second_order():
         g = build_grid(X, Y, M, M)
         XX, YY = g.interior_mesh()
         u = np.sin(np.pi * XX / X) * np.sin(np.pi * YY / Y)
-        A = cds_operator(prob, 0, g)
+        A = cds_operator(prob, g)
         lhs = matvec(A, u.ravel()[None])[0] - fold(prob, g, "cds", 0.0)[0]
         K = 1.8
         lap = -(np.pi ** 2) * (1 / X ** 2 + 1 / Y ** 2) * u
         ux = (np.pi / X) * np.cos(np.pi * XX / X) * np.sin(np.pi * YY / Y)
         uy = (np.pi / Y) * np.sin(np.pi * XX / X) * np.cos(np.pi * YY / Y)
-        c = prob.advection_c(0, XX, YY)
-        d = prob.advection_d(0, XX, YY)
+        c = prob.advection_c(XX, YY)
+        d = prob.advection_d(XX, YY)
         target = (-K * lap + c * ux + d * uy).ravel()
         errs.append(np.max(np.abs(lhs - target)))
     orders = [np.log2(errs[i - 1] / errs[i]) for i in (1, 2)]
@@ -151,7 +188,7 @@ def test_apply_full_matches_boundary_ring_definition():
     (j, i), _ = g.boundary_ring()
     ring = np.zeros((g.My + 1, g.Mx + 1))
     ring[j, i] = ring_data(prob, g, 3.0)[2]
-    full = cds_full_stencil(prob, 2, g)
+    full = cds_full_stencil(prob, g)[0]   # shared by every species
     phi = fold(prob, g, "cds", 3.0)[2]
     assert np.any(phi != 0.0)
     # the padded-window sum of the full stencil over the ring data

@@ -13,7 +13,7 @@ from test_cds import constant_problem, fold
 def test_constant_coefficient_invariants():
     K = 1.8
     g = build_grid(1.0, 1.0, 6, 6)
-    cc = compact_coefficients(constant_problem(a=K, b=K), 0, g)
+    cc = compact_coefficients(constant_problem(a=K, b=K), g)
     assert np.allclose(cc.a_tilde, 0) and np.allclose(cc.b_tilde, 0)
     assert np.allclose(cc.alpha, K) and np.allclose(cc.beta, K)
     for f in (cc.alpha_tilde, cc.beta_tilde, cc.theta, cc.theta_tilde,
@@ -25,23 +25,24 @@ def test_constant_coefficient_invariants():
 def test_wind_a_tilde_is_advection_over_diffusion():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    cc = compact_coefficients(prob, 0, g)
+    cc = compact_coefficients(prob, g)
     _, YY = g.interior_mesh()
     expected = MU_STANDARD * (YY - prob.Y / 2.0) / 1.8
-    assert np.allclose(cc.a_tilde, expected, rtol=1e-13)
+    assert cc.a_tilde.shape == (1,) + YY.shape
+    assert np.allclose(cc.a_tilde[0], expected, rtol=1e-13)
 
 
 def test_gamma_value_equal_spacing():
     g = build_grid(1.0, 1.0, 4, 4)
-    cc = compact_coefficients(constant_problem(a=1.8, b=1.8), 0, g)
+    cc = compact_coefficients(constant_problem(a=1.8, b=1.8), g)
     assert np.allclose(cc.gamma, 1.8 * g.hx ** 2 / 6.0)
 
 
 def test_classical_compact_laplacian_stencil():
     # constant a=b=1, square cells: P/1 has center 20, edges -4, corners -1
     g = build_grid(1.0, 1.0, 5, 5)
-    P, _ = cfds_full_stencils(constant_problem(), 0, g)
-    c = P[:, :, 2, 2] / (6 * g.hx ** 2) * 6 * g.hx ** 2  # raw scaled entries
+    P, _ = cfds_full_stencils(constant_problem(), g)
+    c = P[0, :, :, 2, 2] / (6 * g.hx ** 2) * 6 * g.hx ** 2  # raw scaled entries
     assert c[1, 1] == pytest.approx(20.0)
     for k1, k2 in [(0, 1), (2, 1), (1, 0), (1, 2)]:
         assert c[k1, k2] == pytest.approx(-4.0)
@@ -52,8 +53,8 @@ def test_classical_compact_laplacian_stencil():
 
 def test_classical_compact_mass_stencil():
     g = build_grid(1.0, 1.0, 5, 5)
-    _, Q = cfds_full_stencils(constant_problem(), 0, g)
-    w = Q[:, :, 2, 2] / (6 * g.hx ** 2)
+    _, Q = cfds_full_stencils(constant_problem(), g)
+    w = Q[0, :, :, 2, 2] / (6 * g.hx ** 2)
     assert w[1, 1] == pytest.approx(2.0 / 3.0)
     for k1, k2 in [(0, 1), (2, 1), (1, 0), (1, 2)]:
         assert w[k1, k2] == pytest.approx(1.0 / 12.0)
@@ -62,18 +63,18 @@ def test_classical_compact_mass_stencil():
 def test_q_corners_zero_and_row_sums_exact():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 9, 6)
-    _, Q = cfds_full_stencils(prob, 1, g)
+    _, Q = cfds_full_stencils(prob, g)
     for k1 in (0, 2):
         for k2 in (0, 2):
-            assert np.all(Q[k1, k2] == 0.0)
-    assert np.allclose(Q.sum(axis=(0, 1)), 6 * g.hx ** 2, rtol=1e-15)
+            assert np.all(Q[:, k1, k2] == 0.0)
+    assert np.allclose(Q.sum(axis=(1, 2)), 6 * g.hx ** 2, rtol=1e-15)
 
 
 def test_p_row_sums_vanish():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    P, _ = cfds_full_stencils(prob, 0, g)
-    assert np.allclose(P.sum(axis=(0, 1)), 0.0,
+    P, _ = cfds_full_stencils(prob, g)
+    assert np.allclose(P.sum(axis=(1, 2)), 0.0,
                        atol=1e-12 * np.max(np.abs(P)))
 
 
@@ -109,8 +110,8 @@ def test_semidiscrete_identity_fourth_order():
         uvec = np.broadcast_to(u, (prob.L,) + u.shape)
         xi = prob.forcing(XX.ravel(), YY.ravel(), t)[0]
         r = prob.reaction(XX.ravel(), YY.ravel(), t, uvec)[0] + xi
-        P, Q = (StencilMatrix.from_coeffs(g, [c])
-                for c in cfds_full_stencils(prob, 0, g))
+        P, Q = (StencilMatrix.from_coeffs(g, c, 1)
+                for c in cfds_full_stencils(prob, g))
         phi = fold(prob, g, "cfds", t)[0]
         res = matvec(P, u[None])[0] - matvec(Q, (r - u_t)[None])[0] - phi
         errs.append(np.max(np.abs(res)) / (6 * g.hx ** 2))
@@ -120,7 +121,7 @@ def test_semidiscrete_identity_fourth_order():
 
 def test_division_by_vanishing_diffusion_reported():
     with pytest.raises(ValueError, match="diffusion"):
-        compact_coefficients(constant_problem(a=0.0), 0, build_grid(1, 1, 4, 4))
+        compact_coefficients(constant_problem(a=0.0), build_grid(1, 1, 4, 4))
 
 
 def test_compact_coefficients_evaluated_once_per_stencil_pair(monkeypatch):
@@ -130,16 +131,14 @@ def test_compact_coefficients_evaluated_once_per_stencil_pair(monkeypatch):
     original = cfds.compact_coefficients
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(cfds, "compact_coefficients", counted)
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 6, 6)
     build_scheme(prob, g, "cfds")
-    assert calls == [0]   # one distinct species set, one evaluation
-    cfds_full_stencils(prob, 3, g)
-    assert calls == [0, 3]
+    assert calls == [(prob, g)]   # one evaluation for every species
 
 
 def test_cfds_fold_evaluates_reaction_on_the_ring_only():

@@ -59,7 +59,7 @@ def test_field_dump_constant_round_trip(tmp_path):
     u = np.ones((10, 1))
     path = tmp_path / "dump.txt"
     emit_field_dump(u, g, 0.5, str(path),
-                    boundary=lambda l, x, y, t: np.ones(np.shape(np.asarray(x))))
+                    boundary=lambda x, y, t: np.ones(np.shape(x)))
     parsed = read_field_dump(str(path))
     assert set(parsed) == set(range(10))
     for l in range(10):

@@ -5,14 +5,13 @@ import pytest
 
 from parabolic2d import build_grid, build_scheme, make_example1, make_example2
 from parabolic2d.cds import StencilMatrix, cds_full_stencil
-from parabolic2d.cfds import cfds_full_stencils
 from parabolic2d.krylov import KrylovBreakdown, bicgstab_l, matvec
 
 
 def identity_stencil(grid):
-    c = np.zeros((3, 3, grid.ny, grid.nx))
-    c[1, 1] = 1.0
-    return StencilMatrix.from_coeffs(grid, [c])
+    c = np.zeros((1, 3, 3, grid.ny, grid.nx))
+    c[0, 1, 1] = 1.0
+    return StencilMatrix.from_coeffs(grid, c, 1)
 
 
 def test_matvec_identity():
@@ -25,7 +24,7 @@ def test_matvec_identity():
 def test_matvec_annihilates_constants_in_full_interior():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    A = StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, 0, g)])
+    A = StencilMatrix.from_coeffs(g, cds_full_stencil(prob, g), 1)
     y = matvec(A, np.ones((1, g.n_interior))).reshape(g.ny, g.nx)
     assert np.allclose(y[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(A.coeffs)))
 
@@ -33,8 +32,8 @@ def test_matvec_annihilates_constants_in_full_interior():
 def test_matvec_against_dense_oracle():
     rng = np.random.default_rng(41)
     g = build_grid(1, 1, 4, 4)  # 3x3 interior
-    c = rng.standard_normal((3, 3, g.ny, g.nx))
-    A = StencilMatrix.from_coeffs(g, [c])
+    c = rng.standard_normal((1, 3, 3, g.ny, g.nx))
+    A = StencilMatrix.from_coeffs(g, c, 1)
     dense = A.to_dense()[0]
     for _ in range(5):
         x = rng.standard_normal(g.n_interior)
@@ -53,7 +52,7 @@ def test_matvec_dimension_mismatch():
 def test_operator_linearity():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    A = StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, 2, g)])
+    A = StencilMatrix.from_coeffs(g, cds_full_stencil(prob, g), 1)
     op = lambda v: matvec(A, v[None])[0]
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -137,16 +136,36 @@ def recording(A):
     return apply, seen
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_converged_solve_makes_two_ell_applications_per_cycle(ell):
+@pytest.mark.parametrize("ell,iterations,applications", [
+    (1, 12.0, 24),   # stops after a minimal-residual step: 2 ell per cycle
+    (2, 5.5, 21),    # stops inside the BiCG part: one application fewer
+    (3, 4.0, 24)], ids=["1", "2", "3"])
+def test_converged_solve_makes_two_ell_applications_per_cycle(
+        ell, iterations, applications):
     rng = np.random.default_rng(51 + ell)
     n = 30
     A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     op, seen = recording(A)
     x, rep = bicgstab_l(op, rng.standard_normal(n), tol=1e-12, ell=ell)
-    assert rep.converged and rep.iterations > 1
-    assert len(seen) == 2 * ell * rep.iterations
+    assert rep.converged
+    assert (rep.iterations, len(seen)) == (iterations, applications)
     assert not any(np.all(v == 0.0) for v in seen)
+
+
+@pytest.mark.parametrize("seed", [61, 62, 65])
+def test_solve_stopping_inside_bicg_skips_its_last_application(seed):
+    # with ell = 2 a fractional iteration count means the solve stopped
+    # after the first BiCG step of a cycle; that step's second application
+    # only feeds the next step, so it is not made
+    rng = np.random.default_rng(seed)
+    n = 24
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    op, seen = recording(A)
+    b = rng.standard_normal(n)
+    x, rep = bicgstab_l(op, b, tol=1e-12, ell=2)
+    assert rep.converged and rep.iterations % 1 == 0.5
+    assert len(seen) == 2 * 2 * rep.iterations - 1
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_initial_guess_is_the_first_operand():
@@ -158,7 +177,9 @@ def test_initial_guess_is_the_first_operand():
     x, rep = bicgstab_l(op, b, x0=x0, tol=1e-12)
     assert rep.converged
     assert np.array_equal(seen[0], x0)
-    assert len(seen) == 2 * 2 * rep.iterations + 1
+    # one application for the first residual, 2 ell per cycle, and one
+    # fewer because the solve stops at the last BiCG step of its 6th cycle
+    assert (rep.iterations, len(seen)) == (6.0, 2 * 2 * 6 + 1 - 1)
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -307,8 +328,21 @@ def test_bicgstab_leaves_its_inputs_alone(guess):
 def species_varied_problem():
     # the manufactured problem with a diffusion that differs per species
     return dataclasses.replace(
-        make_example1(), diffusion_a=lambda l, x, y: np.full(
-            np.shape(np.asarray(x, float)), 1.0 + 0.2 * l))
+        make_example1(), diffusion_a=lambda x, y: np.multiply.outer(
+            1.0 + 0.2 * np.arange(10), np.ones(np.shape(x))))
+
+
+COEFFICIENTS = ("diffusion_a", "diffusion_b", "advection_c", "advection_d")
+
+
+def species_problem(prob, l):
+    """Species l of prob's coefficient fields as a problem of its own,
+    L = 1."""
+    def row(fn):
+        return lambda x, y: np.broadcast_to(
+            fn(x, y), (prob.L,) + np.shape(x))[l]
+    return dataclasses.replace(prob, L=1, **{
+        name: row(getattr(prob, name)) for name in COEFFICIENTS})
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -319,21 +353,37 @@ def test_batched_matvec_matches_per_species_dense(make, S, kind):
     g = build_grid(prob.X, prob.Y, 6, 5)
     sch = build_scheme(prob, g, kind)
     x = np.random.default_rng(5).standard_normal((prob.L, g.n_interior))
-    if kind == "cds":
-        pairs = [(sch.P, lambda l: cds_full_stencil(prob, l, g))]
-    else:
-        pairs = [(sch.P, lambda l: cfds_full_stencils(prob, l, g)[0]),
-                 (sch.Q, lambda l: cfds_full_stencils(prob, l, g)[1])]
-    for A, stencil in pairs:
-        # the stack repeats S distinct stencils over the L species
+    ops = (sch.P,) if kind == "cds" else (sch.P, sch.Q)
+    # the species-at-a-time operators, each built from species l alone
+    singles = [build_scheme(species_problem(prob, l), g, kind)
+               for l in range(prob.L)]
+    for k, A in enumerate(ops):
+        # the stack holds S distinct stencils over the L species
         assert A.coeffs.shape == (prob.L, 3, 3, g.ny, g.nx)
         assert len(np.unique(A.coeffs.reshape(prob.L, -1), axis=0)) == S
         y = matvec(A, x)
-        expected = np.einsum("lij,lj->li", A.to_dense(), x)
+        dense = A.to_dense()
+        expected = np.einsum("lij,lj->li", dense, x)
         assert np.allclose(y, expected, rtol=0,
                            atol=1e-13 * np.max(np.abs(expected)))
-        for l in range(prob.L):
-            # the species-at-a-time product of species l's own stencil
-            single = StencilMatrix.from_coeffs(g, [stencil(l)])
-            assert np.array_equal(single.coeffs[0], A.coeffs[l])
+        for l, single in enumerate(singles):
+            single = (single.P, single.Q)[k]
+            assert single.planes.shape[1] == 1
+            assert np.array_equal(single.to_dense()[0], dense[l])
             assert np.array_equal(matvec(single, x[l:l + 1])[0], y[l])
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_species_free_fields_match_fields_repeated_per_species(kind):
+    # a field without a species axis holds for every species: the planes
+    # equal those of the same field returned L times
+    prob = make_example2()
+    repeated = dataclasses.replace(prob, **{
+        name: (lambda fn: lambda x, y: np.broadcast_to(
+            fn(x, y), (prob.L,) + np.shape(x)).copy())(getattr(prob, name))
+        for name in COEFFICIENTS})
+    g = build_grid(prob.X, prob.Y, 7, 5)
+    a, b = build_scheme(prob, g, kind), build_scheme(repeated, g, kind)
+    for A, B in ((a.P, b.P), (a.Q, b.Q))[:1 if kind == "cds" else 2]:
+        assert A.offsets == B.offsets
+        assert np.array_equal(bits(A.planes), bits(B.planes))

@@ -3,7 +3,7 @@ import pytest
 
 from parabolic2d import (MU_STANDARD, WindParams, build_grid, make_example1,
                          make_example2, manufactured_solution, rotational_wind)
-from parabolic2d.model import check_compatibility
+from parabolic2d.model import EXAMPLE2_INITIAL, check_compatibility
 
 
 def test_wind_stagnates_at_center():
@@ -51,9 +51,9 @@ def _fd_pde_residual(prob, l, x, y, t):
     u_y = (u(x, y + dy, t) - u(x, y - dy, t)) / (2 * dy)
     u_xx = (u(x + dx, y, t) - 2 * u(x, y, t) + u(x - dx, y, t)) / dx ** 2
     u_yy = (u(x, y + dy, t) - 2 * u(x, y, t) + u(x, y - dy, t)) / dy ** 2
-    K = prob.diffusion_a(l, np.asarray(x), np.asarray(y))
-    c = prob.advection_c(l, np.asarray(x), np.asarray(y))
-    d = prob.advection_d(l, np.asarray(x), np.asarray(y))
+    K = prob.diffusion_a(np.asarray(x), np.asarray(y))
+    c = prob.advection_c(np.asarray(x), np.asarray(y))
+    d = prob.advection_d(np.asarray(x), np.asarray(y))
     uvec = np.broadcast_to(u(x, y, t), (prob.L,))
     R = prob.reaction(np.asarray(x), np.asarray(y), t, uvec)[l]
     xi = prob.forcing(np.asarray(x), np.asarray(y), t)[l]
@@ -108,8 +108,7 @@ def test_forcing_vanishes_at_corners():
 def test_example1_boundary_is_homogeneous():
     prob = make_example1()
     xs = np.linspace(0, 500, 11)
-    for l in (0, 5):
-        assert np.all(prob.boundary(l, xs, np.zeros_like(xs), 123.0) == 0)
+    assert np.all(prob.boundary(xs, np.zeros_like(xs), 123.0) == 0)
 
 
 def test_example1_rejects_bad_cos_theta():
@@ -128,17 +127,65 @@ def test_example2_rejects_nonfinite_mu(mu):
 def test_example2_initial_values():
     prob = make_example2()
     xs = np.linspace(0, 500, 7)
-    assert np.all(prob.initial(0, xs, xs) == 1000.0)
-    assert np.all(prob.initial(3, xs, xs) == 5000.0)
-    assert np.all(prob.initial(9, xs, xs) == 1e-11)
-    assert all(prob.initial(l, np.array(1.0), np.array(1.0)) >= 0
-               for l in range(10))
+    u0 = prob.initial(xs, xs)
+    assert u0.shape == (10, 7)
+    assert np.all(u0[0] == 1000.0)
+    assert np.all(u0[3] == 5000.0)
+    assert np.all(u0[9] == 1e-11)
+    assert prob.initial(np.array(1.0), np.array(1.0)).shape == (10,)
+    assert np.all(prob.initial(np.array(1.0), np.array(1.0)) >= 0)
 
 
 def test_example2_compatibility():
     prob = make_example2()
     check_compatibility(prob, build_grid(prob.X, prob.Y, 8, 8))
-    for l in range(10):
-        b = prob.boundary(l, np.array([0.0, 250.0]), np.array([0.0, 0.0]), 0.0)
-        p = prob.initial(l, np.array([0.0, 250.0]), np.array([0.0, 0.0]))
-        assert np.allclose(b, p, rtol=1e-12)
+    b = prob.boundary(np.array([0.0, 250.0]), np.array([0.0, 0.0]), 0.0)
+    p = prob.initial(np.array([0.0, 250.0]), np.array([0.0, 0.0]))
+    assert b.shape == p.shape == (10, 2)
+    assert np.allclose(b, p, rtol=1e-12)
+
+
+@pytest.mark.parametrize("make", [make_example1, make_example2])
+def test_unknown_chemistry_rejected_when_the_problem_is_built(make):
+    with pytest.raises(ValueError, match="chemistry must be one of"):
+        make(chemistry="bogus")
+
+
+def test_example2_boundary_signal_per_species():
+    # one call gives every species' periodic signal on the whole ring
+    prob = make_example2()
+    x = np.array([0.0, 125.0, 500.0])
+    b = prob.boundary(x, np.zeros_like(x), 77.0)
+    assert b.shape == (10, 3)
+    assert np.array_equal(b[4], np.full(3, 2500.0 * (np.sin(77.0 / 4.0) + 2)))
+
+
+def per_species(values):
+    """A callable of (x, y) giving species l the constant values[l]."""
+    return lambda x, y: np.multiply.outer(values, np.ones(np.shape(x)))
+
+
+def constant(value):
+    """A species-free callable of (x, y) or (x, y, t)."""
+    return lambda x, y, *t: np.full(np.shape(x), value)
+
+
+U0 = np.array(EXAMPLE2_INITIAL)
+
+
+@pytest.mark.parametrize("boundary,initial,species", [
+    # per-species data, species 6 off by half
+    (lambda x, y, t: per_species(U0)(x, y),
+     per_species(np.where(np.arange(10) == 6, 1.5 * U0, U0)), 6),
+    # one boundary value for every species, per-species initial data: the
+    # first species whose initial value is not 1000 is species 3
+    (constant(1000.0), per_species(U0), 3),
+    # species-free data on both sides: the first species is named
+    (constant(1.0), constant(2.0), 0),
+])
+def test_compatibility_error_names_the_species(boundary, initial, species):
+    import dataclasses
+    prob = dataclasses.replace(make_example2(), boundary=boundary,
+                               initial=initial)
+    with pytest.raises(ValueError, match=rf"^species {species}: boundary"):
+        check_compatibility(prob, build_grid(prob.X, prob.Y, 4, 4))

@@ -36,7 +36,7 @@ def operator(name, S):
     sch = build_scheme(prob, g, "cds" if name == "cds" else "cfds")
     if S == "1":
         sch = Scheme(sch.kind, *(StencilMatrix.from_coeffs(
-            g, [A.coeffs[2]] * prob.L) for A in (sch.P, sch.Q) if A is not None))
+            g, A.coeffs[2:3], prob.L) for A in (sch.P, sch.Q) if A is not None))
     return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q,
             "B": _newton_stencil(sch, 3.0, 0.4)}[name], prob.L
 
@@ -89,10 +89,9 @@ def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
     coeffs = rng.standard_normal((1 if shared else L, 3, 3, g.ny, g.nx))
     for k1, k2 in set(OFFSETS) - live:
         coeffs[:, k1 + 1, k2 + 1] = 0.0
-    coeffs = list(coeffs) * L if shared else list(coeffs)
-    A = StencilMatrix.from_coeffs(g, coeffs)
+    A = StencilMatrix.from_coeffs(g, coeffs, L)
     assert A.offsets == tuple(o for o in OFFSETS if o in live)
-    assert np.array_equal(A.coeffs, np.stack(coeffs))
+    assert np.array_equal(A.coeffs, np.broadcast_to(coeffs, A.coeffs.shape))
     assert np.all(A.planes[..., [0, -1], :] == 0.0)
     assert np.all(A.planes[..., [0, -1]] == 0.0)
     x = rng.standard_normal((L, g.n_interior))
@@ -112,7 +111,7 @@ def test_fold_matches_ring_definition(mesh, kind, L, seed):
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
     P, Q = (StencilMatrix.from_coeffs(
-        g, list(rng.standard_normal((L, 3, 3, g.ny, g.nx)))) for _ in range(2))
+        g, rng.standard_normal((L, 3, 3, g.ny, g.nx)), L) for _ in range(2))
     scheme = Scheme(kind, P, Q if kind == "cfds" else None)
     (j, i), _ = g.boundary_ring()
     data, rate = rng.standard_normal((2, L, len(i)))

@@ -138,8 +138,8 @@ def test_integrate_matches_reference_error():
     sch = build_scheme(prob, g, "cds")
     W, reports = integrate(prob, g, tg, sch, theta=0.5)
     err = max_norm_error(
-        W, lambda l, x, y, t: manufactured_solution(x, y, t, prob.X, prob.Y,
-                                                    prob.T), g, tg.T).max()
+        W, lambda x, y, t: manufactured_solution(x, y, t, prob.X, prob.Y,
+                                                 prob.T), g, tg.T).max()
     assert err == pytest.approx(5.702e-03, rel=0.02)
     assert len(reports) == 4
 
@@ -270,7 +270,7 @@ def test_nonzero_dirichlet_against_closed_form(kind, tol):
     lam = K * np.pi ** 2 * (1 / X ** 2 + 1 / Y ** 2)
 
     def f(v):
-        return lambda l, x, y: np.full(np.shape(np.asarray(x, float)), v)
+        return lambda x, y: np.full(np.shape(x), v)
 
     def zero_reaction(x, y, t, u):
         return np.zeros_like(np.asarray(u, float))
@@ -286,14 +286,14 @@ def test_nonzero_dirichlet_against_closed_form(kind, tol):
     prob = ProblemSpec(
         L=1, diffusion_a=f(K), diffusion_b=f(K), advection_c=f(0.0),
         advection_d=f(0.0), reaction=zero_reaction, reaction_jacobian=zero_jac,
-        boundary=lambda l, x, y, t: np.full(np.shape(np.asarray(x, float)), 1000.0),
-        initial=lambda l, x, y: exact(np.asarray(x, float), np.asarray(y, float), 0.0),
+        boundary=lambda x, y, t: np.full(np.shape(x), 1000.0),
+        initial=lambda x, y: exact(x, y, 0.0),
         X=X, Y=Y, T=T)
     g = build_grid(X, Y, 16, 16)
     tg = build_time_grid(T, 64)
     sch = build_scheme(prob, g, kind)
     W, _ = integrate(prob, g, tg, sch, theta=0.5)
-    err = max_norm_error(W, lambda l, x, y, t: exact(x, y, t), g, tg.T).max()
+    err = max_norm_error(W, exact, g, tg.T).max()
     assert err < tol, err
 
 
@@ -312,8 +312,8 @@ def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
     XX, YY = g.full_mesh()
     data = {}
     for t in (t0, t1):
-        w = np.stack([np.broadcast_to(prob.boundary(l, XX, YY, t), XX.shape)
-                      for l in range(prob.L)]).astype(float)
+        w = np.broadcast_to(prob.boundary(XX, YY, t),
+                            (prob.L,) + XX.shape).astype(float)
         w[:, 1:-1, 1:-1] = 0.0
         data[t] = w
     rate = (data[t1] - data[t0]) / tau
@@ -328,6 +328,56 @@ def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
             part = part + apply_full(sch.Q.planes, r, offsets=sch.Q.offsets)
         phi += weight * part.reshape(prob.L, g.n_interior)
     return phi
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("example", ["make_example1", "make_example2"])
+def test_residual_matches_dense_oracle(kind, example):
+    # Ups = M ((W1 - W0)/tau - R^th) + P W^th - Phi^th, M = I or Q, with
+    # the dense matrices of StencilMatrix.to_dense
+    import parabolic2d
+    prob = getattr(parabolic2d, example)()
+    g = build_grid(prob.X, prob.Y, 6, 5)
+    sch = build_scheme(prob, g, kind)
+    tau, theta, t_n = 7.5, 0.4, 33.0
+    rng = np.random.default_rng(29)
+    W0 = initial_field(prob, g) * rng.uniform(0.5, 1.5, (prob.L, g.n_interior))
+    W1 = W0 * rng.uniform(0.9, 1.1, W0.shape)
+    x, y = g.interior_xy
+
+    def rhs(t, W):
+        R = prob.reaction(x, y, t, W)
+        return R if prob.forcing is None else R + prob.forcing(x, y, t)
+
+    rth = theta * rhs(t_n + tau, W1) + (1 - theta) * rhs(t_n, W0)
+    wth = theta * W1 + (1 - theta) * W0
+    P = sch.P.to_dense()
+    M = np.eye(g.n_interior)[None] if kind == "cds" else sch.Q.to_dense()
+    phi = reference_boundary_phi(sch, prob, g, tau, theta, t_n, t_n + tau)
+    expected = np.einsum("lij,lj->li", M, (W1 - W0) / tau - rth) \
+        + np.einsum("lij,lj->li", P, wth) - phi
+    ups = residual(W1, W0, sch, prob, g, tau, theta, t_n)
+    assert np.allclose(ups, expected, rtol=1e-12,
+                       atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 2)])
+def test_residual_stencil_products(monkeypatch, kind, products):
+    # a residual applies P to W^th and, for cfds, Q once to the difference
+    # quotient minus R^th
+    from parabolic2d import make_example2, stepper
+    from parabolic2d.stepper import _step_terms
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    sch = build_scheme(prob, g, kind)
+    W0 = initial_field(prob, g)
+    terms = _step_terms(sch, prob, g, 7.5, 0.5, 0.0, 7.5, W0)
+    calls = []
+    real_matvec = stepper.matvec
+    monkeypatch.setattr(stepper, "matvec",
+                        lambda A, x: calls.append(A) or real_matvec(A, x))
+    residual(1.01 * W0, W0, sch, prob, g, 7.5, 0.5, 0.0, terms=terms)
+    assert len(calls) == products
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -351,23 +401,22 @@ def test_boundary_phi_matches_full_array_reference(kind, example):
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
-def test_integrate_calls_boundary_once_per_species_and_layer(kind):
-    # the Dirichlet data of every species are evaluated on the whole ring
-    # once per layer t_0..t_N; the compatibility check adds one call per
-    # species
+def test_integrate_calls_boundary_once_per_layer(kind):
+    # the Dirichlet data of all species are evaluated on the whole ring in
+    # one call per layer t_0..t_N; the compatibility check adds one call
     from parabolic2d import make_example2
     base = make_example2()
     calls = []
 
-    def boundary(l, x, y, t):
+    def boundary(x, y, t):
         calls.append(np.shape(x))
-        return base.boundary(l, x, y, t)
+        return base.boundary(x, y, t)
 
     prob = dataclasses.replace(base, boundary=boundary)
     g = build_grid(prob.X, prob.Y, 6, 4)
     tg = build_time_grid(30.0, 3)
     integrate(prob, g, tg, build_scheme(prob, g, kind), theta=0.5)
-    assert len(calls) == prob.L * (tg.N + 1) + prob.L
+    assert len(calls) == tg.N + 2
     assert set(calls) == {(2 * (g.Mx + g.My),)}
 
 
@@ -481,8 +530,8 @@ def nan_at_node(kind):
         L=1, diffusion_a=base.diffusion_a, diffusion_b=base.diffusion_b,
         advection_c=base.advection_c, advection_d=base.advection_d,
         reaction=reaction, reaction_jacobian=jacobian,
-        boundary=lambda l, x, y, t: np.full(np.shape(np.asarray(x, float)), 1.0),
-        initial=lambda l, x, y: np.full(np.shape(np.asarray(x, float)), 1.0),
+        boundary=lambda x, y, t: np.full(np.shape(x), 1.0),
+        initial=lambda x, y: np.full(np.shape(x), 1.0),
         X=1.0, Y=1.0, T=1.0)
 
 
@@ -523,9 +572,9 @@ def test_layer_times_come_from_time_grid():
     seen = []
     base = constant_problem()
 
-    def boundary(l, x, y, t):
+    def boundary(x, y, t):
         seen.append(t)
-        return base.boundary(l, x, y, t)
+        return base.boundary(x, y, t)
 
     prob = dataclasses.replace(base, boundary=boundary)
     g = build_grid(1, 1, 4, 4)
