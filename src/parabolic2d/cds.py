@@ -34,6 +34,7 @@ class StencilMatrix:
     planes[m, l, j, i] multiplies, at node (i, j) of species l's full node
     array, the value at (i+k1, j+k2) for the m-th live offset (k1, k2) =
     offsets[m], in OFFSETS order; the boundary ring of every plane is zero.
+    A stack over several operands tags each offset (k1, k2, o) by operand.
     """
 
     grid: Grid2D
@@ -41,17 +42,24 @@ class StencilMatrix:
     offsets: tuple      # k live offsets
 
     @classmethod
-    def from_coeffs(cls, grid: Grid2D, coeffs: np.ndarray,
-                    L: int) -> StencilMatrix:
-        """Tile the coefficients coeffs[s, k1+1, k2+1, j-1, i-1], shape
-        (S, 3, 3, My-1, Mx-1), into the live planes of L species: S = L
-        gives one row per species, S = 1 one row for every species."""
-        offsets = tuple((k1, k2) for k1, k2 in OFFSETS
-                        if np.any(coeffs[:, k1 + 1, k2 + 1]))
+    def from_coeffs(cls, grid: Grid2D, coeffs, L: int) -> StencilMatrix:
+        """Tile coeffs[s, k1+1, k2+1, j-1, i-1], shape (S, 3, 3, My-1, Mx-1),
+        or a list of such arrays, one per operand, into the live planes of L
+        species: S = L gives one row per species, S = 1 one for all."""
+        parts = coeffs if isinstance(coeffs, list) else [coeffs]
+        offsets = tuple((k1, k2, o)[:2 + (parts is coeffs)]
+                        for o, c in enumerate(parts) for k1, k2 in OFFSETS
+                        if np.any(c[:, k1 + 1, k2 + 1]))
         planes = np.zeros((len(offsets), L, grid.My + 1, grid.Mx + 1))
-        for plane, (k1, k2) in zip(planes, offsets):
-            plane[:, 1:-1, 1:-1] = coeffs[:, k1 + 1, k2 + 1]
+        for plane, (k1, k2, *o) in zip(planes, offsets):
+            plane[:, 1:-1, 1:-1] = parts[sum(o)][:, k1 + 1, k2 + 1]
         return cls(grid, planes, offsets)
+
+    def operand(self, o: int) -> StencilMatrix:
+        """The planes of operand o as a one-operand stack, a view."""
+        m = [k for k, off in enumerate(self.offsets) if off[2] == o]
+        return StencilMatrix(self.grid, self.planes[m[0]:m[-1] + 1],
+                             tuple(self.offsets[k][:2] for k in m))
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -78,21 +86,22 @@ class StencilMatrix:
 def apply_full(planes: np.ndarray, w_full: np.ndarray, *,
                offsets) -> np.ndarray:
     """Apply a plane stack (k, L, My+1, Mx+1) to the full node arrays w_full
-    (L, My+1, Mx+1); the result holds the interior nodes, (L, My-1, Mx-1).
-    On the flattened arrays, plane m adds planes[m] * w shifted by
-    k2 (Mx+1) + k1 onto a zero start, in one contiguous multiply-add over
-    all species, in the listed order.
+    (K L, My+1, Mx+1) of K operands in turn; the result holds the interior
+    nodes, (L, My-1, Mx-1).  On the flattened arrays, plane m adds planes[m]
+    * w shifted by o L (My+1)(Mx+1) + k2 (Mx+1) + k1 onto a zero start, in
+    one contiguous multiply-add over all species, in the listed order.
     """
     ncol = w_full.shape[-1]
     w = w_full.reshape(-1)
-    planes = planes.reshape(len(planes), w.size)
-    out = np.zeros(w.size)
-    lo, hi = ncol + 1, w.size - ncol - 1   # first and past last interior node
-    acc, term = out[lo:hi], np.empty(hi - lo)
-    for plane, (k1, k2) in zip(planes, offsets):
-        s = k2 * ncol + k1
+    out = np.zeros(planes.shape[1:])
+    n = out.size
+    planes = planes.reshape(len(planes), n)
+    lo, hi = ncol + 1, n - ncol - 1   # first and past last interior node
+    acc, term = out.reshape(-1)[lo:hi], np.empty(hi - lo)
+    for plane, off in zip(planes, offsets):
+        s = off[1] * ncol + off[0] + (n * off[2] if len(off) > 2 else 0)
         acc += np.multiply(plane[lo:hi], w[lo + s:hi + s], out=term)
-    return out.reshape(w_full.shape)[:, 1:-1, 1:-1]
+    return out[:, 1:-1, 1:-1]
 
 
 def coefficient_fields(problem: ProblemSpec, grid: Grid2D):

@@ -24,7 +24,7 @@ by stepper.boundary_fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,21 +32,10 @@ from .cds import coefficient_fields
 from .grid import Grid2D
 from .model import ProblemSpec
 
-
-@dataclass(frozen=True)
-class CompactCoefficients:
-    """Node-wise coefficient fields of l^h and nu^h, shape (S, My-1, Mx-1) each."""
-
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    alpha_tilde: np.ndarray
-    beta_tilde: np.ndarray
-    theta: np.ndarray
-    theta_tilde: np.ndarray
-    gamma: np.ndarray
-    gamma_tilde: np.ndarray
+# Node-wise coefficient fields of l^h and nu^h, shape (S, My-1, Mx-1) each
+CompactCoefficients = namedtuple("CompactCoefficients", (
+    "a_tilde b_tilde alpha beta alpha_tilde beta_tilde theta theta_tilde "
+    "gamma gamma_tilde"))
 
 
 def _diffs(F: np.ndarray, hx: float, hy: float):

@@ -17,6 +17,7 @@ inside the BiCG part, which tests before it makes a step's second one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,18 +37,35 @@ class KrylovReport:
     converged: bool
 
 
-def matvec(A: StencilMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A x for x of shape (L, n), every species block in one call.
+def check_solver_options(error=ValueError, **options) -> None:
+    """Raise `error` for a tolerance (tol, newton_tol, krylov_tol) that is
+    not positive and finite, or an iteration limit (maxit, max_newton, ell,
+    krylov_maxit) that is not an integer of at least 1; a bool is not an
+    integer here."""
+    for name, value in options.items():
+        if name.endswith("tol") and not 0 < value < np.inf:
+            raise error(f"{name} must be positive and finite, got {value}")
+        if name in ("maxit", "max_newton", "ell", "krylov_maxit") and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral) or value < 1):
+            raise error(f"{name} must be an integer of at least 1, "
+                        f"got {value!r}")
+
+
+def matvec(A: StencilMatrix, *xs: np.ndarray) -> np.ndarray:
+    """y = A x for x of shape (L, n), every species block in one call, or
+    y = A_0 x_0 + A_1 x_1 + ... for a stack over the operands xs.
 
     Boundary nodes contribute zero.
     """
-    x = np.asarray(x, dtype=float)
-    g = A.grid
-    shape = (A.planes.shape[1], g.n_interior)
-    if x.shape != shape:
-        raise ValueError(f"operand shape {x.shape}, expected {shape}")
-    w = np.zeros((shape[0], g.My + 1, g.Mx + 1))
-    w[:, 1:-1, 1:-1] = x.reshape(shape[0], g.ny, g.nx)
+    g, L = A.grid, A.planes.shape[1]
+    shape = (L, g.n_interior)
+    w = np.zeros((len(xs) * L, g.My + 1, g.Mx + 1))
+    for o, x in enumerate(xs):
+        x = np.asarray(x, dtype=float)
+        if x.shape != shape:
+            raise ValueError(f"operand shape {x.shape}, expected {shape}")
+        w[o * L:(o + 1) * L, 1:-1, 1:-1] = x.reshape(L, g.ny, g.nx)
     return apply_full(A.planes, w, offsets=A.offsets).reshape(shape)
 
 
@@ -68,10 +86,7 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
     breakdown raises KrylovBreakdown.  Exceeding maxit cycles, or a residual
     norm that is no longer finite, returns a non-converged report.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_solver_options(tol=tol, ell=ell, maxit=maxit)
     inner_apply = A if precond is None else (lambda v: A(precond(v)))
 
     b = np.asarray(b, dtype=float)

@@ -31,13 +31,12 @@ layer to the next step, with the R^1 of the accepted residual as its R^0.
 
 The Newton matrix is I/tau + theta P - theta J (central) or
 Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian;
-the compact one is applied as B x - theta Q (J x), with the stencil
-B = Q/tau + theta P.  The residual keeps P and Q apart.
+each compact A u + C v is one product of a two-operand stack: [B; -theta Q]
+on (x, J x), B = Q/tau + theta P, or the scheme's [Q; P] (residual, fold).
 """
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -48,7 +47,7 @@ from . import cds as cds_mod
 from . import cfds as cfds_mod
 from .cds import OFFSETS, StencilMatrix, apply_full
 from .grid import Grid2D, TimeGrid, validate_field
-from .krylov import KrylovBreakdown, bicgstab_l, matvec
+from .krylov import KrylovBreakdown, bicgstab_l, check_solver_options, matvec
 from .model import ProblemSpec, check_compatibility, species_field
 
 KINDS = ("cds", "cfds")
@@ -66,14 +65,21 @@ class SolverFailure(RuntimeError):
 class Scheme:
     """Assembled spatial operators for one problem/grid/scheme combination.
 
-    "cds" carries the stiffness operator P (mass = identity), "cfds" the pair
-    (P, Q), each a plane stack with a species axis of length L; their
-    boundary coefficients reach the Dirichlet data in boundary_fold only.
+    "cds" carries the stiffness operator P (mass = identity), "cfds" QP, one
+    stack [Q; P] over two operands (built from P and Q if not given), with P
+    and Q views of it; boundary coefficients act in boundary_fold only.
     """
 
     kind: str
     P: StencilMatrix
     Q: Optional[StencilMatrix] = None
+    QP: Optional[StencilMatrix] = None
+
+    def __post_init__(self):
+        if self.kind == "cfds":
+            self.QP = self.QP or StencilMatrix.from_coeffs(self.P.grid, [
+                self.Q.coeffs, self.P.coeffs], len(self.P.planes[0]))
+            self.Q, self.P = self.QP.operand(0), self.QP.operand(1)
 
 
 @dataclass
@@ -92,10 +98,12 @@ def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
     and tiled to the L species."""
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    stencils = ((cds_mod.cds_full_stencil(problem, grid),) if kind == "cds"
-                else cfds_mod.cfds_full_stencils(problem, grid))
-    return Scheme(kind, *(StencilMatrix.from_coeffs(grid, c, problem.L)
-                          for c in stencils))
+    if kind == "cds":
+        return Scheme(kind, StencilMatrix.from_coeffs(
+            grid, cds_mod.cds_full_stencil(problem, grid), problem.L))
+    p, q = cfds_mod.cfds_full_stencils(problem, grid)
+    return Scheme(kind, None, QP=StencilMatrix.from_coeffs(grid, [q, p],
+                                                           problem.L))
 
 
 def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
@@ -105,14 +113,14 @@ def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
     return R if forcing is None else R + forcing
 
 
-def _ring_product(A: StencilMatrix, grid: Grid2D, v: np.ndarray) -> np.ndarray:
-    """A applied to the values v (L, 2(Mx+My)) on the nodes of
-    grid.boundary_ring(), zero elsewhere; shape (L, n)."""
+def _ring_product(A: StencilMatrix, grid: Grid2D, *vs: np.ndarray) -> np.ndarray:
+    """A applied to the operands vs, each the values (L, 2(Mx+My)) on the
+    nodes of grid.boundary_ring(), zero elsewhere; shape (L, n)."""
     (j, i), _ = grid.boundary_ring()
-    full = np.zeros(v.shape[:1] + (grid.My + 1, grid.Mx + 1))
-    full[:, j, i] = v
+    full = np.zeros((len(vs) * len(vs[0]), grid.My + 1, grid.Mx + 1))
+    full[:, j, i] = np.concatenate(vs)
     return apply_full(A.planes, full, offsets=A.offsets).reshape(
-        v.shape[0], grid.n_interior)
+        -1, grid.n_interior)
 
 
 def boundary_fold(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
@@ -121,19 +129,18 @@ def boundary_fold(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
 
     g holds the Dirichlet data of every species at time t on the nodes of
     grid.boundary_ring(), shape (L, 2(Mx+My)).  "cds" gives F = -P g;
-    "cfds" gives F = -P g + Q (r(g) + xi), with the reaction r and the
-    forcing xi evaluated on the ring only; _boundary_phi subtracts Q times
-    the time derivative of g, so that Q dU/dt + P U = Q R + Phi.  The
-    boundary coefficients of P and Q reach the ring.
+    "cfds" gives F = Q (r(g) + xi) - P g, one product of QP, with the
+    reaction r and the forcing xi evaluated on the ring only; _boundary_phi
+    subtracts Q times the time derivative of g, so that
+    Q dU/dt + P U = Q R + Phi.  The boundary coefficients of P and Q reach the ring.
     """
-    F = -_ring_product(scheme.P, grid, g)
-    if scheme.kind == "cfds":
-        _, (x, y) = grid.boundary_ring()
-        r = np.asarray(problem.reaction(x, y, t, g), dtype=float)
-        if problem.forcing is not None:
-            r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
-        F = F + _ring_product(scheme.Q, grid, r)
-    return F
+    if scheme.kind == "cds":
+        return -_ring_product(scheme.P, grid, g)
+    _, (x, y) = grid.boundary_ring()
+    r = np.asarray(problem.reaction(x, y, t, g), dtype=float)
+    if problem.forcing is not None:
+        r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
+    return _ring_product(scheme.QP, grid, r, -g)
 
 
 @dataclass
@@ -181,9 +188,10 @@ def _step_terms(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
     """(old, new, Phi^th): the residual terms fixed within the step from
     (t_n, W_old) to t1; old is the layer t_n with R = R^0 at W_old, new the
     layer t1.  A carried `old` must be that layer of W_old; without it the
-    layer and its R^0 are evaluated here."""
+    layer is evaluated here, and without its R the R^0 at W_old."""
     if old is None:
         old = _layer(scheme, problem, grid, t_n)
+    if old.R is None:
         old.R = _interior_rhs(problem, grid, t_n, W_old, old.xi)
     new = _layer(scheme, problem, grid, t1)
     return old, new, _boundary_phi(scheme, grid, tau, theta, old, new)
@@ -208,26 +216,29 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     rth = theta * R1 + (1.0 - theta) * old.R
     if scheme.kind == "cds":
         return (W_new - W_old) / tau + matvec(scheme.P, wth) - rth - phi
-    return matvec(scheme.Q, (W_new - W_old) / tau - rth) \
-        + matvec(scheme.P, wth) - phi
+    return matvec(scheme.QP, (W_new - W_old) / tau - rth, wth) - phi
 
 
 def _newton_stencil(scheme: Scheme, tau: float,
                     theta: float) -> Optional[StencilMatrix]:
-    """B = Q/tau + theta P, the spatial part of the compact Newton matrix,
-    fixed for a run; None for "cds".  A dead offset of P or Q counts as
-    zeros."""
+    """The stack [B; -theta Q] over two operands, B = Q/tau + theta P the
+    spatial part of the compact Newton matrix, fixed for a run; None for
+    "cds".  A dead offset of P or Q counts as zeros in B."""
     if scheme.kind == "cds":
         return None
     P, Q = (dict(zip(A.offsets, A.planes)) for A in (scheme.P, scheme.Q))
     offsets = tuple(o for o in OFFSETS if o in P or o in Q)
-    return StencilMatrix(scheme.P.grid, np.stack(
-        [Q.get(o, 0.0) / tau + theta * P.get(o, 0.0) for o in offsets]), offsets)
+    planes = np.empty((len(offsets) + len(Q),) + scheme.Q.planes.shape[1:])
+    for plane, o in zip(planes, offsets):
+        np.add(Q.get(o, 0.0) / tau, theta * P.get(o, 0.0), out=plane)
+    np.multiply(-theta, scheme.Q.planes, out=planes[len(offsets):])
+    return StencilMatrix(scheme.P.grid, planes, tuple(o + (0,) for o in offsets)
+                         + tuple(o + (1,) for o in scheme.Q.offsets))
 
 
 @dataclass
 class _Run:
-    """What the steps of one run share: the compact Newton stencil B
+    """What the steps of one run share: the compact Newton stack B
     (_newton_stencil, None for "cds"), fixed by tau and theta, and the last
     accepted layer (None before the first step)."""
 
@@ -239,14 +250,13 @@ def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
                     tau: float, theta: float, x: np.ndarray) -> np.ndarray:
     """Action of the Newton matrix on x (L, n) for reaction Jacobian J
     (L, L, n); B is _newton_stencil(scheme, tau, theta).  Evaluated in place
-    as ((x/tau) + theta (P x)) - theta (J x), or (B x) - theta (Q (J x))."""
+    as ((x/tau) + theta (P x)) - theta (J x), or as B applied to (x, J x)."""
     Jx = np.einsum("lmn,mn->ln", J, x)
-    if scheme.kind == "cds":
-        y, Px = x / tau, matvec(scheme.P, x)
-        Px *= theta
-        y += Px
-    else:
-        y, Jx = matvec(B, x), matvec(scheme.Q, Jx)
+    if scheme.kind == "cfds":
+        return matvec(B, x, Jx)
+    y, Px = x / tau, matvec(scheme.P, x)
+    Px *= theta
+    y += Px
     Jx *= theta
     y -= Jx
     return y
@@ -262,21 +272,6 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
             f"non-finite {what} at t={t_n:.6g}, Newton iteration {it}: "
             f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
             f"j={idx[-1] // grid.nx + 1})")
-
-
-def check_solver_options(error=ValueError, **options) -> None:
-    """Raise `error` for a tolerance (newton_tol, krylov_tol) that is not
-    positive and finite, or an iteration limit (max_newton, ell,
-    krylov_maxit) that is not an integer of at least 1; a bool is not an
-    integer here."""
-    for name, value in options.items():
-        if name.endswith("_tol") and not 0 < value < np.inf:
-            raise error(f"{name} must be positive and finite, got {value}")
-        if name in ("max_newton", "ell", "krylov_maxit") and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral) or value < 1):
-            raise error(f"{name} must be an integer of at least 1, "
-                        f"got {value!r}")
 
 
 def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
@@ -367,10 +362,11 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     check_solver_options(**solver_options)
-    check_compatibility(problem, grid)
+    run = _Run(_newton_stencil(scheme, time_grid.tau, theta),
+               _layer(scheme, problem, grid, time_grid.t(0)))
+    check_compatibility(problem, grid, g=run.layer.g)
     W = validate_field(initial_field(problem, grid), grid, problem.L)
     reports: List[SolverReport] = []
-    run = _Run(_newton_stencil(scheme, time_grid.tau, theta))
     for n in range(time_grid.N):
         try:
             W, report = advance(W, time_grid.t(n), scheme, problem, grid,

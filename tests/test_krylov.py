@@ -5,7 +5,8 @@ import pytest
 
 from parabolic2d import build_grid, build_scheme, make_example1, make_example2
 from parabolic2d.cds import StencilMatrix, cds_full_stencil
-from parabolic2d.krylov import KrylovBreakdown, bicgstab_l, matvec
+from parabolic2d.krylov import (KrylovBreakdown, bicgstab_l, check_solver_options,
+                              matvec)
 
 
 def identity_stencil(grid):
@@ -249,6 +250,20 @@ def test_bicgstab_parameter_validation():
         bicgstab_l(op, np.ones(2), ell=0)
     with pytest.raises(ValueError):
         bicgstab_l(op, np.ones(2), tol=0.0)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("tol", float("nan")), ("tol", float("inf")), ("ell", 2.5),
+    ("maxit", float("nan")), ("maxit", 0), ("ell", True)])
+def test_bicgstab_checks_options_like_advance(option, value):
+    # the rules of check_solver_options, before any application of A
+    from parabolic2d import stepper
+    calls = []
+    with pytest.raises(ValueError, match=rf"^{option} must be"):
+        bicgstab_l(lambda v: calls.append(v) or v, np.ones(3),
+                   **{option: value})
+    assert calls == []
+    assert stepper.check_solver_options is check_solver_options
 
 
 def test_bicgstab_jacobi_preconditioning():

@@ -29,16 +29,18 @@ def padded_window_sum(coeffs, w_full, offsets):
 
 
 def operator(name, S):
-    """P or Q of the species-varied problem, or B, each with L distinct
-    species rows ("L"), or with species 2's row tiled over all L ("1")."""
+    """P or Q of the species-varied problem, or B (the first operand of the
+    compact Newton stack), each with L distinct species rows ("L"), or with
+    species 2's row tiled over all L ("1")."""
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob, g, "cds" if name == "cds" else "cfds")
     if S == "1":
         sch = Scheme(sch.kind, *(StencilMatrix.from_coeffs(
             g, A.coeffs[2:3], prob.L) for A in (sch.P, sch.Q) if A is not None))
-    return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q,
-            "B": _newton_stencil(sch, 3.0, 0.4)}[name], prob.L
+    if name == "B":
+        return _newton_stencil(sch, 3.0, 0.4).operand(0), prob.L
+    return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q}[name], prob.L
 
 
 @pytest.mark.parametrize("S", ["1", "L"])
@@ -66,17 +68,91 @@ def test_kernel_matches_padded_window_literal(name, live, S):
 
 
 def test_newton_stencil_adds_the_two_stacks():
+    # the compact Newton stack is [B; -theta Q] over the operands (x, J x),
+    # B = Q/tau + theta P, with every plane tagged by its operand
     A, _ = operator("cfds-P", "L")
     Q, _ = operator("cfds-Q", "L")
-    B, _ = operator("B", "L")
-    assert B.offsets == A.offsets and set(Q.offsets) < set(B.offsets)
+    prob = species_varied_problem()
+    stack = _newton_stencil(build_scheme(prob, A.grid, "cfds"), 3.0, 0.4)
+    assert stack.offsets == tuple(o + (0,) for o in A.offsets) \
+        + tuple(o + (1,) for o in Q.offsets)
+    B, minus_theta_q = stack.operand(0), stack.operand(1)
+    assert set(Q.offsets) < set(B.offsets)
     assert np.array_equal(bits(B.coeffs), bits(Q.coeffs / 3.0 + 0.4 * A.coeffs))
-    assert np.all(B.planes[..., [0, -1], :] == 0.0)
-    assert np.all(B.planes[..., [0, -1]] == 0.0)
+    inner = (..., slice(1, -1), slice(1, -1))
+    assert np.array_equal(bits(minus_theta_q.planes[inner]),
+                          bits(-0.4 * Q.planes[inner]))
+    assert np.all(stack.planes[..., [0, -1], :] == 0.0)
+    assert np.all(stack.planes[..., [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_scheme_operators_are_views_of_one_stack(kind):
+    prob = species_varied_problem()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    sch = build_scheme(prob, g, kind)
+    if kind == "cds":
+        assert sch.Q is None and sch.QP is None
+        return
+    assert sch.QP.offsets == tuple(o + (0,) for o in sch.Q.offsets) \
+        + tuple(o + (1,) for o in sch.P.offsets)
+    for A in (sch.P, sch.Q):
+        assert A.planes.base is sch.QP.planes
+    assert sch.P.planes.nbytes + sch.Q.planes.nbytes == sch.QP.planes.nbytes
+    # a Scheme given P and Q apart builds the same stack
+    again = Scheme("cfds", StencilMatrix(g, sch.P.planes.copy(), sch.P.offsets),
+                   StencilMatrix(g, sch.Q.planes.copy(), sch.Q.offsets))
+    assert again.QP.offsets == sch.QP.offsets
+    assert np.array_equal(bits(again.QP.planes), bits(sch.QP.planes))
+    assert again.P.planes.base is again.QP.planes
 
 
 grids = st.tuples(st.integers(2, 7), st.integers(2, 7))
 seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=grids, L=st.integers(1, 3), shared=st.booleans(),
+       live=st.tuples(*2 * [st.sets(st.sampled_from(OFFSETS), min_size=1)]),
+       seed=seeds)
+def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
+                                                         live, seed):
+    # one product of a stack over (u, v) is the literal sum, in plane order,
+    # of A's windows of u and then C's windows of v, bit for bit; S = 1
+    # (shared) tiles one coefficient row over the L species
+    g = build_grid(1.0, 1.0, *mesh)
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, 1 if shared else L, 3, 3, g.ny, g.nx))
+    for c, keep in zip(parts, live):
+        for k1, k2 in set(OFFSETS) - keep:
+            c[:, k1 + 1, k2 + 1] = 0.0
+    stack = StencilMatrix.from_coeffs(g, list(parts), L)
+    assert stack.offsets == tuple((k1, k2, o) for o, keep in enumerate(live)
+                                  for k1, k2 in OFFSETS if (k1, k2) in keep)
+    w = rng.standard_normal((2, L, g.My + 1, g.Mx + 1))
+    coeffs = np.broadcast_to(parts, (2, L) + parts.shape[2:])
+    expected = np.zeros((L, g.ny, g.nx))
+    for k1, k2, o in stack.offsets:
+        expected += coeffs[o][:, k1 + 1, k2 + 1] \
+            * w[o][:, 1 + k2:1 + k2 + g.ny, 1 + k1:1 + k1 + g.nx]
+    # the operands follow one another on the species axis
+    operands = w.reshape(2 * L, g.My + 1, g.Mx + 1)
+    assert np.array_equal(
+        bits(apply_full(stack.planes, operands, offsets=stack.offsets)),
+        bits(expected))
+    # matvec pads each operand with a zero ring and makes the same product
+    x, y = rng.standard_normal((2, L, g.n_interior))
+    padded = np.zeros_like(operands)
+    padded[:, 1:-1, 1:-1] = np.concatenate([x, y]).reshape(2 * L, g.ny, g.nx)
+    assert np.array_equal(
+        bits(matvec(stack, x, y)),
+        bits(apply_full(stack.planes, padded,
+                        offsets=stack.offsets).reshape(L, -1)))
+    # and the operands' views are the one-operand stacks of each part
+    for o, c in enumerate(parts):
+        single = StencilMatrix.from_coeffs(g, c, L)
+        assert stack.operand(o).offsets == single.offsets
+        assert np.array_equal(bits(stack.operand(o).planes), bits(single.planes))
 
 
 @settings(max_examples=60, deadline=None)

@@ -361,10 +361,10 @@ def test_residual_matches_dense_oracle(kind, example):
                        atol=1e-12 * np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 2)])
+@pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 1)])
 def test_residual_stencil_products(monkeypatch, kind, products):
-    # a residual applies P to W^th and, for cfds, Q once to the difference
-    # quotient minus R^th
+    # a residual applies P to W^th and, for cfds, Q to the difference
+    # quotient minus R^th in the same product of the stack [Q; P]
     from parabolic2d import make_example2, stepper
     from parabolic2d.stepper import _step_terms
     prob = make_example2()
@@ -375,7 +375,7 @@ def test_residual_stencil_products(monkeypatch, kind, products):
     calls = []
     real_matvec = stepper.matvec
     monkeypatch.setattr(stepper, "matvec",
-                        lambda A, x: calls.append(A) or real_matvec(A, x))
+                        lambda A, *xs: calls.append(A) or real_matvec(A, *xs))
     residual(1.01 * W0, W0, sch, prob, g, 7.5, 0.5, 0.0, terms=terms)
     assert len(calls) == products
 
@@ -403,7 +403,8 @@ def test_boundary_phi_matches_full_array_reference(kind, example):
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
 def test_integrate_calls_boundary_once_per_layer(kind):
     # the Dirichlet data of all species are evaluated on the whole ring in
-    # one call per layer t_0..t_N; the compatibility check adds one call
+    # one call per layer t_0..t_N; the compatibility check reads the data
+    # of the first layer
     from parabolic2d import make_example2
     base = make_example2()
     calls = []
@@ -416,8 +417,26 @@ def test_integrate_calls_boundary_once_per_layer(kind):
     g = build_grid(prob.X, prob.Y, 6, 4)
     tg = build_time_grid(30.0, 3)
     integrate(prob, g, tg, build_scheme(prob, g, kind), theta=0.5)
-    assert len(calls) == tg.N + 2
+    assert len(calls) == tg.N + 1
     assert set(calls) == {(2 * (g.Mx + g.My),)}
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_incompatible_data_rejected_before_any_solve(kind):
+    # the compatibility check runs on the first layer's ring data and still
+    # raises its ValueError before a Jacobian or a Krylov solve is made
+    from parabolic2d import make_example2
+    base = make_example2()
+    calls = []
+    prob = dataclasses.replace(
+        base, boundary=lambda x, y, t: 1.5 * base.boundary(x, y, t),
+        reaction_jacobian=lambda *a: calls.append(a)
+        or base.reaction_jacobian(*a))
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    with pytest.raises(ValueError, match=r"^species 0: boundary data at t=0"):
+        integrate(prob, g, build_time_grid(30.0, 2),
+                  build_scheme(prob, g, kind))
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -638,19 +657,19 @@ def test_central_newton_matrix_keeps_its_arithmetic():
     assert np.array_equal(y, expected)
 
 
-@pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 2)])
+@pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 1)])
 def test_krylov_application_stencil_products(monkeypatch, kind, products):
-    # each inner-solver application costs one stencil product for cds and
-    # two (B x and Q (J x)) for cfds
+    # each inner-solver application costs one stencil product: P x for cds,
+    # and for cfds B x - theta Q (J x) from the stack [B; -theta Q]
     from parabolic2d import make_example2, stepper
 
     counts = {"apply": 0, "matvec": 0}
     inside = []
     real_matvec, real_bicgstab = stepper.matvec, stepper.bicgstab_l
 
-    def matvec(A, x):
+    def matvec(A, *xs):
         counts["matvec"] += bool(inside)
-        return real_matvec(A, x)
+        return real_matvec(A, *xs)
 
     def bicgstab(op, b, **kwargs):
         def apply(v):
@@ -669,6 +688,45 @@ def test_krylov_application_stencil_products(monkeypatch, kind, products):
     integrate(prob, g, build_time_grid(60.0, 2), build_scheme(prob, g, kind))
     assert counts["apply"] > 0
     assert counts["matvec"] == products * counts["apply"]
+
+
+@pytest.mark.parametrize("make,S", [(species_varied_problem, 10),
+                                    (make_example2, 1)])
+def test_compact_application_matches_the_two_product_composition(make, S):
+    # one product of [B; -theta Q] over (x, J x) against the composition
+    # B x - theta Q (J x) of two one-operand products
+    from parabolic2d.krylov import matvec
+    from parabolic2d.stepper import _apply_jacobian, _newton_stencil
+
+    prob = make()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    sch = build_scheme(prob, g, "cfds")
+    assert len(np.unique(sch.Q.coeffs.reshape(prob.L, -1), axis=0)) == S
+    tau, theta = 3.0, 0.4
+    rng = np.random.default_rng(71)
+    J = rng.standard_normal((prob.L, prob.L, g.n_interior))
+    x = rng.standard_normal((prob.L, g.n_interior))
+    stack = _newton_stencil(sch, tau, theta)
+    y = _apply_jacobian(sch, stack, J, tau, theta, x)
+    expected = matvec(stack.operand(0), x) \
+        - theta * matvec(sch.Q, np.einsum("lmn,mn->ln", J, x))
+    assert np.allclose(y, expected, rtol=0,
+                       atol=1e-13 * np.max(np.abs(expected)))
+
+
+def test_air_compact_small_mesh_step_counts():
+    # per-step Newton iterations and Krylov cycles of an 8x8, N=4 air cfds
+    # run, pinned to the counts that the Krylov application and residual
+    # gave as two stencil products each: fusing them moves no half-cycle
+    from parabolic2d import make_example2
+
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 8, 8)
+    _, reports = integrate(prob, g, build_time_grid(prob.T, 4),
+                           build_scheme(prob, g, "cfds"), theta=0.5)
+    assert [r.newton_iters for r in reports] == [3, 3, 3, 3]
+    assert [r.krylov_cycles for r in reports] == [
+        [4.0, 4.0, 5.0], [4.0, 4.0, 4.5], [4.5, 4.0, 4.5], [4.5, 4.0, 4.5]]
 
 
 def test_air_compact_iteration_averages():
