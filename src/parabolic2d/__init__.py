@@ -6,9 +6,8 @@ Richardson extrapolation in space and space-time, validated on a
 manufactured-solution problem and a 10-species air-pollution model.
 """
 
-from .grid import (Grid2D, TimeGrid, build_grid, build_time_grid, embed,
-                   lex_index, new_field, restrict, to_interior_grid,
-                   validate_field)
+from .grid import (Grid2D, TimeGrid, build_grid, build_time_grid, lex_index,
+                   restrict, to_interior_grid, validate_field)
 from .model import (ProblemSpec, WindParams, MU_FAST, MU_STANDARD,
                     make_example1, make_example2, manufactured_forcing,
                     manufactured_solution, rotational_wind)

@@ -61,15 +61,6 @@ class StencilMatrix:
         return StencilMatrix(self.grid, self.planes[m[0]:m[-1] + 1],
                              tuple(self.offsets[k][:2] for k in m))
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The (L, 3, 3, My-1, Mx-1) coefficients, dead offsets zero."""
-        out = np.zeros(self.planes.shape[1:2]
-                       + (3, 3, self.grid.ny, self.grid.nx))
-        for plane, (k1, k2) in zip(self.planes, self.offsets):
-            out[:, k1 + 1, k2 + 1] = plane[:, 1:-1, 1:-1]
-        return out
-
     def to_dense(self) -> np.ndarray:
         """Dense (L, n, n) matrix, one per species; test/oracle use only."""
         g = self.grid

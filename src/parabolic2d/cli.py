@@ -92,8 +92,12 @@ def validate_config(cfg: RunConfig) -> None:
     if not cfg.meshes:
         raise ConfigError("mesh: at least one MxxMyxN triple is required")
     for m in cfg.meshes:
-        if len(m) != 3 or any(int(v) != v or v < 2 for v in m[:2]) or m[2] < 1:
-            raise ConfigError(f"mesh: invalid triple {m}")
+        try:   # the grid builders' rules, checked before any solve
+            Mx, My, N = m
+            build_grid(1.0, 1.0, Mx, My)
+            build_time_grid(1.0, N)
+        except (TypeError, ValueError):
+            raise ConfigError(f"mesh: invalid triple {m}") from None
     mxs = [m[0] for m in cfg.meshes]
     if any(b <= a for a, b in zip(mxs, mxs[1:])):
         raise ConfigError(f"mesh: Mx must increase strictly, got {mxs}")
@@ -278,23 +282,6 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
         raise
 
 
-def read_field_dump(path: str):
-    """Parse a field dump back into {species: (x, y, value) arrays}."""
-    out = {}
-    cur = None
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line.startswith("# species"):
-                cur = int(line.split()[2])
-                out[cur] = []
-            elif not line or line.startswith("x,y,value"):
-                continue
-            else:
-                out[cur].append(tuple(float(v) for v in line.split(",")))
-    return {l: np.asarray(rows) for l, rows in out.items()}
-
-
 def git_revision() -> str:
     try:
         return subprocess.run(["git", "rev-parse", "HEAD"],
@@ -306,21 +293,19 @@ def git_revision() -> str:
 
 
 def write_metadata(cfg: RunConfig, path: str) -> None:
+    """One key=value line per CONFIG_KEYS entry but out, in table order, with
+    mu as given followed by its mu_value; then the git revision."""
+    lines = []
+    for key, attr, _ in CONFIG_KEYS:
+        value = getattr(cfg, attr)
+        if key == "mesh":
+            value = " ".join(f"{a}x{b}x{c}" for a, b, c in value)
+        if key == "mu":
+            lines += [f"mu={value}", f"mu_value={_fmt(mu_value(cfg))}"]
+        elif key != "out":
+            lines.append(f"{key}={_fmt(value)}")
     with open(path, "w") as f:
-        f.write(f"problem={cfg.problem}\n")
-        f.write(f"scheme={cfg.scheme}\n")
-        f.write(f"theta={_fmt(cfg.theta)}\n")
-        f.write("mesh=" + " ".join(f"{a}x{b}x{c}" for a, b, c in cfg.meshes) + "\n")
-        f.write(f"re={cfg.re_mode}\n")
-        f.write(f"mu={cfg.mu_mode}\n")
-        f.write(f"mu_value={_fmt(mu_value(cfg))}\n")
-        f.write(f"cos_theta={_fmt(cfg.cos_theta)}\n")
-        f.write(f"chemistry={cfg.chemistry}\n")
-        f.write(f"probe={cfg.probe}\n")
-        f.write(f"newton_tol={_fmt(cfg.newton_tol)}\n")
-        f.write(f"krylov_tol={_fmt(cfg.krylov_tol)}\n")
-        f.write(f"ell={cfg.ell}\n")
-        f.write(f"git_revision={git_revision()}\n")
+        f.write("\n".join(lines + [f"git_revision={git_revision()}"]) + "\n")
 
 
 def parse_mesh(text: str) -> Tuple[int, int, int]:

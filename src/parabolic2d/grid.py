@@ -13,6 +13,7 @@ A "field vector" throughout the package is a numpy array of shape
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,20 +87,33 @@ class TimeGrid:
         return n * self.tau
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int; rejects a bool, a non-integral value and value < least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer() or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 def build_grid(X: float, Y: float, Mx: int, My: int) -> Grid2D:
-    """Build a uniform grid; requires positive extents and Mx, My >= 2."""
-    if not (X > 0 and Y > 0):
-        raise ValueError(f"domain extents must be positive, got X={X}, Y={Y}")
-    if Mx < 2 or My < 2:
-        raise ValueError(f"need Mx, My >= 2 for interior nodes, got {Mx}, {My}")
-    return Grid2D(X=float(X), Y=float(Y), Mx=int(Mx), My=int(My),
+    """Build a uniform grid; requires positive finite extents and integral
+    Mx, My >= 2."""
+    if not (0 < X < np.inf and 0 < Y < np.inf):
+        raise ValueError(f"domain extents must be positive and finite, "
+                         f"got X={X}, Y={Y}")
+    Mx, My = _count("Mx", Mx, 2), _count("My", My, 2)
+    return Grid2D(X=float(X), Y=float(Y), Mx=Mx, My=My,
                   hx=float(X) / Mx, hy=float(Y) / My)
 
 
 def build_time_grid(T: float, N: int) -> TimeGrid:
-    if not (T > 0 and N >= 1):
-        raise ValueError(f"need T > 0 and N >= 1, got T={T}, N={N}")
-    return TimeGrid(T=float(T), N=int(N), tau=float(T) / N)
+    """Build a uniform time mesh; requires a positive finite T and an
+    integral N >= 1."""
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    N = _count("N", N, 1)
+    return TimeGrid(T=float(T), N=N, tau=float(T) / N)
 
 
 def lex_index(i: int, j: int, Mx: int) -> int:
@@ -115,10 +129,6 @@ def to_interior_grid(u: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Reshape a field vector (L, n) to (L, My-1, Mx-1) without copying."""
     u = np.asarray(u)
     return u.reshape(u.shape[:-1] + (grid.ny, grid.nx))
-
-
-def new_field(L: int, grid: Grid2D) -> np.ndarray:
-    return np.zeros((L, grid.n_interior))
 
 
 def validate_field(u: np.ndarray, grid: Grid2D, L: int | None = None) -> np.ndarray:
@@ -157,17 +167,4 @@ def restrict(fine: np.ndarray, fine_grid: Grid2D, coarse_grid: Grid2D) -> np.nda
     f2 = to_interior_grid(fine, fine_grid)
     c2 = f2[:, r - 1::r, r - 1::r]
     out = c2.reshape(fine.shape[0], coarse_grid.n_interior).copy()
-    return out
-
-
-def embed(coarse: np.ndarray, coarse_grid: Grid2D, fine_grid: Grid2D) -> np.ndarray:
-    """Copy coarse values to coincident fine nodes, zero elsewhere.
-
-    Left inverse of restrict: restrict(embed(u)) == u.
-    """
-    r = refinement_factor(fine_grid, coarse_grid)
-    coarse = validate_field(coarse, coarse_grid)
-    out = new_field(coarse.shape[0], fine_grid)
-    f2 = to_interior_grid(out, fine_grid)
-    f2[:, r - 1::r, r - 1::r] = to_interior_grid(coarse, coarse_grid)
     return out

@@ -66,19 +66,17 @@ class Scheme:
     """Assembled spatial operators for one problem/grid/scheme combination.
 
     "cds" carries the stiffness operator P (mass = identity), "cfds" QP, one
-    stack [Q; P] over two operands (built from P and Q if not given), with P
-    and Q views of it; boundary coefficients act in boundary_fold only.
+    stack [Q; P] over two operands, with P and Q views of it; build_scheme
+    makes both.  Boundary coefficients act in boundary_fold only.
     """
 
     kind: str
-    P: StencilMatrix
+    P: Optional[StencilMatrix]
     Q: Optional[StencilMatrix] = None
     QP: Optional[StencilMatrix] = None
 
     def __post_init__(self):
         if self.kind == "cfds":
-            self.QP = self.QP or StencilMatrix.from_coeffs(self.P.grid, [
-                self.Q.coeffs, self.P.coeffs], len(self.P.planes[0]))
             self.Q, self.P = self.QP.operand(0), self.QP.operand(1)
 
 

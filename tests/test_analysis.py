@@ -79,12 +79,11 @@ def test_runge_order_synthetic(sigma):
 
 
 def test_runge_order_nan_when_differences_vanish():
+    # one function of the coordinates on each mesh: the nested meshes agree
+    # exactly on the coincident nodes
     grids = [build_grid(2, 2, M, M) for M in (4, 8, 16)]
-    from parabolic2d import embed
-    base = np.arange(grids[0].n_interior, dtype=float)[None, :]
-    u_h = base
-    u_h2 = embed(base, grids[0], grids[1])
-    u_h4 = embed(base, grids[0], grids[2])
+    u_h, u_h2, u_h4 = ((x + 3.0 * y)[None, :]
+                       for x, y in (g.interior_xy for g in grids))
     orders = runge_order(u_h, u_h2, u_h4, *grids)
     assert math.isnan(orders[0])
 

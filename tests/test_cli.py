@@ -8,8 +8,8 @@ from parabolic2d import build_grid
 from parabolic2d.cli import (CSV_COLUMNS, ConfigError, RunConfig,
                              config_from_sources, emit_field_dump,
                              load_config_file, main, make_parser, parse_mesh,
-                             parse_probe, probe_node, read_field_dump,
-                             run_study, validate_config)
+                             parse_probe, probe_node, run_study,
+                             validate_config)
 
 
 def test_parse_mesh():
@@ -33,6 +33,14 @@ def test_validate_rejects_empty_mesh_list():
     cfg = RunConfig(meshes=[])
     with pytest.raises(ConfigError, match="mesh"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("mesh", [(4, 4, 2.5), (4.5, 4, 2), (4, 4, True),
+                                  (4, 1, 2), (4, 4)])
+def test_validate_rejects_invalid_mesh_triples(mesh):
+    # a fractional N used to pass and be truncated by the time grid
+    with pytest.raises(ConfigError, match="mesh: invalid triple"):
+        validate_config(RunConfig(meshes=[mesh]))
 
 
 def test_validate_rejects_bad_theta_and_chemistry():
@@ -60,11 +68,10 @@ def test_field_dump_constant_round_trip(tmp_path):
     path = tmp_path / "dump.txt"
     emit_field_dump(u, g, 0.5, str(path),
                     boundary=lambda x, y, t: np.ones(np.shape(x)))
-    parsed = read_field_dump(str(path))
-    assert set(parsed) == set(range(10))
-    for l in range(10):
-        assert parsed[l].shape == (9, 3)
-        assert np.all(parsed[l][:, 2] == 1.0)
+    parsed = np.loadtxt(path, delimiter=",",
+                        comments=("#", "x")).reshape(10, -1, 3)
+    assert parsed.shape == (10, 9, 3)
+    assert np.all(parsed[:, :, 2] == 1.0)
 
 
 def test_field_dump_exact_round_trip(tmp_path):
@@ -73,9 +80,10 @@ def test_field_dump_exact_round_trip(tmp_path):
     u = rng.standard_normal((2, g.n_interior))
     path = tmp_path / "dump.txt"
     emit_field_dump(u, g, 1.0, str(path))
-    parsed = read_field_dump(str(path))
+    parsed = np.loadtxt(path, delimiter=",",
+                        comments=("#", "x")).reshape(2, -1, 3)
     for l in range(2):
-        vals = parsed[l][:, 2].reshape(g.My + 1, g.Mx + 1)
+        vals = parsed[l, :, 2].reshape(g.My + 1, g.Mx + 1)
         assert np.array_equal(vals[1:-1, 1:-1].ravel(), u[l])
         assert np.all(vals[0, :] == 0.0)
 
@@ -141,6 +149,35 @@ def test_config_file_and_override(tmp_path):
     assert meta["mesh"] == "4x4x4"
     assert meta["problem"] == "manufactured"
     assert meta["git_revision"]
+
+
+def test_run_metadata_whole_file(tmp_path):
+    # every line of run_metadata.txt but the git revision, in order: floats
+    # with 17 significant digits, mu as given, the tuple probe as a tuple
+    cfgfile = tmp_path / "study.cfg"
+    cfgfile.write_text(
+        "problem = airpollution\nscheme = cfds\ntheta = 0.6\n"
+        "mesh = 4x4x2, 8x8x2\nmu = fast\ncos_theta = 0.5\nprobe = 1,3\n"
+        "newton_tol = 1e-9\nkrylov_tol = 3e-11\nell = 3\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfgfile), "--out", str(out)]) == 0
+    lines = (out / "run_metadata.txt").read_text().splitlines()
+    assert lines[-1].startswith("git_revision=") and len(lines[-1]) > 13
+    assert "\n".join(lines[:-1]) + "\n" == """\
+problem=airpollution
+scheme=cfds
+theta=0.59999999999999998
+mesh=4x4x2 8x8x2
+re=none
+mu=fast
+mu_value=0.012566370614359173
+cos_theta=0.5
+chemistry=as-printed
+probe=(1, 3)
+newton_tol=1.0000000000000001e-09
+krylov_tol=3e-11
+ell=3
+"""
 
 
 def test_main_config_error_exit_code(tmp_path):

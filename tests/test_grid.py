@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parabolic2d import (build_grid, embed, lex_index, new_field, restrict,
+from parabolic2d import (build_grid, build_time_grid, lex_index, restrict,
                          to_interior_grid, validate_field)
 
 
@@ -35,11 +35,31 @@ def test_build_grid_anisotropic_counts():
     assert g.hx == pytest.approx(50.0) and g.hy == pytest.approx(50.0)
 
 
-@pytest.mark.parametrize("X,Y,Mx,My", [(0, 1, 4, 4), (1, -1, 4, 4),
-                                       (1, 1, 1, 4), (1, 1, 4, 0)])
+@pytest.mark.parametrize("X,Y,Mx,My", [
+    (0, 1, 4, 4), (1, -1, 4, 4), (1, 1, 1, 4), (1, 1, 4, 0),
+    # a fractional count used to be truncated (Mx=2.5 gave Mx=2, hx=0.4),
+    # and an infinite extent gave hx or hy = inf
+    (1, 1, 2.5, 4), (1, 1, 4, 2.5), (1, 1, True, 4), (1, 1, 4, "4"),
+    (1, 1, np.inf, 4), (np.inf, 1, 4, 4), (1, np.inf, 4, 4), (np.nan, 1, 4, 4)])
 def test_build_grid_rejects(X, Y, Mx, My):
     with pytest.raises(ValueError):
         build_grid(X, Y, Mx, My)
+
+
+def test_grid_builders_accept_integral_counts_of_any_number_type():
+    g = build_grid(1, 1, np.int64(4), 2.0)
+    assert (g.Mx, g.My, g.hx, g.hy) == (4, 2, 0.25, 0.5)
+    assert type(g.Mx) is int and type(g.My) is int
+    assert build_time_grid(1.0, 4.0) == build_time_grid(1.0, 4)
+
+
+@pytest.mark.parametrize("T,N,match", [
+    # N=2.5 used to give N=2, tau=0.4, so N*tau = 0.8 != T
+    (1.0, 2.5, "N"), (1.0, np.inf, "N"), (1.0, True, "N"), (1.0, 0, "N"),
+    (np.inf, 4, "T"), (np.nan, 4, "T"), (0.0, 4, "T")])
+def test_build_time_grid_rejects(T, N, match):
+    with pytest.raises(ValueError, match=match):
+        build_time_grid(T, N)
 
 
 def test_lex_index_values():
@@ -105,17 +125,9 @@ def test_restrict_rejects_non_nested():
         restrict(np.zeros((1, 25)), build_grid(1, 1, 6, 6), build_grid(2, 1, 3, 3))
 
 
-def test_restrict_embed_roundtrip():
-    gc = build_grid(3, 1, 4, 5)
-    gf = build_grid(3, 1, 8, 10)
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((2, gc.n_interior))
-    assert np.array_equal(restrict(embed(u, gc, gf), gf, gc), u)
-
-
 def test_validate_field_rejects_nonfinite():
     g = build_grid(1, 1, 4, 4)
-    u = new_field(2, g)
+    u = np.zeros((2, g.n_interior))
     u[0, 3] = np.nan
     with pytest.raises(ValueError):
         validate_field(u, g)

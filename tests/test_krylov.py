@@ -27,7 +27,7 @@ def test_matvec_annihilates_constants_in_full_interior():
     g = build_grid(prob.X, prob.Y, 8, 8)
     A = StencilMatrix.from_coeffs(g, cds_full_stencil(prob, g), 1)
     y = matvec(A, np.ones((1, g.n_interior))).reshape(g.ny, g.nx)
-    assert np.allclose(y[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(A.coeffs)))
+    assert np.allclose(y[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(A.planes)))
 
 
 def test_matvec_against_dense_oracle():
@@ -374,8 +374,9 @@ def test_batched_matvec_matches_per_species_dense(make, S, kind):
                for l in range(prob.L)]
     for k, A in enumerate(ops):
         # the stack holds S distinct stencils over the L species
-        assert A.coeffs.shape == (prob.L, 3, 3, g.ny, g.nx)
-        assert len(np.unique(A.coeffs.reshape(prob.L, -1), axis=0)) == S
+        assert A.planes.shape[1:] == (prob.L, g.My + 1, g.Mx + 1)
+        assert len(np.unique(A.planes.swapaxes(0, 1).reshape(prob.L, -1),
+                             axis=0)) == S
         y = matvec(A, x)
         dense = A.to_dense()
         expected = np.einsum("lij,lj->li", dense, x)

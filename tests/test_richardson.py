@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parabolic2d import (build_grid, build_time_grid, extrapolate_space,
-                         extrapolate_spacetime, re_weights)
+                         extrapolate_spacetime, re_weights, restrict)
 
 
 @pytest.mark.parametrize("sigma,g1,g2", [(2, -1 / 3, 4 / 3),
@@ -19,6 +21,15 @@ def test_weight_identities(sigma):
     w = re_weights(sigma)
     assert abs(w.gamma1 + w.gamma2 - 1.0) <= 1e-15
     assert abs(w.gamma1 + w.gamma2 / 2 ** sigma) <= 1e-15
+
+
+@given(sigma=st.integers(1, 40))
+def test_weight_identities_up_to_sigma_40(sigma):
+    # gamma1 = 1 - gamma2 is exact for gamma2 in (1, 2]; the cancellation
+    # misses zero by at most a quarter of an ulp of 1 (2**-54) for sigma <= 40
+    w = re_weights(sigma)
+    assert w.gamma1 + w.gamma2 == 1.0
+    assert abs(w.gamma1 + w.gamma2 / 2 ** sigma) <= 2.0 ** -53
 
 
 def test_weights_reject_bad_sigma():
@@ -38,10 +49,9 @@ def fields(grid, extra=0.0):
 def test_extrapolation_fixed_point():
     gc, gf = build_grid(2, 2, 4, 4), build_grid(2, 2, 8, 8)
     u = fields(gc)
-    uf = np.zeros((1, gf.n_interior))
-    # embed the same nodal values so restriction returns u exactly
-    from parabolic2d import embed
-    uf = embed(u, gc, gf)
+    # the same function on the fine mesh: equal values on coincident nodes
+    uf = fields(gf)
+    assert np.array_equal(restrict(uf, gf, gc), u)
     out = extrapolate_space(u, uf, gc, gf, sigma=2)
     assert np.allclose(out, u, rtol=1e-14)
 

@@ -1,6 +1,8 @@
 """The plane-stack stencil kernel: exact summation order, dense oracle and
 boundary fold."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,14 +18,14 @@ from test_cds import constant_problem
 from test_krylov import bits, species_varied_problem
 
 
-def padded_window_sum(coeffs, w_full, offsets):
+def padded_window_sum(A, w_full):
     """The stencil product as a loop over offset windows of the padded
-    array: a zero start, then coefficient times shifted window, added one
-    offset at a time in the given order."""
-    ny, nx = coeffs.shape[-2:]
-    out = np.zeros((len(coeffs), ny, nx))
-    for k1, k2 in offsets:
-        out += coeffs[:, k1 + 1, k2 + 1] \
+    array: a zero start, then a plane's interior times the shifted window,
+    added one plane at a time in A's order."""
+    ny, nx = A.grid.ny, A.grid.nx
+    out = np.zeros((A.planes.shape[1], ny, nx))
+    for plane, (k1, k2) in zip(A.planes, A.offsets):
+        out += plane[:, 1:-1, 1:-1] \
             * w_full[:, 1 + k2:1 + k2 + ny, 1 + k1:1 + k1 + nx]
     return out
 
@@ -36,8 +38,10 @@ def operator(name, S):
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob, g, "cds" if name == "cds" else "cfds")
     if S == "1":
-        sch = Scheme(sch.kind, *(StencilMatrix.from_coeffs(
-            g, A.coeffs[2:3], prob.L) for A in (sch.P, sch.Q) if A is not None))
+        stack = "P" if sch.kind == "cds" else "QP"
+        A = getattr(sch, stack)
+        sch = dataclasses.replace(sch, **{stack: StencilMatrix(
+            g, np.repeat(A.planes[:, 2:3], prob.L, axis=1), A.offsets)})
     if name == "B":
         return _newton_stencil(sch, 3.0, 0.4).operand(0), prob.L
     return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q}[name], prob.L
@@ -50,12 +54,12 @@ def test_kernel_matches_padded_window_literal(name, live, S):
     A, L = operator(name, S)
     assert len(A.offsets) == live
     assert A.planes.shape[1] == L
-    distinct = len(np.unique(A.coeffs.reshape(L, -1), axis=0))
+    distinct = len(np.unique(A.planes.swapaxes(0, 1).reshape(L, -1), axis=0))
     assert distinct == {"1": 1, "L": L}[S]
     g = A.grid
     rng = np.random.default_rng(83)
     w = rng.standard_normal((L, g.My + 1, g.Mx + 1))
-    expected = padded_window_sum(A.coeffs, w, A.offsets)
+    expected = padded_window_sum(A, w)
     assert np.array_equal(bits(apply_full(A.planes, w, offsets=A.offsets)),
                           bits(expected))
     # matvec is the same product on a zero-padded operand
@@ -64,7 +68,7 @@ def test_kernel_matches_padded_window_literal(name, live, S):
     padded[:, 1:-1, 1:-1] = x.reshape(L, g.ny, g.nx)
     assert np.array_equal(
         bits(matvec(A, x)),
-        bits(padded_window_sum(A.coeffs, padded, A.offsets).reshape(x.shape)))
+        bits(padded_window_sum(A, padded).reshape(x.shape)))
 
 
 def test_newton_stencil_adds_the_two_stacks():
@@ -78,7 +82,9 @@ def test_newton_stencil_adds_the_two_stacks():
         + tuple(o + (1,) for o in Q.offsets)
     B, minus_theta_q = stack.operand(0), stack.operand(1)
     assert set(Q.offsets) < set(B.offsets)
-    assert np.array_equal(bits(B.coeffs), bits(Q.coeffs / 3.0 + 0.4 * A.coeffs))
+    for plane, p, o in zip(B.planes, A.planes, A.offsets):
+        q = Q.planes[Q.offsets.index(o)] if o in Q.offsets else 0.0
+        assert np.array_equal(bits(plane), bits(q / 3.0 + 0.4 * p))
     inner = (..., slice(1, -1), slice(1, -1))
     assert np.array_equal(bits(minus_theta_q.planes[inner]),
                           bits(-0.4 * Q.planes[inner]))
@@ -99,12 +105,6 @@ def test_scheme_operators_are_views_of_one_stack(kind):
     for A in (sch.P, sch.Q):
         assert A.planes.base is sch.QP.planes
     assert sch.P.planes.nbytes + sch.Q.planes.nbytes == sch.QP.planes.nbytes
-    # a Scheme given P and Q apart builds the same stack
-    again = Scheme("cfds", StencilMatrix(g, sch.P.planes.copy(), sch.P.offsets),
-                   StencilMatrix(g, sch.Q.planes.copy(), sch.Q.offsets))
-    assert again.QP.offsets == sch.QP.offsets
-    assert np.array_equal(bits(again.QP.planes), bits(sch.QP.planes))
-    assert again.P.planes.base is again.QP.planes
 
 
 grids = st.tuples(st.integers(2, 7), st.integers(2, 7))
@@ -167,13 +167,36 @@ def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
         coeffs[:, k1 + 1, k2 + 1] = 0.0
     A = StencilMatrix.from_coeffs(g, coeffs, L)
     assert A.offsets == tuple(o for o in OFFSETS if o in live)
-    assert np.array_equal(A.coeffs, np.broadcast_to(coeffs, A.coeffs.shape))
+    for plane, (k1, k2) in zip(A.planes, A.offsets):
+        assert np.array_equal(plane[:, 1:-1, 1:-1], np.broadcast_to(
+            coeffs[:, k1 + 1, k2 + 1], (L, g.ny, g.nx)))
     assert np.all(A.planes[..., [0, -1], :] == 0.0)
     assert np.all(A.planes[..., [0, -1]] == 0.0)
     x = rng.standard_normal((L, g.n_interior))
     expected = np.einsum("lij,lj->li", A.to_dense(), x)
     assert np.allclose(matvec(A, x), expected, rtol=0,
                        atol=1e-13 * max(1.0, np.max(np.abs(expected))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=grids, L=st.integers(1, 3), operands=st.integers(1, 2),
+       ab=st.tuples(*2 * [st.floats(-10.0, 10.0).filter(
+           lambda v: v == 0.0 or abs(v) >= 1e-3)]), seed=seeds)
+def test_matvec_is_linear(mesh, L, operands, ab, seed):
+    # A (a x + b y) against a A x + b A y, for a one- or two-operand stack;
+    # the bound is relative to the same product with every term's magnitude;
+    # |a|, |b| >= 1e-3 keeps the products clear of subnormal numbers
+    g = build_grid(1.0, 1.0, *mesh)
+    rng = np.random.default_rng(seed)
+    parts = list(rng.standard_normal((operands, L, 3, 3, g.ny, g.nx)))
+    A = StencilMatrix.from_coeffs(g, parts if operands > 1 else parts[0], L)
+    a, b = ab
+    x, y = rng.standard_normal((2, operands, L, g.n_interior))
+    lhs = matvec(A, *(a * x + b * y))
+    rhs = a * matvec(A, *x) + b * matvec(A, *y)
+    absA = StencilMatrix(g, np.abs(A.planes), A.offsets)
+    scale = abs(a) * matvec(absA, *np.abs(x)) + abs(b) * matvec(absA, *np.abs(y))
+    assert np.all(np.abs(lhs - rhs) <= 4e-15 * np.max(scale))
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,16 +209,16 @@ def test_fold_matches_ring_definition(mesh, kind, L, seed):
     # _boundary_phi subtracts
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
-    P, Q = (StencilMatrix.from_coeffs(
-        g, rng.standard_normal((L, 3, 3, g.ny, g.nx)), L) for _ in range(2))
-    scheme = Scheme(kind, P, Q if kind == "cfds" else None)
+    Pc, Qc = (rng.standard_normal((L, 3, 3, g.ny, g.nx)) for _ in range(2))
+    scheme = (Scheme(kind, StencilMatrix.from_coeffs(g, Pc, L)) if kind == "cds"
+              else Scheme(kind, None,
+                          QP=StencilMatrix.from_coeffs(g, [Qc, Pc], L)))
     (j, i), _ = g.boundary_ring()
     data, rate = rng.standard_normal((2, L, len(i)))
     phi = boundary_fold(scheme, constant_problem(), g, 0.0, data)
     if kind == "cfds":
-        phi -= _ring_product(Q, g, rate)
+        phi -= _ring_product(scheme.Q, g, rate)
     expected = np.zeros((L, g.ny, g.nx))
-    Pc, Qc = P.coeffs, Q.coeffs
     for r, (jr, ir) in enumerate(zip(j, i)):
         for k1, k2 in OFFSETS:
             i0, j0 = ir - k1 - 1, jr - k2 - 1   # interior index of the node

@@ -625,7 +625,8 @@ def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
     prob = make()
     g = build_grid(prob.X, prob.Y, 5, 4)
     sch = build_scheme(prob, g, "cfds")
-    assert len(np.unique(sch.Q.coeffs.reshape(prob.L, -1), axis=0)) == S
+    assert len(np.unique(sch.Q.planes.swapaxes(0, 1).reshape(prob.L, -1),
+                         axis=0)) == S
     tau = 3.0
     rng = np.random.default_rng(61)
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
@@ -701,7 +702,8 @@ def test_compact_application_matches_the_two_product_composition(make, S):
     prob = make()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob, g, "cfds")
-    assert len(np.unique(sch.Q.coeffs.reshape(prob.L, -1), axis=0)) == S
+    assert len(np.unique(sch.Q.planes.swapaxes(0, 1).reshape(prob.L, -1),
+                         axis=0)) == S
     tau, theta = 3.0, 0.4
     rng = np.random.default_rng(71)
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
