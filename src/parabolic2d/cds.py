@@ -7,11 +7,11 @@ interior nodes, with entries (offsets relative to the centre node)
     (0, +-1): +-d/(2hy) - b/hy^2
     (0,  0):  2a/hx^2 + 2b/hy^2
 
-A stencil matrix stores one plane per live offset over the full node
-array: the coefficients at the interior nodes, unzeroed where the offset
-reaches a boundary node, and zeros on the boundary ring.  The product pads
-its operand with a zero ring, so those boundary coefficients act only in
-stepper.boundary_fold, which applies the same planes to the boundary data.
+A stencil matrix stores one plane per live offset in the field layout,
+zero where the offset reaches a boundary node, so a product runs on the
+(L, n) field arrays.  A folded stack also keeps its planes over the full
+node array with those boundary coefficients, which stepper.boundary_fold
+applies to the boundary data through the same kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .grid import Grid2D
 from .model import ProblemSpec, species_field
 
 OFFSETS = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
+# interior rows (columns) whose neighbour at offset -1, 0, +1 is a ring node
+EDGE = {-1: slice(0, 1), 0: slice(0, 0), 1: slice(-1, None)}
 
 
 @dataclass
@@ -31,15 +33,18 @@ class StencilMatrix:
     """Banded operator over the interior nodes of L species with a 3x3
     stencil footprint.
 
-    planes[m, l, j, i] multiplies, at node (i, j) of species l's full node
-    array, the value at (i+k1, j+k2) for the m-th live offset (k1, k2) =
-    offsets[m], in OFFSETS order; the boundary ring of every plane is zero.
+    planes[m, l, j, i] multiplies, at interior node (i, j) of species l, the
+    value at (i+k1, j+k2) for the m-th live offset (k1, k2) = offsets[m], in
+    OFFSETS order, and is zero where that is a boundary node.  full holds
+    the S distinct species rows (S = 1 or L) over the full node array, with
+    those boundary coefficients and a zero ring; None if never folded.
     A stack over several operands tags each offset (k1, k2, o) by operand.
     """
 
     grid: Grid2D
-    planes: np.ndarray  # (k, L, My+1, Mx+1)
-    offsets: tuple      # k live offsets
+    planes: np.ndarray                 # (k, L, My-1, Mx-1)
+    offsets: tuple                     # k live offsets
+    full: np.ndarray | None = None     # (k, S, My+1, Mx+1)
 
     @classmethod
     def from_coeffs(cls, grid: Grid2D, coeffs, L: int) -> StencilMatrix:
@@ -50,16 +55,23 @@ class StencilMatrix:
         offsets = tuple((k1, k2, o)[:2 + (parts is coeffs)]
                         for o, c in enumerate(parts) for k1, k2 in OFFSETS
                         if np.any(c[:, k1 + 1, k2 + 1]))
-        planes = np.zeros((len(offsets), L, grid.My + 1, grid.Mx + 1))
-        for plane, (k1, k2, *o) in zip(planes, offsets):
+        full = np.zeros((len(offsets), max(map(len, parts)), grid.My + 1,
+                         grid.Mx + 1))
+        for plane, (k1, k2, *o) in zip(full, offsets):
             plane[:, 1:-1, 1:-1] = parts[sum(o)][:, k1 + 1, k2 + 1]
-        return cls(grid, planes, offsets)
+        planes = np.empty((len(offsets), L, grid.ny, grid.nx))
+        planes[:] = full[:, :, 1:-1, 1:-1]
+        for plane, (k1, k2, *_) in zip(planes, offsets):
+            plane[:, :, EDGE[k1]] = plane[:, EDGE[k2]] = 0.0
+        return cls(grid, planes, offsets, full)
 
     def operand(self, o: int) -> StencilMatrix:
         """The planes of operand o as a one-operand stack, a view."""
         m = [k for k, off in enumerate(self.offsets) if off[2] == o]
-        return StencilMatrix(self.grid, self.planes[m[0]:m[-1] + 1],
-                             tuple(self.offsets[k][:2] for k in m))
+        part = slice(m[0], m[-1] + 1)
+        return StencilMatrix(self.grid, self.planes[part],
+                             tuple(self.offsets[k][:2] for k in m),
+                             None if self.full is None else self.full[part])
 
     def to_dense(self) -> np.ndarray:
         """Dense (L, n, n) matrix, one per species; test/oracle use only."""
@@ -70,29 +82,33 @@ class StencilMatrix:
             ii, jj = i0 + k1, j0 + k2
             inside = (0 <= ii) & (ii < g.nx) & (0 <= jj) & (jj < g.ny)
             A[:, (j0 * g.nx + i0)[inside], (jj * g.nx + ii)[inside]] = \
-                plane[:, 1:-1, 1:-1][:, inside]
+                plane[:, inside]
         return A
 
 
-def apply_full(planes: np.ndarray, w_full: np.ndarray, *,
-               offsets) -> np.ndarray:
-    """Apply a plane stack (k, L, My+1, Mx+1) to the full node arrays w_full
-    (K L, My+1, Mx+1) of K operands in turn; the result holds the interior
-    nodes, (L, My-1, Mx-1).  On the flattened arrays, plane m adds planes[m]
-    * w shifted by o L (My+1)(Mx+1) + k2 (Mx+1) + k1 onto a zero start, in
-    one contiguous multiply-add over all species, in the listed order.
-    """
-    ncol = w_full.shape[-1]
-    w = w_full.reshape(-1)
-    out = np.zeros(planes.shape[1:])
+def apply_full(planes: np.ndarray, w: np.ndarray, *, offsets) -> np.ndarray:
+    """Apply a plane stack (k, L, ny, nx) to the arrays w (K L, ny, nx) of K
+    operands in turn, field arrays or full node arrays; the result is
+    (L, ny, nx).  On the flattened arrays plane m multiplies w shifted by
+    o L ny nx + k2 nx + k1, clipped to w, in one contiguous multiply over all
+    species: the first product (zero where clipped) starts the sum, and the
+    others add in the listed order."""
+    nx = planes.shape[-1]
+    out = (np.empty if len(offsets) else np.zeros)(planes.shape[1:])
     n = out.size
-    planes = planes.reshape(len(planes), n)
-    lo, hi = ncol + 1, n - ncol - 1   # first and past last interior node
-    acc, term = out.reshape(-1)[lo:hi], np.empty(hi - lo)
-    for plane, off in zip(planes, offsets):
-        s = off[1] * ncol + off[0] + (n * off[2] if len(off) > 2 else 0)
-        acc += np.multiply(plane[lo:hi], w[lo + s:hi + s], out=term)
-    return out[:, 1:-1, 1:-1]
+    acc, term, size = out.reshape(-1), np.empty(n), w.size
+    w, planes = w.reshape(-1), planes.reshape(len(planes), n)
+    for m, (plane, off) in enumerate(zip(planes, offsets)):
+        s = off[1] * nx + off[0] + (n * off[2] if len(off) > 2 else 0)
+        lo = 0 if s >= 0 else (-s if -s < n else n)
+        hi = n if s + n <= size else (size - s if s < size else 0)
+        if m == 0:
+            acc[:lo], acc[hi:] = 0.0, 0.0
+            np.multiply(plane[lo:hi], w[lo + s:hi + s], out=acc[lo:hi])
+        else:
+            acc[lo:hi] += np.multiply(plane[lo:hi], w[lo + s:hi + s],
+                                      out=term[lo:hi])
+    return out
 
 
 def coefficient_fields(problem: ProblemSpec, grid: Grid2D):

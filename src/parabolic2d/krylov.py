@@ -6,17 +6,18 @@ update.  One iteration means one full cycle; convergence inside the BiCG part
 counts fractionally (with ell=2 a single BiCG step counts as 0.5), which is
 the convention used by the iteration-count reports.
 
-No preconditioning is applied unless a `precond` callable is supplied; it is
-used as a right preconditioner.  A converged solve reports the recursive
-residual that met the tolerance; only a non-converged one pays an extra
-application for the true residual ||b - A x||/||b||.  From a zero guess the
-first residual is b itself, so a converged solve without restart makes
-exactly 2 ell applications per cycle, or 2 ell iterations - 1 when it stops
-inside the BiCG part, which tests before it makes a step's second one.
+A `precond` callable M is a right preconditioner: from x0 the solver iterates
+on A M z = b - A x0 and returns x0 + M z.  A converged solve reports the
+recursive residual that met the tolerance; only a non-converged one pays an
+extra application for the true residual ||b - A x||/||b||.  From a zero
+guess the first residual is b itself, so a converged solve without restart
+makes exactly 2 ell applications per cycle, or 2 ell iterations - 1 when it
+stops inside the BiCG part, which tests before it makes a step's second one.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -54,19 +55,17 @@ def check_solver_options(error=ValueError, **options) -> None:
 
 def matvec(A: StencilMatrix, *xs: np.ndarray) -> np.ndarray:
     """y = A x for x of shape (L, n), every species block in one call, or
-    y = A_0 x_0 + A_1 x_1 + ... for a stack over the operands xs.
+    y = A_0 x_0 + A_1 x_1 + ... for a stack over K operands, given as the
+    K arrays xs or as one (K L, n) array holding them in turn.
 
-    Boundary nodes contribute zero.
+    One array is read in place, K arrays are joined; boundary nodes add zero.
     """
-    g, L = A.grid, A.planes.shape[1]
-    shape = (L, g.n_interior)
-    w = np.zeros((len(xs) * L, g.My + 1, g.Mx + 1))
-    for o, x in enumerate(xs):
-        x = np.asarray(x, dtype=float)
-        if x.shape != shape:
-            raise ValueError(f"operand shape {x.shape}, expected {shape}")
-        w[o * L:(o + 1) * L, 1:-1, 1:-1] = x.reshape(L, g.ny, g.nx)
-    return apply_full(A.planes, w, offsets=A.offsets).reshape(shape)
+    L, n = A.planes.shape[1], A.grid.n_interior
+    K = 1 + max((off[2] for off in A.offsets if len(off) > 2), default=0)
+    w = np.asarray(xs[0] if len(xs) == 1 else np.concatenate(xs), dtype=float)
+    if w.shape != (K * L, n):
+        raise ValueError(f"operand shape {w.shape}, expected {(K * L, n)}")
+    return apply_full(A.planes, w, offsets=A.offsets).reshape(L, n)
 
 
 def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
@@ -90,15 +89,13 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
     inner_apply = A if precond is None else (lambda v: A(precond(v)))
 
     b = np.asarray(b, dtype=float)
-    norm_b = np.linalg.norm(b)
+    norm_b = math.sqrt(np.dot(b, b))
     if norm_b == 0.0:
         return np.zeros_like(b), KrylovReport(0.0, 0.0, True)
 
-    if x0 is None:
-        z, r0 = np.zeros_like(b), b.copy()
-    else:
-        z = np.array(x0, dtype=float)
-        r0 = b - inner_apply(z)
+    z = np.zeros_like(b)
+    x0 = None if x0 is None else np.asarray(x0, dtype=float)
+    r0 = b.copy() if x0 is None else b - A(x0)
     rtilde = r0.copy()
     rho0, alpha, omega = 1.0, 0.0, 1.0
     rs = [r0] + [np.empty_like(b) for _ in range(ell)]
@@ -107,12 +104,16 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
     iters = 0.0
     restarted = False
 
-    def finish(converged: bool):
+    def iterate() -> np.ndarray:
         x = precond(z) if precond is not None else z
-        res = rnorm if converged else np.linalg.norm(b - inner_apply(z))
+        return x if x0 is None else x0 + x
+
+    def finish(converged: bool):
+        x = iterate()
+        res = rnorm if converged else np.linalg.norm(b - A(x))
         return x, KrylovReport(iters, res / norm_b, converged)
 
-    rnorm = np.linalg.norm(rs[0])
+    rnorm = math.sqrt(np.dot(rs[0], rs[0]))
     if rnorm <= tol * norm_b:
         return finish(True)
 
@@ -139,7 +140,7 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
                 rs[i] -= np.multiply(alpha, us[i + 1], out=buf)
             z += np.multiply(alpha, us[0], out=buf)
             iters += 1.0 / ell
-            rnorm = np.linalg.norm(rs[0])
+            rnorm = math.sqrt(np.dot(rs[0], rs[0]))
             if rnorm <= tol * norm_b:
                 return finish(True)
             np.copyto(rs[j + 1], inner_apply(rs[j]))
@@ -179,7 +180,7 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
                     us[0] -= np.multiply(gamma[j], us[j], out=buf)
                     z += np.multiply(gamma_pp[j], rs[j], out=buf)
                     rs[0] -= np.multiply(gamma_p[j], rs[j], out=buf)
-                rnorm = np.linalg.norm(rs[0])
+                rnorm = math.sqrt(np.dot(rs[0], rs[0]))
                 if rnorm <= tol * norm_b:
                     return finish(True)
 
@@ -189,7 +190,7 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
                     f"BiCGStab({ell}) breakdown persisted after restart "
                     f"(cycle {iters:.2f}, |rho|={abs(rho0):.3e})")
             restarted = True
-            rs[0] = b - inner_apply(z)
+            rs[0] = b - A(iterate())
             rtilde = rs[0].copy()
             us[0] = np.zeros_like(b)
             rho0, alpha, omega = 1.0, 0.0, 1.0

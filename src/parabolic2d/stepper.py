@@ -33,6 +33,7 @@ The Newton matrix is I/tau + theta P - theta J (central) or
 Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian;
 each compact A u + C v is one product of a two-operand stack: [B; -theta Q]
 on (x, J x), B = Q/tau + theta P, or the scheme's [Q; P] (residual, fold).
+Products run on the (L, n) field arrays, folds on the full node arrays.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class Scheme:
 
     "cds" carries the stiffness operator P (mass = identity), "cfds" QP, one
     stack [Q; P] over two operands, with P and Q views of it; build_scheme
-    makes both.  Boundary coefficients act in boundary_fold only.
+    makes both.  Boundary coefficients act only in folds, via full planes.
     """
 
     kind: str
@@ -113,11 +114,14 @@ def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
 
 def _ring_product(A: StencilMatrix, grid: Grid2D, *vs: np.ndarray) -> np.ndarray:
     """A applied to the operands vs, each the values (L, 2(Mx+My)) on the
-    nodes of grid.boundary_ring(), zero elsewhere; shape (L, n)."""
+    nodes of grid.boundary_ring(), zero elsewhere, through A's full planes
+    tiled to the L species; shape (L, n)."""
     (j, i), _ = grid.boundary_ring()
-    full = np.zeros((len(vs) * len(vs[0]), grid.My + 1, grid.Mx + 1))
-    full[:, j, i] = np.concatenate(vs)
-    return apply_full(A.planes, full, offsets=A.offsets).reshape(
+    L = len(vs[0])
+    ring = np.zeros((len(vs) * L, grid.My + 1, grid.Mx + 1))
+    ring[:, j, i] = np.concatenate(vs)
+    planes = np.broadcast_to(A.full, (len(A.full), L) + ring.shape[1:])
+    return apply_full(planes, ring, offsets=A.offsets)[:, 1:-1, 1:-1].reshape(
         -1, grid.n_interior)
 
 
@@ -219,9 +223,9 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
 
 def _newton_stencil(scheme: Scheme, tau: float,
                     theta: float) -> Optional[StencilMatrix]:
-    """The stack [B; -theta Q] over two operands, B = Q/tau + theta P the
-    spatial part of the compact Newton matrix, fixed for a run; None for
-    "cds".  A dead offset of P or Q counts as zeros in B."""
+    """The product-only stack [B; -theta Q] over two operands (no full
+    planes), B = Q/tau + theta P the spatial part of the compact Newton
+    matrix, fixed for a run; None for "cds".  A dead offset counts as zero."""
     if scheme.kind == "cds":
         return None
     P, Q = (dict(zip(A.offsets, A.planes)) for A in (scheme.P, scheme.Q))
@@ -248,10 +252,14 @@ def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
                     tau: float, theta: float, x: np.ndarray) -> np.ndarray:
     """Action of the Newton matrix on x (L, n) for reaction Jacobian J
     (L, L, n); B is _newton_stencil(scheme, tau, theta).  Evaluated in place
-    as ((x/tau) + theta (P x)) - theta (J x), or as B applied to (x, J x)."""
-    Jx = np.einsum("lmn,mn->ln", J, x)
+    as ((x/tau) + theta (P x)) - theta (J x), or as B applied to (x, J x),
+    both written into one (2L, n) operand."""
     if scheme.kind == "cfds":
-        return matvec(B, x, Jx)
+        xJx = np.empty((2 * len(x), x.shape[1]))
+        xJx[:len(x)] = x
+        np.einsum("lmn,mn->ln", J, x, out=xJx[len(x):])
+        return matvec(B, xJx)
+    Jx = np.einsum("lmn,mn->ln", J, x)
     y, Px = x / tau, matvec(scheme.P, x)
     Px *= theta
     y += Px

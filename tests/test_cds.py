@@ -200,8 +200,7 @@ def test_apply_full_matches_boundary_ring_definition():
 def test_zero_plane_skip_matches_full_sum():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    w = np.random.default_rng(12).standard_normal(
-        (prob.L, g.My + 1, g.Mx + 1))
+    w = np.random.default_rng(12).standard_normal((prob.L, g.ny, g.nx))
     cds, cfds = build_scheme(prob, g, "cds"), build_scheme(prob, g, "cfds")
     for A, live in ((cds.P, 5), (cfds.Q, 5), (cfds.P, 9)):
         assert len(A.offsets) == live

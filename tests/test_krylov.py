@@ -278,6 +278,55 @@ def test_bicgstab_jacobi_preconditioning():
     assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
 
 
+def preconditioned_system(seed):
+    """A 50x50 system with a dominant diagonal d, its right-hand side, and
+    the exact diagonal preconditioner v / d."""
+    rng = np.random.default_rng(seed)
+    n = 50
+    d = rng.uniform(1, 100, size=n)
+    A = np.diag(d) + 0.1 * rng.standard_normal((n, n))
+    return A, rng.standard_normal(n), lambda v: v / d
+
+
+def test_preconditioned_solve_from_an_exact_guess_stops_at_once():
+    # with x0 the solver iterates on A M z = b - A x0 and returns x0 + M z:
+    # an exact x0 leaves nothing to do
+    A, b, precond = preconditioned_system(47)
+    op, seen = recording(A)
+    x0 = np.linalg.solve(A, b)
+    x, rep = bicgstab_l(op, b, x0=x0, tol=1e-10, precond=precond)
+    assert rep.converged and rep.iterations == 0.0
+    assert np.array_equal(bits(x), bits(x0))
+    assert len(seen) == 1 and np.array_equal(seen[0], x0)
+
+
+def test_preconditioned_solve_from_a_guess_matches_the_plain_solve():
+    A, b, precond = preconditioned_system(48)
+    tol = 1e-10
+    x0 = np.random.default_rng(49).standard_normal(len(b))
+    op, seen = recording(A)
+    x, rep = bicgstab_l(op, b, x0=x0, tol=tol, precond=precond)
+    plain, plain_rep = bicgstab_l(lambda v: A @ v, b, tol=tol)
+    assert rep.converged and plain_rep.converged
+    assert np.array_equal(seen[0], x0)   # the first residual is b - A x0
+    for y in (x, plain):
+        assert np.linalg.norm(b - A @ y) <= tol * np.linalg.norm(b)
+    # two solutions with residuals below tol ||b|| differ by at most
+    # 2 tol cond(A) relative to the solution
+    assert np.linalg.norm(x - plain) \
+        <= 2 * tol * np.linalg.cond(A) * np.linalg.norm(plain)
+
+
+def test_preconditioned_solve_without_guess_returns_m_z():
+    # from x0 = None the result is M applied to the iterate of A M z = b,
+    # bit for bit, and the preconditioned residual is the one reported
+    A, b, precond = preconditioned_system(50)
+    x, rep = bicgstab_l(lambda v: A @ v, b, tol=1e-11, precond=precond)
+    z, z_rep = bicgstab_l(lambda v: A @ precond(v), b, tol=1e-11)
+    assert np.array_equal(bits(x), bits(precond(z)))
+    assert rep == z_rep
+
+
 def test_bicgstab_stops_on_nonfinite_residual():
     # a NaN in the operator must not run the cycle limit
     applied = []
@@ -373,8 +422,10 @@ def test_batched_matvec_matches_per_species_dense(make, S, kind):
     singles = [build_scheme(species_problem(prob, l), g, kind)
                for l in range(prob.L)]
     for k, A in enumerate(ops):
-        # the stack holds S distinct stencils over the L species
-        assert A.planes.shape[1:] == (prob.L, g.My + 1, g.Mx + 1)
+        # the stack holds S distinct stencils over the L species, tiled in
+        # the field layout and kept once over the full node array
+        assert A.planes.shape[1:] == (prob.L, g.ny, g.nx)
+        assert A.full.shape[1:] == (S, g.My + 1, g.Mx + 1)
         assert len(np.unique(A.planes.swapaxes(0, 1).reshape(prob.L, -1),
                              axis=0)) == S
         y = matvec(A, x)

@@ -1,4 +1,5 @@
-"""The plane-stack stencil kernel: exact summation order, dense oracle and
+"""The plane-stack stencil kernel: exact summation order in the field and
+full node layouts, the padded product it replaces, the dense oracle and the
 boundary fold."""
 
 import dataclasses
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolic2d import build_grid, build_scheme
+from parabolic2d import build_grid, build_scheme, make_example1
 from parabolic2d.cds import OFFSETS, StencilMatrix, apply_full
 from parabolic2d.krylov import matvec
 from parabolic2d.stepper import (Scheme, _newton_stencil, _ring_product,
@@ -18,22 +19,83 @@ from test_cds import constant_problem
 from test_krylov import bits, species_varied_problem
 
 
+def tiled(A, L):
+    """A's full planes with their species rows tiled to L species."""
+    return np.broadcast_to(A.full, (len(A.full), L) + A.full.shape[2:])
+
+
 def padded_window_sum(A, w_full):
-    """The stencil product as a loop over offset windows of the padded
-    array: a zero start, then a plane's interior times the shifted window,
-    added one plane at a time in A's order."""
-    ny, nx = A.grid.ny, A.grid.nx
-    out = np.zeros((A.planes.shape[1], ny, nx))
-    for plane, (k1, k2) in zip(A.planes, A.offsets):
+    """The stencil product as a loop over offset windows of the full node
+    arrays w_full (K L, My+1, Mx+1): a zero start, then a full plane's
+    interior times the shifted window of its operand, added one plane at a
+    time in A's order."""
+    g = A.grid
+    L = len(w_full) // (1 + max((o[2] for o in A.offsets if len(o) > 2),
+                                default=0))
+    out = np.zeros((L, g.ny, g.nx))
+    for plane, (k1, k2, *o) in zip(tiled(A, L), A.offsets):
+        w = w_full[sum(o) * L:(sum(o) + 1) * L]
         out += plane[:, 1:-1, 1:-1] \
-            * w_full[:, 1 + k2:1 + k2 + ny, 1 + k1:1 + k1 + nx]
+            * w[:, 1 + k2:1 + k2 + g.ny, 1 + k1:1 + k1 + g.nx]
     return out
 
 
+def padded_product(A, *xs):
+    """The product as it was made on zero-padded operands: each operand
+    (L, n) copied into the interior of a zeroed full node array, then the
+    padded window sum over A's full planes; shape (L, n)."""
+    g, L = A.grid, len(xs[0])
+    w = np.zeros((len(xs) * L, g.My + 1, g.Mx + 1))
+    w[:, 1:-1, 1:-1] = np.concatenate(xs).reshape(-1, g.ny, g.nx)
+    return padded_window_sum(A, w).reshape(L, g.n_interior)
+
+
+def field_shift_sum(A, w):
+    """The field-layout product as a literal: each plane times the
+    flattened operands w (K L, n) shifted by o L n + k2 nx + k1, at the
+    nodes where that shift stays inside w, one plane at a time in A's
+    order; the first plane's products start the sum, and zeros where its
+    shift leaves w."""
+    L, n = A.planes.shape[1], A.planes[0].size
+    flat = w.reshape(-1)
+    out = np.zeros(n)
+    for m, (plane, (k1, k2, *o)) in enumerate(zip(A.planes, A.offsets)):
+        at = np.arange(n) + sum(o) * n + k2 * A.grid.nx + k1
+        inside = (0 <= at) & (at < flat.size)
+        term = plane.reshape(-1)[inside] * flat[at[inside]]
+        out[inside] = term if m == 0 else out[inside] + term
+    return out.reshape(L, -1)
+
+
+def reaches_ring(g, k1, k2):
+    """The interior nodes (ny, nx) whose neighbour at (k1, k2) is a
+    boundary node."""
+    j, i = np.mgrid[0:g.ny, 0:g.nx]
+    return (i + k1 < 0) | (i + k1 >= g.nx) | (j + k2 < 0) | (j + k2 >= g.ny)
+
+
+def assert_layouts_agree(A):
+    """A's product planes are its full planes' interiors, tiled to L and
+    zeroed where the offset reaches the ring; the full planes' ring is
+    zero."""
+    g, L = A.grid, A.planes.shape[1]
+    assert A.planes.shape[2:] == (g.ny, g.nx)
+    assert A.full.shape[2:] == (g.My + 1, g.Mx + 1)
+    assert np.all(A.full[..., [0, -1], :] == 0.0)
+    assert np.all(A.full[..., [0, -1]] == 0.0)
+    for plane, full, (k1, k2, *_) in zip(A.planes, tiled(A, L), A.offsets):
+        ring = reaches_ring(g, k1, k2)
+        assert np.all(bits(plane[:, ring]) == 0)
+        assert np.array_equal(bits(plane[:, ~ring]),
+                              bits(full[:, 1:-1, 1:-1][:, ~ring]))
+
+
 def operator(name, S):
-    """P or Q of the species-varied problem, or B (the first operand of the
-    compact Newton stack), each with L distinct species rows ("L"), or with
-    species 2's row tiled over all L ("1")."""
+    """P or Q of the species-varied problem on a 7x6 mesh, or B (the first
+    operand of the compact Newton stack), each with L distinct species rows
+    ("L"), or with species 2's row tiled over all L ("1"); and the stack
+    with full planes for the padded product: the operator itself, or for B
+    the full planes Q/tau + theta P that the padded product used."""
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob, g, "cds" if name == "cds" else "cfds")
@@ -41,41 +103,73 @@ def operator(name, S):
         stack = "P" if sch.kind == "cds" else "QP"
         A = getattr(sch, stack)
         sch = dataclasses.replace(sch, **{stack: StencilMatrix(
-            g, np.repeat(A.planes[:, 2:3], prob.L, axis=1), A.offsets)})
+            g, np.repeat(A.planes[:, 2:3], prob.L, axis=1), A.offsets,
+            A.full[:, 2:3].copy())})
     if name == "B":
-        return _newton_stencil(sch, 3.0, 0.4).operand(0), prob.L
-    return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q}[name], prob.L
+        B = _newton_stencil(sch, 3.0, 0.4).operand(0)
+        P, Q = (dict(zip(A.offsets, A.full)) for A in (sch.P, sch.Q))
+        full = np.stack([Q.get(o, 0.0) / 3.0 + 0.4 * P.get(o, 0.0)
+                         for o in B.offsets])
+        return B, prob.L, dataclasses.replace(B, full=full)
+    A = {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q}[name]
+    return A, prob.L, A
 
 
 @pytest.mark.parametrize("S", ["1", "L"])
 @pytest.mark.parametrize("name,live", [("cds", 5), ("cfds-P", 9),
                                        ("cfds-Q", 5), ("B", 9)])
 def test_kernel_matches_padded_window_literal(name, live, S):
-    A, L = operator(name, S)
+    # on field arrays the kernel is the field-layout literal bit for bit,
+    # and equals the padded window sum on zero-padded operands; on full
+    # node arrays (a fold) it is the padded window sum bit for bit
+    A, L, padded = operator(name, S)
     assert len(A.offsets) == live
     assert A.planes.shape[1] == L
     distinct = len(np.unique(A.planes.swapaxes(0, 1).reshape(L, -1), axis=0))
     assert distinct == {"1": 1, "L": L}[S]
+    assert padded.full.shape[1] == {"1": 1, "L": L}[S]
+    assert_layouts_agree(padded)
     g = A.grid
     rng = np.random.default_rng(83)
-    w = rng.standard_normal((L, g.My + 1, g.Mx + 1))
-    expected = padded_window_sum(A, w)
-    assert np.array_equal(bits(apply_full(A.planes, w, offsets=A.offsets)),
-                          bits(expected))
-    # matvec is the same product on a zero-padded operand
     x = rng.standard_normal((L, g.n_interior))
-    padded = np.zeros_like(w)
-    padded[:, 1:-1, 1:-1] = x.reshape(L, g.ny, g.nx)
+    expected = field_shift_sum(A, x)
     assert np.array_equal(
-        bits(matvec(A, x)),
-        bits(padded_window_sum(A, padded).reshape(x.shape)))
+        bits(apply_full(A.planes, x.reshape(L, g.ny, g.nx),
+                        offsets=A.offsets).reshape(L, -1)), bits(expected))
+    # matvec is the same product, on the field array itself, and equals
+    # the product on the zero-padded operand that it replaces
+    assert np.array_equal(bits(matvec(A, x)), bits(expected))
+    assert np.array_equal(matvec(A, x), padded_product(padded, x))
+    w = rng.standard_normal((L, g.My + 1, g.Mx + 1))
+    assert np.array_equal(
+        bits(apply_full(tiled(padded, L), w,
+                        offsets=A.offsets)[:, 1:-1, 1:-1]),
+        bits(padded_window_sum(padded, w)))
+    # the compact Newton stack is never folded: it keeps no full planes
+    assert (A.full is None) == (name == "B")
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("S", ["1", "L"])
+def test_matvec_matches_padded_product(kind, S):
+    # the scheme's one- or two-operand stack on random operands, 7x6 mesh
+    prob = species_varied_problem()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
+    A = sch.P if kind == "cds" else sch.QP
+    assert A.full.shape[1] == {"1": 1, "L": prob.L}[S]
+    xs = np.random.default_rng(89).standard_normal(
+        ({"cds": 1, "cfds": 2}[kind], prob.L, g.n_interior))
+    assert np.array_equal(matvec(A, *xs), padded_product(A, *xs))
+    assert np.array_equal(bits(matvec(A, *xs)),
+                          bits(matvec(A, np.concatenate(xs))))
 
 
 def test_newton_stencil_adds_the_two_stacks():
     # the compact Newton stack is [B; -theta Q] over the operands (x, J x),
     # B = Q/tau + theta P, with every plane tagged by its operand
-    A, _ = operator("cfds-P", "L")
-    Q, _ = operator("cfds-Q", "L")
+    A, _, _ = operator("cfds-P", "L")
+    Q, _, _ = operator("cfds-Q", "L")
     prob = species_varied_problem()
     stack = _newton_stencil(build_scheme(prob, A.grid, "cfds"), 3.0, 0.4)
     assert stack.offsets == tuple(o + (0,) for o in A.offsets) \
@@ -85,11 +179,13 @@ def test_newton_stencil_adds_the_two_stacks():
     for plane, p, o in zip(B.planes, A.planes, A.offsets):
         q = Q.planes[Q.offsets.index(o)] if o in Q.offsets else 0.0
         assert np.array_equal(bits(plane), bits(q / 3.0 + 0.4 * p))
-    inner = (..., slice(1, -1), slice(1, -1))
-    assert np.array_equal(bits(minus_theta_q.planes[inner]),
-                          bits(-0.4 * Q.planes[inner]))
-    assert np.all(stack.planes[..., [0, -1], :] == 0.0)
-    assert np.all(stack.planes[..., [0, -1]] == 0.0)
+    assert np.array_equal(bits(minus_theta_q.planes), bits(-0.4 * Q.planes))
+    # a product-only stack: field planes, zero where they reach the ring,
+    # and no full planes
+    assert stack.planes.shape[2:] == (A.grid.ny, A.grid.nx)
+    assert stack.full is None and B.full is None
+    for plane, (k1, k2, _) in zip(stack.planes, stack.offsets):
+        assert np.all(plane[:, reaches_ring(A.grid, k1, k2)] == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -104,7 +200,9 @@ def test_scheme_operators_are_views_of_one_stack(kind):
         + tuple(o + (1,) for o in sch.P.offsets)
     for A in (sch.P, sch.Q):
         assert A.planes.base is sch.QP.planes
+        assert A.full.base is sch.QP.full
     assert sch.P.planes.nbytes + sch.Q.planes.nbytes == sch.QP.planes.nbytes
+    assert sch.P.full.nbytes + sch.Q.full.nbytes == sch.QP.full.nbytes
 
 
 grids = st.tuples(st.integers(2, 7), st.integers(2, 7))
@@ -117,9 +215,9 @@ seeds = st.integers(0, 2 ** 32 - 1)
        seed=seeds)
 def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
                                                          live, seed):
-    # one product of a stack over (u, v) is the literal sum, in plane order,
-    # of A's windows of u and then C's windows of v, bit for bit; S = 1
-    # (shared) tiles one coefficient row over the L species
+    # on full node arrays, one product of a stack over (u, v) is the literal
+    # sum, in plane order, of A's windows of u and then C's windows of v, bit
+    # for bit; S = 1 (shared) keeps one coefficient row for the L species
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
     parts = rng.standard_normal((2, 1 if shared else L, 3, 3, g.ny, g.nx))
@@ -129,6 +227,8 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
     stack = StencilMatrix.from_coeffs(g, list(parts), L)
     assert stack.offsets == tuple((k1, k2, o) for o, keep in enumerate(live)
                                   for k1, k2 in OFFSETS if (k1, k2) in keep)
+    assert stack.full.shape[:2] == (len(stack.offsets), 1 if shared else L)
+    assert_layouts_agree(stack)
     w = rng.standard_normal((2, L, g.My + 1, g.Mx + 1))
     coeffs = np.broadcast_to(parts, (2, L) + parts.shape[2:])
     expected = np.zeros((L, g.ny, g.nx))
@@ -138,21 +238,21 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
     # the operands follow one another on the species axis
     operands = w.reshape(2 * L, g.My + 1, g.Mx + 1)
     assert np.array_equal(
-        bits(apply_full(stack.planes, operands, offsets=stack.offsets)),
+        bits(apply_full(tiled(stack, L), operands,
+                        offsets=stack.offsets)[:, 1:-1, 1:-1]),
         bits(expected))
-    # matvec pads each operand with a zero ring and makes the same product
+    # on field arrays matvec is the field literal, and equals the product
+    # on zero-padded operands
     x, y = rng.standard_normal((2, L, g.n_interior))
-    padded = np.zeros_like(operands)
-    padded[:, 1:-1, 1:-1] = np.concatenate([x, y]).reshape(2 * L, g.ny, g.nx)
-    assert np.array_equal(
-        bits(matvec(stack, x, y)),
-        bits(apply_full(stack.planes, padded,
-                        offsets=stack.offsets).reshape(L, -1)))
+    field = field_shift_sum(stack, np.concatenate([x, y]))
+    assert np.array_equal(bits(matvec(stack, x, y)), bits(field))
+    assert np.array_equal(matvec(stack, x, y), padded_product(stack, x, y))
     # and the operands' views are the one-operand stacks of each part
     for o, c in enumerate(parts):
         single = StencilMatrix.from_coeffs(g, c, L)
         assert stack.operand(o).offsets == single.offsets
         assert np.array_equal(bits(stack.operand(o).planes), bits(single.planes))
+        assert np.array_equal(bits(stack.operand(o).full), bits(single.full))
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,11 +267,9 @@ def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
         coeffs[:, k1 + 1, k2 + 1] = 0.0
     A = StencilMatrix.from_coeffs(g, coeffs, L)
     assert A.offsets == tuple(o for o in OFFSETS if o in live)
-    for plane, (k1, k2) in zip(A.planes, A.offsets):
-        assert np.array_equal(plane[:, 1:-1, 1:-1], np.broadcast_to(
-            coeffs[:, k1 + 1, k2 + 1], (L, g.ny, g.nx)))
-    assert np.all(A.planes[..., [0, -1], :] == 0.0)
-    assert np.all(A.planes[..., [0, -1]] == 0.0)
+    for plane, (k1, k2) in zip(A.full, A.offsets):
+        assert np.array_equal(plane[:, 1:-1, 1:-1], coeffs[:, k1 + 1, k2 + 1])
+    assert_layouts_agree(A)
     x = rng.standard_normal((L, g.n_interior))
     expected = np.einsum("lij,lj->li", A.to_dense(), x)
     assert np.allclose(matvec(A, x), expected, rtol=0,
@@ -201,15 +299,16 @@ def test_matvec_is_linear(mesh, L, operands, ab, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(mesh=grids, kind=st.sampled_from(["cds", "cfds"]),
-       L=st.integers(1, 3), seed=seeds)
-def test_fold_matches_ring_definition(mesh, kind, L, seed):
+       L=st.integers(1, 3), shared=st.booleans(), seed=seeds)
+def test_fold_matches_ring_definition(mesh, kind, L, shared, seed):
     # Phi at an interior node collects, from every ring node inside its 3x3
     # footprint, -P times the data and, for cfds, Q times (r - rate); the
     # reaction of constant_problem is zero, and the rate term is the one
     # _boundary_phi subtracts
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
-    Pc, Qc = (rng.standard_normal((L, 3, 3, g.ny, g.nx)) for _ in range(2))
+    S = 1 if shared else L
+    Pc, Qc = (rng.standard_normal((S, 3, 3, g.ny, g.nx)) for _ in range(2))
     scheme = (Scheme(kind, StencilMatrix.from_coeffs(g, Pc, L)) if kind == "cds"
               else Scheme(kind, None,
                           QP=StencilMatrix.from_coeffs(g, [Qc, Pc], L)))
@@ -219,6 +318,7 @@ def test_fold_matches_ring_definition(mesh, kind, L, seed):
     if kind == "cfds":
         phi -= _ring_product(scheme.Q, g, rate)
     expected = np.zeros((L, g.ny, g.nx))
+    Pc, Qc = (np.broadcast_to(c, (L,) + c.shape[1:]) for c in (Pc, Qc))
     for r, (jr, ir) in enumerate(zip(j, i)):
         for k1, k2 in OFFSETS:
             i0, j0 = ir - k1 - 1, jr - k2 - 1   # interior index of the node
@@ -229,3 +329,22 @@ def test_fold_matches_ring_definition(mesh, kind, L, seed):
                         * rate[:, r]
     assert np.allclose(phi, expected.reshape(L, g.n_interior), rtol=0,
                        atol=1e-13 * max(1.0, np.max(np.abs(expected))))
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("S", ["1", "L"])
+def test_ring_product_is_the_padded_window_sum(kind, S):
+    # a fold is the padded window sum of the full planes over the ring data,
+    # bit for bit, whether the planes hold one species row or L
+    prob = species_varied_problem()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
+    A = sch.P if kind == "cds" else sch.QP
+    (j, i), _ = g.boundary_ring()
+    vs = np.random.default_rng(97).standard_normal(
+        ({"cds": 1, "cfds": 2}[kind], prob.L, len(i)))
+    w = np.zeros((len(vs) * prob.L, g.My + 1, g.Mx + 1))
+    w[:, j, i] = np.concatenate(vs)
+    assert np.array_equal(
+        bits(_ring_product(A, g, *vs)),
+        bits(padded_window_sum(A, w).reshape(prob.L, -1)))

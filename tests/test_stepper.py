@@ -307,8 +307,14 @@ def test_initial_field_shape():
 
 def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
     """Phi^th from the data on the whole node array with the interior
-    zeroed, applied through the plane stacks of P and Q."""
+    zeroed, applied through the full planes of P and Q, tiled to the L
+    species."""
     from parabolic2d.cds import apply_full
+
+    def product(A, w):
+        planes = np.broadcast_to(A.full, (len(A.full), prob.L) + w.shape[1:])
+        return apply_full(planes, w, offsets=A.offsets)[:, 1:-1, 1:-1]
+
     XX, YY = g.full_mesh()
     data = {}
     for t in (t0, t1):
@@ -319,13 +325,13 @@ def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
     rate = (data[t1] - data[t0]) / tau
     phi = np.zeros((prob.L, g.n_interior))
     for t, weight in ((t0, 1.0 - theta), (t1, theta)):
-        part = -apply_full(sch.P.planes, data[t], offsets=sch.P.offsets)
+        part = -product(sch.P, data[t])
         if sch.kind == "cfds":
             r = prob.reaction(XX, YY, t, data[t]) - rate
             if prob.forcing is not None:
                 r = r + prob.forcing(XX, YY, t)
             r[:, 1:-1, 1:-1] = 0.0
-            part = part + apply_full(sch.Q.planes, r, offsets=sch.Q.offsets)
+            part = part + product(sch.Q, r)
         phi += weight * part.reshape(prob.L, g.n_interior)
     return phi
 
