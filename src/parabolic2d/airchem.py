@@ -8,17 +8,11 @@ The photolytic coefficients k2, k5, k7 depend on the cosine of the solar
 zenith angle.  All rate functions broadcast over trailing axes, so `u` may be
 a single state of shape (10,) or a batch of shape (10, n).
 
-Two variants of the rate equations are provided:
-
-    "as-printed": the reference formulation of the production/loss terms
-        kept verbatim, including the chemically odd R5 = k2*u5 and the
-        k10*u9 terms that treat CO as an untracked constant.  This is the default and the
-        variant all shipped experiments use.
-    "corrected": mass-balanced ozone and OH equations
-        (R5 = k5*u2 - (k6*u1 + k7)*u5, OH loss (k1*u3 + k9*u2 + k10)*u9).
-
-Both variants are quasi-positive: every loss term carries a factor of its own
-species, so R_l >= 0 whenever u_l = 0 and u >= 0.
+The rate equations are the reference formulation of the production/loss
+terms, kept verbatim, including the chemically odd R5 = k2*u5 and the k10*u9
+terms that treat CO as an untracked constant.  They are quasi-positive:
+every loss term carries a factor of its own species, so R_l >= 0 whenever
+u_l = 0 and u >= 0.
 """
 
 from __future__ import annotations
@@ -29,8 +23,6 @@ import numpy as np
 
 SPECIES = ("NO", "NO2", "HC", "ALD", "O3", "HNO3", "HO2", "RO2", "OH", "O1D")
 N_SPECIES = 10
-
-VARIANTS = ("as-printed", "corrected")
 
 
 @dataclass(frozen=True)
@@ -66,33 +58,25 @@ def rate_coefficients(cos_theta: float) -> RateSet:
     )
 
 
-def reaction_rates(u: np.ndarray, k: RateSet, variant: str = "as-printed") -> np.ndarray:
+def reaction_rates(u: np.ndarray, k: RateSet) -> np.ndarray:
     """Rates R_1..R_10 for state u (shape (10, ...)); returns the same shape."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown chemistry variant {variant!r}")
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10 = np.asarray(u, dtype=float)
     no_loss = k.k6 * u5 + k.k4 * u7 + k.k3 * u8
     r1 = k.k5 * u2 - no_loss * u1
     r2 = no_loss * u1 - (k.k5 + k.k9 * u9) * u2
     r3 = -k.k1 * u3 * u9
     r4 = 2 * k.k1 * u3 * u9 + k.k3 * u1 * u8 - k.k2 * u4
+    r5 = k.k2 * u5
     r6 = k.k9 * u2 * u9
     r7 = 2 * k.k2 * u4 + k.k3 * u1 * u8 + k.k10 * u9 - k.k4 * u1 * u7
     r8 = 4 * k.k1 * u3 * u9 - k.k3 * u1 * u8
+    r9 = k.k4 * u1 * u7 + 2 * k.k8 * u10 - (k.k1 * u3 - k.k9 * u2 + k.k10) * u9
     r10 = k.k7 * u5 - k.k8 * u10
-    if variant == "as-printed":
-        r5 = k.k2 * u5
-        r9 = k.k4 * u1 * u7 + 2 * k.k8 * u10 - (k.k1 * u3 - k.k9 * u2 + k.k10) * u9
-    else:
-        r5 = k.k5 * u2 - (k.k6 * u1 + k.k7) * u5
-        r9 = k.k4 * u1 * u7 + 2 * k.k8 * u10 - (k.k1 * u3 + k.k9 * u2 + k.k10) * u9
     return np.stack([r1, r2, r3, r4, r5, r6, r7, r8, r9, r10])
 
 
-def reaction_jacobian(u: np.ndarray, k: RateSet, variant: str = "as-printed") -> np.ndarray:
+def reaction_jacobian(u: np.ndarray, k: RateSet) -> np.ndarray:
     """Analytic Jacobian dR_l/du_m, shape (10, 10, ...) for u of shape (10, ...)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown chemistry variant {variant!r}")
     u = np.asarray(u, dtype=float)
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10 = u
     tail = u.shape[1:]
@@ -122,6 +106,8 @@ def reaction_jacobian(u: np.ndarray, k: RateSet, variant: str = "as-printed") ->
     J[3, 3] = -k.k2 * one
     J[3, 7] = k.k3 * u1
     J[3, 8] = 2 * k.k1 * u3
+    # R5 = k2 u5
+    J[4, 4] = k.k2 * one
     # R6 = k9 u2 u9
     J[5, 1] = k.k9 * u9
     J[5, 8] = k.k9 * u2
@@ -136,27 +122,16 @@ def reaction_jacobian(u: np.ndarray, k: RateSet, variant: str = "as-printed") ->
     J[7, 2] = 4 * k.k1 * u9
     J[7, 7] = -k.k3 * u1
     J[7, 8] = 4 * k.k1 * u3
+    # R9 = k4 u1 u7 + 2 k8 u10 - (k1 u3 - k9 u2 + k10) u9
+    J[8, 0] = k.k4 * u7
+    J[8, 1] = k.k9 * u9
+    J[8, 2] = -k.k1 * u9
+    J[8, 6] = k.k4 * u1
+    J[8, 8] = -(k.k1 * u3 - k.k9 * u2 + k.k10)
+    J[8, 9] = 2 * k.k8 * one
     # R10 = k7 u5 - k8 u10
     J[9, 4] = k.k7 * one
     J[9, 9] = -k.k8 * one
-
-    J[8, 0] = k.k4 * u7
-    J[8, 6] = k.k4 * u1
-    J[8, 9] = 2 * k.k8 * one
-    if variant == "as-printed":
-        # R5 = k2 u5
-        J[4, 4] = k.k2 * one
-        # R9 = k4 u1 u7 + 2 k8 u10 - (k1 u3 - k9 u2 + k10) u9
-        J[8, 1] = k.k9 * u9
-        J[8, 2] = -k.k1 * u9
-        J[8, 8] = -(k.k1 * u3 - k.k9 * u2 + k.k10)
-    else:
-        J[4, 0] = -k.k6 * u5
-        J[4, 1] = k.k5 * one
-        J[4, 4] = -(k.k6 * u1 + k.k7)
-        J[8, 1] = -k.k9 * u9
-        J[8, 2] = -k.k1 * u9
-        J[8, 8] = -(k.k1 * u3 + k.k9 * u2 + k.k10)
     return J
 
 

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import analysis, model, richardson
-from .airchem import VARIANTS, rate_coefficients
+from .airchem import rate_coefficients
 from .grid import Grid2D, TimeGrid, build_grid, build_time_grid, lex_index
 from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
                       check_solver_options, integrate)
@@ -59,7 +59,6 @@ class RunConfig:
     re_mode: str = "none"
     mu_mode: Union[str, float] = "standard"
     cos_theta: float = 1.0
-    chemistry: str = "as-printed"
     probe: Union[str, Tuple[int, int]] = "center"
     newton_tol: float = 1e-11
     krylov_tol: float = 1e-10
@@ -107,9 +106,6 @@ def validate_config(cfg: RunConfig) -> None:
         rate_coefficients(cfg.cos_theta)
     except ValueError as exc:
         raise ConfigError(f"cos-theta: {exc}") from None
-    if cfg.chemistry not in VARIANTS:
-        raise ConfigError(f"chemistry: must be one of {VARIANTS}, "
-                          f"got {cfg.chemistry!r}")
     mu_value(cfg)
     check_solver_options(ConfigError, newton_tol=cfg.newton_tol,
                          krylov_tol=cfg.krylov_tol, ell=cfg.ell)
@@ -137,10 +133,8 @@ def probe_node(cfg: RunConfig, Mx: int, My: int) -> Tuple[int, int]:
 
 def build_problem(cfg: RunConfig) -> model.ProblemSpec:
     if cfg.problem == "manufactured":
-        return model.make_example1(cos_theta=cfg.cos_theta,
-                                   chemistry=cfg.chemistry)
-    return model.make_example2(cos_theta=cfg.cos_theta, mu=mu_value(cfg),
-                               chemistry=cfg.chemistry)
+        return model.make_example1(cos_theta=cfg.cos_theta)
+    return model.make_example2(cos_theta=cfg.cos_theta, mu=mu_value(cfg))
 
 
 def _fmt(x) -> str:
@@ -247,23 +241,21 @@ def run_study(cfg: RunConfig) -> str:
 
 
 def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
-                    boundary=None) -> None:
+                    boundary) -> None:
     """Text dump of a field: per species, rows "x,y,value" over all nodes.
 
     Rows are emitted row-major in y (all x for y=0, then y=hy, ...) and
     include boundary nodes; their values come from one call of
-    boundary(x, y, t) for every species (zero if none is given).  Values
-    carry 17 significant digits so a parsed dump reproduces the field
-    exactly.
+    boundary(x, y, t) for every species.  Values carry 17 significant digits
+    so a parsed dump reproduces the field exactly.
     """
     L = u.shape[0]
     xs, ys = grid.x_nodes(), grid.y_nodes()
-    full = np.zeros((L, grid.My + 1, grid.Mx + 1))
+    full = np.empty((L, grid.My + 1, grid.Mx + 1))
     full[:, 1:-1, 1:-1] = u.reshape(L, grid.ny, grid.nx)
-    if boundary is not None:
-        (jr, ir), (xr, yr) = grid.boundary_ring()
-        full[:, jr, ir] = model.species_field(
-            "boundary", boundary(xr, yr, t), L, xr.shape)
+    (jr, ir), (xr, yr) = grid.boundary_ring()
+    full[:, jr, ir] = model.species_field(
+        "boundary", boundary(xr, yr, t), L, xr.shape)
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                         suffix=".part")
     try:
@@ -361,7 +353,6 @@ CONFIG_KEYS = (
     ("re", "re_mode", str),
     ("mu", "mu_mode", str),
     ("cos_theta", "cos_theta", float),
-    ("chemistry", "chemistry", str),
     ("probe", "probe", parse_probe),
     ("newton_tol", "newton_tol", float),
     ("krylov_tol", "krylov_tol", float),
@@ -407,7 +398,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="wind rate: standard, fast, or a number")
     p.add_argument("--cos-theta", dest="cos_theta",
                    help="cosine of the solar zenith angle")
-    p.add_argument("--chemistry", choices=VARIANTS)
     p.add_argument("--probe", help="center, sixth, or i,j node indices")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="flat key=value config file")

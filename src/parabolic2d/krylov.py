@@ -6,13 +6,14 @@ update.  One iteration means one full cycle; convergence inside the BiCG part
 counts fractionally (with ell=2 a single BiCG step counts as 0.5), which is
 the convention used by the iteration-count reports.
 
-A `precond` callable M is a right preconditioner: from x0 the solver iterates
-on A M z = b - A x0 and returns x0 + M z.  A converged solve reports the
+The iteration starts from zero, so its first residual is b itself.  A
+`precond` callable M is a right preconditioner: the solver iterates on
+A M z = b from z = 0 and returns M z.  A converged solve reports the
 recursive residual that met the tolerance; only a non-converged one pays an
-extra application for the true residual ||b - A x||/||b||.  From a zero
-guess the first residual is b itself, so a converged solve without restart
-makes exactly 2 ell applications per cycle, or 2 ell iterations - 1 when it
-stops inside the BiCG part, which tests before it makes a step's second one.
+extra application for the true residual ||b - A x||/||b||.  A converged
+solve without restart makes exactly 2 ell applications per cycle, or
+2 ell iterations - 1 when it stops inside the BiCG part, which tests before
+it makes a step's second one.
 """
 
 from __future__ import annotations
@@ -68,17 +69,16 @@ def matvec(A: StencilMatrix, *xs: np.ndarray) -> np.ndarray:
     return apply_full(A.planes, w, offsets=A.offsets).reshape(L, n)
 
 
-def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
-               tol: float = 1e-10, ell: int = 2, maxit: int = 200,
-               precond: Optional[Callable] = None):
-    """Solve A x = b until the recursive residual is <= tol ||b||.
+def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
+               maxit: int = 200, precond: Optional[Callable] = None):
+    """Solve A x = b from x = 0 until the recursive residual is <= tol ||b||.
 
     Returns (x, KrylovReport).  A converged report carries that recursive
     residual, which can differ from the true ||b - A x|| in the last digits;
     the true residual is computed only for a non-converged report.
 
     A is a linear callable on vectors.  The solver updates
-    in place only arrays it owns: b and x0 are never written, and every
+    in place only arrays it owns: b is never written, and every
     result of A is copied into solver storage, so A may return one reused
     output buffer.  The returned x is a new array.  On a recurrence
     breakdown the iteration restarts once from the current iterate; a second
@@ -94,26 +94,23 @@ def bicgstab_l(A, b: np.ndarray, x0: Optional[np.ndarray] = None,
         return np.zeros_like(b), KrylovReport(0.0, 0.0, True)
 
     z = np.zeros_like(b)
-    x0 = None if x0 is None else np.asarray(x0, dtype=float)
-    r0 = b.copy() if x0 is None else b - A(x0)
-    rtilde = r0.copy()
+    rtilde = b.copy()
     rho0, alpha, omega = 1.0, 0.0, 1.0
-    rs = [r0] + [np.empty_like(b) for _ in range(ell)]
+    rs = [b.copy()] + [np.empty_like(b) for _ in range(ell)]
     us = [np.zeros_like(b)] + [np.empty_like(b) for _ in range(ell)]
     buf = np.empty_like(b)
     iters = 0.0
     restarted = False
 
     def iterate() -> np.ndarray:
-        x = precond(z) if precond is not None else z
-        return x if x0 is None else x0 + x
+        return z if precond is None else precond(z)
 
     def finish(converged: bool):
         x = iterate()
         res = rnorm if converged else np.linalg.norm(b - A(x))
         return x, KrylovReport(iters, res / norm_b, converged)
 
-    rnorm = math.sqrt(np.dot(rs[0], rs[0]))
+    rnorm = norm_b
     if rnorm <= tol * norm_b:
         return finish(True)
 

@@ -113,8 +113,7 @@ def manufactured_solution(x, y, t, X: float = DEFAULT_X, Y: float = DEFAULT_Y,
 def manufactured_forcing(x, y, t, *, X: float = DEFAULT_X,
                          Y: float = DEFAULT_Y, T: float = DEFAULT_T,
                          K: float = DEFAULT_K, wind: WindParams,
-                         rates: airchem.RateSet,
-                         chemistry: str = "as-printed"):
+                         rates: airchem.RateSet):
     """Sources xi of all species, shape (L, ...), that make the manufactured
     solution solve the full system.
 
@@ -139,19 +138,16 @@ def manufactured_forcing(x, y, t, *, X: float = DEFAULT_X,
     u_y = e * (np.pi / Y) * sx * np.cos(np.pi * y / Y)
     c, d = rotational_wind(x, y, wind)
     uvec = np.broadcast_to(u, (airchem.N_SPECIES,) + np.shape(u))
-    R = airchem.reaction_rates(uvec, rates, variant=chemistry)
+    R = airchem.reaction_rates(uvec, rates)
     return (u_t - K * lap + c * u_x + d * u_y) - R
 
 
-def _wind_and_chemistry(cos_theta: float, mu: float, chemistry: str):
+def _wind_and_chemistry(cos_theta: float, mu: float):
     """(fields, wind, rates): the ProblemSpec fields shared by both examples
     (L=10, constant diffusion, rotational wind of rate mu about the domain
     centre, the chemistry's reaction map and Jacobian) and their parameters."""
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
-    if chemistry not in airchem.VARIANTS:
-        raise ValueError(f"chemistry must be one of {airchem.VARIANTS}, "
-                         f"got {chemistry!r}")
     rates = airchem.rate_coefficients(cos_theta)
     wind = WindParams(mu=mu, xc=DEFAULT_X / 2.0, yc=DEFAULT_Y / 2.0)
 
@@ -161,35 +157,33 @@ def _wind_and_chemistry(cos_theta: float, mu: float, chemistry: str):
         L=airchem.N_SPECIES, diffusion_a=diffusion, diffusion_b=diffusion,
         advection_c=lambda x, y: rotational_wind(x, y, wind)[0],
         advection_d=lambda x, y: rotational_wind(x, y, wind)[1],
-        reaction=lambda x, y, t, u: airchem.reaction_rates(
-            u, rates, variant=chemistry),
+        reaction=lambda x, y, t, u: airchem.reaction_rates(u, rates),
         reaction_jacobian=lambda x, y, t, u: airchem.reaction_jacobian(
-            u, rates, variant=chemistry)), wind, rates
+            u, rates)), wind, rates
 
 
-def make_example1(cos_theta: float = 1.0, chemistry: str = "as-printed") -> ProblemSpec:
+def make_example1(cos_theta: float = 1.0) -> ProblemSpec:
     """Manufactured-solution problem: L=10, constant diffusion, rotational wind,
     full chemistry plus the compensating forcing, homogeneous Dirichlet data."""
     X, Y, T, K = DEFAULT_X, DEFAULT_Y, DEFAULT_T, DEFAULT_K
-    fields, wind, rates = _wind_and_chemistry(cos_theta, MU_STANDARD, chemistry)
+    fields, wind, rates = _wind_and_chemistry(cos_theta, MU_STANDARD)
     return ProblemSpec(
         **fields, X=X, Y=Y, T=T,
         boundary=lambda x, y, t: np.zeros(np.shape(x)),
         initial=lambda x, y: manufactured_solution(x, y, 0.0, X, Y, T),
         forcing=lambda x, y, t: manufactured_forcing(
-            x, y, t, X=X, Y=Y, T=T, K=K, wind=wind, rates=rates,
-            chemistry=chemistry))
+            x, y, t, X=X, Y=Y, T=T, K=K, wind=wind, rates=rates))
 
 
 def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
-                  chemistry: str = "as-printed", C: float = 4.0) -> ProblemSpec:
+                  C: float = 4.0) -> ProblemSpec:
     """Air-pollution transport model with the 10-species chemistry.
 
     Initial data are the constant concentrations EXAMPLE2_INITIAL; the
     boundary signal is const_l*(sin(t/C)+2) with const_l = u0_l/2, the unique
     amplitude for which boundary and initial data agree at t=0.
     """
-    fields, _, _ = _wind_and_chemistry(cos_theta, mu, chemistry)
+    fields, _, _ = _wind_and_chemistry(cos_theta, mu)
     u0 = np.asarray(EXAMPLE2_INITIAL, dtype=float)
     consts = u0 / 2.0
     return ProblemSpec(
@@ -199,13 +193,12 @@ def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
         initial=lambda x, y: np.multiply.outer(u0, np.ones(np.shape(x))))
 
 
-def check_compatibility(problem: ProblemSpec, grid: Grid2D, g=None) -> None:
-    """Require boundary(.,.,0), or g on grid.boundary_ring(), to equal
-    initial(.,.) on boundary nodes; the error names the first species."""
+def check_compatibility(problem: ProblemSpec, grid: Grid2D,
+                        g: np.ndarray) -> None:
+    """Require the boundary data g at t=0 on the nodes of
+    grid.boundary_ring(), shape (L, 2(Mx+My)), to equal initial(.,.) there;
+    the error names the first species."""
     _, (x, y) = grid.boundary_ring()
-    if g is None:
-        g = species_field("boundary", problem.boundary(x, y, 0.0), problem.L,
-                          x.shape)
     p = species_field("initial", problem.initial(x, y), problem.L, x.shape)
     dev, scale = np.abs(g - p), np.maximum(np.abs(p), 1.0)
     bad = np.any(dev > 1e-12 * scale, axis=1)

@@ -292,8 +292,9 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     The new layer sits at t_next (default t_n + tau).  Converged when
     ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
     satisfies the same scaled bound, so the accepted layer always fulfils
-    ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite residual,
-    reaction Jacobian or Newton update fails at once, naming species and node.
+    ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite reaction
+    (checked before the residual it spreads into), residual, reaction
+    Jacobian or Newton update fails at once, naming species and node.
     `run` carries B and the accepted layer from step to step (integrate
     passes one); without it the step builds its own.
     """
@@ -309,10 +310,12 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     W = W_old.copy()
     terms = _step_terms(scheme, problem, grid, tau, theta, t_n, t1, W_old,
                         run.layer)
+    _check_finite("reaction", terms[0].R, grid, t_n, 0)
     ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
                    terms=terms)
     cycles: List[float] = []
     for it in range(max_newton):
+        _check_finite("reaction", terms[1].R, grid, t_n, it)
         _check_finite("residual", ups, grid, t_n, it)
         J = np.asarray(problem.reaction_jacobian(xi, yi, t1, W), dtype=float)
         _check_finite("reaction Jacobian", J, grid, t_n, it)
@@ -370,7 +373,7 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     check_solver_options(**solver_options)
     run = _Run(_newton_stencil(scheme, time_grid.tau, theta),
                _layer(scheme, problem, grid, time_grid.t(0)))
-    check_compatibility(problem, grid, g=run.layer.g)
+    check_compatibility(problem, grid, run.layer.g)
     W = validate_field(initial_field(problem, grid), grid, problem.L)
     reports: List[SolverReport] = []
     for n in range(time_grid.N):

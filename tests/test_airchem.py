@@ -89,29 +89,26 @@ def test_jacobian_structural_zeros(k1):
     assert J[2, 2] == pytest.approx(-1.2e-11, rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["as-printed", "corrected"])
-def test_jacobian_matches_finite_differences(variant, k1):
+def test_jacobian_matches_finite_differences(k1):
     rng = np.random.default_rng(11)
     scales = np.array([1e3, 1e3, 1e3, 5e3, 5e3, 1e2, 1e-2, 1e-2, 1e-3, 1e-11])
     worst = 0.0
     for _ in range(50):
         u = rng.uniform(0, 1, size=10) * scales
-        J = reaction_jacobian(u, k1, variant=variant)
+        J = reaction_jacobian(u, k1)
         for m in range(10):
             h = 1e-6 * (1 + abs(u[m]))
             up, um = u.copy(), u.copy()
             up[m] += h
             um[m] -= h
-            col = (reaction_rates(up, k1, variant=variant)
-                   - reaction_rates(um, k1, variant=variant)) / (2 * h)
+            col = (reaction_rates(up, k1) - reaction_rates(um, k1)) / (2 * h)
             scale = max(np.max(np.abs(J)), np.max(np.abs(col)))
             worst = max(worst, np.max(np.abs(J[:, m] - col)) / scale)
     assert worst < 1e-6
 
 
-@pytest.mark.parametrize("variant", ["as-printed", "corrected"])
-def test_quasi_positivity(variant, k1):
-    # R_l(u) >= 0 whenever u_l = 0 and u >= 0; holds for both variants
+def test_quasi_positivity(k1):
+    # R_l(u) >= 0 whenever u_l = 0 and u >= 0
     rng = np.random.default_rng(23)
     scales = np.array([1e3, 1e3, 1e3, 5e3, 5e3, 1e2, 1e-2, 1e-2, 1e-3, 1e-11])
     violations = []
@@ -120,7 +117,7 @@ def test_quasi_positivity(variant, k1):
         for l in range(10):
             v = u.copy()
             v[l] = 0.0
-            r = reaction_rates(v, k1, variant=variant)[l]
+            r = reaction_rates(v, k1)[l]
             if r < 0:
                 violations.append((l, v, r))
     assert not violations, f"quasi-positivity violated at {violations[:3]}"

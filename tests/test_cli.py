@@ -43,11 +43,9 @@ def test_validate_rejects_invalid_mesh_triples(mesh):
         validate_config(RunConfig(meshes=[mesh]))
 
 
-def test_validate_rejects_bad_theta_and_chemistry():
+def test_validate_rejects_bad_theta():
     with pytest.raises(ConfigError, match="theta"):
         validate_config(RunConfig(theta=1.5, meshes=[(4, 4, 4)]))
-    with pytest.raises(ConfigError, match="chemistry"):
-        validate_config(RunConfig(chemistry="guessed", meshes=[(4, 4, 4)]))
 
 
 def test_probe_divisibility_rules():
@@ -79,7 +77,8 @@ def test_field_dump_exact_round_trip(tmp_path):
     g = build_grid(3.0, 2.0, 5, 4)
     u = rng.standard_normal((2, g.n_interior))
     path = tmp_path / "dump.txt"
-    emit_field_dump(u, g, 1.0, str(path))
+    emit_field_dump(u, g, 1.0, str(path),
+                    boundary=lambda x, y, t: np.zeros(np.shape(x)))
     parsed = np.loadtxt(path, delimiter=",",
                         comments=("#", "x")).reshape(2, -1, 3)
     for l in range(2):
@@ -172,7 +171,6 @@ re=none
 mu=fast
 mu_value=0.012566370614359173
 cos_theta=0.5
-chemistry=as-printed
 probe=(1, 3)
 newton_tol=1.0000000000000001e-09
 krylov_tol=3e-11
@@ -203,10 +201,11 @@ def test_invalid_solver_option_in_config_file(tmp_path, line):
 
 
 @pytest.mark.parametrize("scheme", ["cds", "cfds"])
-@pytest.mark.parametrize("line", ["cos-theta = 0.5", "cfds-variant = bogus"])
+@pytest.mark.parametrize("line", ["cos-theta = 0.5", "cfds-variant = bogus",
+                                  "chemistry = as-printed"])
 def test_unknown_config_key_rejected(tmp_path, scheme, line):
     # the flag spelling cos-theta used to be ignored silently; cfds-variant
-    # is no longer a key
+    # and chemistry are no longer keys
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"mesh = 4x4x2\n{line}\n")
     with pytest.raises(ConfigError, match=repr(line.split()[0])):
@@ -214,6 +213,21 @@ def test_unknown_config_key_rejected(tmp_path, scheme, line):
                             make_parser().parse_args([]))
     assert main(["--config", str(cfg), "--scheme", scheme,
                  "--out", str(tmp_path / "x")]) == 2
+
+
+def test_chemistry_flag_is_gone(tmp_path, monkeypatch):
+    # the chemistry is fixed; argparse stops the unknown flag before any
+    # solve or output
+    from parabolic2d import cli
+    solves = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", "airpollution", "--mesh", "4x4x2",
+              "--chemistry", "corrected", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert solves == []
+    assert not (tmp_path / "x").exists()
 
 
 def test_mesh_order_checked_before_any_solve(tmp_path, monkeypatch):

@@ -560,7 +560,7 @@ def nan_at_node(kind):
         X=1.0, Y=1.0, T=1.0)
 
 
-@pytest.mark.parametrize("kind,what", [("reaction", "residual"),
+@pytest.mark.parametrize("kind,what", [("reaction", "reaction"),
                                        ("jacobian", "reaction Jacobian")])
 def test_nonfinite_input_fails_at_once_naming_the_node(kind, what):
     prob = nan_at_node(kind)
@@ -569,6 +569,29 @@ def test_nonfinite_input_fails_at_once_naming_the_node(kind, what):
     with pytest.raises(SolverFailure, match=rf"non-finite {what} .* "
                        r"iteration 0: species 0, node \(i=2, j=3\)"):
         advance(W, 0.0, build_scheme(prob, g, "cds"), prob, g, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_nonfinite_reaction_names_its_own_node(kind):
+    # an inf in the new layer's reaction is named at its own node, not at
+    # a node that a stencil product of the residual spreads it to (for
+    # cfds the neighbour i=4)
+    base = make_example2()
+
+    def reaction(x, y, t, u):
+        R = base.reaction(x, y, t, u)
+        if t > 0:
+            R[0][np.isclose(x, 5 * base.X / 6) & np.isclose(y, base.Y / 6)] \
+                = np.inf
+        return R
+
+    prob = dataclasses.replace(base, reaction=reaction)
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SolverFailure, match=r"non-finite reaction at t=0, Newton "
+            r"iteration 0: species 0, node \(i=5, j=1\)$"):
+        integrate(prob, g, build_time_grid(prob.T, 2),
+                  build_scheme(prob, g, kind))
 
 
 def test_nonfinite_newton_update_fails_at_once(monkeypatch):
