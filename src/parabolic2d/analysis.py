@@ -24,7 +24,6 @@ class ConvergenceRow:
     """One line of a mesh-refinement table."""
 
     Mx: int
-    My: int
     error: float
     ratio: float = math.nan
     order: float = math.nan
@@ -58,7 +57,7 @@ def ratio_and_order(errors: Sequence[Tuple[int, float]]) -> List[ConvergenceRow]
     rows: List[ConvergenceRow] = []
     prev: Optional[Tuple[int, float]] = None
     for m, err in errors:
-        row = ConvergenceRow(Mx=m, My=m, error=float(err))
+        row = ConvergenceRow(Mx=m, error=float(err))
         if prev is not None:
             m0, e0 = prev
             row.ratio = e0 / err if err != 0 else math.inf

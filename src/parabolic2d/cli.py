@@ -35,7 +35,7 @@ import numpy as np
 
 from . import analysis, model, richardson
 from .airchem import rate_coefficients
-from .grid import Grid2D, TimeGrid, build_grid, build_time_grid, lex_index
+from .grid import Grid2D, build_grid, build_time_grid, lex_index
 from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
                       check_solver_options, integrate)
 
@@ -157,26 +157,30 @@ def _solve(cfg, problem, Mx: int, My: int, N: int):
     return W, grid, tg, reports, wall_ms
 
 
-def run_one_mesh(cfg: RunConfig, problem, Mx: int, My: int, N: int):
-    """Solve one mesh entry, including any extrapolation companions.
+# (space, time) refinement factors of one mesh entry's solves, in solve order
+REFINEMENTS = {"none": [(1, 1)], "space": [(1, 1), (2, 1)],
+               "spacetime": [(1, 1), (2, 1), (1, 2), (2, 2)]}
 
-    Returns (field on the Mx x My grid, grid, time grid, reports, wall_ms);
-    the field is the extrapolated one when re_mode is not "none".
+
+def run_one_mesh(cfg: RunConfig, problem, Mx: int, My: int, N: int):
+    """Solve one mesh entry on each mesh REFINEMENTS lists for cfg.re_mode.
+
+    Returns (field on the Mx x My grid, grid, time grid, the solves' joined
+    reports, summed wall_ms); the field is extrapolated unless re_mode is none.
     """
+    runs = [_solve(cfg, problem, s * Mx, s * My, k * N)
+            for s, k in REFINEMENTS[cfg.re_mode]]
+    (W, grid, tg, _, _), *companions = runs
     sigma_space = 2 if cfg.scheme == "cds" else 4
-    W, grid, tg, reports, wall = _solve(cfg, problem, Mx, My, N)
-    if cfg.re_mode == "none":
-        return W, grid, tg, reports, wall
-    W2, grid2, tg2, reports2, wall2 = _solve(cfg, problem, 2 * Mx, 2 * My, N)
     if cfg.re_mode == "space":
-        Wx = richardson.extrapolate_space(W, W2, grid, grid2, sigma_space)
-        return Wx, grid, tg, reports + reports2, wall + wall2
-    Wt, _, tgt, reports3, wall3 = _solve(cfg, problem, Mx, My, 2 * N)
-    W2t, _, _, reports4, wall4 = _solve(cfg, problem, 2 * Mx, 2 * My, 2 * N)
-    Wx = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid, grid2, tg, tgt,
-                                          sigma_space, 2)
-    return (Wx, grid, tg, reports + reports2 + reports3 + reports4,
-            wall + wall2 + wall3 + wall4)
+        [(W2, grid2, *_)] = companions
+        W = richardson.extrapolate_space(W, W2, grid, grid2, sigma_space)
+    elif cfg.re_mode == "spacetime":
+        (W2, grid2, *_), (Wt, _, tgt, *_), (W2t, *_) = companions
+        W = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid, grid2, tg,
+                                             tgt, sigma_space, 2)
+    return (W, grid, tg, [rep for run in runs for rep in run[3]],
+            sum(run[4] for run in runs))
 
 
 def run_study(cfg: RunConfig) -> str:
@@ -185,56 +189,43 @@ def run_study(cfg: RunConfig) -> str:
     problem = build_problem(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    results = []
+    meshes, errors = [], []   # per mesh: (Mx, My, N, averages, wall), error
     for (Mx, My, N) in cfg.meshes:
         try:
             W, grid, tg, reports, wall = run_one_mesh(cfg, problem, Mx, My, N)
         except SolverFailure as exc:
             raise SolverFailure(
                 f"mesh {Mx}x{My}x{N}: {exc}", step=exc.step) from exc
-        results.append((Mx, My, N, W, grid, tg, reports, wall))
         dump = os.path.join(
             cfg.out_dir,
             f"fields_{cfg.problem}_{cfg.scheme}_{cfg.re_mode}_{Mx}x{My}x{N}.txt")
         emit_field_dump(W, grid, tg.T, dump, boundary=problem.boundary)
-
-    L = problem.L
-    errors = np.full((len(results), L), math.nan)
-    if cfg.problem == "manufactured":
-        for r, (Mx, My, N, W, grid, tg, *_rest) in enumerate(results):
+        if cfg.problem == "manufactured":
             # the problem's X, Y and T are manufactured_solution's defaults
-            errors[r] = analysis.max_norm_error(
-                W, model.manufactured_solution, grid, tg.T)
-    else:
-        finest = len(results) - 1   # Mx increases along the list
-        Mx, My = results[finest][0], results[finest][1]
-        i, j = probe_node(cfg, Mx, My)
-        ref_vals = results[finest][3][:, lex_index(i, j, Mx)]
-        for r, (Mx, My, N, W, grid, *_rest) in enumerate(results):
-            if r == finest:
-                continue
+            errors.append(analysis.max_norm_error(
+                W, model.manufactured_solution, grid, tg.T))
+        else:   # the probe values, until the finest mesh is known
             i, j = probe_node(cfg, Mx, My)
-            vals = W[:, lex_index(i, j, Mx)]
-            errors[r] = np.abs(vals - ref_vals) / np.abs(ref_vals)
+            errors.append(W[:, lex_index(i, j, Mx)].copy())
+        meshes.append((Mx, My, N, average_counts(reports), wall))
+    errors = np.array(errors)
+    if cfg.problem == "airpollution":   # the last mesh is the finest
+        errors = np.abs(errors - errors[-1]) / np.abs(errors[-1])
+        errors[-1] = math.nan
 
-    rows = []
-    for l in range(L):
-        # ratio and order against the previous mesh with a finite error
-        finite = [r for r in range(len(results)) if math.isfinite(errors[r, l])]
-        table = dict(zip(finite, analysis.ratio_and_order(
-            [(results[r][0], errors[r, l]) for r in finite])))
-        for r, (Mx, My, N, W, grid, tg, reports, wall) in enumerate(results):
-            row = table.get(r, analysis.ConvergenceRow(Mx, My, math.nan))
-            newton_avg, krylov_avg = average_counts(reports)
-            rows.append((cfg.problem, cfg.scheme, cfg.re_mode, Mx, My, N, l,
-                         errors[r, l], row.ratio, row.order, newton_avg,
-                         krylov_avg, wall))
-
-    csv_path = os.path.join(cfg.out_dir, "convergence.csv")
-    with open(csv_path, "w") as f:
+    with open(os.path.join(cfg.out_dir, "convergence.csv"), "w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        for l in range(problem.L):
+            # ratio and order against the previous mesh with a finite error
+            finite = [r for r in range(len(meshes))
+                      if math.isfinite(errors[r, l])]
+            table = dict(zip(finite, analysis.ratio_and_order(
+                [(meshes[r][0], errors[r, l]) for r in finite])))
+            for r, (Mx, My, N, averages, wall) in enumerate(meshes):
+                row = table.get(r, analysis.ConvergenceRow(Mx, math.nan))
+                f.write(",".join(_fmt(v) for v in (
+                    cfg.problem, cfg.scheme, cfg.re_mode, Mx, My, N, l,
+                    errors[r, l], row.ratio, row.order, *averages, wall)) + "\n")
 
     write_metadata(cfg, os.path.join(cfg.out_dir, "run_metadata.txt"))
     return cfg.out_dir

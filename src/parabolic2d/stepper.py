@@ -332,9 +332,9 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
         _check_finite("Newton update", delta, grid, t_n, it)
         if not krep.converged:
             raise SolverFailure(
-                f"inner solver stalled at t={t_n:.6g} "
-                f"(relative residual {krep.final_relative_residual:.3e} "
-                f"after {krep.iterations:.1f} cycles)")
+                f"inner solver stalled at t={t_n:.6g}, Newton iteration {it}: "
+                f"relative residual {krep.final_relative_residual:.3e} "
+                f"after {krep.iterations:.1f} cycles")
         W = W + delta
         scale = 1.0 + np.max(np.abs(W))
         ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,

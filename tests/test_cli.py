@@ -119,6 +119,12 @@ def test_run_study_deterministic_rerun(tmp_path):
     assert run("a") == run("b")
 
 
+def read_dump(path, L, Mx, My):
+    """Field dump as an (L, My+1, Mx+1) array, boundary nodes included."""
+    parsed = np.loadtxt(path, delimiter=",", comments=("#", "x"))
+    return parsed[:, 2].reshape(L, My + 1, Mx + 1)
+
+
 def test_run_study_airpollution_probe(tmp_path):
     cfg = RunConfig(problem="airpollution", scheme="cds", probe="sixth",
                     meshes=[(6, 6, 8), (12, 12, 8)],
@@ -130,7 +136,51 @@ def test_run_study_airpollution_probe(tmp_path):
     finest = [r for r in rows if r[3] == "12"]
     assert all(r[7] == "" for r in finest)  # reference rows carry no error
     coarse = [r for r in rows if r[3] == "6"]
-    assert all(r[7] != "" and float(r[7]) >= 0 for r in coarse)
+    # the relative deviation from the finest mesh at the probe node, which
+    # is (1, 1) on 6x6 and (2, 2) on 12x12
+    v = read_dump(os.path.join(out, "fields_airpollution_cds_none_6x6x8.txt"),
+                  10, 6, 6)[:, 1, 1]
+    v_ref = read_dump(
+        os.path.join(out, "fields_airpollution_cds_none_12x12x8.txt"),
+        10, 12, 12)[:, 2, 2]
+    assert [int(r[6]) for r in coarse] == list(range(10))
+    assert [float(r[7]) for r in coarse] == list(np.abs(v - v_ref)
+                                                 / np.abs(v_ref))
+
+
+@pytest.mark.parametrize("re_mode,solves", [
+    ("none", [(4, 4, 2), (8, 8, 2)]),
+    ("space", [(4, 4, 2), (8, 8, 2), (8, 8, 2), (16, 16, 2)]),
+    ("spacetime", [(4, 4, 2), (8, 8, 2), (4, 4, 4), (8, 8, 4),
+                   (8, 8, 2), (16, 16, 2), (8, 8, 4), (16, 16, 4)]),
+])
+def test_companion_solves_per_re_mode(tmp_path, monkeypatch, re_mode, solves):
+    # each --mesh entry solves its own mesh, then the companions its mode
+    # extrapolates with, in this order; the dump is the extrapolated field
+    from parabolic2d import cli, richardson
+    real_integrate, recorded = cli.integrate, []
+
+    def recorder(problem, grid, tg, scheme, **kwargs):
+        W, reports = real_integrate(problem, grid, tg, scheme, **kwargs)
+        recorded.append((grid, tg, W))
+        return W, reports
+
+    monkeypatch.setattr(cli, "integrate", recorder)
+    out = run_study(RunConfig(problem="manufactured", scheme="cds",
+                              re_mode=re_mode, meshes=[(4, 4, 2), (8, 8, 2)],
+                              out_dir=str(tmp_path / "o")))
+    assert [(g.Mx, g.My, tg.N) for g, tg, _ in recorded] == solves
+    (grid, tg, W), *companions = recorded[:len(solves) // 2]
+    if re_mode == "space":
+        [(grid2, _, W2)] = companions
+        W = richardson.extrapolate_space(W, W2, grid, grid2, 2)
+    elif re_mode == "spacetime":
+        (grid2, _, W2), (_, tgt, Wt), (_, _, W2t) = companions
+        W = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid, grid2,
+                                             tg, tgt, 2, 2)
+    dump = read_dump(os.path.join(
+        out, f"fields_manufactured_cds_{re_mode}_4x4x2.txt"), 10, 4, 4)
+    assert np.array_equal(dump[:, 1:-1, 1:-1].reshape(10, -1), W)
 
 
 def test_config_file_and_override(tmp_path):

@@ -531,6 +531,20 @@ def test_krylov_breakdown_becomes_solver_failure(monkeypatch, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("kind,rel", [("cds", "6.428e-01"),
+                                      ("cfds", "2.249e-01")])
+def test_stalled_inner_solve_names_step_and_newton_iteration(kind, rel):
+    # one BiCGStab(l) cycle cannot solve the fast-rotation Newton system
+    prob = make_example2(mu=2 * np.pi / 1440)
+    g = build_grid(prob.X, prob.Y, 16, 16)
+    with pytest.raises(SolverFailure, match=(
+            r"^step 0 failed: inner solver stalled at t=0, Newton iteration "
+            rf"0: relative residual {rel} after 1.0 cycles$")) as exc:
+        integrate(prob, g, build_time_grid(prob.T, 4),
+                  build_scheme(prob, g, kind), krylov_maxit=1)
+    assert exc.value.step == 0
+
+
 def nan_at_node(kind):
     """1-species heat problem whose reaction, or its Jacobian, is NaN at the
     interior node (i=2, j=3) of a 5x5 mesh on the unit square."""
