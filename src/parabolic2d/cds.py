@@ -31,37 +31,35 @@ EDGE = {-1: slice(0, 1), 0: slice(0, 0), 1: slice(-1, None)}
 @dataclass
 class StencilMatrix:
     """Banded operator over the interior nodes of L species with a 3x3
-    stencil footprint.
+    stencil footprint, reading K operands (K = 1 for a plain operator).
 
     planes[m, l, j, i] multiplies, at interior node (i, j) of species l, the
-    value at (i+k1, j+k2) for the m-th live offset (k1, k2) = offsets[m], in
-    OFFSETS order, and is zero where that is a boundary node.  full holds
-    the S distinct species rows (S = 1 or L) over the full node array, with
-    those boundary coefficients and a zero ring; None if never folded.
-    A stack over several operands tags each offset (k1, k2, o) by operand.
+    value of operand o at (i+k1, j+k2) for the m-th live offset (k1, k2, o)
+    = offsets[m], by operand and in OFFSETS order, and is zero where that is
+    a boundary node.  full holds the S distinct species rows (S = 1 or L)
+    over the full node array, with those boundary coefficients and a zero
+    ring; None if never folded.
     """
 
     grid: Grid2D
     planes: np.ndarray                 # (k, L, My-1, Mx-1)
-    offsets: tuple                     # k live offsets
+    offsets: tuple                     # k live offsets (k1, k2, o)
     full: np.ndarray | None = None     # (k, S, My+1, Mx+1)
 
     @classmethod
-    def from_coeffs(cls, grid: Grid2D, coeffs, L: int) -> StencilMatrix:
-        """Tile coeffs[s, k1+1, k2+1, j-1, i-1], shape (S, 3, 3, My-1, Mx-1),
-        or a list of such arrays, one per operand, into the live planes of L
-        species: S = L gives one row per species, S = 1 one for all."""
-        parts = coeffs if isinstance(coeffs, list) else [coeffs]
-        offsets = tuple((k1, k2, o)[:2 + (parts is coeffs)]
-                        for o, c in enumerate(parts) for k1, k2 in OFFSETS
-                        if np.any(c[:, k1 + 1, k2 + 1]))
-        full = np.zeros((len(offsets), max(map(len, parts)), grid.My + 1,
+    def from_coeffs(cls, grid: Grid2D, coeffs: list, L: int) -> StencilMatrix:
+        """Tile the list of per-operand arrays coeffs[o][s, k1+1, k2+1, j-1,
+        i-1], each (S, 3, 3, My-1, Mx-1), into the live planes of L species:
+        S = L gives one row per species, S = 1 one for all."""
+        offsets = tuple((k1, k2, o) for o, c in enumerate(coeffs)
+                        for k1, k2 in OFFSETS if np.any(c[:, k1 + 1, k2 + 1]))
+        full = np.zeros((len(offsets), max(map(len, coeffs)), grid.My + 1,
                          grid.Mx + 1))
-        for plane, (k1, k2, *o) in zip(full, offsets):
-            plane[:, 1:-1, 1:-1] = parts[sum(o)][:, k1 + 1, k2 + 1]
+        for plane, (k1, k2, o) in zip(full, offsets):
+            plane[:, 1:-1, 1:-1] = coeffs[o][:, k1 + 1, k2 + 1]
         planes = np.empty((len(offsets), L, grid.ny, grid.nx))
         planes[:] = full[:, :, 1:-1, 1:-1]
-        for plane, (k1, k2, *_) in zip(planes, offsets):
+        for plane, (k1, k2, _) in zip(planes, offsets):
             plane[:, :, EDGE[k1]] = plane[:, EDGE[k2]] = 0.0
         return cls(grid, planes, offsets, full)
 
@@ -69,37 +67,39 @@ class StencilMatrix:
         """The planes of operand o as a one-operand stack, a view."""
         m = [k for k, off in enumerate(self.offsets) if off[2] == o]
         part = slice(m[0], m[-1] + 1)
-        return StencilMatrix(self.grid, self.planes[part],
-                             tuple(self.offsets[k][:2] for k in m),
-                             None if self.full is None else self.full[part])
+        return StencilMatrix(self.grid, self.planes[part], tuple(
+            (k1, k2, 0) for k1, k2, _ in self.offsets[part]),
+            None if self.full is None else self.full[part])
 
     def to_dense(self) -> np.ndarray:
-        """Dense (L, n, n) matrix, one per species; test/oracle use only."""
-        g = self.grid
-        A = np.zeros(self.planes.shape[1:2] + (g.n_interior, g.n_interior))
+        """Dense (L, n, K n) matrix, one per species, with operand o in
+        columns o n + node; test/oracle use only."""
+        g, n = self.grid, self.grid.n_interior
+        K = self.offsets[-1][2] + 1 if self.offsets else 1
+        A = np.zeros(self.planes.shape[1:2] + (n, K * n))
         j0, i0 = np.mgrid[0:g.ny, 0:g.nx]
-        for plane, (k1, k2) in zip(self.planes, self.offsets):
+        for plane, (k1, k2, o) in zip(self.planes, self.offsets):
             ii, jj = i0 + k1, j0 + k2
             inside = (0 <= ii) & (ii < g.nx) & (0 <= jj) & (jj < g.ny)
-            A[:, (j0 * g.nx + i0)[inside], (jj * g.nx + ii)[inside]] = \
-                plane[:, inside]
+            A[:, (j0 * g.nx + i0)[inside], o * n + (jj * g.nx + ii)[inside]] \
+                = plane[:, inside]
         return A
 
 
 def apply_full(planes: np.ndarray, w: np.ndarray, *, offsets) -> np.ndarray:
-    """Apply a plane stack (k, L, ny, nx) to the arrays w (K L, ny, nx) of K
-    operands in turn, field arrays or full node arrays; the result is
-    (L, ny, nx).  On the flattened arrays plane m multiplies w shifted by
-    o L ny nx + k2 nx + k1, clipped to w, in one contiguous multiply over all
-    species: the first product (zero where clipped) starts the sum, and the
-    others add in the listed order."""
+    """Apply a plane stack (k, L, ny, nx) to the arrays w (K L, ny, nx) of
+    K operands in turn, field arrays or full node arrays; the result is
+    (L, ny, nx).  On the flattened arrays plane m, of offset (k1, k2, o),
+    multiplies w shifted by o L ny nx + k2 nx + k1, clipped to w, in one
+    contiguous multiply over all species: the first product (zero where
+    clipped) starts the sum, and the others add in the listed order."""
     nx = planes.shape[-1]
     out = (np.empty if len(offsets) else np.zeros)(planes.shape[1:])
     n = out.size
     acc, term, size = out.reshape(-1), np.empty(n), w.size
     w, planes = w.reshape(-1), planes.reshape(len(planes), n)
-    for m, (plane, off) in enumerate(zip(planes, offsets)):
-        s = off[1] * nx + off[0] + (n * off[2] if len(off) > 2 else 0)
+    for m, (plane, (k1, k2, o)) in enumerate(zip(planes, offsets)):
+        s = k2 * nx + k1 + n * o
         lo = 0 if s >= 0 else (-s if -s < n else n)
         hi = n if s + n <= size else (size - s if s < size else 0)
         if m == 0:

@@ -37,7 +37,7 @@ from . import analysis, model, richardson
 from .airchem import rate_coefficients
 from .grid import Grid2D, build_grid, build_time_grid, lex_index
 from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
-                      check_solver_options, integrate)
+                      integrate)
 
 CSV_COLUMNS = ("problem", "scheme", "re_mode", "Mx", "My", "N", "species",
                "error", "ratio", "order", "newton_avg", "krylov_avg", "wall_ms")
@@ -60,9 +60,6 @@ class RunConfig:
     mu_mode: Union[str, float] = "standard"
     cos_theta: float = 1.0
     probe: Union[str, Tuple[int, int]] = "center"
-    newton_tol: float = 1e-11
-    krylov_tol: float = 1e-10
-    ell: int = 2
     out_dir: str = "runs"
 
 
@@ -107,8 +104,6 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"cos-theta: {exc}") from None
     mu_value(cfg)
-    check_solver_options(ConfigError, newton_tol=cfg.newton_tol,
-                         krylov_tol=cfg.krylov_tol, ell=cfg.ell)
     if cfg.problem == "airpollution":
         for Mx, My, _ in cfg.meshes:
             probe_node(cfg, Mx, My)  # raises if the probe misses a node
@@ -150,9 +145,7 @@ def _solve(cfg, problem, Mx: int, My: int, N: int):
     tg = build_time_grid(problem.T, N)
     scheme = build_scheme(problem, grid, cfg.scheme)
     t0 = time.perf_counter()
-    W, reports = integrate(problem, grid, tg, scheme, theta=cfg.theta,
-                           newton_tol=cfg.newton_tol, krylov_tol=cfg.krylov_tol,
-                           ell=cfg.ell)
+    W, reports = integrate(problem, grid, tg, scheme, theta=cfg.theta)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return W, grid, tg, reports, wall_ms
 
@@ -241,7 +234,7 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
     so a parsed dump reproduces the field exactly.
     """
     L = u.shape[0]
-    xs, ys = grid.x_nodes(), grid.y_nodes()
+    XX, YY = grid.full_mesh()
     full = np.empty((L, grid.My + 1, grid.Mx + 1))
     full[:, 1:-1, 1:-1] = u.reshape(L, grid.ny, grid.nx)
     (jr, ir), (xr, yr) = grid.boundary_ring()
@@ -254,10 +247,9 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
             for l in range(L):
                 f.write(f"# species {l} t {_fmt(float(t))}\n")
                 f.write("x,y,value\n")
-                for j in range(grid.My + 1):
-                    for i in range(grid.Mx + 1):
-                        f.write(f"{_fmt(xs[i])},{_fmt(ys[j])},"
-                                f"{_fmt(full[l, j, i])}\n")
+                np.savetxt(f, np.column_stack(
+                    [XX.ravel(), YY.ravel(), full[l].ravel()]),
+                    fmt="%.17g", delimiter=",")
         os.replace(tmp_path, path)
     except OSError:
         if os.path.exists(tmp_path):
@@ -345,9 +337,6 @@ CONFIG_KEYS = (
     ("mu", "mu_mode", str),
     ("cos_theta", "cos_theta", float),
     ("probe", "probe", parse_probe),
-    ("newton_tol", "newton_tol", float),
-    ("krylov_tol", "krylov_tol", float),
-    ("ell", "ell", int),
     ("out", "out_dir", str),
 )
 

@@ -68,11 +68,18 @@ class Grid2D:
 
     def boundary_ring(self):
         """The 2(Mx+My) boundary nodes, row-major: ((j, i), (x, y)), their
-        indices into the full (My+1, Mx+1) node array and their coordinates."""
-        inner = np.zeros((self.My + 1, self.Mx + 1), dtype=bool)
-        inner[1:-1, 1:-1] = True
-        j, i = np.nonzero(~inner)
-        return (j, i), (self.x_nodes()[i], self.y_nodes()[j])
+        indices into the full (My+1, Mx+1) node array and their coordinates;
+        computed once per grid and read-only."""
+        return self._ring
+
+    @cached_property
+    def _ring(self):
+        j, i = np.nonzero(np.pad(np.zeros((self.ny, self.nx), dtype=bool), 1,
+                                 constant_values=True))
+        x, y = self.x_nodes()[i], self.y_nodes()[j]
+        for a in (j, i, x, y):
+            a.flags.writeable = False
+        return (j, i), (x, y)
 
 
 @dataclass(frozen=True)

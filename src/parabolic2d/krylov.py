@@ -39,30 +39,30 @@ class KrylovReport:
     converged: bool
 
 
-def check_solver_options(error=ValueError, **options) -> None:
-    """Raise `error` for a tolerance (tol, newton_tol, krylov_tol) that is
-    not positive and finite, or an iteration limit (maxit, max_newton, ell,
-    krylov_maxit) that is not an integer of at least 1; a bool is not an
-    integer here."""
+def check_solver_options(**options) -> None:
+    """Raise ValueError for a tolerance (tol, newton_tol, krylov_tol) that
+    is not positive and finite, or an iteration limit (maxit, max_newton,
+    ell, krylov_maxit) that is not an integer of at least 1; a bool is not
+    an integer here."""
     for name, value in options.items():
         if name.endswith("tol") and not 0 < value < np.inf:
-            raise error(f"{name} must be positive and finite, got {value}")
+            raise ValueError(f"{name} must be positive and finite, got {value}")
         if name in ("maxit", "max_newton", "ell", "krylov_maxit") and (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Integral) or value < 1):
-            raise error(f"{name} must be an integer of at least 1, "
-                        f"got {value!r}")
+            raise ValueError(f"{name} must be an integer of at least 1, "
+                             f"got {value!r}")
 
 
 def matvec(A: StencilMatrix, *xs: np.ndarray) -> np.ndarray:
-    """y = A x for x of shape (L, n), every species block in one call, or
-    y = A_0 x_0 + A_1 x_1 + ... for a stack over K operands, given as the
-    K arrays xs or as one (K L, n) array holding them in turn.
+    """y = A_0 x_0 + A_1 x_1 + ... for a stack over K operands (K is the
+    last offset's operand plus one), given as the K arrays xs of shape
+    (L, n) or as one (K L, n) array holding them in turn, in one call.
 
     One array is read in place, K arrays are joined; boundary nodes add zero.
     """
     L, n = A.planes.shape[1], A.grid.n_interior
-    K = 1 + max((off[2] for off in A.offsets if len(off) > 2), default=0)
+    K = A.offsets[-1][2] + 1 if A.offsets else 1
     w = np.asarray(xs[0] if len(xs) == 1 else np.concatenate(xs), dtype=float)
     if w.shape != (K * L, n):
         raise ValueError(f"operand shape {w.shape}, expected {(K * L, n)}")

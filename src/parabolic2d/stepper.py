@@ -46,7 +46,7 @@ import numpy as np
 
 from . import cds as cds_mod
 from . import cfds as cfds_mod
-from .cds import OFFSETS, StencilMatrix, apply_full
+from .cds import StencilMatrix, apply_full
 from .grid import Grid2D, TimeGrid, validate_field
 from .krylov import KrylovBreakdown, bicgstab_l, check_solver_options, matvec
 from .model import ProblemSpec, check_compatibility, species_field
@@ -99,7 +99,7 @@ def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
         raise ValueError(f"unknown scheme kind {kind!r}")
     if kind == "cds":
         return Scheme(kind, StencilMatrix.from_coeffs(
-            grid, cds_mod.cds_full_stencil(problem, grid), problem.L))
+            grid, [cds_mod.cds_full_stencil(problem, grid)], problem.L))
     p, q = cfds_mod.cfds_full_stencils(problem, grid)
     return Scheme(kind, None, QP=StencilMatrix.from_coeffs(grid, [q, p],
                                                            problem.L))
@@ -207,13 +207,16 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     `terms` holds the parts fixed within the step (see _step_terms); without
     it they are computed here for the new layer t_n + tau.  The reaction
     plus forcing R1 at W_new is kept in the new layer, so after an accepted
-    step that layer is the old layer of the next one.
+    step that layer is the old layer of the next one.  A non-finite R1
+    gives a residual of NaN, without a stencil product.
     """
     if terms is None:
         terms = _step_terms(scheme, problem, grid, tau, theta, t_n,
                             t_n + tau, W_old)
     old, new, phi = terms
     R1 = new.R = _interior_rhs(problem, grid, new.t, W_new, new.xi)
+    if not np.isfinite(R1).all():
+        return np.full_like(W_new, np.nan)
     wth = theta * W_new + (1.0 - theta) * W_old
     rth = theta * R1 + (1.0 - theta) * old.R
     if scheme.kind == "cds":
@@ -229,13 +232,13 @@ def _newton_stencil(scheme: Scheme, tau: float,
     if scheme.kind == "cds":
         return None
     P, Q = (dict(zip(A.offsets, A.planes)) for A in (scheme.P, scheme.Q))
-    offsets = tuple(o for o in OFFSETS if o in P or o in Q)
+    offsets = sorted(P.keys() | Q.keys())   # cds.OFFSETS order
     planes = np.empty((len(offsets) + len(Q),) + scheme.Q.planes.shape[1:])
     for plane, o in zip(planes, offsets):
         np.add(Q.get(o, 0.0) / tau, theta * P.get(o, 0.0), out=plane)
     np.multiply(-theta, scheme.Q.planes, out=planes[len(offsets):])
-    return StencilMatrix(scheme.P.grid, planes, tuple(o + (0,) for o in offsets)
-                         + tuple(o + (1,) for o in scheme.Q.offsets))
+    return StencilMatrix(scheme.P.grid, planes, tuple(offsets) + tuple(
+        (k1, k2, 1) for k1, k2, _ in scheme.Q.offsets))
 
 
 @dataclass
@@ -293,7 +296,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
     satisfies the same scaled bound, so the accepted layer always fulfils
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite reaction
-    (checked before the residual it spreads into), residual, reaction
+    (checked before the residual, which it makes NaN), residual, reaction
     Jacobian or Newton update fails at once, naming species and node.
     `run` carries B and the accepted layer from step to step (integrate
     passes one); without it the step builds its own.

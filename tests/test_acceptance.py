@@ -258,7 +258,7 @@ def test_criterion_8_unit_oracles():
     from parabolic2d.krylov import matvec
     g = build_grid(1.0, 1.0, 5, 4)
     coeffs = rng.standard_normal((3, 3, g.ny, g.nx))
-    A = StencilMatrix.from_coeffs(g, coeffs[None], 1)
+    A = StencilMatrix.from_coeffs(g, [coeffs[None]], 1)
     dense = A.to_dense()[0]
     x = rng.standard_normal(g.n_interior)
     assert np.max(np.abs(matvec(A, x[None])[0] - dense @ x)) < 1e-13

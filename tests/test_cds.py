@@ -38,7 +38,7 @@ def fold(prob, g, kind, t):
 
 def cds_operator(prob, g):
     """The operator shared by every species of prob, a stack with L = 1."""
-    return StencilMatrix.from_coeffs(g, cds_full_stencil(prob, g), 1)
+    return StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, g)], 1)
 
 
 def test_discrete_laplacian_stencil():
@@ -205,7 +205,8 @@ def test_zero_plane_skip_matches_full_sum():
     for A, live in ((cds.P, 5), (cfds.Q, 5), (cfds.P, 9)):
         assert len(A.offsets) == live
         every = np.zeros((len(OFFSETS),) + A.planes.shape[1:])
-        for plane, offset in zip(A.planes, A.offsets):
-            every[OFFSETS.index(offset)] = plane
-        assert np.array_equal(apply_full(A.planes, w, offsets=A.offsets),
-                              apply_full(every, w, offsets=OFFSETS))
+        for plane, (k1, k2, _) in zip(A.planes, A.offsets):
+            every[OFFSETS.index((k1, k2))] = plane
+        assert np.array_equal(
+            apply_full(A.planes, w, offsets=A.offsets),
+            apply_full(every, w, offsets=[(k1, k2, 0) for k1, k2 in OFFSETS]))

@@ -110,7 +110,7 @@ def test_semidiscrete_identity_fourth_order():
         uvec = np.broadcast_to(u, (prob.L,) + u.shape)
         xi = prob.forcing(XX.ravel(), YY.ravel(), t)[0]
         r = prob.reaction(XX.ravel(), YY.ravel(), t, uvec)[0] + xi
-        P, Q = (StencilMatrix.from_coeffs(g, c, 1)
+        P, Q = (StencilMatrix.from_coeffs(g, [c], 1)
                 for c in cfds_full_stencils(prob, g))
         phi = fold(prob, g, "cfds", t)[0]
         res = matvec(P, u[None])[0] - matvec(Q, (r - u_t)[None])[0] - phi

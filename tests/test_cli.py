@@ -206,8 +206,7 @@ def test_run_metadata_whole_file(tmp_path):
     cfgfile = tmp_path / "study.cfg"
     cfgfile.write_text(
         "problem = airpollution\nscheme = cfds\ntheta = 0.6\n"
-        "mesh = 4x4x2, 8x8x2\nmu = fast\ncos_theta = 0.5\nprobe = 1,3\n"
-        "newton_tol = 1e-9\nkrylov_tol = 3e-11\nell = 3\n")
+        "mesh = 4x4x2, 8x8x2\nmu = fast\ncos_theta = 0.5\nprobe = 1,3\n")
     out = tmp_path / "o"
     assert main(["--config", str(cfgfile), "--out", str(out)]) == 0
     lines = (out / "run_metadata.txt").read_text().splitlines()
@@ -222,9 +221,6 @@ mu=fast
 mu_value=0.012566370614359173
 cos_theta=0.5
 probe=(1, 3)
-newton_tol=1.0000000000000001e-09
-krylov_tol=3e-11
-ell=3
 """
 
 
@@ -239,23 +235,14 @@ def test_main_bad_config_file(tmp_path):
     assert main(["--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("line", ["ell = 0", "newton_tol = 0", "krylov_tol = -1",
-                                  "newton_tol = inf", "krylov_tol = nan"])
-def test_invalid_solver_option_in_config_file(tmp_path, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"mesh = 4x4x2\n{line}\n")
-    with pytest.raises(ConfigError, match=line.split()[0]):
-        validate_config(config_from_sources(
-            load_config_file(str(cfg)), make_parser().parse_args([])))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-
-
 @pytest.mark.parametrize("scheme", ["cds", "cfds"])
 @pytest.mark.parametrize("line", ["cos-theta = 0.5", "cfds-variant = bogus",
-                                  "chemistry = as-printed"])
+                                  "chemistry = as-printed", "ell = 3",
+                                  "newton_tol = 1e-9", "krylov_tol = 1e-10"])
 def test_unknown_config_key_rejected(tmp_path, scheme, line):
-    # the flag spelling cos-theta used to be ignored silently; cfds-variant
-    # and chemistry are no longer keys
+    # the flag spelling cos-theta used to be ignored silently; cfds-variant,
+    # chemistry and the solver tolerances (integrate's defaults) are no
+    # longer keys
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"mesh = 4x4x2\n{line}\n")
     with pytest.raises(ConfigError, match=repr(line.split()[0])):
@@ -313,12 +300,12 @@ def test_nonfinite_wind_and_sun_rejected_before_any_solve(tmp_path, monkeypatch,
 
 def test_config_table_serves_file_and_flags(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("cos_theta = 0.5\nell = 3\nmesh = 4x4x2, 8x8x4\n"
+    cfgfile.write_text("cos_theta = 0.5\nmesh = 4x4x2, 8x8x4\n"
                        "probe = 1,2\n")
     args = make_parser().parse_args(["--theta", "1", "--mesh", "6x6x2",
                                      "--mesh", "12x12x2"])
     cfg = config_from_sources(load_config_file(str(cfgfile)), args)
-    assert (cfg.cos_theta, cfg.ell, cfg.theta) == (0.5, 3, 1.0)
+    assert (cfg.cos_theta, cfg.theta) == (0.5, 1.0)
     assert cfg.meshes == [(6, 6, 2), (12, 12, 2)]   # flags override the file
     assert cfg.probe == (1, 2)
     with pytest.raises(ConfigError, match="theta: bad value"):

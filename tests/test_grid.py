@@ -22,6 +22,16 @@ def test_boundary_ring_lists_every_boundary_node_once():
     assert np.array_equal(x, g.x_nodes()[i]) and np.array_equal(y, g.y_nodes()[j])
 
 
+def test_boundary_ring_is_built_once_and_read_only():
+    g = build_grid(3.0, 2.0, 7, 5)
+    (j, i), (x, y) = g.boundary_ring()
+    (j2, i2), (x2, y2) = g.boundary_ring()
+    assert j is j2 and i is i2 and x is x2 and y is y2
+    for a in (j, i, x, y):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
 def test_build_grid_smallest():
     g = build_grid(1, 1, 2, 2)
     assert g.n_interior == 1

@@ -12,7 +12,7 @@ from parabolic2d.krylov import (KrylovBreakdown, bicgstab_l, check_solver_option
 def identity_stencil(grid):
     c = np.zeros((1, 3, 3, grid.ny, grid.nx))
     c[0, 1, 1] = 1.0
-    return StencilMatrix.from_coeffs(grid, c, 1)
+    return StencilMatrix.from_coeffs(grid, [c], 1)
 
 
 def test_matvec_identity():
@@ -25,7 +25,7 @@ def test_matvec_identity():
 def test_matvec_annihilates_constants_in_full_interior():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    A = StencilMatrix.from_coeffs(g, cds_full_stencil(prob, g), 1)
+    A = StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, g)], 1)
     y = matvec(A, np.ones((1, g.n_interior))).reshape(g.ny, g.nx)
     assert np.allclose(y[1:-1, 1:-1], 0.0, atol=1e-14 * np.max(np.abs(A.planes)))
 
@@ -34,7 +34,7 @@ def test_matvec_against_dense_oracle():
     rng = np.random.default_rng(41)
     g = build_grid(1, 1, 4, 4)  # 3x3 interior
     c = rng.standard_normal((1, 3, 3, g.ny, g.nx))
-    A = StencilMatrix.from_coeffs(g, c, 1)
+    A = StencilMatrix.from_coeffs(g, [c], 1)
     dense = A.to_dense()[0]
     for _ in range(5):
         x = rng.standard_normal(g.n_interior)
@@ -53,7 +53,7 @@ def test_matvec_dimension_mismatch():
 def test_operator_linearity():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    A = StencilMatrix.from_coeffs(g, cds_full_stencil(prob, g), 1)
+    A = StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, g)], 1)
     op = lambda v: matvec(A, v[None])[0]
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolic2d import build_grid, build_scheme, make_example1
+from parabolic2d import (build_grid, build_scheme, make_example1,
+                         make_example2)
 from parabolic2d.cds import OFFSETS, StencilMatrix, apply_full
 from parabolic2d.krylov import matvec
 from parabolic2d.stepper import (Scheme, _newton_stencil, _ring_product,
@@ -30,11 +31,10 @@ def padded_window_sum(A, w_full):
     interior times the shifted window of its operand, added one plane at a
     time in A's order."""
     g = A.grid
-    L = len(w_full) // (1 + max((o[2] for o in A.offsets if len(o) > 2),
-                                default=0))
+    L = len(w_full) // (A.offsets[-1][2] + 1)
     out = np.zeros((L, g.ny, g.nx))
-    for plane, (k1, k2, *o) in zip(tiled(A, L), A.offsets):
-        w = w_full[sum(o) * L:(sum(o) + 1) * L]
+    for plane, (k1, k2, o) in zip(tiled(A, L), A.offsets):
+        w = w_full[o * L:(o + 1) * L]
         out += plane[:, 1:-1, 1:-1] \
             * w[:, 1 + k2:1 + k2 + g.ny, 1 + k1:1 + k1 + g.nx]
     return out
@@ -59,8 +59,8 @@ def field_shift_sum(A, w):
     L, n = A.planes.shape[1], A.planes[0].size
     flat = w.reshape(-1)
     out = np.zeros(n)
-    for m, (plane, (k1, k2, *o)) in enumerate(zip(A.planes, A.offsets)):
-        at = np.arange(n) + sum(o) * n + k2 * A.grid.nx + k1
+    for m, (plane, (k1, k2, o)) in enumerate(zip(A.planes, A.offsets)):
+        at = np.arange(n) + o * n + k2 * A.grid.nx + k1
         inside = (0 <= at) & (at < flat.size)
         term = plane.reshape(-1)[inside] * flat[at[inside]]
         out[inside] = term if m == 0 else out[inside] + term
@@ -83,7 +83,7 @@ def assert_layouts_agree(A):
     assert A.full.shape[2:] == (g.My + 1, g.Mx + 1)
     assert np.all(A.full[..., [0, -1], :] == 0.0)
     assert np.all(A.full[..., [0, -1]] == 0.0)
-    for plane, full, (k1, k2, *_) in zip(A.planes, tiled(A, L), A.offsets):
+    for plane, full, (k1, k2, _) in zip(A.planes, tiled(A, L), A.offsets):
         ring = reaches_ring(g, k1, k2)
         assert np.all(bits(plane[:, ring]) == 0)
         assert np.array_equal(bits(plane[:, ~ring]),
@@ -172,8 +172,8 @@ def test_newton_stencil_adds_the_two_stacks():
     Q, _, _ = operator("cfds-Q", "L")
     prob = species_varied_problem()
     stack = _newton_stencil(build_scheme(prob, A.grid, "cfds"), 3.0, 0.4)
-    assert stack.offsets == tuple(o + (0,) for o in A.offsets) \
-        + tuple(o + (1,) for o in Q.offsets)
+    assert stack.offsets == A.offsets + tuple((k1, k2, 1)
+                                              for k1, k2, _ in Q.offsets)
     B, minus_theta_q = stack.operand(0), stack.operand(1)
     assert set(Q.offsets) < set(B.offsets)
     for plane, p, o in zip(B.planes, A.planes, A.offsets):
@@ -188,6 +188,26 @@ def test_newton_stencil_adds_the_two_stacks():
         assert np.all(plane[:, reaches_ring(A.grid, k1, k2)] == 0.0)
 
 
+@pytest.mark.parametrize("make", [species_varied_problem, make_example2])
+def test_newton_stack_matches_two_operand_dense_oracle(make):
+    # [B; -theta Q] as one dense (L, n, 2n) matrix: operand 0's columns are
+    # Q/tau + theta P, operand 1's -theta Q, from the one-operand oracles
+    prob = make()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    sch = build_scheme(prob, g, "cfds")
+    stack, n = _newton_stencil(sch, 3.0, 0.4), g.n_interior
+    dense = stack.to_dense()
+    assert dense.shape == (prob.L, n, 2 * n)
+    P, Q = sch.P.to_dense(), sch.Q.to_dense()
+    assert P.shape == Q.shape == (prob.L, n, n)
+    assert np.array_equal(dense[..., :n], Q / 3.0 + 0.4 * P)
+    assert np.array_equal(dense[..., n:], -0.4 * Q)
+    x, y = np.random.default_rng(101).standard_normal((2, prob.L, n))
+    expected = np.einsum("lij,lj->li", dense, np.concatenate([x, y], axis=1))
+    assert np.allclose(matvec(stack, x, y), expected, rtol=0,
+                       atol=1e-13 * np.max(np.abs(expected)))
+
+
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
 def test_scheme_operators_are_views_of_one_stack(kind):
     prob = species_varied_problem()
@@ -196,8 +216,10 @@ def test_scheme_operators_are_views_of_one_stack(kind):
     if kind == "cds":
         assert sch.Q is None and sch.QP is None
         return
-    assert sch.QP.offsets == tuple(o + (0,) for o in sch.Q.offsets) \
-        + tuple(o + (1,) for o in sch.P.offsets)
+    # the views read operand 0 of their own planes
+    assert {o for *_, o in sch.P.offsets + sch.Q.offsets} == {0}
+    assert sch.QP.offsets == sch.Q.offsets + tuple(
+        (k1, k2, 1) for k1, k2, _ in sch.P.offsets)
     for A in (sch.P, sch.Q):
         assert A.planes.base is sch.QP.planes
         assert A.full.base is sch.QP.full
@@ -249,7 +271,7 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
     assert np.array_equal(matvec(stack, x, y), padded_product(stack, x, y))
     # and the operands' views are the one-operand stacks of each part
     for o, c in enumerate(parts):
-        single = StencilMatrix.from_coeffs(g, c, L)
+        single = StencilMatrix.from_coeffs(g, [c], L)
         assert stack.operand(o).offsets == single.offsets
         assert np.array_equal(bits(stack.operand(o).planes), bits(single.planes))
         assert np.array_equal(bits(stack.operand(o).full), bits(single.full))
@@ -265,9 +287,10 @@ def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
     coeffs = rng.standard_normal((1 if shared else L, 3, 3, g.ny, g.nx))
     for k1, k2 in set(OFFSETS) - live:
         coeffs[:, k1 + 1, k2 + 1] = 0.0
-    A = StencilMatrix.from_coeffs(g, coeffs, L)
-    assert A.offsets == tuple(o for o in OFFSETS if o in live)
-    for plane, (k1, k2) in zip(A.full, A.offsets):
+    A = StencilMatrix.from_coeffs(g, [coeffs], L)
+    assert A.offsets == tuple((k1, k2, 0) for k1, k2 in OFFSETS
+                              if (k1, k2) in live)
+    for plane, (k1, k2, _) in zip(A.full, A.offsets):
         assert np.array_equal(plane[:, 1:-1, 1:-1], coeffs[:, k1 + 1, k2 + 1])
     assert_layouts_agree(A)
     x = rng.standard_normal((L, g.n_interior))
@@ -287,7 +310,7 @@ def test_matvec_is_linear(mesh, L, operands, ab, seed):
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
     parts = list(rng.standard_normal((operands, L, 3, 3, g.ny, g.nx)))
-    A = StencilMatrix.from_coeffs(g, parts if operands > 1 else parts[0], L)
+    A = StencilMatrix.from_coeffs(g, parts, L)
     a, b = ab
     x, y = rng.standard_normal((2, operands, L, g.n_interior))
     lhs = matvec(A, *(a * x + b * y))
@@ -309,7 +332,8 @@ def test_fold_matches_ring_definition(mesh, kind, L, shared, seed):
     rng = np.random.default_rng(seed)
     S = 1 if shared else L
     Pc, Qc = (rng.standard_normal((S, 3, 3, g.ny, g.nx)) for _ in range(2))
-    scheme = (Scheme(kind, StencilMatrix.from_coeffs(g, Pc, L)) if kind == "cds"
+    scheme = (Scheme(kind, StencilMatrix.from_coeffs(g, [Pc], L))
+              if kind == "cds"
               else Scheme(kind, None,
                           QP=StencilMatrix.from_coeffs(g, [Qc, Pc], L)))
     (j, i), _ = g.boundary_ring()
