@@ -19,10 +19,6 @@ from parabolic2d import (build_grid, build_time_grid, build_scheme, integrate,
 problem = make_example1()
 
 
-def exact(x, y, t):
-    return manufactured_solution(x, y, t, problem.X, problem.Y, problem.T)
-
-
 def study(kind, cases):
     print(f"\n{kind.upper()}: mesh refinement on [0,{problem.X:g}]^2, "
           f"T={problem.T:g}")
@@ -35,7 +31,7 @@ def study(kind, cases):
         tg = build_time_grid(problem.T, N)
         scheme = build_scheme(problem, grid, kind)
         W, reports = integrate(problem, grid, tg, scheme, theta=0.5)
-        err = max_norm_error(W, exact, grid, tg.T).max()
+        err = max_norm_error(W, manufactured_solution, grid, tg.T).max()
         errors.append((M, err))
         stats.append((N,) + average_counts(reports))
     for row, (N, newton, krylov) in zip(ratio_and_order(errors), stats):

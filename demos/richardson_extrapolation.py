@@ -20,10 +20,6 @@ problem = make_example1()
 cache = {}
 
 
-def exact(x, y, t):
-    return manufactured_solution(x, y, t, problem.X, problem.Y, problem.T)
-
-
 def solve(kind, M, N):
     if (kind, M, N) not in cache:
         grid = build_grid(problem.X, problem.Y, M, M)
@@ -42,9 +38,9 @@ def space_study(kind, sigma, cases):
     for M, N in cases:
         W, grid, tg = solve(kind, M, N)
         W2, grid2, _ = solve(kind, 2 * M, N)
-        err_plain = max_norm_error(W, exact, grid, tg.T).max()
+        err_plain = max_norm_error(W, manufactured_solution, grid, tg.T).max()
         Wx = extrapolate_space(W, W2, grid, grid2, sigma)
-        err = max_norm_error(Wx, exact, grid, tg.T).max()
+        err = max_norm_error(Wx, manufactured_solution, grid, tg.T).max()
         ratio = f"{prev / err:8.2f}" if prev else "       -"
         print(f"  M={M:3d} N={N:4d}: plain {err_plain:.3e} -> "
               f"extrapolated {err:.3e}  ratio {ratio}")
@@ -61,7 +57,7 @@ def spacetime_study(kind, sigma, cases):
         Wft, _, _ = solve(kind, 2 * M, 2 * N)
         Wx = extrapolate_spacetime(W, Wt, Wf, Wft, grid, gridf, tg, tgt,
                                    sigma, 2)
-        err = max_norm_error(Wx, exact, grid, tg.T).max()
+        err = max_norm_error(Wx, manufactured_solution, grid, tg.T).max()
         order = f"{np.log2(prev / err) / np.log2(2):6.2f}" if prev else "     -"
         print(f"  M={M:3d} N={N:4d}: error {err:.3e}  order {order}")
         prev = err

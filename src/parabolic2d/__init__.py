@@ -8,9 +8,9 @@ manufactured-solution problem and a 10-species air-pollution model.
 
 from .grid import (Grid2D, TimeGrid, build_grid, build_time_grid, lex_index,
                    restrict, to_interior_grid, validate_field)
-from .model import (ProblemSpec, WindParams, MU_FAST, MU_STANDARD,
-                    make_example1, make_example2, manufactured_forcing,
-                    manufactured_solution, rotational_wind)
+from .model import (ProblemSpec, MU_FAST, MU_STANDARD, make_example1,
+                    make_example2, manufactured_forcing, manufactured_solution,
+                    rotational_wind)
 from .airchem import (RateSet, SPECIES, boundary_signal, rate_coefficients,
                       reaction_jacobian, reaction_rates)
 from .cds import StencilMatrix

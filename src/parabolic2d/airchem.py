@@ -5,8 +5,9 @@ Species ordering (0-based array index / conventional 1-based name):
     0 NO, 1 NO2, 2 HC, 3 ALD, 4 O3, 5 HNO3, 6 HO2, 7 RO2, 8 OH, 9 O(1D)
 
 The photolytic coefficients k2, k5, k7 depend on the cosine of the solar
-zenith angle.  All rate functions broadcast over trailing axes, so `u` may be
-a single state of shape (10,) or a batch of shape (10, n).
+zenith angle, the module's only parameter.  All rate functions broadcast
+over trailing axes, so `u` may be a single state of shape (10,) or a batch
+of shape (10, n).
 
 The rate equations are the reference formulation of the production/loss
 terms, kept verbatim, including the chemically odd R5 = k2*u5 and the k10*u9
@@ -135,6 +136,6 @@ def reaction_jacobian(u: np.ndarray, k: RateSet) -> np.ndarray:
     return J
 
 
-def boundary_signal(t, const_l: float, C: float = 4.0):
-    """Periodic Dirichlet signal const_l * (sin(t/C) + 2), per species amplitude."""
-    return const_l * (np.sin(np.asarray(t, dtype=float) / C) + 2.0)
+def boundary_signal(t, const_l: float):
+    """Periodic Dirichlet signal const_l * (sin(t/4) + 2), per species amplitude."""
+    return const_l * (np.sin(np.asarray(t, dtype=float) / 4.0) + 2.0)

@@ -18,6 +18,10 @@ Two ready-made problems are provided:
 * make_example2: the air-pollution transport model: rotational wind, the
   10-species chemistry, constant initial concentrations and periodic-in-time
   boundary data compatible with them.
+
+Both take only the parameters the paper varies: cos_theta of the solar
+zenith angle and (make_example2) the wind rate mu.  The domain, final time,
+diffusion, rotation centre and boundary period are module constants.
 """
 
 from __future__ import annotations
@@ -42,20 +46,12 @@ MU_FAST = 2.0 * math.pi / DEFAULT_X
 EXAMPLE2_INITIAL = (1e3, 1e3, 1e3, 5e3, 5e3, 1e2, 1e-2, 1e-2, 1e-3, 1e-11)
 
 
-@dataclass(frozen=True)
-class WindParams:
-    """Rotational wind about the domain centre (xc, yc), angular rate mu."""
-
-    mu: float
-    xc: float
-    yc: float
-
-
-def rotational_wind(x, y, w: WindParams):
-    """Velocity components (c, d) = (mu*(y - yc), mu*(xc - x))."""
+def rotational_wind(x, y, mu: float):
+    """Velocity components (c, d) = (mu*(y - yc), mu*(xc - x)) of the
+    rotation at angular rate mu about the domain centre (xc, yc)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return w.mu * (y - w.yc), w.mu * (w.xc - x)
+    return mu * (y - DEFAULT_Y / 2.0), mu * (DEFAULT_X / 2.0 - x)
 
 
 @dataclass(frozen=True)
@@ -101,19 +97,15 @@ def species_field(what: str, value, L: int, shape: tuple) -> np.ndarray:
                          f"broadcast to (1 or L={L},) + {shape}") from None
 
 
-def manufactured_solution(x, y, t, X: float = DEFAULT_X, Y: float = DEFAULT_Y,
-                          T: float = DEFAULT_T):
+def manufactured_solution(x, y, t):
     """exp(-t/T) sin(pi x/X) sin(pi y/Y); identical for every species."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.exp(-np.asarray(t, dtype=float) / T) * np.sin(np.pi * x / X) \
-        * np.sin(np.pi * y / Y)
+    return np.exp(-np.asarray(t, dtype=float) / DEFAULT_T) \
+        * np.sin(np.pi * x / DEFAULT_X) * np.sin(np.pi * y / DEFAULT_Y)
 
 
-def manufactured_forcing(x, y, t, *, X: float = DEFAULT_X,
-                         Y: float = DEFAULT_Y, T: float = DEFAULT_T,
-                         K: float = DEFAULT_K, wind: WindParams,
-                         rates: airchem.RateSet):
+def manufactured_forcing(x, y, t, *, mu: float, rates: airchem.RateSet):
     """Sources xi of all species, shape (L, ...), that make the manufactured
     solution solve the full system.
 
@@ -126,6 +118,7 @@ def manufactured_forcing(x, y, t, *, X: float = DEFAULT_X,
         u_x  = e (pi/X) cos(pi x/X) sin(pi y/Y),
         u_y  = e (pi/Y) sin(pi x/X) cos(pi y/Y).
     """
+    X, Y, T, K = DEFAULT_X, DEFAULT_Y, DEFAULT_T, DEFAULT_K
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     e = np.exp(-np.asarray(t, dtype=float) / T)
@@ -136,60 +129,58 @@ def manufactured_forcing(x, y, t, *, X: float = DEFAULT_X,
     lap = -(np.pi ** 2) * (1.0 / X ** 2 + 1.0 / Y ** 2) * u
     u_x = e * (np.pi / X) * np.cos(np.pi * x / X) * sy
     u_y = e * (np.pi / Y) * sx * np.cos(np.pi * y / Y)
-    c, d = rotational_wind(x, y, wind)
+    c, d = rotational_wind(x, y, mu)
     uvec = np.broadcast_to(u, (airchem.N_SPECIES,) + np.shape(u))
     R = airchem.reaction_rates(uvec, rates)
     return (u_t - K * lap + c * u_x + d * u_y) - R
 
 
 def _wind_and_chemistry(cos_theta: float, mu: float):
-    """(fields, wind, rates): the ProblemSpec fields shared by both examples
-    (L=10, constant diffusion, rotational wind of rate mu about the domain
-    centre, the chemistry's reaction map and Jacobian) and their parameters."""
+    """(fields, rates): the ProblemSpec fields shared by both examples (L=10,
+    constant diffusion, rotational wind of rate mu about the domain centre,
+    the chemistry's reaction map and Jacobian) and the rate set."""
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     rates = airchem.rate_coefficients(cos_theta)
-    wind = WindParams(mu=mu, xc=DEFAULT_X / 2.0, yc=DEFAULT_Y / 2.0)
 
     def diffusion(x, y):
         return np.full(np.shape(x), DEFAULT_K)
     return dict(
         L=airchem.N_SPECIES, diffusion_a=diffusion, diffusion_b=diffusion,
-        advection_c=lambda x, y: rotational_wind(x, y, wind)[0],
-        advection_d=lambda x, y: rotational_wind(x, y, wind)[1],
+        advection_c=lambda x, y: rotational_wind(x, y, mu)[0],
+        advection_d=lambda x, y: rotational_wind(x, y, mu)[1],
         reaction=lambda x, y, t, u: airchem.reaction_rates(u, rates),
         reaction_jacobian=lambda x, y, t, u: airchem.reaction_jacobian(
-            u, rates)), wind, rates
+            u, rates)), rates
 
 
 def make_example1(cos_theta: float = 1.0) -> ProblemSpec:
     """Manufactured-solution problem: L=10, constant diffusion, rotational wind,
     full chemistry plus the compensating forcing, homogeneous Dirichlet data."""
-    X, Y, T, K = DEFAULT_X, DEFAULT_Y, DEFAULT_T, DEFAULT_K
-    fields, wind, rates = _wind_and_chemistry(cos_theta, MU_STANDARD)
+    fields, rates = _wind_and_chemistry(cos_theta, MU_STANDARD)
     return ProblemSpec(
-        **fields, X=X, Y=Y, T=T,
+        **fields,
         boundary=lambda x, y, t: np.zeros(np.shape(x)),
-        initial=lambda x, y: manufactured_solution(x, y, 0.0, X, Y, T),
+        initial=lambda x, y: manufactured_solution(x, y, 0.0),
         forcing=lambda x, y, t: manufactured_forcing(
-            x, y, t, X=X, Y=Y, T=T, K=K, wind=wind, rates=rates))
+            x, y, t, mu=MU_STANDARD, rates=rates))
 
 
-def make_example2(cos_theta: float = 1.0, mu: float = MU_STANDARD,
-                  C: float = 4.0) -> ProblemSpec:
+def make_example2(cos_theta: float = 1.0,
+                  mu: float = MU_STANDARD) -> ProblemSpec:
     """Air-pollution transport model with the 10-species chemistry.
 
     Initial data are the constant concentrations EXAMPLE2_INITIAL; the
-    boundary signal is const_l*(sin(t/C)+2) with const_l = u0_l/2, the unique
+    boundary signal is const_l*(sin(t/4)+2) with const_l = u0_l/2, the unique
     amplitude for which boundary and initial data agree at t=0.
     """
-    fields, _, _ = _wind_and_chemistry(cos_theta, mu)
+    fields, _ = _wind_and_chemistry(cos_theta, mu)
     u0 = np.asarray(EXAMPLE2_INITIAL, dtype=float)
     consts = u0 / 2.0
     return ProblemSpec(
         **fields,
         boundary=lambda x, y, t: np.multiply.outer(
-            airchem.boundary_signal(t, consts, C), np.ones(np.shape(x))),
+            airchem.boundary_signal(t, consts), np.ones(np.shape(x))),
         initial=lambda x, y: np.multiply.outer(u0, np.ones(np.shape(x))))
 
 

@@ -7,7 +7,8 @@ Combining solutions on a mesh pair (h, h/2) with weights solving
 cancels the leading C h^sigma error term and lifts the observed order of a
 scheme of order sigma.  The space-time variant tensors the spatial weights
 with temporal ones over four solves on {(h,tau), (h,tau/2), (h/2,tau),
-(h/2,tau/2)}, removing both leading terms at once.
+(h/2,tau/2)}, removing both leading terms at once.  The temporal sigma is
+the theta-scheme's order: 2 for theta = 1/2 (Crank-Nicolson), else 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .grid import Grid2D, TimeGrid, restrict
 class REWeights:
     gamma1: float
     gamma2: float
-    sigma: int
 
 
 def re_weights(sigma: int) -> REWeights:
@@ -32,7 +32,7 @@ def re_weights(sigma: int) -> REWeights:
     if sigma < 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     gamma2 = 2.0 ** sigma / (2.0 ** sigma - 1.0)
-    return REWeights(gamma1=1.0 - gamma2, gamma2=gamma2, sigma=int(sigma))
+    return REWeights(gamma1=1.0 - gamma2, gamma2=gamma2)
 
 
 def extrapolate_space(u_h: np.ndarray, u_h2: np.ndarray, coarse_grid: Grid2D,

@@ -363,16 +363,21 @@ def initial_field(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
 
 
 def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
-              scheme: Scheme, theta: float = 0.5,
-              **solver_options):
+              scheme: Scheme, theta: float = 0.5, *, newton_tol: float = 1e-11,
+              max_newton: int = 25, krylov_tol: float = 1e-10, ell: int = 2,
+              krylov_maxit: int = 200):
     """March the nodal initial data through all N steps.
 
-    Returns (final field, list of per-step SolverReports).  Invalid solver
-    options raise ValueError before the first step; step failures
-    propagate as SolverFailure with the failing step index attached.
+    Returns (final field, list of per-step SolverReports).  The solver
+    options are advance's; invalid ones raise ValueError before the first
+    step.  Step failures propagate as SolverFailure with the failing step
+    index attached.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
+    solver_options = dict(newton_tol=newton_tol, max_newton=max_newton,
+                          krylov_tol=krylov_tol, ell=ell,
+                          krylov_maxit=krylov_maxit)
     check_solver_options(**solver_options)
     run = _Run(_newton_stencil(scheme, time_grid.tau, theta),
                _layer(scheme, problem, grid, time_grid.t(0)))

@@ -26,10 +26,6 @@ _example2_fastrot = make_example2(mu=MU_T)
 _solves = {}
 
 
-def exact1(x, y, t):
-    return manufactured_solution(x, y, t, _example1.X, _example1.Y, _example1.T)
-
-
 def solve(problem_tag, kind, M, N, **opts):
     key = (problem_tag, kind, M, N, tuple(sorted(opts.items())))
     if key not in _solves:
@@ -45,7 +41,7 @@ def solve(problem_tag, kind, M, N, **opts):
 
 def manufactured_error(kind, M, N, **opts):
     W, grid, tg, _ = solve("ex1", kind, M, N, **opts)
-    return max_norm_error(W, exact1, grid, tg.T).max()
+    return max_norm_error(W, manufactured_solution, grid, tg.T).max()
 
 
 def report(name, detail):
@@ -90,7 +86,7 @@ def test_criterion_3_space_extrapolation():
         W, g, tg, _ = solve("ex1", kind, M, N)
         W2, g2, _, _ = solve("ex1", kind, 2 * M, N)
         err = max_norm_error(extrapolate_space(W, W2, g, g2, sigma),
-                             exact1, g, tg.T).max()
+                             manufactured_solution, g, tg.T).max()
         assert err == pytest.approx(tgt, rel=0.03), (kind, M, err, tgt)
         errs[(kind, M)] = err
     assert 15.2 <= errs[("cds", 8)] / errs[("cds", 16)] <= 16.8
@@ -106,7 +102,7 @@ def spacetime_error(kind, sigma, M, N):
     Wf, gf, _, _ = solve("ex1", kind, 2 * M, N)
     Wft, _, _, _ = solve("ex1", kind, 2 * M, 2 * N)
     Wx = extrapolate_spacetime(W, Wt, Wf, Wft, g, gf, tg, tgt, sigma, 2)
-    return max_norm_error(Wx, exact1, g, tg.T).max()
+    return max_norm_error(Wx, manufactured_solution, g, tg.T).max()
 
 
 def test_criterion_4_spacetime_extrapolation():

@@ -141,7 +141,7 @@ def test_boundary_signal_compatibility_value():
 
 def test_boundary_signal_range_and_period():
     t = np.linspace(0, 1000, 20001)
-    g = boundary_signal(t, 7.0, C=4.0)
+    g = boundary_signal(t, 7.0)
     assert np.all(g >= 7.0 - 1e-12) and np.all(g <= 21.0 + 1e-12)
-    assert boundary_signal(5.0, 7.0, C=4.0) == pytest.approx(
-        boundary_signal(5.0 + 8 * np.pi, 7.0, C=4.0), rel=1e-12)
+    assert boundary_signal(5.0, 7.0) == pytest.approx(
+        boundary_signal(5.0 + 8 * np.pi, 7.0), rel=1e-12)

@@ -105,7 +105,7 @@ def test_semidiscrete_identity_fourth_order():
     for M in (8, 16, 32):
         g = build_grid(X, Y, M, M)
         XX, YY = g.interior_mesh()
-        u = manufactured_solution(XX, YY, t, X, Y, T).ravel()
+        u = manufactured_solution(XX, YY, t).ravel()
         u_t = -u / T
         uvec = np.broadcast_to(u, (prob.L,) + u.shape)
         xi = prob.forcing(XX.ravel(), YY.ravel(), t)[0]

@@ -148,6 +148,22 @@ def test_run_study_airpollution_probe(tmp_path):
                                                  / np.abs(v_ref))
 
 
+def test_spacetime_time_weight_follows_theta(tmp_path):
+    # theta = 1 is first order in time, so the time pair must be weighted
+    # for order 1: weighted for order 2, every species reads order 1.  NO2
+    # (species 1), 20 times smaller, is still pre-asymptotic at 4/8 (1.78)
+    out = run_study(RunConfig(problem="manufactured", scheme="cds", theta=1.0,
+                              re_mode="spacetime",
+                              meshes=[(4, 4, 4), (8, 8, 8)],
+                              out_dir=str(tmp_path / "o")))
+    with open(os.path.join(out, "convergence.csv")) as f:
+        f.readline()
+        orders = [float(line.split(",")[9]) for line in f
+                  if line.split(",")[3] == "8"]
+    assert len(orders) == 10 and orders[0] >= 1.9, orders
+    assert min(orders) >= 1.75, orders
+
+
 @pytest.mark.parametrize("re_mode,solves", [
     ("none", [(4, 4, 2), (8, 8, 2)]),
     ("space", [(4, 4, 2), (8, 8, 2), (8, 8, 2), (16, 16, 2)]),

@@ -1,43 +1,40 @@
 import numpy as np
 import pytest
 
-from parabolic2d import (MU_STANDARD, WindParams, build_grid, make_example1,
-                         make_example2, manufactured_solution, rotational_wind)
+from parabolic2d import (MU_STANDARD, build_grid, make_example1, make_example2,
+                         manufactured_solution, rotational_wind)
 from parabolic2d.model import (EXAMPLE2_INITIAL, check_compatibility,
                                species_field)
 
 
 def test_wind_stagnates_at_center():
-    w = WindParams(mu=MU_STANDARD, xc=250.0, yc=250.0)
-    c, d = rotational_wind(250.0, 250.0, w)
+    c, d = rotational_wind(250.0, 250.0, MU_STANDARD)
     assert c == 0.0 and d == 0.0
 
 
 def test_wind_midpoint_of_top_edge():
-    w = WindParams(mu=2 * np.pi / 86400.0, xc=250.0, yc=250.0)
-    c, d = rotational_wind(250.0, 500.0, w)
+    c, d = rotational_wind(250.0, 500.0, 2 * np.pi / 86400.0)
     assert c == pytest.approx(1.81805e-2, rel=1e-4)
     assert d == 0.0
 
 
 def test_wind_antisymmetry():
-    w = WindParams(mu=MU_STANDARD, xc=250.0, yc=250.0)
     rng = np.random.default_rng(2)
     for _ in range(20):
         dx, dy = rng.uniform(-200, 200, size=2)
-        cp, dp = rotational_wind(250 + dx, 250 + dy, w)
-        cm, dm = rotational_wind(250 - dx, 250 - dy, w)
+        cp, dp = rotational_wind(250 + dx, 250 + dy, MU_STANDARD)
+        cm, dm = rotational_wind(250 - dx, 250 - dy, MU_STANDARD)
         assert cp == pytest.approx(-cm, abs=1e-15)
         assert dp == pytest.approx(-dm, abs=1e-15)
 
 
 def test_manufactured_solution_values():
-    assert manufactured_solution(250, 250, 0, 500, 500, 1440) == pytest.approx(1.0)
-    assert manufactured_solution(0.0, 123.4, 7.0, 500, 500, 1440) == 0.0
-    assert manufactured_solution(321.0, 500.0, 7.0, 500, 500, 1440) == pytest.approx(0.0, abs=1e-15)
-    assert manufactured_solution(250, 250, 1440, 500, 500, 1440) == pytest.approx(
+    assert manufactured_solution(250, 250, 0) == pytest.approx(1.0)
+    assert manufactured_solution(0.0, 123.4, 7.0) == 0.0
+    assert manufactured_solution(321.0, 500.0, 7.0) == pytest.approx(0.0, abs=1e-15)
+    assert manufactured_solution(250, 250, 1440) == pytest.approx(
         np.exp(-1.0), rel=1e-12)
-    assert manufactured_solution(250, 250, 1440, 500, 500, 1440) == pytest.approx(
+    assert manufactured_solution(250, 250, 1440) == pytest.approx(
         0.3678794, rel=1e-6)
 
 
@@ -45,7 +42,7 @@ def _fd_pde_residual(prob, l, x, y, t):
     """PDE residual of the manufactured problem via finite differences of the
     exact solution; fully independent of the hand-derived forcing."""
     X, Y, T = prob.X, prob.Y, prob.T
-    u = lambda xx, yy, tt: manufactured_solution(xx, yy, tt, X, Y, T)
+    u = manufactured_solution
     dx, dy, dt = 1e-4 * X, 1e-4 * Y, 1e-4 * T
     u_t = (u(x, y, t + dt) - u(x, y, t - dt)) / (2 * dt)
     u_x = (u(x + dx, y, t) - u(x - dx, y, t)) / (2 * dx)
@@ -77,7 +74,7 @@ def test_forcing_at_center_has_no_advection_part():
     prob = make_example1()
     x = y = 250.0
     t = 100.0
-    u = manufactured_solution(x, y, t, prob.X, prob.Y, prob.T)
+    u = manufactured_solution(x, y, t)
     K = 1.8
     expected_lin = u * (-1.0 / prob.T + K * np.pi ** 2 *
                         (1 / prob.X ** 2 + 1 / prob.Y ** 2))

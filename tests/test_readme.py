@@ -1,0 +1,17 @@
+import contextlib
+import io
+import os
+import re
+
+import pytest
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_quick_start_runs_as_written():
+    with open(README) as f:
+        [block] = re.findall(r"```python\n(.*?)```", f.read(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert float(out.getvalue()) == pytest.approx(2.2e-05, rel=0.05)

@@ -16,7 +16,7 @@ from test_krylov import newton_matrix_apply, species_varied_problem
 
 def nodal_exact_field(prob, grid, t):
     XX, YY = grid.interior_mesh()
-    u = manufactured_solution(XX, YY, t, prob.X, prob.Y, prob.T).ravel()
+    u = manufactured_solution(XX, YY, t).ravel()
     return np.broadcast_to(u, (prob.L,) + u.shape).copy()
 
 
@@ -137,9 +137,7 @@ def test_integrate_matches_reference_error():
     tg = build_time_grid(prob.T, 4)
     sch = build_scheme(prob, g, "cds")
     W, reports = integrate(prob, g, tg, sch, theta=0.5)
-    err = max_norm_error(
-        W, lambda x, y, t: manufactured_solution(x, y, t, prob.X, prob.Y,
-                                                 prob.T), g, tg.T).max()
+    err = max_norm_error(W, manufactured_solution, g, tg.T).max()
     assert err == pytest.approx(5.702e-03, rel=0.02)
     assert len(reports) == 4
 
@@ -208,6 +206,19 @@ def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     with pytest.raises(ValueError, match=option):
         advance(initial_field(base, g), 0.0, sch, prob, g, 720.0, 0.5,
                 **{option: value})
+    assert calls == []
+
+
+def test_unknown_solver_option_rejected_before_any_boundary_call():
+    calls = []
+    base = make_example1()
+    prob = dataclasses.replace(
+        base, boundary=lambda *a: calls.append(a) or base.boundary(*a))
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    sch = build_scheme(prob, g, "cds")
+    with pytest.raises(TypeError, match="newton_tolerance"):
+        integrate(prob, g, build_time_grid(prob.T, 2), sch,
+                  newton_tolerance=1e-9)
     assert calls == []
 
 
