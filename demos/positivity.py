@@ -11,17 +11,13 @@ both schemes lose positivity.
 Run:  python3 demos/positivity.py   (takes a minute or two)
 """
 
-import math
-
-from parabolic2d import (MU_STANDARD, build_grid, build_time_grid,
+from parabolic2d import (MU_FAST, MU_STANDARD, build_grid, build_time_grid,
                          build_scheme, integrate, make_example2,
                          positivity_scan)
 
-MU_ONE_TURN = 2 * math.pi / 1440.0   # one full revolution over [0, T]
-
 if __name__ == "__main__":
     for mu, label in [(MU_STANDARD, "standard wind (Pe ~ 0.3)"),
-                      (MU_ONE_TURN, "one-revolution wind (Pe ~ 19)")]:
+                      (MU_FAST, "one-revolution wind (Pe ~ 19)")]:
         problem = make_example2(mu=mu)
         grid = build_grid(problem.X, problem.Y, 8, 8)
         tg = build_time_grid(problem.T, 256)

@@ -14,9 +14,8 @@ against the exact solution; for the air-pollution problem it is the relative
 deviation of the probe-node value from the run on the finest mesh in the
 list (whose own error cell is left empty).
 
-Configuration comes from a flat key=value file and/or command-line flags;
-flags override file values.  Numbers are serialized with 17 significant
-digits so reruns diff exactly.
+Configuration comes from command-line flags only.  Numbers are serialized
+with 17 significant digits so reruns diff exactly.
 """
 
 from __future__ import annotations
@@ -104,7 +103,13 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"cos-theta: {exc}") from None
     mu_value(cfg)
-    if cfg.problem == "airpollution":
+    if cfg.problem == "manufactured":   # fixed wind, error over all nodes
+        for key, value, only in (("mu", cfg.mu_mode, "standard"),
+                                 ("probe", cfg.probe, "center")):
+            if value != only:
+                raise ConfigError(f"{key}: the manufactured problem takes "
+                                  f"only {only}, got {value!r}")
+    else:
         for Mx, My, _ in cfg.meshes:
             probe_node(cfg, Mx, My)  # raises if the probe misses a node
 
@@ -309,26 +314,8 @@ def parse_probe(text: str):
         raise ConfigError(f"probe: expected center, sixth or i,j; got {text!r}")
 
 
-def load_config_file(path: str) -> dict:
-    values = {}
-    try:
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, val = (s.strip() for s in line.split("=", 1))
-                values[key] = val
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}")
-    return values
-
-
-# (config-file key, RunConfig attribute, parser of the text value); the
-# command-line flag of the same name overrides the file; repeated flags
-# (--mesh) are joined like a file list
+# (key, RunConfig attribute, parser of the text value); the key names the
+# command-line flag; repeated flags (--mesh) are joined into one list
 CONFIG_KEYS = (
     ("problem", "problem", str),
     ("scheme", "scheme", str),
@@ -342,25 +329,20 @@ CONFIG_KEYS = (
 )
 
 
-def config_from_sources(file_values: dict, args: argparse.Namespace) -> RunConfig:
-    known = [key for key, _, _ in CONFIG_KEYS]
-    unknown = sorted(set(file_values) - set(known))
-    if unknown:
-        raise ConfigError(f"config: unknown key {unknown[0]!r} "
-                          f"(known keys: {', '.join(known)})")
+def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     for key, attr, parse in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        for text in (file_values.get(key),
-                     " ".join(flag) if isinstance(flag, list) else flag):
-            if text is None:
-                continue
-            try:
-                setattr(cfg, attr, parse(text))
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"{key}: bad value {text!r}")
+        text = getattr(args, key)
+        if text is None:
+            continue
+        if isinstance(text, list):
+            text = " ".join(text)
+        try:
+            setattr(cfg, attr, parse(text))
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"{key}: bad value {text!r}")
     return cfg
 
 
@@ -381,15 +363,13 @@ def make_parser() -> argparse.ArgumentParser:
                    help="cosine of the solar zenith angle")
     p.add_argument("--probe", help="center, sixth, or i,j node indices")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--config", help="flat key=value config file")
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        file_values = load_config_file(args.config) if args.config else {}
-        cfg = config_from_sources(file_values, args)
+        cfg = config_from_args(args)
         out = run_study(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

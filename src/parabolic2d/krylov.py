@@ -40,14 +40,13 @@ class KrylovReport:
 
 
 def check_solver_options(**options) -> None:
-    """Raise ValueError for a tolerance (tol, newton_tol, krylov_tol) that
-    is not positive and finite, or an iteration limit (maxit, max_newton,
-    ell, krylov_maxit) that is not an integer of at least 1; a bool is not
-    an integer here."""
+    """Raise ValueError for a tolerance (tol, newton_tol) that is not
+    positive and finite, or an iteration limit (maxit, ell) that is not an
+    integer of at least 1; a bool is not an integer here."""
     for name, value in options.items():
         if name.endswith("tol") and not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
-        if name in ("maxit", "max_newton", "ell", "krylov_maxit") and (
+        if name in ("maxit", "ell") and (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Integral) or value < 1):
             raise ValueError(f"{name} must be an integer of at least 1, "

@@ -40,7 +40,7 @@ DEFAULT_Y = 500.0
 DEFAULT_T = 1440.0     # final time, min
 DEFAULT_K = 1.8        # diffusion, km^2/min
 MU_STANDARD = 2.0 * math.pi / (60.0 * DEFAULT_T)
-MU_FAST = 2.0 * math.pi / DEFAULT_X
+MU_FAST = 2.0 * math.pi / DEFAULT_T   # one turn over [0, T]
 
 # initial concentrations, mol/km^3, species order as in airchem.SPECIES
 EXAMPLE2_INITIAL = (1e3, 1e3, 1e3, 5e3, 5e3, 1e2, 1e-2, 1e-2, 1e-3, 1e-11)

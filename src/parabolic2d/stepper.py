@@ -53,6 +53,12 @@ from .model import ProblemSpec, check_compatibility, species_field
 
 KINDS = ("cds", "cfds")
 
+# Newton iterations per step; the inner BiCGStab(ELL) tolerance and cycles
+MAX_NEWTON = 25
+KRYLOV_TOL = 1e-10
+ELL = 2
+KRYLOV_MAXIT = 200
+
 
 class SolverFailure(RuntimeError):
     """Newton or inner-solver failure; `step` holds the failing step index."""
@@ -285,25 +291,24 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
 
 def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
             problem: ProblemSpec, grid: Grid2D, tau: float, theta: float, *,
-            t_next: Optional[float] = None,
-            newton_tol: float = 1e-11, max_newton: int = 25,
-            krylov_tol: float = 1e-10, ell: int = 2,
-            krylov_maxit: int = 200, run: Optional[_Run] = None):
+            t_next: Optional[float] = None, newton_tol: float = 1e-11,
+            run: Optional[_Run] = None):
     """One theta-scheme step from the layer W_old at t_n by inexact Newton
     iteration; returns (new layer, SolverReport).
 
     The new layer sits at t_next (default t_n + tau).  Converged when
     ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
     satisfies the same scaled bound, so the accepted layer always fulfils
-    ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf).  A non-finite reaction
-    (checked before the residual, which it makes NaN), residual, reaction
-    Jacobian or Newton update fails at once, naming species and node.
+    ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf); an invalid newton_tol
+    raises ValueError.  The iteration and inner-solve limits are the module
+    constants MAX_NEWTON, KRYLOV_TOL, ELL and KRYLOV_MAXIT.  A non-finite
+    reaction (checked before the residual, which it makes NaN), residual,
+    reaction Jacobian or Newton update fails at once, naming species and
+    node.
     `run` carries B and the accepted layer from step to step (integrate
     passes one); without it the step builds its own.
     """
-    check_solver_options(newton_tol=newton_tol, max_newton=max_newton,
-                         krylov_tol=krylov_tol, ell=ell,
-                         krylov_maxit=krylov_maxit)
+    check_solver_options(newton_tol=newton_tol)
     t_start = time.perf_counter()
     L, n = W_old.shape
     t1 = t_n + tau if t_next is None else t_next
@@ -317,7 +322,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
                    terms=terms)
     cycles: List[float] = []
-    for it in range(max_newton):
+    for it in range(MAX_NEWTON):
         _check_finite("reaction", terms[1].R, grid, t_n, it)
         _check_finite("residual", ups, grid, t_n, it)
         J = np.asarray(problem.reaction_jacobian(xi, yi, t1, W), dtype=float)
@@ -326,7 +331,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
             delta, krep = bicgstab_l(
                 lambda v: _apply_jacobian(scheme, run.B, J, tau, theta,
                                           v.reshape(L, n)).ravel(),
-                -ups.ravel(), tol=krylov_tol, ell=ell, maxit=krylov_maxit)
+                -ups.ravel(), tol=KRYLOV_TOL, ell=ELL, maxit=KRYLOV_MAXIT)
         except KrylovBreakdown as exc:
             raise SolverFailure(f"inner solver broke down at t={t_n:.6g}, "
                                 f"Newton iteration {it}: {exc}") from exc
@@ -347,7 +352,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
             break
     else:
         raise SolverFailure(
-            f"Newton did not converge in {max_newton} iterations at "
+            f"Newton did not converge in {MAX_NEWTON} iterations at "
             f"t={t_n:.6g}")
     run.layer = terms[1]
     return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
@@ -363,22 +368,17 @@ def initial_field(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
 
 
 def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
-              scheme: Scheme, theta: float = 0.5, *, newton_tol: float = 1e-11,
-              max_newton: int = 25, krylov_tol: float = 1e-10, ell: int = 2,
-              krylov_maxit: int = 200):
+              scheme: Scheme, theta: float = 0.5, *, newton_tol: float = 1e-11):
     """March the nodal initial data through all N steps.
 
-    Returns (final field, list of per-step SolverReports).  The solver
-    options are advance's; invalid ones raise ValueError before the first
-    step.  Step failures propagate as SolverFailure with the failing step
-    index attached.
+    Returns (final field, list of per-step SolverReports).  newton_tol is
+    advance's; an invalid theta or newton_tol raises ValueError before the
+    first step.  Step failures propagate as SolverFailure with the failing
+    step index attached.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    solver_options = dict(newton_tol=newton_tol, max_newton=max_newton,
-                          krylov_tol=krylov_tol, ell=ell,
-                          krylov_maxit=krylov_maxit)
-    check_solver_options(**solver_options)
+    check_solver_options(newton_tol=newton_tol)
     run = _Run(_newton_stencil(scheme, time_grid.tau, theta),
                _layer(scheme, problem, grid, time_grid.t(0)))
     check_compatibility(problem, grid, run.layer.g)
@@ -388,8 +388,8 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
         try:
             W, report = advance(W, time_grid.t(n), scheme, problem, grid,
                                 time_grid.tau, theta,
-                                t_next=time_grid.t(n + 1), run=run,
-                                **solver_options)
+                                t_next=time_grid.t(n + 1),
+                                newton_tol=newton_tol, run=run)
         except SolverFailure as exc:
             exc.step = n
             raise SolverFailure(f"step {n} failed: {exc}", step=n) from exc

@@ -6,10 +6,9 @@ import pytest
 
 from parabolic2d import build_grid
 from parabolic2d.cli import (CSV_COLUMNS, ConfigError, RunConfig,
-                             config_from_sources, emit_field_dump,
-                             load_config_file, main, make_parser, parse_mesh,
-                             parse_probe, probe_node, run_study,
-                             validate_config)
+                             config_from_args, emit_field_dump, main,
+                             make_parser, parse_mesh, parse_probe, probe_node,
+                             run_study, validate_config)
 
 
 def test_parse_mesh():
@@ -199,32 +198,14 @@ def test_companion_solves_per_re_mode(tmp_path, monkeypatch, re_mode, solves):
     assert np.array_equal(dump[:, 1:-1, 1:-1].reshape(10, -1), W)
 
 
-def test_config_file_and_override(tmp_path):
-    cfgfile = tmp_path / "study.cfg"
-    cfgfile.write_text(
-        "problem = manufactured\nscheme = cfds\nmesh = 4x4x4, 8x8x16\n"
-        "theta = 0.5\n# comment line\nmu = standard\n")
-    out = tmp_path / "o"
-    rc = main(["--config", str(cfgfile), "--scheme", "cds",
-               "--mesh", "4x4x4", "--out", str(out)])
-    assert rc == 0
-    with open(out / "run_metadata.txt") as f:
-        meta = dict(line.strip().split("=", 1) for line in f if "=" in line)
-    assert meta["scheme"] == "cds"          # flag overrides file
-    assert meta["mesh"] == "4x4x4"
-    assert meta["problem"] == "manufactured"
-    assert meta["git_revision"]
-
-
 def test_run_metadata_whole_file(tmp_path):
     # every line of run_metadata.txt but the git revision, in order: floats
     # with 17 significant digits, mu as given, the tuple probe as a tuple
-    cfgfile = tmp_path / "study.cfg"
-    cfgfile.write_text(
-        "problem = airpollution\nscheme = cfds\ntheta = 0.6\n"
-        "mesh = 4x4x2, 8x8x2\nmu = fast\ncos_theta = 0.5\nprobe = 1,3\n")
     out = tmp_path / "o"
-    assert main(["--config", str(cfgfile), "--out", str(out)]) == 0
+    assert main(["--problem", "airpollution", "--scheme", "cfds",
+                 "--theta", "0.6", "--mesh", "4x4x2", "--mesh", "8x8x2",
+                 "--mu", "fast", "--cos-theta", "0.5", "--probe", "1,3",
+                 "--out", str(out)]) == 0
     lines = (out / "run_metadata.txt").read_text().splitlines()
     assert lines[-1].startswith("git_revision=") and len(lines[-1]) > 13
     assert "\n".join(lines[:-1]) + "\n" == """\
@@ -234,7 +215,7 @@ theta=0.59999999999999998
 mesh=4x4x2 8x8x2
 re=none
 mu=fast
-mu_value=0.012566370614359173
+mu_value=0.0043633231299858239
 cos_theta=0.5
 probe=(1, 3)
 """
@@ -245,27 +226,40 @@ def test_main_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_main_bad_config_file(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("this line has no equals sign\n")
-    assert main(["--config", str(bad)]) == 2
+@pytest.mark.parametrize("flag,value", [
+    ("--config", "run.cfg"), ("--ell", "3"), ("--newton-tol", "1e-9")])
+def test_unknown_config_key_rejected(tmp_path, monkeypatch, flag, value):
+    # there is no config file and no solver setting; argparse stops the
+    # unknown flag before any solve or output
+    from parabolic2d import cli
+    solves = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", "manufactured", "--mesh", "4x4x2", flag, value,
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert solves == []
+    assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("scheme", ["cds", "cfds"])
-@pytest.mark.parametrize("line", ["cos-theta = 0.5", "cfds-variant = bogus",
-                                  "chemistry = as-printed", "ell = 3",
-                                  "newton_tol = 1e-9", "krylov_tol = 1e-10"])
-def test_unknown_config_key_rejected(tmp_path, scheme, line):
-    # the flag spelling cos-theta used to be ignored silently; cfds-variant,
-    # chemistry and the solver tolerances (integrate's defaults) are no
-    # longer keys
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"mesh = 4x4x2\n{line}\n")
-    with pytest.raises(ConfigError, match=repr(line.split()[0])):
-        config_from_sources(load_config_file(str(cfg)),
-                            make_parser().parse_args([]))
-    assert main(["--config", str(cfg), "--scheme", scheme,
-                 "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize("flag,value", [
+    ("--mu", "fast"), ("--mu", "0.01"), ("--probe", "sixth"),
+    ("--probe", "1,1")])
+def test_manufactured_rejects_wind_and_probe(tmp_path, monkeypatch, flag,
+                                             value):
+    # the manufactured problem has a fixed wind and no probe: a requested one
+    # would be ignored while run_metadata.txt records it
+    from parabolic2d import cli
+    solves = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *args, **kwargs: solves.append(args))
+    argv = ["--problem", "manufactured", "--mesh", "4x4x2", flag, value]
+    with pytest.raises(ConfigError, match=f"^{flag[2:]}: "):
+        validate_config(config_from_args(make_parser().parse_args(argv)))
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert solves == []
+    assert not (tmp_path / "x").exists()
 
 
 def test_chemistry_flag_is_gone(tmp_path, monkeypatch):
@@ -309,20 +303,21 @@ def test_nonfinite_wind_and_sun_rejected_before_any_solve(tmp_path, monkeypatch,
                         lambda *args, **kwargs: solves.append(args))
     argv = ["--problem", "airpollution", "--mesh", "4x4x2", flag, value]
     with pytest.raises(ConfigError, match=flag[2:]):
-        validate_config(config_from_sources({}, make_parser().parse_args(argv)))
+        validate_config(config_from_args(make_parser().parse_args(argv)))
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert solves == []
 
 
-def test_config_table_serves_file_and_flags(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("cos_theta = 0.5\nmesh = 4x4x2, 8x8x4\n"
-                       "probe = 1,2\n")
-    args = make_parser().parse_args(["--theta", "1", "--mesh", "6x6x2",
-                                     "--mesh", "12x12x2"])
-    cfg = config_from_sources(load_config_file(str(cfgfile)), args)
+def test_config_table_serves_file_and_flags():
+    # every CONFIG_KEYS entry is a flag; repeated --mesh flags join into one
+    # list, and a list flag may hold several triples
+    args = make_parser().parse_args([
+        "--cos-theta", "0.5", "--theta", "1", "--mesh", "6x6x2",
+        "--mesh", "12x12x2, 24x24x2", "--probe", "1,2"])
+    cfg = config_from_args(args)
     assert (cfg.cos_theta, cfg.theta) == (0.5, 1.0)
-    assert cfg.meshes == [(6, 6, 2), (12, 12, 2)]   # flags override the file
+    assert cfg.meshes == [(6, 6, 2), (12, 12, 2), (24, 24, 2)]
     assert cfg.probe == (1, 2)
+    assert config_from_args(make_parser().parse_args([])) == RunConfig()
     with pytest.raises(ConfigError, match="theta: bad value"):
-        config_from_sources({}, make_parser().parse_args(["--theta", "x"]))
+        config_from_args(make_parser().parse_args(["--theta", "x"]))

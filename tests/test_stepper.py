@@ -6,6 +6,7 @@ import pytest
 from parabolic2d import (build_grid, build_time_grid, build_scheme, integrate,
                          make_example1, make_example2, manufactured_solution,
                          max_norm_error)
+from parabolic2d.krylov import bicgstab_l
 from parabolic2d.model import ProblemSpec
 from parabolic2d.stepper import (SolverFailure, advance, initial_field,
                                  residual)
@@ -183,8 +184,9 @@ def test_failure_carries_step_index():
     tg = build_time_grid(prob.T, 3)
     sch = build_scheme(prob, g, "cds")
     with pytest.raises(SolverFailure) as exc:
-        integrate(prob, g, tg, sch, theta=0.5, max_newton=1, newton_tol=1e-300)
+        integrate(prob, g, tg, sch, theta=0.5, newton_tol=1e-300)
     assert exc.value.step == 0
+    assert "Newton did not converge in 25 iterations" in str(exc.value)
 
 
 @pytest.mark.parametrize("option,value", [
@@ -193,7 +195,9 @@ def test_failure_carries_step_index():
     ("max_newton", 2.5), ("ell", True), ("krylov_maxit", 2.5),
     ("newton_tol", float("inf")), ("krylov_tol", float("inf"))])
 def test_invalid_solver_options_rejected_before_the_first_step(option, value):
-    # no problem data may be evaluated: neither initial data nor reactions
+    # no problem data may be evaluated: neither initial data nor reactions;
+    # newton_tol is the one solver keyword; the other limits are constants
+    error = ValueError if option == "newton_tol" else TypeError
     calls = []
     base = make_example1()
     prob = dataclasses.replace(
@@ -201,9 +205,9 @@ def test_invalid_solver_options_rejected_before_the_first_step(option, value):
         initial=lambda *a: calls.append(a) or base.initial(*a))
     g = build_grid(prob.X, prob.Y, 4, 4)
     sch = build_scheme(prob, g, "cds")
-    with pytest.raises(ValueError, match=option):
+    with pytest.raises(error, match=option):
         integrate(prob, g, build_time_grid(prob.T, 2), sch, **{option: value})
-    with pytest.raises(ValueError, match=option):
+    with pytest.raises(error, match=option):
         advance(initial_field(base, g), 0.0, sch, prob, g, 720.0, 0.5,
                 **{option: value})
     assert calls == []
@@ -223,14 +227,18 @@ def test_unknown_solver_option_rejected_before_any_boundary_call():
 
 
 def test_numpy_integer_iteration_limits_accepted():
+    # the limits of an inner solve as numpy integers give the same solve
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 4, 4)
     sch = build_scheme(prob, g, "cds")
-    tg = build_time_grid(prob.T, 1)
-    W, _ = integrate(prob, g, tg, sch)
-    W_np, _ = integrate(prob, g, tg, sch, ell=np.int64(2),
-                        max_newton=np.int32(25), krylov_maxit=np.int64(200))
-    assert np.array_equal(W_np, W)
+    W = initial_field(prob, g)
+    op = lambda v: newton_matrix_apply(sch, prob, g, 720.0, 0.5, W,
+                                       v.reshape(W.shape), 720.0).ravel()
+    b = np.ones(W.size)
+    x, rep = bicgstab_l(op, b, maxit=200, ell=2)
+    x_np, rep_np = bicgstab_l(op, b, maxit=np.int64(200), ell=np.int64(2))
+    assert rep.converged and rep_np == rep
+    assert np.array_equal(x_np, x)
 
 
 def test_forcing_evaluated_once_per_layer():
@@ -544,15 +552,18 @@ def test_krylov_breakdown_becomes_solver_failure(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("kind,rel", [("cds", "6.428e-01"),
                                       ("cfds", "2.249e-01")])
-def test_stalled_inner_solve_names_step_and_newton_iteration(kind, rel):
+def test_stalled_inner_solve_names_step_and_newton_iteration(monkeypatch,
+                                                             kind, rel):
     # one BiCGStab(l) cycle cannot solve the fast-rotation Newton system
+    from parabolic2d import stepper
+    monkeypatch.setattr(stepper, "KRYLOV_MAXIT", 1)
     prob = make_example2(mu=2 * np.pi / 1440)
     g = build_grid(prob.X, prob.Y, 16, 16)
     with pytest.raises(SolverFailure, match=(
             r"^step 0 failed: inner solver stalled at t=0, Newton iteration "
             rf"0: relative residual {rel} after 1.0 cycles$")) as exc:
         integrate(prob, g, build_time_grid(prob.T, 4),
-                  build_scheme(prob, g, kind), krylov_maxit=1)
+                  build_scheme(prob, g, kind))
     assert exc.value.step == 0
 
 
