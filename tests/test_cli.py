@@ -226,21 +226,34 @@ def test_main_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--config", "run.cfg"), ("--ell", "3"), ("--newton-tol", "1e-9")])
-def test_unknown_config_key_rejected(tmp_path, monkeypatch, flag, value):
-    # there is no config file and no solver setting; argparse stops the
-    # unknown flag before any solve or output
+def _assert_argparse_stops(tmp_path, monkeypatch, argv):
+    # argparse stops an unknown flag with exit 2 before any solve or output
     from parabolic2d import cli
     solves = []
     monkeypatch.setattr(cli, "integrate",
                         lambda *args, **kwargs: solves.append(args))
     with pytest.raises(SystemExit) as exc:
-        main(["--problem", "manufactured", "--mesh", "4x4x2", flag, value,
-              "--out", str(tmp_path / "x")])
+        main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert solves == []
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("scheme", ["cds", "cfds"])
+@pytest.mark.parametrize("line", ["ell = 3", "newton_tol = 1e-9"])
+def test_unknown_config_key_rejected(tmp_path, monkeypatch, scheme, line):
+    # ell and newton_tol were config-file keys; there is no config file and
+    # no solver setting on the command line, so the flag is unknown
+    key, value = (part.strip() for part in line.split("="))
+    _assert_argparse_stops(tmp_path, monkeypatch, [
+        "--problem", "manufactured", "--mesh", "4x4x2", "--scheme", scheme,
+        "--" + key.replace("_", "-"), value])
+
+
+def test_config_flag_is_gone(tmp_path, monkeypatch):
+    _assert_argparse_stops(tmp_path, monkeypatch, [
+        "--problem", "manufactured", "--mesh", "4x4x2", "--config",
+        "run.cfg"])
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -263,18 +276,10 @@ def test_manufactured_rejects_wind_and_probe(tmp_path, monkeypatch, flag,
 
 
 def test_chemistry_flag_is_gone(tmp_path, monkeypatch):
-    # the chemistry is fixed; argparse stops the unknown flag before any
-    # solve or output
-    from parabolic2d import cli
-    solves = []
-    monkeypatch.setattr(cli, "integrate",
-                        lambda *args, **kwargs: solves.append(args))
-    with pytest.raises(SystemExit) as exc:
-        main(["--problem", "airpollution", "--mesh", "4x4x2",
-              "--chemistry", "corrected", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert solves == []
-    assert not (tmp_path / "x").exists()
+    # the chemistry is fixed
+    _assert_argparse_stops(tmp_path, monkeypatch, [
+        "--problem", "airpollution", "--mesh", "4x4x2", "--chemistry",
+        "corrected"])
 
 
 def test_mesh_order_checked_before_any_solve(tmp_path, monkeypatch):
