@@ -7,15 +7,17 @@ Writes three kinds of artifacts into the output directory:
   krylov_avg,wall_ms
 * fields_*.txt: final-layer field dumps (x,y,value per node, boundary
   nodes included), one block per species
-* run_metadata.txt: every knob of the run plus the git revision
+* run_metadata.txt: every setting of the run plus the git revision,
+  written before the first solve
 
 For the manufactured problem the error column is the final-layer max-norm
 against the exact solution; for the air-pollution problem it is the relative
 deviation of the probe-node value from the run on the finest mesh in the
 list (whose own error cell is left empty).
 
-Configuration comes from command-line flags only.  Numbers are serialized
-with 17 significant digits so reruns diff exactly.
+Configuration comes from command-line flags only; argparse parses each
+into the RunConfig field of its name (a malformed value is a usage error).
+Numbers are serialized with 17 significant digits so reruns diff exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,8 +47,9 @@ PROBLEMS = ("manufactured", "airpollution")
 RE_MODES = ("none", "space", "spacetime")
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; the message names the offending field."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Invalid run configuration; the message names the offending field.
+    Raised by a flag's parser, it is an argparse usage error."""
 
 
 @dataclass
@@ -54,26 +57,26 @@ class RunConfig:
     problem: str = "manufactured"
     scheme: str = "cds"
     theta: float = 0.5
-    meshes: List[Tuple[int, int, int]] = field(default_factory=list)
-    re_mode: str = "none"
-    mu_mode: Union[str, float] = "standard"
+    mesh: List[Tuple[int, int, int]] = field(default_factory=list)
+    re: str = "none"
+    mu: Union[str, float] = "standard"
     cos_theta: float = 1.0
     probe: Union[str, Tuple[int, int]] = "center"
-    out_dir: str = "runs"
+    out: str = "runs"
 
 
 def mu_value(cfg: RunConfig) -> float:
-    if cfg.mu_mode == "standard":
+    if cfg.mu == "standard":
         return model.MU_STANDARD
-    if cfg.mu_mode == "fast":
+    if cfg.mu == "fast":
         return model.MU_FAST
     try:
-        mu = float(cfg.mu_mode)
+        mu = float(cfg.mu)
     except (TypeError, ValueError):
         raise ConfigError(f"mu: expected 'standard', 'fast' or a number, "
-                          f"got {cfg.mu_mode!r}")
+                          f"got {cfg.mu!r}")
     if not math.isfinite(mu):
-        raise ConfigError(f"mu: must be finite, got {cfg.mu_mode!r}")
+        raise ConfigError(f"mu: must be finite, got {cfg.mu!r}")
     return mu
 
 
@@ -84,33 +87,33 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"scheme: must be one of {KINDS}, got {cfg.scheme!r}")
     if not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError(f"theta: must be in [0, 1], got {cfg.theta}")
-    if not cfg.meshes:
+    if not cfg.mesh:
         raise ConfigError("mesh: at least one MxxMyxN triple is required")
-    for m in cfg.meshes:
+    for m in cfg.mesh:
         try:   # the grid builders' rules, checked before any solve
             Mx, My, N = m
             build_grid(1.0, 1.0, Mx, My)
             build_time_grid(1.0, N)
         except (TypeError, ValueError):
             raise ConfigError(f"mesh: invalid triple {m}") from None
-    mxs = [m[0] for m in cfg.meshes]
+    mxs = [m[0] for m in cfg.mesh]
     if any(b <= a for a, b in zip(mxs, mxs[1:])):
         raise ConfigError(f"mesh: Mx must increase strictly, got {mxs}")
-    if cfg.re_mode not in RE_MODES:
-        raise ConfigError(f"re: must be one of {RE_MODES}, got {cfg.re_mode!r}")
+    if cfg.re not in RE_MODES:
+        raise ConfigError(f"re: must be one of {RE_MODES}, got {cfg.re!r}")
     try:
         rate_coefficients(cfg.cos_theta)
     except ValueError as exc:
         raise ConfigError(f"cos-theta: {exc}") from None
     mu_value(cfg)
     if cfg.problem == "manufactured":   # fixed wind, error over all nodes
-        for key, value, only in (("mu", cfg.mu_mode, "standard"),
+        for key, value, only in (("mu", cfg.mu, "standard"),
                                  ("probe", cfg.probe, "center")):
             if value != only:
                 raise ConfigError(f"{key}: the manufactured problem takes "
                                   f"only {only}, got {value!r}")
     else:
-        for Mx, My, _ in cfg.meshes:
+        for Mx, My, _ in cfg.mesh:
             probe_node(cfg, Mx, My)  # raises if the probe misses a node
 
 
@@ -161,21 +164,21 @@ REFINEMENTS = {"none": [(1, 1)], "space": [(1, 1), (2, 1)],
 
 
 def run_one_mesh(cfg: RunConfig, problem, Mx: int, My: int, N: int):
-    """Solve one mesh entry on each mesh REFINEMENTS lists for cfg.re_mode.
+    """Solve one mesh entry on each mesh REFINEMENTS lists for cfg.re.
 
     Returns (field on the Mx x My grid, grid, time grid, the solves' joined
-    reports, summed wall_ms); the field is extrapolated unless re_mode is none.
+    reports, summed wall_ms); the field is extrapolated unless cfg.re is none.
     """
     runs = [_solve(cfg, problem, s * Mx, s * My, k * N)
-            for s, k in REFINEMENTS[cfg.re_mode]]
+            for s, k in REFINEMENTS[cfg.re]]
     (W, grid, tg, _, _), *companions = runs
     # orders of the leading error terms; in time only theta = 1/2 is second
     sigma_space = 2 if cfg.scheme == "cds" else 4
     sigma_time = 2 if cfg.theta == 0.5 else 1
-    if cfg.re_mode == "space":
+    if cfg.re == "space":
         [(W2, grid2, *_)] = companions
         W = richardson.extrapolate_space(W, W2, grid, grid2, sigma_space)
-    elif cfg.re_mode == "spacetime":
+    elif cfg.re == "spacetime":
         (W2, grid2, *_), (Wt, _, tgt, *_), (W2t, *_) = companions
         W = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid, grid2, tg,
                                              tgt, sigma_space, sigma_time)
@@ -187,18 +190,19 @@ def run_study(cfg: RunConfig) -> str:
     """Execute the configured mesh study; returns the output directory."""
     validate_config(cfg)
     problem = build_problem(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(cfg.out, exist_ok=True)
+    write_metadata(cfg, os.path.join(cfg.out, "run_metadata.txt"))
 
     meshes, errors = [], []   # per mesh: (Mx, My, N, averages, wall), error
-    for (Mx, My, N) in cfg.meshes:
+    for (Mx, My, N) in cfg.mesh:
         try:
             W, grid, tg, reports, wall = run_one_mesh(cfg, problem, Mx, My, N)
         except SolverFailure as exc:
             raise SolverFailure(
                 f"mesh {Mx}x{My}x{N}: {exc}", step=exc.step) from exc
         dump = os.path.join(
-            cfg.out_dir,
-            f"fields_{cfg.problem}_{cfg.scheme}_{cfg.re_mode}_{Mx}x{My}x{N}.txt")
+            cfg.out,
+            f"fields_{cfg.problem}_{cfg.scheme}_{cfg.re}_{Mx}x{My}x{N}.txt")
         emit_field_dump(W, grid, tg.T, dump, boundary=problem.boundary)
         if cfg.problem == "manufactured":
             errors.append(analysis.max_norm_error(
@@ -212,7 +216,7 @@ def run_study(cfg: RunConfig) -> str:
         errors = np.abs(errors - errors[-1]) / np.abs(errors[-1])
         errors[-1] = math.nan
 
-    with open(os.path.join(cfg.out_dir, "convergence.csv"), "w") as f:
+    with open(os.path.join(cfg.out, "convergence.csv"), "w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
         for l in range(problem.L):
             # ratio and order against the previous mesh with a finite error
@@ -223,11 +227,9 @@ def run_study(cfg: RunConfig) -> str:
             for r, (Mx, My, N, averages, wall) in enumerate(meshes):
                 row = table.get(r, analysis.ConvergenceRow(Mx, math.nan))
                 f.write(",".join(_fmt(v) for v in (
-                    cfg.problem, cfg.scheme, cfg.re_mode, Mx, My, N, l,
+                    cfg.problem, cfg.scheme, cfg.re, Mx, My, N, l,
                     errors[r, l], row.ratio, row.order, *averages, wall)) + "\n")
-
-    write_metadata(cfg, os.path.join(cfg.out_dir, "run_metadata.txt"))
-    return cfg.out_dir
+    return cfg.out
 
 
 def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
@@ -274,11 +276,11 @@ def git_revision() -> str:
 
 
 def write_metadata(cfg: RunConfig, path: str) -> None:
-    """One key=value line per CONFIG_KEYS entry but out, in table order, with
+    """One key=value line per RunConfig field but out, in field order, with
     mu as given followed by its mu_value; then the git revision."""
     lines = []
-    for key, attr, _ in CONFIG_KEYS:
-        value = getattr(cfg, attr)
+    for key in (f.name for f in fields(cfg)):
+        value = getattr(cfg, key)
         if key == "mesh":
             value = " ".join(f"{a}x{b}x{c}" for a, b, c in value)
         if key == "mu":
@@ -314,62 +316,37 @@ def parse_probe(text: str):
         raise ConfigError(f"probe: expected center, sixth or i,j; got {text!r}")
 
 
-# (key, RunConfig attribute, parser of the text value); the key names the
-# command-line flag; repeated flags (--mesh) are joined into one list
-CONFIG_KEYS = (
-    ("problem", "problem", str),
-    ("scheme", "scheme", str),
-    ("theta", "theta", float),
-    ("mesh", "meshes", parse_meshes),
-    ("re", "re_mode", str),
-    ("mu", "mu_mode", str),
-    ("cos_theta", "cos_theta", float),
-    ("probe", "probe", parse_probe),
-    ("out", "out_dir", str),
-)
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    for key, attr, parse in CONFIG_KEYS:
-        text = getattr(args, key)
-        if text is None:
-            continue
-        if isinstance(text, list):
-            text = " ".join(text)
-        try:
-            setattr(cfg, attr, parse(text))
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"{key}: bad value {text!r}")
-    return cfg
-
-
 def make_parser() -> argparse.ArgumentParser:
+    """Flags named as the RunConfig fields; an unset flag keeps its default."""
     p = argparse.ArgumentParser(
         prog="parabolic2d",
         description="Mesh-refinement studies for 2D semilinear parabolic "
                     "systems (central and compact schemes, optional "
-                    "Richardson extrapolation).")
+                    "Richardson extrapolation).",
+        argument_default=argparse.SUPPRESS)
     p.add_argument("--problem", choices=PROBLEMS)
     p.add_argument("--scheme", choices=KINDS)
-    p.add_argument("--theta")
-    p.add_argument("--mesh", action="append", metavar="MxxMyxN",
+    p.add_argument("--theta", type=float)
+    p.add_argument("--mesh", type=parse_meshes, action="extend",
+                   metavar="MxxMyxN",
                    help="mesh triple, e.g. 16x16x64 (repeatable)")
     p.add_argument("--re", choices=RE_MODES, help="Richardson extrapolation mode")
     p.add_argument("--mu", help="wind rate: standard, fast, or a number")
-    p.add_argument("--cos-theta", dest="cos_theta",
+    p.add_argument("--cos-theta", type=float,
                    help="cosine of the solar zenith angle")
-    p.add_argument("--probe", help="center, sixth, or i,j node indices")
+    p.add_argument("--probe", type=parse_probe,
+                   help="center, sixth, or i,j node indices")
     p.add_argument("--out", help="output directory")
     return p
 
 
+def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
+    return RunConfig(**vars(make_parser().parse_args(argv)))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
+    cfg = parse_config(argv)
     try:
-        cfg = config_from_args(args)
         out = run_study(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -53,16 +53,15 @@ def check_solver_options(**options) -> None:
                              f"got {value!r}")
 
 
-def matvec(A: StencilMatrix, *xs: np.ndarray) -> np.ndarray:
+def matvec(A: StencilMatrix, w: np.ndarray) -> np.ndarray:
     """y = A_0 x_0 + A_1 x_1 + ... for a stack over K operands (K is the
-    last offset's operand plus one), given as the K arrays xs of shape
-    (L, n) or as one (K L, n) array holding them in turn, in one call.
-
-    One array is read in place, K arrays are joined; boundary nodes add zero.
+    last offset's operand plus one), given as one (K L, n) array w holding
+    the (L, n) operands x_k in turn; w is read in place, and boundary nodes
+    add zero.
     """
     L, n = A.planes.shape[1], A.grid.n_interior
     K = A.offsets[-1][2] + 1 if A.offsets else 1
-    w = np.asarray(xs[0] if len(xs) == 1 else np.concatenate(xs), dtype=float)
+    w = np.asarray(w, dtype=float)
     if w.shape != (K * L, n):
         raise ValueError(f"operand shape {w.shape}, expected {(K * L, n)}")
     return apply_full(A.planes, w, offsets=A.offsets).reshape(L, n)

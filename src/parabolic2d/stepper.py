@@ -227,7 +227,8 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     rth = theta * R1 + (1.0 - theta) * old.R
     if scheme.kind == "cds":
         return (W_new - W_old) / tau + matvec(scheme.P, wth) - rth - phi
-    return matvec(scheme.QP, (W_new - W_old) / tau - rth, wth) - phi
+    return matvec(scheme.QP,
+                  np.concatenate(((W_new - W_old) / tau - rth, wth))) - phi
 
 
 def _newton_stencil(scheme: Scheme, tau: float,

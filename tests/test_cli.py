@@ -6,9 +6,10 @@ import pytest
 
 from parabolic2d import build_grid
 from parabolic2d.cli import (CSV_COLUMNS, ConfigError, RunConfig,
-                             config_from_args, emit_field_dump, main,
-                             make_parser, parse_mesh, parse_probe, probe_node,
-                             run_study, validate_config)
+                             emit_field_dump, main, parse_config, parse_mesh,
+                             parse_probe, probe_node, run_study,
+                             validate_config)
+from parabolic2d.stepper import SolverFailure
 
 
 def test_parse_mesh():
@@ -29,7 +30,7 @@ def test_parse_probe():
 
 
 def test_validate_rejects_empty_mesh_list():
-    cfg = RunConfig(meshes=[])
+    cfg = RunConfig(mesh=[])
     with pytest.raises(ConfigError, match="mesh"):
         validate_config(cfg)
 
@@ -39,17 +40,17 @@ def test_validate_rejects_empty_mesh_list():
 def test_validate_rejects_invalid_mesh_triples(mesh):
     # a fractional N used to pass and be truncated by the time grid
     with pytest.raises(ConfigError, match="mesh: invalid triple"):
-        validate_config(RunConfig(meshes=[mesh]))
+        validate_config(RunConfig(mesh=[mesh]))
 
 
 def test_validate_rejects_bad_theta():
     with pytest.raises(ConfigError, match="theta"):
-        validate_config(RunConfig(theta=1.5, meshes=[(4, 4, 4)]))
+        validate_config(RunConfig(theta=1.5, mesh=[(4, 4, 4)]))
 
 
 def test_probe_divisibility_rules():
     cfg = RunConfig(problem="airpollution", probe="sixth",
-                    meshes=[(8, 8, 4)])
+                    mesh=[(8, 8, 4)])
     with pytest.raises(ConfigError, match="sixth"):
         validate_config(cfg)
     assert probe_node(RunConfig(probe="sixth"), 12, 12) == (2, 2)
@@ -88,7 +89,7 @@ def test_field_dump_exact_round_trip(tmp_path):
 
 def test_run_study_manufactured(tmp_path):
     cfg = RunConfig(problem="manufactured", scheme="cds",
-                    meshes=[(4, 4, 4), (8, 8, 8)], out_dir=str(tmp_path / "out"))
+                    mesh=[(4, 4, 4), (8, 8, 8)], out=str(tmp_path / "out"))
     out = run_study(cfg)
     csv_path = os.path.join(out, "convergence.csv")
     with open(csv_path) as f:
@@ -109,7 +110,7 @@ def test_run_study_manufactured(tmp_path):
 def test_run_study_deterministic_rerun(tmp_path):
     def run(tag):
         cfg = RunConfig(problem="manufactured", scheme="cds",
-                        meshes=[(4, 4, 4)], out_dir=str(tmp_path / tag))
+                        mesh=[(4, 4, 4)], out=str(tmp_path / tag))
         out = run_study(cfg)
         with open(os.path.join(out, "convergence.csv")) as f:
             lines = f.read().splitlines()
@@ -126,8 +127,8 @@ def read_dump(path, L, Mx, My):
 
 def test_run_study_airpollution_probe(tmp_path):
     cfg = RunConfig(problem="airpollution", scheme="cds", probe="sixth",
-                    meshes=[(6, 6, 8), (12, 12, 8)],
-                    out_dir=str(tmp_path / "air"))
+                    mesh=[(6, 6, 8), (12, 12, 8)],
+                    out=str(tmp_path / "air"))
     out = run_study(cfg)
     with open(os.path.join(out, "convergence.csv")) as f:
         f.readline()
@@ -152,9 +153,9 @@ def test_spacetime_time_weight_follows_theta(tmp_path):
     # for order 1: weighted for order 2, every species reads order 1.  NO2
     # (species 1), 20 times smaller, is still pre-asymptotic at 4/8 (1.78)
     out = run_study(RunConfig(problem="manufactured", scheme="cds", theta=1.0,
-                              re_mode="spacetime",
-                              meshes=[(4, 4, 4), (8, 8, 8)],
-                              out_dir=str(tmp_path / "o")))
+                              re="spacetime",
+                              mesh=[(4, 4, 4), (8, 8, 8)],
+                              out=str(tmp_path / "o")))
     with open(os.path.join(out, "convergence.csv")) as f:
         f.readline()
         orders = [float(line.split(",")[9]) for line in f
@@ -182,8 +183,8 @@ def test_companion_solves_per_re_mode(tmp_path, monkeypatch, re_mode, solves):
 
     monkeypatch.setattr(cli, "integrate", recorder)
     out = run_study(RunConfig(problem="manufactured", scheme="cds",
-                              re_mode=re_mode, meshes=[(4, 4, 2), (8, 8, 2)],
-                              out_dir=str(tmp_path / "o")))
+                              re=re_mode, mesh=[(4, 4, 2), (8, 8, 2)],
+                              out=str(tmp_path / "o")))
     assert [(g.Mx, g.My, tg.N) for g, tg, _ in recorded] == solves
     (grid, tg, W), *companions = recorded[:len(solves) // 2]
     if re_mode == "space":
@@ -226,8 +227,9 @@ def test_main_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
-def _assert_argparse_stops(tmp_path, monkeypatch, argv):
-    # argparse stops an unknown flag with exit 2 before any solve or output
+def _assert_argparse_stops(tmp_path, monkeypatch, capsys, argv, message):
+    # argparse stops an unknown flag or a malformed value with exit 2 and a
+    # usage message before any solve or output
     from parabolic2d import cli
     solves = []
     monkeypatch.setattr(cli, "integrate",
@@ -235,25 +237,43 @@ def _assert_argparse_stops(tmp_path, monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+    assert f"parabolic2d: error: {message}\n" in capsys.readouterr().err
     assert solves == []
     assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("scheme", ["cds", "cfds"])
 @pytest.mark.parametrize("line", ["ell = 3", "newton_tol = 1e-9"])
-def test_unknown_config_key_rejected(tmp_path, monkeypatch, scheme, line):
+def test_unknown_config_key_rejected(tmp_path, monkeypatch, capsys, scheme,
+                                    line):
     # ell and newton_tol were config-file keys; there is no config file and
     # no solver setting on the command line, so the flag is unknown
     key, value = (part.strip() for part in line.split("="))
-    _assert_argparse_stops(tmp_path, monkeypatch, [
+    flag = "--" + key.replace("_", "-")
+    _assert_argparse_stops(tmp_path, monkeypatch, capsys, [
         "--problem", "manufactured", "--mesh", "4x4x2", "--scheme", scheme,
-        "--" + key.replace("_", "-"), value])
+        flag, value], f"unrecognized arguments: {flag} {value}")
 
 
-def test_config_flag_is_gone(tmp_path, monkeypatch):
-    _assert_argparse_stops(tmp_path, monkeypatch, [
+def test_config_flag_is_gone(tmp_path, monkeypatch, capsys):
+    _assert_argparse_stops(tmp_path, monkeypatch, capsys, [
         "--problem", "manufactured", "--mesh", "4x4x2", "--config",
-        "run.cfg"])
+        "run.cfg"], "unrecognized arguments: --config run.cfg")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--theta", "x", "invalid float value: 'x'"),
+    ("--cos-theta", "x", "invalid float value: 'x'"),
+    ("--mesh", "16x16", "mesh: expected MxxMyxN, got '16x16'"),
+    ("--probe", "nw", "probe: expected center, sixth or i,j; got 'nw'")],
+    ids=["theta", "cos-theta", "mesh", "probe"])
+def test_malformed_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flag,
+                                          value, message):
+    # each flag's parser runs inside argparse, so the usage error names the
+    # flag and keeps the parser's own text
+    _assert_argparse_stops(tmp_path, monkeypatch, capsys, [
+        "--problem", "airpollution", "--mesh", "4x4x2", flag, value],
+        f"argument {flag}: {message}")
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -269,17 +289,17 @@ def test_manufactured_rejects_wind_and_probe(tmp_path, monkeypatch, flag,
                         lambda *args, **kwargs: solves.append(args))
     argv = ["--problem", "manufactured", "--mesh", "4x4x2", flag, value]
     with pytest.raises(ConfigError, match=f"^{flag[2:]}: "):
-        validate_config(config_from_args(make_parser().parse_args(argv)))
+        validate_config(parse_config(argv))
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert solves == []
     assert not (tmp_path / "x").exists()
 
 
-def test_chemistry_flag_is_gone(tmp_path, monkeypatch):
+def test_chemistry_flag_is_gone(tmp_path, monkeypatch, capsys):
     # the chemistry is fixed
-    _assert_argparse_stops(tmp_path, monkeypatch, [
+    _assert_argparse_stops(tmp_path, monkeypatch, capsys, [
         "--problem", "airpollution", "--mesh", "4x4x2", "--chemistry",
-        "corrected"])
+        "corrected"], "unrecognized arguments: --chemistry corrected")
 
 
 def test_mesh_order_checked_before_any_solve(tmp_path, monkeypatch):
@@ -288,7 +308,7 @@ def test_mesh_order_checked_before_any_solve(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "integrate",
                         lambda *args, **kwargs: solves.append(args))
     with pytest.raises(ConfigError, match="increase"):
-        validate_config(RunConfig(meshes=[(4, 4, 2), (4, 4, 4)]))
+        validate_config(RunConfig(mesh=[(4, 4, 2), (4, 4, 4)]))
     rc = main(["--problem", "manufactured", "--mesh", "4x4x2",
                "--mesh", "4x4x4", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -308,21 +328,43 @@ def test_nonfinite_wind_and_sun_rejected_before_any_solve(tmp_path, monkeypatch,
                         lambda *args, **kwargs: solves.append(args))
     argv = ["--problem", "airpollution", "--mesh", "4x4x2", flag, value]
     with pytest.raises(ConfigError, match=flag[2:]):
-        validate_config(config_from_args(make_parser().parse_args(argv)))
+        validate_config(parse_config(argv))
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert solves == []
 
 
-def test_config_table_serves_file_and_flags():
-    # every CONFIG_KEYS entry is a flag; repeated --mesh flags join into one
-    # list, and a list flag may hold several triples
-    args = make_parser().parse_args([
+def test_flags_type_into_run_config():
+    # each flag parses into the RunConfig field of its name; repeated --mesh
+    # flags extend one list, and one --mesh may hold several triples
+    cfg = parse_config([
         "--cos-theta", "0.5", "--theta", "1", "--mesh", "6x6x2",
         "--mesh", "12x12x2, 24x24x2", "--probe", "1,2"])
-    cfg = config_from_args(args)
     assert (cfg.cos_theta, cfg.theta) == (0.5, 1.0)
-    assert cfg.meshes == [(6, 6, 2), (12, 12, 2), (24, 24, 2)]
+    assert cfg.mesh == [(6, 6, 2), (12, 12, 2), (24, 24, 2)]
     assert cfg.probe == (1, 2)
-    assert config_from_args(make_parser().parse_args([])) == RunConfig()
-    with pytest.raises(ConfigError, match="theta: bad value"):
-        config_from_args(make_parser().parse_args(["--theta", "x"]))
+    assert parse_config([]) == RunConfig()
+
+
+def test_failed_study_keeps_its_settings(tmp_path, monkeypatch):
+    # run_metadata.txt is written before the first solve, so a solver
+    # failure on a later mesh still leaves the settings beside the dumps
+    from parabolic2d import cli
+    real_integrate = cli.integrate
+
+    def fail_on_second_mesh(problem, grid, tg, scheme, **kwargs):
+        if grid.Mx == 8:
+            raise SolverFailure("stalled", step=0)
+        return real_integrate(problem, grid, tg, scheme, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", fail_on_second_mesh)
+    out = tmp_path / "o"
+    assert main(["--problem", "manufactured", "--theta", "0.6", "--mesh",
+                 "4x4x2", "--mesh", "8x8x2", "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fields_manufactured_cds_none_4x4x2.txt", "run_metadata.txt"]
+    lines = (out / "run_metadata.txt").read_text().splitlines()
+    assert lines[:-1] == [
+        "problem=manufactured", "scheme=cds", "theta=0.59999999999999998",
+        "mesh=4x4x2 8x8x2", "re=none", "mu=standard",
+        "mu_value=7.2722052166430395e-05", "cos_theta=1", "probe=center"]
+    assert lines[-1].startswith("git_revision=") and len(lines[-1]) > 13
