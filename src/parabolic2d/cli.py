@@ -17,6 +17,10 @@ list (whose own error cell is left empty).
 
 Configuration comes from command-line flags only; argparse parses each
 into the RunConfig field of its name (a malformed value is a usage error).
+The closed settings problem, scheme, re, mu and probe take only the values
+CHOICES lists; MU maps each wind to its rate and PROBES each probe to its
+node.  Other winds and probes are library calls: model.make_example2(mu=...)
+and analysis.probe_values.
 Numbers are serialized with 17 significant digits so reruns diff exactly.
 """
 
@@ -30,7 +34,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +47,15 @@ from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
 CSV_COLUMNS = ("problem", "scheme", "re_mode", "Mx", "My", "N", "species",
                "error", "ratio", "order", "newton_avg", "krylov_avg", "wall_ms")
 
-PROBLEMS = ("manufactured", "airpollution")
-RE_MODES = ("none", "space", "spacetime")
+# (space, time) refinement factors of one mesh entry's solves, in solve order
+REFINEMENTS = {"none": [(1, 1)], "space": [(1, 1), (2, 1)],
+               "spacetime": [(1, 1), (2, 1), (1, 2), (2, 2)]}
+# the wind rate of each --mu; the divisor d of each --probe, node (Mx/d, My/d)
+MU = {"standard": model.MU_STANDARD, "fast": model.MU_FAST}
+PROBES = {"center": 2, "sixth": 6}
+# the values of each closed setting, for make_parser and validate_config
+CHOICES = {"problem": ("manufactured", "airpollution"), "scheme": KINDS,
+           "re": tuple(REFINEMENTS), "mu": tuple(MU), "probe": tuple(PROBES)}
 
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
@@ -59,32 +70,17 @@ class RunConfig:
     theta: float = 0.5
     mesh: List[Tuple[int, int, int]] = field(default_factory=list)
     re: str = "none"
-    mu: Union[str, float] = "standard"
+    mu: str = "standard"
     cos_theta: float = 1.0
-    probe: Union[str, Tuple[int, int]] = "center"
+    probe: str = "center"
     out: str = "runs"
 
 
-def mu_value(cfg: RunConfig) -> float:
-    if cfg.mu == "standard":
-        return model.MU_STANDARD
-    if cfg.mu == "fast":
-        return model.MU_FAST
-    try:
-        mu = float(cfg.mu)
-    except (TypeError, ValueError):
-        raise ConfigError(f"mu: expected 'standard', 'fast' or a number, "
-                          f"got {cfg.mu!r}")
-    if not math.isfinite(mu):
-        raise ConfigError(f"mu: must be finite, got {cfg.mu!r}")
-    return mu
-
-
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.problem not in PROBLEMS:
-        raise ConfigError(f"problem: must be one of {PROBLEMS}, got {cfg.problem!r}")
-    if cfg.scheme not in KINDS:
-        raise ConfigError(f"scheme: must be one of {KINDS}, got {cfg.scheme!r}")
+    for key, values in CHOICES.items():
+        if getattr(cfg, key) not in values:
+            raise ConfigError(f"{key}: must be one of {values}, "
+                              f"got {getattr(cfg, key)!r}")
     if not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError(f"theta: must be in [0, 1], got {cfg.theta}")
     if not cfg.mesh:
@@ -99,13 +95,10 @@ def validate_config(cfg: RunConfig) -> None:
     mxs = [m[0] for m in cfg.mesh]
     if any(b <= a for a, b in zip(mxs, mxs[1:])):
         raise ConfigError(f"mesh: Mx must increase strictly, got {mxs}")
-    if cfg.re not in RE_MODES:
-        raise ConfigError(f"re: must be one of {RE_MODES}, got {cfg.re!r}")
     try:
         rate_coefficients(cfg.cos_theta)
     except ValueError as exc:
         raise ConfigError(f"cos-theta: {exc}") from None
-    mu_value(cfg)
     if cfg.problem == "manufactured":   # fixed wind, error over all nodes
         for key, value, only in (("mu", cfg.mu, "standard"),
                                  ("probe", cfg.probe, "center")):
@@ -118,26 +111,18 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def probe_node(cfg: RunConfig, Mx: int, My: int) -> Tuple[int, int]:
-    """Probe (i, j) on an Mx x My mesh; center and X/6 need divisibility."""
-    if cfg.probe == "center":
-        if Mx % 2 or My % 2:
-            raise ConfigError(f"probe: center needs even Mx, My, got {Mx}x{My}")
-        return Mx // 2, My // 2
-    if cfg.probe == "sixth":
-        if Mx % 6 or My % 6:
-            raise ConfigError(f"probe: sixth needs Mx, My divisible by 6, "
-                              f"got {Mx}x{My}")
-        return Mx // 6, My // 6
-    i, j = cfg.probe
-    if not (1 <= i <= Mx - 1 and 1 <= j <= My - 1):
-        raise ConfigError(f"probe: node ({i},{j}) not interior to {Mx}x{My}")
-    return i, j
+    """Probe node (Mx/d, My/d) on an Mx x My mesh, d = PROBES[cfg.probe]."""
+    d = PROBES[cfg.probe]
+    if Mx % d or My % d:
+        raise ConfigError(f"probe: {cfg.probe} needs Mx, My divisible by {d}, "
+                          f"got {Mx}x{My}")
+    return Mx // d, My // d
 
 
 def build_problem(cfg: RunConfig) -> model.ProblemSpec:
     if cfg.problem == "manufactured":
         return model.make_example1(cos_theta=cfg.cos_theta)
-    return model.make_example2(cos_theta=cfg.cos_theta, mu=mu_value(cfg))
+    return model.make_example2(cos_theta=cfg.cos_theta, mu=MU[cfg.mu])
 
 
 def _fmt(x) -> str:
@@ -156,11 +141,6 @@ def _solve(cfg, problem, Mx: int, My: int, N: int):
     W, reports = integrate(problem, grid, tg, scheme, theta=cfg.theta)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return W, grid, tg, reports, wall_ms
-
-
-# (space, time) refinement factors of one mesh entry's solves, in solve order
-REFINEMENTS = {"none": [(1, 1)], "space": [(1, 1), (2, 1)],
-               "spacetime": [(1, 1), (2, 1), (1, 2), (2, 2)]}
 
 
 def run_one_mesh(cfg: RunConfig, problem, Mx: int, My: int, N: int):
@@ -277,14 +257,14 @@ def git_revision() -> str:
 
 def write_metadata(cfg: RunConfig, path: str) -> None:
     """One key=value line per RunConfig field but out, in field order, with
-    mu as given followed by its mu_value; then the git revision."""
+    mu followed by its rate mu_value; then the git revision."""
     lines = []
     for key in (f.name for f in fields(cfg)):
         value = getattr(cfg, key)
         if key == "mesh":
             value = " ".join(f"{a}x{b}x{c}" for a, b, c in value)
         if key == "mu":
-            lines += [f"mu={value}", f"mu_value={_fmt(mu_value(cfg))}"]
+            lines += [f"mu={value}", f"mu_value={_fmt(MU[value])}"]
         elif key != "out":
             lines.append(f"{key}={_fmt(value)}")
     with open(path, "w") as f:
@@ -306,16 +286,6 @@ def parse_meshes(text: str) -> List[Tuple[int, int, int]]:
     return [parse_mesh(t) for t in text.replace(",", " ").split()]
 
 
-def parse_probe(text: str):
-    if text in ("center", "sixth"):
-        return text
-    try:
-        i, j = (int(v) for v in text.split(","))
-        return (i, j)
-    except ValueError:
-        raise ConfigError(f"probe: expected center, sixth or i,j; got {text!r}")
-
-
 def make_parser() -> argparse.ArgumentParser:
     """Flags named as the RunConfig fields; an unset flag keeps its default."""
     p = argparse.ArgumentParser(
@@ -324,18 +294,19 @@ def make_parser() -> argparse.ArgumentParser:
                     "systems (central and compact schemes, optional "
                     "Richardson extrapolation).",
         argument_default=argparse.SUPPRESS)
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--scheme", choices=KINDS)
+    p.add_argument("--problem", choices=CHOICES["problem"])
+    p.add_argument("--scheme", choices=CHOICES["scheme"])
     p.add_argument("--theta", type=float)
     p.add_argument("--mesh", type=parse_meshes, action="extend",
                    metavar="MxxMyxN",
                    help="mesh triple, e.g. 16x16x64 (repeatable)")
-    p.add_argument("--re", choices=RE_MODES, help="Richardson extrapolation mode")
-    p.add_argument("--mu", help="wind rate: standard, fast, or a number")
+    p.add_argument("--re", choices=CHOICES["re"],
+                   help="Richardson extrapolation mode")
+    p.add_argument("--mu", choices=CHOICES["mu"], help="wind rate")
     p.add_argument("--cos-theta", type=float,
                    help="cosine of the solar zenith angle")
-    p.add_argument("--probe", type=parse_probe,
-                   help="center, sixth, or i,j node indices")
+    p.add_argument("--probe", choices=CHOICES["probe"],
+                   help="probe node: (Mx/2, My/2) or (Mx/6, My/6)")
     p.add_argument("--out", help="output directory")
     return p
 

@@ -42,9 +42,10 @@ class KrylovReport:
 def check_solver_options(**options) -> None:
     """Raise ValueError for a tolerance (tol, newton_tol) that is not
     positive and finite, or an iteration limit (maxit, ell) that is not an
-    integer of at least 1; a bool is not an integer here."""
+    integer of at least 1; a bool is neither."""
     for name, value in options.items():
-        if name.endswith("tol") and not 0 < value < np.inf:
+        if name.endswith("tol") and (isinstance(value, (bool, np.bool_))
+                                     or not 0 < value < np.inf):
             raise ValueError(f"{name} must be positive and finite, got {value}")
         if name in ("maxit", "ell") and (
                 isinstance(value, bool)

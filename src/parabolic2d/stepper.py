@@ -278,16 +278,21 @@ def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
     return y
 
 
+def _species_node(v: np.ndarray, k: int, grid: Grid2D) -> str:
+    """The species and node (i, j) of the flat index k into v (L, ..., n)."""
+    idx = np.unravel_index(k, v.shape)
+    return (f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
+            f"j={idx[-1] // grid.nx + 1})")
+
+
 def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
                   it: int) -> None:
     """Raise SolverFailure naming the first non-finite entry of v (L, ..., n)."""
     finite = np.isfinite(v)
     if not finite.all():
-        idx = np.unravel_index(np.argmin(finite), v.shape)
         raise SolverFailure(
             f"non-finite {what} at t={t_n:.6g}, Newton iteration {it}: "
-            f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
-            f"j={idx[-1] // grid.nx + 1})")
+            f"{_species_node(v, np.argmin(finite), grid)}")
 
 
 def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
@@ -305,7 +310,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     constants MAX_NEWTON, KRYLOV_TOL, ELL and KRYLOV_MAXIT.  A non-finite
     reaction (checked before the residual, which it makes NaN), residual,
     reaction Jacobian or Newton update fails at once, naming species and
-    node.
+    node; a step that does not converge names those of max |Ups|.
     `run` carries B and the accepted layer from step to step (integrate
     passes one); without it the step builds its own.
     """
@@ -352,9 +357,11 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
                 and np.max(np.abs(ups)) <= newton_tol * scale:
             break
     else:
+        k = np.argmax(np.abs(ups))
         raise SolverFailure(
             f"Newton did not converge in {MAX_NEWTON} iterations at "
-            f"t={t_n:.6g}")
+            f"t={t_n:.6g}: max |Ups| {abs(ups.flat[k]):.3e} at "
+            f"{_species_node(ups, k, grid)}")
     run.layer = terms[1]
     return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
                            wall_ms=(time.perf_counter() - t_start) * 1e3,

@@ -1,13 +1,14 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from parabolic2d import build_grid
-from parabolic2d.cli import (CSV_COLUMNS, ConfigError, RunConfig,
-                             emit_field_dump, main, parse_config, parse_mesh,
-                             parse_probe, probe_node, run_study,
+from parabolic2d.cli import (CHOICES, CSV_COLUMNS, ConfigError, RunConfig,
+                             emit_field_dump, main, make_parser, parse_config,
+                             parse_mesh, probe_node, run_study,
                              validate_config)
 from parabolic2d.stepper import SolverFailure
 
@@ -19,14 +20,6 @@ def test_parse_mesh():
         parse_mesh("16x16")
     with pytest.raises(ConfigError):
         parse_mesh("ax4x4")
-
-
-def test_parse_probe():
-    assert parse_probe("center") == "center"
-    assert parse_probe("sixth") == "sixth"
-    assert parse_probe("3,5") == (3, 5)
-    with pytest.raises(ConfigError):
-        parse_probe("northwest")
 
 
 def test_validate_rejects_empty_mesh_list():
@@ -54,10 +47,15 @@ def test_probe_divisibility_rules():
     with pytest.raises(ConfigError, match="sixth"):
         validate_config(cfg)
     assert probe_node(RunConfig(probe="sixth"), 12, 12) == (2, 2)
+    assert probe_node(RunConfig(probe="sixth"), 6, 18) == (1, 3)
     assert probe_node(RunConfig(probe="center"), 8, 8) == (4, 4)
-    assert probe_node(RunConfig(probe=(3, 5)), 8, 8) == (3, 5)
-    with pytest.raises(ConfigError):
-        probe_node(RunConfig(probe=(9, 1)), 8, 8)
+    assert probe_node(RunConfig(probe="center"), 6, 10) == (3, 5)
+    with pytest.raises(ConfigError, match=r"^probe: center needs Mx, My "
+                                          r"divisible by 2, got 8x5$"):
+        probe_node(RunConfig(probe="center"), 8, 5)
+    with pytest.raises(ConfigError, match=r"^probe: sixth needs Mx, My "
+                                          r"divisible by 6, got 12x8$"):
+        probe_node(RunConfig(probe="sixth"), 12, 8)
 
 
 def test_field_dump_constant_round_trip(tmp_path):
@@ -201,11 +199,11 @@ def test_companion_solves_per_re_mode(tmp_path, monkeypatch, re_mode, solves):
 
 def test_run_metadata_whole_file(tmp_path):
     # every line of run_metadata.txt but the git revision, in order: floats
-    # with 17 significant digits, mu as given, the tuple probe as a tuple
+    # with 17 significant digits, mu by name and then its rate
     out = tmp_path / "o"
     assert main(["--problem", "airpollution", "--scheme", "cfds",
-                 "--theta", "0.6", "--mesh", "4x4x2", "--mesh", "8x8x2",
-                 "--mu", "fast", "--cos-theta", "0.5", "--probe", "1,3",
+                 "--theta", "0.6", "--mesh", "6x6x2", "--mesh", "12x12x2",
+                 "--mu", "fast", "--cos-theta", "0.5", "--probe", "sixth",
                  "--out", str(out)]) == 0
     lines = (out / "run_metadata.txt").read_text().splitlines()
     assert lines[-1].startswith("git_revision=") and len(lines[-1]) > 13
@@ -213,12 +211,12 @@ def test_run_metadata_whole_file(tmp_path):
 problem=airpollution
 scheme=cfds
 theta=0.59999999999999998
-mesh=4x4x2 8x8x2
+mesh=6x6x2 12x12x2
 re=none
 mu=fast
 mu_value=0.0043633231299858239
 cos_theta=0.5
-probe=(1, 3)
+probe=sixth
 """
 
 
@@ -237,7 +235,10 @@ def _assert_argparse_stops(tmp_path, monkeypatch, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert f"parabolic2d: error: {message}\n" in capsys.readouterr().err
+    # some Python versions quote the listed choices, others do not
+    err = re.sub(r"\(choose from (.*)\)",
+                 lambda m: m[0].replace("'", ""), capsys.readouterr().err)
+    assert f"parabolic2d: error: {message}\n" in err
     assert solves == []
     assert not (tmp_path / "x").exists()
 
@@ -265,7 +266,7 @@ def test_config_flag_is_gone(tmp_path, monkeypatch, capsys):
     ("--theta", "x", "invalid float value: 'x'"),
     ("--cos-theta", "x", "invalid float value: 'x'"),
     ("--mesh", "16x16", "mesh: expected MxxMyxN, got '16x16'"),
-    ("--probe", "nw", "probe: expected center, sixth or i,j; got 'nw'")],
+    ("--probe", "nw", "invalid choice: 'nw' (choose from center, sixth)")],
     ids=["theta", "cos-theta", "mesh", "probe"])
 def test_malformed_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flag,
                                           value, message):
@@ -276,23 +277,79 @@ def test_malformed_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flag,
         f"argument {flag}: {message}")
 
 
+def _assert_exit_2(argv, usage_error):
+    """The CLI exits with 2: through argparse for a usage error, else as
+    main's return value for a configuration error."""
+    if usage_error:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 2
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--mu", "fast"), ("--mu", "0.01"), ("--probe", "sixth"),
     ("--probe", "1,1")])
 def test_manufactured_rejects_wind_and_probe(tmp_path, monkeypatch, flag,
                                              value):
     # the manufactured problem has a fixed wind and no probe: a requested one
-    # would be ignored while run_metadata.txt records it
+    # would be ignored while run_metadata.txt records it.  A wind or probe
+    # that is not a choice is a usage error (see
+    # test_wind_and_probe_outside_their_choices_are_usage_errors)
     from parabolic2d import cli
     solves = []
     monkeypatch.setattr(cli, "integrate",
                         lambda *args, **kwargs: solves.append(args))
-    argv = ["--problem", "manufactured", "--mesh", "4x4x2", flag, value]
     with pytest.raises(ConfigError, match=f"^{flag[2:]}: "):
-        validate_config(parse_config(argv))
-    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        validate_config(RunConfig(problem="manufactured", mesh=[(4, 4, 2)],
+                                  **{flag[2:]: value}))
+    _assert_exit_2(["--problem", "manufactured", "--mesh", "4x4x2", flag,
+                    value, "--out", str(tmp_path / "x")],
+                   usage_error=value not in CHOICES[flag[2:]])
     assert solves == []
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag,value,choices", [
+    ("--mu", "0.01", "standard, fast"), ("--probe", "1,3", "center, sixth")],
+    ids=["mu", "probe"])
+def test_wind_and_probe_outside_their_choices_are_usage_errors(
+        tmp_path, monkeypatch, capsys, flag, value, choices):
+    # wind and probe are named choices: a rate or a node pair is no value
+    _assert_argparse_stops(tmp_path, monkeypatch, capsys, [
+        "--problem", "airpollution", "--mesh", "6x6x2", flag, value],
+        f"argument {flag}: invalid choice: '{value}' (choose from {choices})")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("mu", 0.01), ("probe", (3, 5)), ("problem", "heat"), ("scheme", "fd"),
+    ("re", "time")], ids=["mu", "probe", "problem", "scheme", "re"])
+def test_run_study_rejects_values_outside_choices(tmp_path, monkeypatch, key,
+                                                  value):
+    # a RunConfig built in Python meets the table argparse takes its choices
+    # from, before any solve and before the output directory is made
+    from parabolic2d import cli
+    solves = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *args, **kwargs: solves.append(args))
+    cfg = RunConfig(**{"problem": "airpollution", "mesh": [(6, 6, 2)],
+                       "out": str(tmp_path / "x"), key: value})
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{key}: must be one of {CHOICES[key]}, got {value!r}")):
+        run_study(cfg)
+    assert solves == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_parser_takes_its_choices_from_the_table():
+    assert {a.dest: a.choices for a in make_parser()._actions
+            if a.choices} == CHOICES
+    assert CHOICES == {"problem": ("manufactured", "airpollution"),
+                       "scheme": ("cds", "cfds"),
+                       "re": ("none", "space", "spacetime"),
+                       "mu": ("standard", "fast"),
+                       "probe": ("center", "sixth")}
 
 
 def test_chemistry_flag_is_gone(tmp_path, monkeypatch, capsys):
@@ -321,15 +378,18 @@ def test_mesh_order_checked_before_any_solve(tmp_path, monkeypatch):
 def test_nonfinite_wind_and_sun_rejected_before_any_solve(tmp_path, monkeypatch,
                                                           flag, value):
     # these used to reach step 0 (exit 1, non-finite residual) or, for
-    # cos-theta inf, complete with a meaningless chemistry
+    # cos-theta inf, complete with a meaningless chemistry; a wind is now a
+    # named choice, so a non-finite rate is not one
     from parabolic2d import cli
     solves = []
     monkeypatch.setattr(cli, "integrate",
                         lambda *args, **kwargs: solves.append(args))
-    argv = ["--problem", "airpollution", "--mesh", "4x4x2", flag, value]
     with pytest.raises(ConfigError, match=flag[2:]):
-        validate_config(parse_config(argv))
-    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        validate_config(RunConfig(problem="airpollution", mesh=[(4, 4, 2)],
+                                  **{flag[2:].replace("-", "_"): float(value)}))
+    _assert_exit_2(["--problem", "airpollution", "--mesh", "4x4x2", flag,
+                    value, "--out", str(tmp_path / "x")],
+                   usage_error=flag == "--mu")
     assert solves == []
 
 
@@ -338,10 +398,10 @@ def test_flags_type_into_run_config():
     # flags extend one list, and one --mesh may hold several triples
     cfg = parse_config([
         "--cos-theta", "0.5", "--theta", "1", "--mesh", "6x6x2",
-        "--mesh", "12x12x2, 24x24x2", "--probe", "1,2"])
+        "--mesh", "12x12x2, 24x24x2", "--probe", "sixth", "--mu", "fast"])
     assert (cfg.cos_theta, cfg.theta) == (0.5, 1.0)
     assert cfg.mesh == [(6, 6, 2), (12, 12, 2), (24, 24, 2)]
-    assert cfg.probe == (1, 2)
+    assert (cfg.probe, cfg.mu) == ("sixth", "fast")
     assert parse_config([]) == RunConfig()
 
 

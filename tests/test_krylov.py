@@ -239,7 +239,8 @@ def test_bicgstab_parameter_validation():
 
 @pytest.mark.parametrize("option,value", [
     ("tol", float("nan")), ("tol", float("inf")), ("ell", 2.5),
-    ("maxit", float("nan")), ("maxit", 0), ("ell", True)])
+    ("maxit", float("nan")), ("maxit", 0), ("ell", True), ("tol", True),
+    ("tol", np.True_)])
 def test_bicgstab_checks_options_like_advance(option, value):
     # the rules of check_solver_options, before any application of A
     from parabolic2d import stepper

@@ -189,11 +189,36 @@ def test_failure_carries_step_index():
     assert "Newton did not converge in 25 iterations" in str(exc.value)
 
 
+def test_newton_failure_names_worst_species_and_node(monkeypatch):
+    # the message names max |Ups| of the last iterate: the last residual
+    # advance evaluated, its species and node decoded as in _check_finite
+    from parabolic2d import stepper
+    real_residual, last = stepper.residual, []
+
+    def recorder(*args, **kwargs):
+        last[:] = [real_residual(*args, **kwargs)]
+        return last[0]
+
+    monkeypatch.setattr(stepper, "residual", recorder)
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    sch = build_scheme(prob, g, "cds")
+    with pytest.raises(SolverFailure) as exc:
+        integrate(prob, g, build_time_grid(prob.T, 2), sch, newton_tol=1e-300)
+    [ups] = last
+    l, k = np.unravel_index(np.argmax(np.abs(ups)), ups.shape)
+    assert str(exc.value) == (
+        f"step 0 failed: Newton did not converge in 25 iterations at t=0: "
+        f"max |Ups| {abs(ups[l, k]):.3e} at species {l}, "
+        f"node (i={k % 3 + 1}, j={k // 3 + 1})")
+
+
 @pytest.mark.parametrize("option,value", [
     ("ell", 0), ("krylov_tol", 0.0), ("krylov_maxit", 0), ("newton_tol", -1e-9),
     ("newton_tol", float("nan")), ("max_newton", 0), ("ell", 2.5),
     ("max_newton", 2.5), ("ell", True), ("krylov_maxit", 2.5),
-    ("newton_tol", float("inf")), ("krylov_tol", float("inf"))])
+    ("newton_tol", float("inf")), ("krylov_tol", float("inf")),
+    ("newton_tol", True)])
 def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     # no problem data may be evaluated: neither initial data nor reactions;
     # newton_tol is the one solver keyword; the other limits are constants
