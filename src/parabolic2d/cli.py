@@ -78,9 +78,9 @@ class RunConfig:
 
 def validate_config(cfg: RunConfig) -> None:
     for key, values in CHOICES.items():
-        if getattr(cfg, key) not in values:
-            raise ConfigError(f"{key}: must be one of {values}, "
-                              f"got {getattr(cfg, key)!r}")
+        value = getattr(cfg, key)
+        if value not in values:
+            raise ConfigError(f"{key}: must be one of {values}, got {value!r}")
     if not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError(f"theta: must be in [0, 1], got {cfg.theta}")
     if not cfg.mesh:
