@@ -38,12 +38,6 @@ def max_norm_error(u_num: np.ndarray, exact, grid: Grid2D, t: float) -> np.ndarr
     return np.max(np.abs(e - u2), axis=(1, 2))
 
 
-def _order(err_prev: float, err_cur: float, m_prev: int, m_cur: int) -> float:
-    if err_prev <= 0 or err_cur <= 0:
-        return math.nan
-    return math.log(err_prev / err_cur) / math.log(m_cur / m_prev)
-
-
 def ratio_and_order(errors: Sequence[Tuple[int, float]]) -> List[ConvergenceRow]:
     """Build table rows from (M, error) pairs with strictly increasing M.
 
@@ -54,16 +48,11 @@ def ratio_and_order(errors: Sequence[Tuple[int, float]]) -> List[ConvergenceRow]
     ms = [m for m, _ in errors]
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
         raise ValueError(f"mesh sizes must increase strictly, got {ms}")
-    rows: List[ConvergenceRow] = []
-    prev: Optional[Tuple[int, float]] = None
-    for m, err in errors:
-        row = ConvergenceRow(Mx=m, error=float(err))
-        if prev is not None:
-            m0, e0 = prev
-            row.ratio = e0 / err if err != 0 else math.inf
-            row.order = _order(e0, err, m0, m)
-        rows.append(row)
-        prev = (m, err)
+    rows = [ConvergenceRow(Mx=m, error=float(err)) for m, err in errors]
+    for (m0, e0), (m, err), row in zip(errors, errors[1:], rows[1:]):
+        row.ratio = e0 / err if err != 0 else math.inf
+        row.order = math.log(e0 / err) / math.log(m / m0) \
+            if e0 > 0 and err > 0 else math.nan
     return rows
 
 

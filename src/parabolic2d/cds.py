@@ -11,7 +11,8 @@ A stencil matrix stores one plane per live offset in the field layout,
 zero where the offset reaches a boundary node, so a product runs on the
 (L, n) field arrays.  A folded stack also keeps its planes over the full
 node array with those boundary coefficients, which stepper.boundary_fold
-applies to the boundary data through the same kernel.
+applies to the boundary data through the same kernel, along the product
+plan of each layout that a stack computes once, when it is built.
 """
 
 from __future__ import annotations
@@ -38,13 +39,19 @@ class StencilMatrix:
     = offsets[m], by operand and in OFFSETS order, and is zero where that is
     a boundary node.  full holds the S distinct species rows (S = 1 or L)
     over the full node array, with those boundary coefficients and a zero
-    ring; None if never folded.
+    ring; None if never folded.  plan and full_plan are the product_plan
+    of the field and of the full node layout (None without full).
     """
 
     grid: Grid2D
     planes: np.ndarray                 # (k, L, My-1, Mx-1)
     offsets: tuple                     # k live offsets (k1, k2, o)
     full: np.ndarray | None = None     # (k, S, My+1, Mx+1)
+
+    def __post_init__(self):
+        self.plan = product_plan(self.offsets, self.planes.shape[1:])
+        self.full_plan = None if self.full is None else product_plan(
+            self.offsets, self.planes.shape[1:2] + self.full.shape[2:])
 
     @classmethod
     def from_coeffs(cls, grid: Grid2D, coeffs: list, L: int) -> StencilMatrix:
@@ -86,28 +93,45 @@ class StencilMatrix:
         return A
 
 
-def apply_full(planes: np.ndarray, w: np.ndarray, *, offsets) -> np.ndarray:
-    """Apply a plane stack (k, L, ny, nx) to the arrays w (K L, ny, nx) of
-    K operands in turn, field arrays or full node arrays; the result is
-    (L, ny, nx).  On the flattened arrays plane m, of offset (k1, k2, o),
-    multiplies w shifted by o L ny nx + k2 nx + k1, clipped to w, in one
-    contiguous multiply over all species: the first product (zero where
-    clipped) starts the sum, and the others add in the listed order."""
-    nx = planes.shape[-1]
-    out = (np.empty if len(offsets) else np.zeros)(planes.shape[1:])
-    n = out.size
-    acc, term, size = out.reshape(-1), np.empty(n), w.size
-    w, planes = w.reshape(-1), planes.reshape(len(planes), n)
-    for m, (plane, (k1, k2, o)) in enumerate(zip(planes, offsets)):
-        s = k2 * nx + k1 + n * o
-        lo = 0 if s >= 0 else (-s if -s < n else n)
-        hi = n if s + n <= size else (size - s if s < size else 0)
+def product_plan(offsets, shape) -> tuple:
+    """Per offset (k1, k2, o), the flat slices (lo:hi, lo+s:hi+s) of plane
+    and result, and of the K operands of result shape (L, ny, nx) shifted
+    by s = o L ny nx + k2 nx + k1, clipped to the arrays."""
+    n = int(np.prod(shape))
+    size = n * (offsets[-1][2] + 1 if offsets else 1)
+    plan = []
+    for k1, k2, o in offsets:
+        s = k2 * shape[-1] + k1 + n * o
+        lo, hi = (min(max(v, 0), n) for v in (-s, size - s))
+        plan.append((slice(lo, hi), slice(lo + s, hi + s)))
+    return tuple(plan)
+
+
+def apply_full(planes: np.ndarray, w: np.ndarray, *, plan: tuple,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a plane stack (k, L, ny, nx) along its product_plan of the
+    layout to the K operands w (K L, ny, nx), field or full node arrays;
+    the result (L, ny, nx) goes into out if given, a contiguous array apart
+    from w.  Each plane is one contiguous multiply over all species of the
+    flat arrays: the first product (zero where clipped) starts the sum, and
+    the others add in the listed order."""
+    term = np.empty(planes.shape[1:])
+    if out is None:
+        out = np.empty_like(term)
+    elif out.size != term.size or not out.flags.c_contiguous \
+            or np.may_share_memory(out, w):
+        raise ValueError("out must be contiguous, of the result's size, "
+                         "and share no memory with w")
+    acc, w = out.reshape(-1), w.reshape(-1)
+    term, planes = term.reshape(-1), planes.reshape(len(planes), term.size)
+    if not plan:
+        acc[:] = 0.0
+    for m, (plane, (r, s)) in enumerate(zip(planes, plan)):
         if m == 0:
-            acc[:lo], acc[hi:] = 0.0, 0.0
-            np.multiply(plane[lo:hi], w[lo + s:hi + s], out=acc[lo:hi])
+            acc[:r.start], acc[r.stop:] = 0.0, 0.0
+            np.multiply(plane[r], w[s], out=acc[r])
         else:
-            acc[lo:hi] += np.multiply(plane[lo:hi], w[lo + s:hi + s],
-                                      out=term[lo:hi])
+            acc[r] += np.multiply(plane[r], w[s], out=term[r])
     return out
 
 

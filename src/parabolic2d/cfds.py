@@ -74,10 +74,8 @@ def compact_coefficients(problem: ProblemSpec, grid: Grid2D) -> CompactCoefficie
     theta_t = qx * d - qy * (2 * dya - bt * a)
     gamma = qx * b + qy * a
     gamma_t = qx * (2 * dxd - at * d) + qy * (2 * dyc - bt * c)
-    return CompactCoefficients(a_tilde=at, b_tilde=bt, alpha=alpha, beta=beta,
-                               alpha_tilde=alpha_t, beta_tilde=beta_t,
-                               theta=theta, theta_tilde=theta_t,
-                               gamma=gamma, gamma_tilde=gamma_t)
+    return CompactCoefficients(at, bt, alpha, beta, alpha_t, beta_t, theta,
+                               theta_t, gamma, gamma_t)
 
 
 # 1D stencil factors over offsets (-1, 0, +1); outer products give the 2D terms

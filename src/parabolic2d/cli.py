@@ -40,7 +40,7 @@ import numpy as np
 
 from . import analysis, model, richardson
 from .airchem import rate_coefficients
-from .grid import Grid2D, build_grid, build_time_grid, lex_index
+from .grid import Grid2D, build_grid, build_time_grid, is_bool, lex_index
 from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
                       integrate)
 
@@ -81,7 +81,7 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(cfg, key)
         if value not in values:
             raise ConfigError(f"{key}: must be one of {values}, got {value!r}")
-    if not 0.0 <= cfg.theta <= 1.0:
+    if is_bool(cfg.theta) or not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError(f"theta: must be in [0, 1], got {cfg.theta}")
     if not cfg.mesh:
         raise ConfigError("mesh: at least one MxxMyxN triple is required")
@@ -127,9 +127,7 @@ def build_problem(cfg: RunConfig) -> model.ProblemSpec:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return format(x, ".17g")
+        return "" if math.isnan(x) else format(x, ".17g")
     return str(x)
 
 
@@ -235,9 +233,9 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
             for l in range(L):
                 f.write(f"# species {l} t {_fmt(float(t))}\n")
                 f.write("x,y,value\n")
-                np.savetxt(f, np.column_stack(
-                    [XX.ravel(), YY.ravel(), full[l].ravel()]),
-                    fmt="%.17g", delimiter=",")
+                values = np.column_stack([XX.ravel(), YY.ravel(),
+                                          full[l].ravel()]).ravel().tolist()
+                f.write("%.17g,%.17g,%.17g\n" * XX.size % tuple(values))
         os.replace(tmp_path, path)
     except OSError:
         if os.path.exists(tmp_path):

@@ -94,6 +94,11 @@ class TimeGrid:
         return n * self.tau
 
 
+def is_bool(value) -> bool:
+    """A Python or numpy bool, which a range check would take as 0 or 1."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _count(name: str, value, least: int) -> int:
     """value as an int; rejects a bool, a non-integral value and value < least."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \

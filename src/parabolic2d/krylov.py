@@ -6,14 +6,15 @@ update.  One iteration means one full cycle; convergence inside the BiCG part
 counts fractionally (with ell=2 a single BiCG step counts as 0.5), which is
 the convention used by the iteration-count reports.
 
-The iteration starts from zero, so its first residual is b itself.  A
-`precond` callable M is a right preconditioner: the solver iterates on
-A M z = b from z = 0 and returns M z.  A converged solve reports the
-recursive residual that met the tolerance; only a non-converged one pays an
-extra application for the true residual ||b - A x||/||b||.  A converged
-solve without restart makes exactly 2 ell applications per cycle, or
-2 ell iterations - 1 when it stops inside the BiCG part, which tests before
-it makes a step's second one.
+The operator A(v, out) writes A v into out, an array of the solver that
+shares no memory with v or b, so no result is copied.  The iteration starts
+from zero, so its first residual is b itself.  A `precond` callable M is a
+right preconditioner: the solver iterates on A M z = b from z = 0 and
+returns M z.  A converged solve reports the recursive residual that met the
+tolerance; only a non-converged one pays an extra application for the true
+residual ||b - A x||/||b||.  A converged solve without restart makes
+exactly 2 ell applications per cycle, or 2 ell iterations - 1 when it stops
+inside the BiCG part, which tests before it makes a step's second one.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cds import StencilMatrix, apply_full
+from .grid import is_bool
 
 
 class KrylovBreakdown(RuntimeError):
@@ -44,8 +46,7 @@ def check_solver_options(**options) -> None:
     positive and finite, or an iteration limit (maxit, ell) that is not an
     integer of at least 1; a bool is neither."""
     for name, value in options.items():
-        if name.endswith("tol") and (isinstance(value, (bool, np.bool_))
-                                     or not 0 < value < np.inf):
+        if name.endswith("tol") and (is_bool(value) or not 0 < value < np.inf):
             raise ValueError(f"{name} must be positive and finite, got {value}")
         if name in ("maxit", "ell") and (
                 isinstance(value, bool)
@@ -54,18 +55,17 @@ def check_solver_options(**options) -> None:
                              f"got {value!r}")
 
 
-def matvec(A: StencilMatrix, w: np.ndarray) -> np.ndarray:
+def matvec(A: StencilMatrix, w: np.ndarray, *, out=None) -> np.ndarray:
     """y = A_0 x_0 + A_1 x_1 + ... for a stack over K operands (K is the
     last offset's operand plus one), given as one (K L, n) array w holding
     the (L, n) operands x_k in turn; w is read in place, and boundary nodes
-    add zero.
-    """
+    add zero.  y goes into out if given (see cds.apply_full)."""
     L, n = A.planes.shape[1], A.grid.n_interior
     K = A.offsets[-1][2] + 1 if A.offsets else 1
     w = np.asarray(w, dtype=float)
     if w.shape != (K * L, n):
         raise ValueError(f"operand shape {w.shape}, expected {(K * L, n)}")
-    return apply_full(A.planes, w, offsets=A.offsets).reshape(L, n)
+    return apply_full(A.planes, w, plan=A.plan, out=out).reshape(L, n)
 
 
 def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
@@ -76,16 +76,16 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
     residual, which can differ from the true ||b - A x|| in the last digits;
     the true residual is computed only for a non-converged report.
 
-    A is a linear callable on vectors.  The solver updates
-    in place only arrays it owns: b is never written, and every
-    result of A is copied into solver storage, so A may return one reused
-    output buffer.  The returned x is a new array.  On a recurrence
-    breakdown the iteration restarts once from the current iterate; a second
-    breakdown raises KrylovBreakdown.  Exceeding maxit cycles, or a residual
-    norm that is no longer finite, returns a non-converged report.
+    A is a linear operator A(v, out) that writes A v into out, one of the
+    solver's own arrays, never v or b.  The solver updates in place only
+    arrays it owns: b is never written, and the returned x is a new array.
+    On a recurrence breakdown the iteration restarts once from the current
+    iterate; a second breakdown raises KrylovBreakdown.  Exceeding maxit
+    cycles, or a residual norm that is no longer finite, returns a
+    non-converged report.
     """
     check_solver_options(tol=tol, ell=ell, maxit=maxit)
-    inner_apply = A if precond is None else (lambda v: A(precond(v)))
+    inner_apply = A if precond is None else lambda v, out: A(precond(v), out)
 
     b = np.asarray(b, dtype=float)
     norm_b = math.sqrt(np.dot(b, b))
@@ -106,7 +106,9 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
 
     def finish(converged: bool):
         x = iterate()
-        res = rnorm if converged else np.linalg.norm(b - A(x))
+        if not converged:
+            A(x, buf)
+        res = rnorm if converged else np.linalg.norm(b - buf)
         return x, KrylovReport(iters, res / norm_b, converged)
 
     rnorm = norm_b
@@ -126,7 +128,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
             for i in range(j + 1):
                 us[i] *= -beta
                 us[i] += rs[i]
-            np.copyto(us[j + 1], inner_apply(us[j]))
+            inner_apply(us[j], us[j + 1])
             gam = np.dot(us[j + 1], rtilde)
             if gam == 0.0:
                 broke = True
@@ -139,36 +141,31 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
             rnorm = math.sqrt(np.dot(rs[0], rs[0]))
             if rnorm <= tol * norm_b:
                 return finish(True)
-            np.copyto(rs[j + 1], inner_apply(rs[j]))
+            inner_apply(rs[j], rs[j + 1])
 
         if not broke:
-            # minimal-residual polynomial step (modified Gram-Schmidt)
-            tau = np.zeros((ell + 1, ell + 1))
-            sigma = np.zeros(ell + 1)
-            gamma_p = np.zeros(ell + 1)
+            # minimal-residual polynomial step (modified Gram-Schmidt) on
+            # Python floats; a zero sigma[j] stops it with gamma_p[ell] = 0
+            tau = [[0.0] * (ell + 1) for _ in range(ell + 1)]
+            sigma, gamma_p = [0.0] * (ell + 1), [0.0] * (ell + 1)
             for j in range(1, ell + 1):
                 for i in range(1, j):
-                    tau[i, j] = np.dot(rs[j], rs[i]) / sigma[i]
-                    rs[j] -= np.multiply(tau[i, j], rs[i], out=buf)
-                sigma[j] = np.dot(rs[j], rs[j])
+                    tau[i][j] = float(np.dot(rs[j], rs[i])) / sigma[i]
+                    rs[j] -= np.multiply(tau[i][j], rs[i], out=buf)
+                sigma[j] = float(np.dot(rs[j], rs[j]))
                 if sigma[j] == 0.0:
-                    broke = True
                     break
-                gamma_p[j] = np.dot(rs[0], rs[j]) / sigma[j]
+                gamma_p[j] = float(np.dot(rs[0], rs[j])) / sigma[j]
+            broke = gamma_p[ell] == 0.0
             if not broke:
-                gamma = np.zeros(ell + 1)
-                gamma_pp = np.zeros(ell + 1)
-                gamma[ell] = gamma_p[ell]
-                omega = gamma[ell]
-                if omega == 0.0:
-                    broke = True
-            if not broke:
+                omega = gamma_p[ell]
+                gamma = [0.0] * ell + [omega]
                 for j in range(ell - 1, 0, -1):
-                    gamma[j] = gamma_p[j] - np.dot(tau[j, j + 1:ell + 1],
-                                                   gamma[j + 1:ell + 1])
-                for j in range(1, ell):
-                    gamma_pp[j] = gamma[j + 1] + np.dot(tau[j, j + 1:ell],
-                                                        gamma[j + 2:ell + 1])
+                    gamma[j] = gamma_p[j] - sum(
+                        tau[j][i] * gamma[i] for i in range(j + 1, ell + 1))
+                gamma_pp = [0.0] + [gamma[j + 1] + sum(
+                    tau[j][i] * gamma[i + 1] for i in range(j + 1, ell))
+                    for j in range(1, ell)]
                 z += np.multiply(gamma[1], rs[0], out=buf)
                 rs[0] -= np.multiply(gamma_p[ell], rs[ell], out=buf)
                 us[0] -= np.multiply(gamma[ell], us[ell], out=buf)
@@ -186,7 +183,8 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
                     f"BiCGStab({ell}) breakdown persisted after restart "
                     f"(cycle {iters:.2f}, |rho|={abs(rho0):.3e})")
             restarted = True
-            rs[0] = b - A(iterate())
+            A(iterate(), rs[0])
+            np.subtract(b, rs[0], out=rs[0])
             rtilde = rs[0].copy()
             us[0] = np.zeros_like(b)
             rho0, alpha, omega = 1.0, 0.0, 1.0

@@ -49,8 +49,7 @@ EXAMPLE2_INITIAL = (1e3, 1e3, 1e3, 5e3, 5e3, 1e2, 1e-2, 1e-2, 1e-3, 1e-11)
 def rotational_wind(x, y, mu: float):
     """Velocity components (c, d) = (mu*(y - yc), mu*(xc - x)) of the
     rotation at angular rate mu about the domain centre (xc, yc)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return mu * (y - DEFAULT_Y / 2.0), mu * (DEFAULT_X / 2.0 - x)
 
 
@@ -99,8 +98,7 @@ def species_field(what: str, value, L: int, shape: tuple) -> np.ndarray:
 
 def manufactured_solution(x, y, t):
     """exp(-t/T) sin(pi x/X) sin(pi y/Y); identical for every species."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return np.exp(-np.asarray(t, dtype=float) / DEFAULT_T) \
         * np.sin(np.pi * x / DEFAULT_X) * np.sin(np.pi * y / DEFAULT_Y)
 
@@ -119,8 +117,7 @@ def manufactured_forcing(x, y, t, *, mu: float, rates: airchem.RateSet):
         u_y  = e (pi/Y) sin(pi x/X) cos(pi y/Y).
     """
     X, Y, T, K = DEFAULT_X, DEFAULT_Y, DEFAULT_T, DEFAULT_K
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     e = np.exp(-np.asarray(t, dtype=float) / T)
     sx = np.sin(np.pi * x / X)
     sy = np.sin(np.pi * y / Y)

@@ -60,8 +60,7 @@ def extrapolate_spacetime(u_hh: np.ndarray, u_ht: np.ndarray,
         raise ValueError("space-time extrapolation needs a factor-2 space refinement")
     if fine_time.N != 2 * coarse_time.N or fine_time.T != coarse_time.T:
         raise ValueError("space-time extrapolation needs a factor-2 time refinement")
-    ws = re_weights(sigma_space)
-    wt = re_weights(sigma_time)
+    ws, wt = re_weights(sigma_space), re_weights(sigma_time)
     fine_h = restrict(u_fh, fine_grid, coarse_grid)
     fine_t = restrict(u_ft, fine_grid, coarse_grid)
     return (ws.gamma1 * wt.gamma1 * np.asarray(u_hh, dtype=float)

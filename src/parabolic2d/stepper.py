@@ -47,7 +47,7 @@ import numpy as np
 from . import cds as cds_mod
 from . import cfds as cfds_mod
 from .cds import StencilMatrix, apply_full
-from .grid import Grid2D, TimeGrid, validate_field
+from .grid import Grid2D, TimeGrid, is_bool, validate_field
 from .krylov import KrylovBreakdown, bicgstab_l, check_solver_options, matvec
 from .model import ProblemSpec, check_compatibility, species_field
 
@@ -127,7 +127,7 @@ def _ring_product(A: StencilMatrix, grid: Grid2D, *vs: np.ndarray) -> np.ndarray
     ring = np.zeros((len(vs) * L, grid.My + 1, grid.Mx + 1))
     ring[:, j, i] = np.concatenate(vs)
     planes = np.broadcast_to(A.full, (len(A.full), L) + ring.shape[1:])
-    return apply_full(planes, ring, offsets=A.offsets)[:, 1:-1, 1:-1].reshape(
+    return apply_full(planes, ring, plan=A.full_plan)[:, 1:-1, 1:-1].reshape(
         -1, grid.n_interior)
 
 
@@ -259,23 +259,22 @@ class _Run:
 
 
 def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
-                    tau: float, theta: float, x: np.ndarray) -> np.ndarray:
-    """Action of the Newton matrix on x (L, n) for reaction Jacobian J
-    (L, L, n); B is _newton_stencil(scheme, tau, theta).  Evaluated in place
-    as ((x/tau) + theta (P x)) - theta (J x), or as B applied to (x, J x),
-    both written into one (2L, n) operand."""
+                    tau: float, theta: float, x: np.ndarray,
+                    out: np.ndarray) -> None:
+    """Write the action of the Newton matrix on x (L, n) for reaction
+    Jacobian J (L, L, n) into out (L, n); B is _newton_stencil(scheme, tau,
+    theta).  Evaluated in place as ((x/tau) + theta (P x)) - theta (J x), or
+    as B applied to (x, J x), both written into one (2L, n) operand."""
     if scheme.kind == "cfds":
         xJx = np.empty((2 * len(x), x.shape[1]))
         xJx[:len(x)] = x
         np.einsum("lmn,mn->ln", J, x, out=xJx[len(x):])
-        return matvec(B, xJx)
-    Jx = np.einsum("lmn,mn->ln", J, x)
-    y, Px = x / tau, matvec(scheme.P, x)
-    Px *= theta
-    y += Px
-    Jx *= theta
-    y -= Jx
-    return y
+        matvec(B, xJx, out=out)
+        return
+    np.divide(x, tau, out=out)
+    Px, Jx = matvec(scheme.P, x), np.einsum("lmn,mn->ln", J, x)
+    out += np.multiply(theta, Px, out=Px)
+    out -= np.multiply(theta, Jx, out=Jx)
 
 
 def _species_node(v: np.ndarray, k: int, grid: Grid2D) -> str:
@@ -335,8 +334,9 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
         _check_finite("reaction Jacobian", J, grid, t_n, it)
         try:
             delta, krep = bicgstab_l(
-                lambda v: _apply_jacobian(scheme, run.B, J, tau, theta,
-                                          v.reshape(L, n)).ravel(),
+                lambda v, out: _apply_jacobian(scheme, run.B, J, tau, theta,
+                                               v.reshape(L, n),
+                                               out.reshape(L, n)),
                 -ups.ravel(), tol=KRYLOV_TOL, ell=ELL, maxit=KRYLOV_MAXIT)
         except KrylovBreakdown as exc:
             raise SolverFailure(f"inner solver broke down at t={t_n:.6g}, "
@@ -384,7 +384,7 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     first step.  Step failures propagate as SolverFailure with the failing
     step index attached.
     """
-    if not 0.0 <= theta <= 1.0:
+    if is_bool(theta) or not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     check_solver_options(newton_tol=newton_tol)
     run = _Run(_newton_stencil(scheme, time_grid.tau, theta),

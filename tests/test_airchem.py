@@ -42,6 +42,13 @@ def test_rejects_cos_theta_outside_unit_interval(cos_theta):
         rate_coefficients(cos_theta)
 
 
+@pytest.mark.parametrize("cos_theta", [True, np.True_])
+def test_rejects_bool_cos_theta(cos_theta):
+    # a bool passes 0 < cos_theta <= 1 as 1; it is not a cosine
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        rate_coefficients(cos_theta)
+
+
 def test_rates_vanish_at_zero(k1):
     assert np.array_equal(reaction_rates(np.zeros(10), k1), np.zeros(10))
 

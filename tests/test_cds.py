@@ -3,7 +3,7 @@ import pytest
 
 from parabolic2d import boundary_fold, build_grid, build_scheme, make_example1
 from parabolic2d.cds import (OFFSETS, StencilMatrix, apply_full,
-                             cds_full_stencil)
+                             cds_full_stencil, product_plan)
 from parabolic2d.model import ProblemSpec
 
 
@@ -207,6 +207,7 @@ def test_zero_plane_skip_matches_full_sum():
         every = np.zeros((len(OFFSETS),) + A.planes.shape[1:])
         for plane, (k1, k2, _) in zip(A.planes, A.offsets):
             every[OFFSETS.index((k1, k2))] = plane
+        nine = [(k1, k2, 0) for k1, k2 in OFFSETS]
         assert np.array_equal(
-            apply_full(A.planes, w, offsets=A.offsets),
-            apply_full(every, w, offsets=[(k1, k2, 0) for k1, k2 in OFFSETS]))
+            apply_full(A.planes, w, plan=A.plan),
+            apply_full(every, w, plan=product_plan(nine, w.shape)))

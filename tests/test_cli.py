@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import re
@@ -39,6 +40,15 @@ def test_validate_rejects_invalid_mesh_triples(mesh):
 def test_validate_rejects_bad_theta():
     with pytest.raises(ConfigError, match="theta"):
         validate_config(RunConfig(theta=1.5, mesh=[(4, 4, 4)]))
+
+
+@pytest.mark.parametrize("key,value", [("theta", True), ("theta", np.True_),
+                                       ("cos_theta", True)])
+def test_validate_rejects_bool_settings(key, value):
+    # a bool passes the range checks as 0 or 1; a Python-built RunConfig
+    # with one is rejected before any output
+    with pytest.raises(ConfigError, match=key.replace("_", "-")):
+        validate_config(RunConfig(mesh=[(4, 4, 2)], **{key: value}))
 
 
 def test_probe_divisibility_rules():
@@ -83,6 +93,34 @@ def test_field_dump_exact_round_trip(tmp_path):
         vals = parsed[l, :, 2].reshape(g.My + 1, g.Mx + 1)
         assert np.array_equal(vals[1:-1, 1:-1].ravel(), u[l])
         assert np.all(vals[0, :] == 0.0)
+
+
+def test_field_dump_bytes_match_savetxt(tmp_path):
+    # one formatted write per species block gives the bytes of np.savetxt
+    # with fmt="%.17g", including negative, subnormal and signed-zero values
+    g = build_grid(1.0, 1.0, 7, 6)
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((2, g.n_interior)) * 10.0 ** rng.integers(
+        -320, 300, (2, g.n_interior))
+    u[0, :4] = [-0.0, 0.0, -1e-310, 5e-324]
+    ring = len(g.boundary_ring()[0][0])
+    data = np.stack([np.full(ring, -0.0), -np.linspace(1e-305, 1.0, ring)])
+    path = tmp_path / "dump.txt"
+    emit_field_dump(u, g, 0.25, str(path), boundary=lambda x, y, t: data)
+    XX, YY = g.full_mesh()
+    full = np.empty((2, g.My + 1, g.Mx + 1))
+    full[:, 1:-1, 1:-1] = u.reshape(2, g.ny, g.nx)
+    (j, i), _ = g.boundary_ring()
+    full[:, j, i] = data
+    expected = io.BytesIO()
+    for l in range(2):
+        expected.write(f"# species {l} t 0.25\nx,y,value\n".encode())
+        np.savetxt(expected, np.column_stack(
+            [XX.ravel(), YY.ravel(), full[l].ravel()]), fmt="%.17g",
+            delimiter=",")
+    assert path.read_bytes() == expected.getvalue()
+    assert all(v in expected.getvalue() for v in (b",-0\n", b",0\n",
+                                                  b"e-311\n", b"e-324\n"))
 
 
 def test_run_study_manufactured(tmp_path):

@@ -9,6 +9,11 @@ from parabolic2d.krylov import (KrylovBreakdown, bicgstab_l, check_solver_option
                               matvec)
 
 
+def writing(f):
+    """The operator A(v, out) of bicgstab_l for the function f(v) = A v."""
+    return lambda v, out: np.copyto(out, f(v))
+
+
 def identity_stencil(grid):
     c = np.zeros((1, 3, 3, grid.ny, grid.nx))
     c[0, 1, 1] = 1.0
@@ -66,7 +71,7 @@ def test_operator_linearity():
 
 def test_bicgstab_identity_one_cycle():
     n = 30
-    op = lambda v: v
+    op = writing(lambda v: v)
     b = np.arange(1.0, n + 1)
     x, rep = bicgstab_l(op, b)
     assert rep.converged and rep.iterations <= 1.0
@@ -74,14 +79,14 @@ def test_bicgstab_identity_one_cycle():
 
 
 def test_bicgstab_two_by_two():
-    op = lambda v: np.array([2.0, 3.0]) * v
+    op = writing(lambda v: np.array([2.0, 3.0]) * v)
     x, rep = bicgstab_l(op, np.array([2.0, 3.0]))
     assert rep.converged
     assert np.allclose(x, [1.0, 1.0], rtol=1e-10)
 
 
 def test_bicgstab_zero_rhs():
-    op = lambda v: 2.0 * v
+    op = writing(lambda v: 2.0 * v)
     x, rep = bicgstab_l(op, np.zeros(4))
     assert rep.converged and rep.iterations == 0.0
     assert np.array_equal(x, np.zeros(4))
@@ -93,7 +98,7 @@ def test_bicgstab_random_nonsymmetric(ell):
     n = 40
     A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     b = rng.standard_normal(n)
-    op = lambda v: A @ v
+    op = writing(lambda v: A @ v)
     x, rep = bicgstab_l(op, b, tol=1e-12, ell=ell)
     assert rep.converged
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
@@ -104,7 +109,7 @@ def test_bicgstab_spd_diagonal_few_cycles():
     rng = np.random.default_rng(19)
     n = 50
     d = rng.uniform(1.0, 3.0, size=n)
-    op = lambda v: d * v
+    op = writing(lambda v: d * v)
     b = rng.standard_normal(n)
     x, rep = bicgstab_l(op, b, tol=1e-12)
     assert rep.converged and rep.iterations <= n
@@ -115,7 +120,7 @@ def test_bicgstab_report_contract():
     rng = np.random.default_rng(29)
     n = 25
     A = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
-    op = lambda v: A @ v
+    op = writing(lambda v: A @ v)
     tol = 1e-11
     b = rng.standard_normal(n)
     x, rep = bicgstab_l(op, b, tol=tol)
@@ -130,9 +135,9 @@ def recording(A):
     """Operator of the matrix A that records every operand."""
     seen = []
 
-    def apply(v):
+    def apply(v, out):
         seen.append(v.copy())
-        return A @ v
+        out[...] = A @ v
 
     return apply, seen
 
@@ -190,8 +195,10 @@ def newton_matrix_apply(sch, prob, g, tau, theta, W, x, t):
     from parabolic2d.stepper import _apply_jacobian, _newton_stencil
     XX, YY = g.interior_mesh()
     J = np.asarray(prob.reaction_jacobian(XX.ravel(), YY.ravel(), t, W), float)
-    return _apply_jacobian(sch, _newton_stencil(sch, tau, theta), J, tau,
-                           theta, x)
+    out = np.empty_like(x)
+    _apply_jacobian(sch, _newton_stencil(sch, tau, theta), J, tau, theta, x,
+                    out)
+    return out
 
 
 def test_bicgstab_newton_matrix_cycle_count():
@@ -204,8 +211,8 @@ def test_bicgstab_newton_matrix_cycle_count():
     from parabolic2d.stepper import initial_field
     W = initial_field(prob, g)
     n = W.size
-    op = lambda v: newton_matrix_apply(
-        sch, prob, g, tau, 0.5, W, v.reshape(W.shape), tau).ravel()
+    op = writing(lambda v: newton_matrix_apply(
+        sch, prob, g, tau, 0.5, W, v.reshape(W.shape), tau).ravel())
     rng = np.random.default_rng(3)
     b = rng.standard_normal(n)
     x, rep = bicgstab_l(op, b, tol=1e-10)
@@ -214,7 +221,7 @@ def test_bicgstab_newton_matrix_cycle_count():
 
 
 def test_bicgstab_breakdown_raises_after_restart():
-    op = lambda v: 0.0 * v
+    op = writing(lambda v: 0.0 * v)
     with pytest.raises(KrylovBreakdown):
         bicgstab_l(op, np.ones(3))
 
@@ -223,14 +230,14 @@ def test_bicgstab_maxit_reports_nonconvergence():
     rng = np.random.default_rng(37)
     n = 60
     d = np.logspace(0, 8, n)
-    op = lambda v: d * v
+    op = writing(lambda v: d * v)
     x, rep = bicgstab_l(op, rng.standard_normal(n), tol=1e-14, maxit=1)
     assert not rep.converged
     assert rep.iterations <= 1.0
 
 
 def test_bicgstab_parameter_validation():
-    op = lambda v: v
+    op = writing(lambda v: v)
     with pytest.raises(ValueError):
         bicgstab_l(op, np.ones(2), ell=0)
     with pytest.raises(ValueError):
@@ -246,7 +253,7 @@ def test_bicgstab_checks_options_like_advance(option, value):
     from parabolic2d import stepper
     calls = []
     with pytest.raises(ValueError, match=rf"^{option} must be"):
-        bicgstab_l(lambda v: calls.append(v) or v, np.ones(3),
+        bicgstab_l(lambda v, out: calls.append(v), np.ones(3),
                    **{option: value})
     assert calls == []
     assert stepper.check_solver_options is check_solver_options
@@ -257,7 +264,7 @@ def test_bicgstab_jacobi_preconditioning():
     n = 40
     d = rng.uniform(1, 100, size=n)
     A = np.diag(d) + 0.1 * rng.standard_normal((n, n))
-    op = lambda v: A @ v
+    op = writing(lambda v: A @ v)
     b = rng.standard_normal(n)
     x, rep = bicgstab_l(op, b, tol=1e-11, precond=lambda v: v / d)
     assert rep.converged
@@ -278,8 +285,9 @@ def test_preconditioned_solve_without_guess_returns_m_z():
     # the result is M applied to the iterate of A M z = b,
     # bit for bit, and the preconditioned residual is the one reported
     A, b, precond = preconditioned_system(50)
-    x, rep = bicgstab_l(lambda v: A @ v, b, tol=1e-11, precond=precond)
-    z, z_rep = bicgstab_l(lambda v: A @ precond(v), b, tol=1e-11)
+    x, rep = bicgstab_l(writing(lambda v: A @ v), b, tol=1e-11,
+                        precond=precond)
+    z, z_rep = bicgstab_l(writing(lambda v: A @ precond(v)), b, tol=1e-11)
     assert np.array_equal(bits(x), bits(precond(z)))
     assert rep == z_rep
 
@@ -288,11 +296,10 @@ def test_bicgstab_stops_on_nonfinite_residual():
     # a NaN in the operator must not run the cycle limit
     applied = []
 
-    def apply(v):
+    def apply(v, out):
         applied.append(1)
-        out = 2.0 * v
+        out[...] = 2.0 * v
         out[3] = np.nan
-        return out
 
     _, rep = bicgstab_l(apply, np.ones(8), maxit=200)
     assert not rep.converged
@@ -306,23 +313,60 @@ def bits(a):
 
 @pytest.mark.parametrize("ell", [1, 2, 4])
 def test_reused_output_buffer_matches_fresh_operator(ell):
-    # the solver copies every result of A before it applies A again or
-    # updates in place, so an operator with one output buffer is safe
+    # an operator that computes into one private buffer and copies it into
+    # the solver's out gives the bits of the plain operator
     rng = np.random.default_rng(71 + ell)
     n = 40
     A = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
     b = rng.standard_normal(n)
-    out = np.empty(n)
+    private = np.empty(n)
 
-    def reused(v):
-        out[...] = A @ v
-        return out
+    def reused(v, out):
+        np.matmul(A, v, out=private)
+        out[...] = private
 
-    x_fresh, rep_fresh = bicgstab_l(lambda v: A @ v, b, tol=1e-12, ell=ell)
+    x_fresh, rep_fresh = bicgstab_l(writing(lambda v: A @ v), b, tol=1e-12,
+                                    ell=ell)
     x_reused, rep_reused = bicgstab_l(reused, b, tol=1e-12, ell=ell)
     assert rep_fresh.converged and rep_fresh.iterations >= 2
     assert np.array_equal(bits(x_reused), bits(x_fresh))
     assert rep_reused == rep_fresh
+
+
+@pytest.mark.parametrize("case", ["ell1", "ell2", "ell4", "precond",
+                                  "nonconverged", "restart"])
+def test_operator_out_shares_no_memory_with_its_operand_or_b(case):
+    # every out handed to A(v, out), in the BiCG part, the true residual of
+    # a non-converged solve and the restart, is solver storage apart from v
+    # and b
+    rng = np.random.default_rng(79)
+    n = 30
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    if case == "nonconverged":
+        A = np.diag(np.logspace(0, 8, n))
+    if case == "restart":
+        A = np.zeros((n, n))
+    b = rng.standard_normal(n)
+    calls = []
+
+    def apply(v, out):
+        calls.append((v, out))
+        out[...] = A @ v
+
+    kwargs = {"ell1": {"ell": 1}, "ell2": {}, "ell4": {"ell": 4},
+              "precond": {"precond": lambda v: v / 2.0},
+              "nonconverged": {"tol": 1e-14, "maxit": 1},
+              "restart": {}}[case]
+    if case == "restart":
+        with pytest.raises(KrylovBreakdown):
+            bicgstab_l(apply, b, **kwargs)
+    else:
+        _, rep = bicgstab_l(apply, b, **kwargs)
+        assert rep.converged == (case != "nonconverged")
+    assert len(calls) >= 2
+    for v, out in calls:
+        assert not np.shares_memory(out, v)
+        assert not np.shares_memory(out, b)
 
 
 def test_bicgstab_leaves_its_inputs_alone():
@@ -331,7 +375,7 @@ def test_bicgstab_leaves_its_inputs_alone():
     A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     b = rng.standard_normal(n)
     b_before = b.copy()
-    x, rep = bicgstab_l(lambda v: A @ v, b, tol=1e-12)
+    x, rep = bicgstab_l(writing(lambda v: A @ v), b, tol=1e-12)
     assert rep.converged
     assert np.array_equal(bits(b), bits(b_before))
     assert not np.shares_memory(x, b)

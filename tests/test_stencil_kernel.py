@@ -135,7 +135,7 @@ def test_kernel_matches_padded_window_literal(name, live, S):
     expected = field_shift_sum(A, x)
     assert np.array_equal(
         bits(apply_full(A.planes, x.reshape(L, g.ny, g.nx),
-                        offsets=A.offsets).reshape(L, -1)), bits(expected))
+                        plan=A.plan).reshape(L, -1)), bits(expected))
     # matvec is the same product, on the field array itself, and equals
     # the product on the zero-padded operand that it replaces
     assert np.array_equal(bits(matvec(A, x)), bits(expected))
@@ -143,7 +143,7 @@ def test_kernel_matches_padded_window_literal(name, live, S):
     w = rng.standard_normal((L, g.My + 1, g.Mx + 1))
     assert np.array_equal(
         bits(apply_full(tiled(padded, L), w,
-                        offsets=A.offsets)[:, 1:-1, 1:-1]),
+                        plan=padded.full_plan)[:, 1:-1, 1:-1]),
         bits(padded_window_sum(padded, w)))
     # the compact Newton stack is never folded: it keeps no full planes
     assert (A.full is None) == (name == "B")
@@ -260,7 +260,7 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
     operands = w.reshape(2 * L, g.My + 1, g.Mx + 1)
     assert np.array_equal(
         bits(apply_full(tiled(stack, L), operands,
-                        offsets=stack.offsets)[:, 1:-1, 1:-1]),
+                        plan=stack.full_plan)[:, 1:-1, 1:-1]),
         bits(expected))
     # on field arrays matvec is the field literal, and equals the product
     # on zero-padded operands
@@ -372,3 +372,72 @@ def test_ring_product_is_the_padded_window_sum(kind, S):
     assert np.array_equal(
         bits(_ring_product(A, g, *vs)),
         bits(padded_window_sum(A, w).reshape(prob.L, -1)))
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("S", ["1", "L"])
+def test_product_into_out_matches_allocating_product(kind, S):
+    # matvec and apply_full write into a given out the bits of the
+    # allocating call, on field arrays and on full node arrays, for the
+    # scheme's one-operand (cds P) and two-operand (cfds QP) stacks
+    prob = species_varied_problem()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
+    A, L = (sch.P if kind == "cds" else sch.QP), prob.L
+    assert A.full.shape[1] == {"1": 1, "L": L}[S]
+    K = A.offsets[-1][2] + 1
+    rng = np.random.default_rng(97)
+    x = rng.standard_normal((K * L, g.n_interior))
+    out = np.full((L, g.n_interior), np.nan)
+    y = matvec(A, x, out=out)
+    assert np.shares_memory(y, out)
+    assert np.array_equal(bits(out), bits(matvec(A, x)))
+    w = rng.standard_normal((K * L, g.My + 1, g.Mx + 1))
+    out = np.full((L, g.My + 1, g.Mx + 1), np.nan)
+    assert apply_full(tiled(A, L), w, plan=A.full_plan, out=out) is out
+    assert np.array_equal(
+        bits(out), bits(apply_full(tiled(A, L), w, plan=A.full_plan)))
+
+
+def test_product_rejects_out_that_may_share_memory_with_operands():
+    # the kernel reads shifted operands while it writes out, so an out that
+    # overlaps them would give wrong sums without a sign
+    sch = build_scheme(make_example1(), build_grid(1.0, 1.0, 6, 5), "cfds")
+    L, n = sch.QP.planes.shape[1], sch.QP.grid.n_interior
+    x = np.random.default_rng(3).standard_normal((2 * L, n))
+    for A, w, out in ((sch.P, x[:L], x[:L]), (sch.QP, x, x[L:]),
+                      (sch.QP, x, x[:L])):
+        with pytest.raises(ValueError, match="share no memory"):
+            matvec(A, w, out=out)
+        with pytest.raises(ValueError, match="share no memory"):
+            apply_full(A.planes, w, plan=A.plan, out=out)
+    # an out of the wrong size, or not contiguous, is refused the same way
+    for out in (np.empty((L, n + 1)), np.empty((2 * L, n))[::2]):
+        with pytest.raises(ValueError, match="contiguous"):
+            matvec(sch.QP, x, out=out)
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_stack_builds_its_plans_once(kind, monkeypatch):
+    # a stack computes its product plans when it is built; products and
+    # folds reuse them, so a whole run builds only the compact Newton
+    # stack's field plan
+    from parabolic2d import cds, make_example2, stepper
+    from parabolic2d.grid import build_time_grid
+
+    built = []
+    real = cds.product_plan
+    monkeypatch.setattr(cds, "product_plan",
+                        lambda *args: built.append(args) or real(*args))
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    sch = build_scheme(prob, g, kind)
+    stacks = [sch.P] if kind == "cds" else [sch.QP, sch.Q, sch.P]
+    assert len(built) == 2 * len(stacks)   # the field and the full layout
+    plans = [(A.plan, A.full_plan) for A in stacks]
+    assert all(A.plan == real(A.offsets, A.planes.shape[1:]) for A in stacks)
+    built.clear()
+    stepper.integrate(prob, g, build_time_grid(60.0, 2), sch)
+    assert len(built) == {"cds": 0, "cfds": 1}[kind]
+    assert all(A.plan is p and A.full_plan is f
+               for A, (p, f) in zip(stacks, plans))

@@ -12,7 +12,7 @@ from parabolic2d.stepper import (SolverFailure, advance, initial_field,
                                  residual)
 
 from test_cds import constant_problem
-from test_krylov import newton_matrix_apply, species_varied_problem
+from test_krylov import newton_matrix_apply, species_varied_problem, writing
 
 
 def nodal_exact_field(prob, grid, t):
@@ -178,6 +178,16 @@ def test_integrate_rejects_bad_theta():
         integrate(prob, g, tg, sch, theta=1.5)
 
 
+@pytest.mark.parametrize("theta", [True, np.True_, False])
+def test_integrate_rejects_bool_theta(theta):
+    # a bool passes 0 <= theta <= 1 as 0 or 1; it fails before any solve
+    prob = make_example1()
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    sch = build_scheme(prob, g, "cds")
+    with pytest.raises(ValueError, match=r"^theta must be in \[0, 1\]"):
+        integrate(prob, g, build_time_grid(prob.T, 2), sch, theta=theta)
+
+
 def test_failure_carries_step_index():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 4, 4)
@@ -257,8 +267,9 @@ def test_numpy_integer_iteration_limits_accepted():
     g = build_grid(prob.X, prob.Y, 4, 4)
     sch = build_scheme(prob, g, "cds")
     W = initial_field(prob, g)
-    op = lambda v: newton_matrix_apply(sch, prob, g, 720.0, 0.5, W,
-                                       v.reshape(W.shape), 720.0).ravel()
+    op = writing(lambda v: newton_matrix_apply(sch, prob, g, 720.0, 0.5, W,
+                                               v.reshape(W.shape),
+                                               720.0).ravel())
     b = np.ones(W.size)
     x, rep = bicgstab_l(op, b, maxit=200, ell=2)
     x_np, rep_np = bicgstab_l(op, b, maxit=np.int64(200), ell=np.int64(2))
@@ -357,7 +368,7 @@ def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
 
     def product(A, w):
         planes = np.broadcast_to(A.full, (len(A.full), prob.L) + w.shape[1:])
-        return apply_full(planes, w, offsets=A.offsets)[:, 1:-1, 1:-1]
+        return apply_full(planes, w, plan=A.full_plan)[:, 1:-1, 1:-1]
 
     XX, YY = g.full_mesh()
     data = {}
@@ -539,9 +550,9 @@ def test_hoisted_step_matches_public_residual_driver():
         ups = residual(W, W0, sch, prob, g, tau, theta, t_n)
         for _ in range(25):
             delta, rep = bicgstab_l(
-                lambda v, W=W: newton_matrix_apply(
+                writing(lambda v, W=W: newton_matrix_apply(
                     sch, prob, g, tau, theta, W, v.reshape(W.shape),
-                    t_n + tau).ravel(),
+                    t_n + tau).ravel()),
                 -ups.ravel(), tol=1e-10, ell=2, maxit=200)
             assert rep.converged
             delta = delta.reshape(W.shape)
@@ -720,8 +731,9 @@ def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
     rng = np.random.default_rng(61)
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
     x = rng.standard_normal((prob.L, g.n_interior))
-    y = _apply_jacobian(sch, _newton_stencil(sch, tau, theta), J, tau, theta,
-                        x)
+    y = np.empty_like(x)
+    _apply_jacobian(sch, _newton_stencil(sch, tau, theta), J, tau, theta, x,
+                    y)
     expected = (dense_newton_matrix(sch, J, tau, theta)
                 @ x.ravel()).reshape(x.shape)
     assert np.allclose(y, expected, rtol=1e-12,
@@ -741,7 +753,8 @@ def test_central_newton_matrix_keeps_its_arithmetic():
     rng = np.random.default_rng(67)
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
     x = rng.standard_normal((prob.L, g.n_interior))
-    y = _apply_jacobian(sch, None, J, tau, theta, x)
+    y = np.empty_like(x)
+    _apply_jacobian(sch, None, J, tau, theta, x, y)
     expected = x / tau + theta * matvec(sch.P, x) \
         - theta * np.einsum("lmn,mn->ln", J, x)
     assert np.array_equal(y, expected)
@@ -757,16 +770,16 @@ def test_krylov_application_stencil_products(monkeypatch, kind, products):
     inside = []
     real_matvec, real_bicgstab = stepper.matvec, stepper.bicgstab_l
 
-    def matvec(A, *xs):
+    def matvec(A, *xs, **kwargs):
         counts["matvec"] += bool(inside)
-        return real_matvec(A, *xs)
+        return real_matvec(A, *xs, **kwargs)
 
     def bicgstab(op, b, **kwargs):
-        def apply(v):
+        def apply(v, out):
             counts["apply"] += 1
             inside.append(v)
             try:
-                return op(v)
+                op(v, out)
             finally:
                 inside.pop()
         return real_bicgstab(apply, b, **kwargs)
@@ -798,7 +811,8 @@ def test_compact_application_matches_the_two_product_composition(make, S):
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
     x = rng.standard_normal((prob.L, g.n_interior))
     stack = _newton_stencil(sch, tau, theta)
-    y = _apply_jacobian(sch, stack, J, tau, theta, x)
+    y = np.empty_like(x)
+    _apply_jacobian(sch, stack, J, tau, theta, x, y)
     expected = matvec(stack.operand(0), x) \
         - theta * matvec(sch.Q, np.einsum("lmn,mn->ln", J, x))
     assert np.allclose(y, expected, rtol=0,
