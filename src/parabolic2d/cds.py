@@ -1,4 +1,4 @@
-"""Second-order central-difference spatial assembly.
+"""Second-order central-difference spatial assembly and the stencil composer.
 
 The 5-point operator realizes -a d2/dx2 - b d2/dy2 + c d/dx + d d/dy at the
 interior nodes, with entries (offsets relative to the centre node)
@@ -6,6 +6,9 @@ interior nodes, with entries (offsets relative to the centre node)
     (+-1, 0): +-c/(2hx) - a/hx^2
     (0, +-1): +-d/(2hy) - b/hy^2
     (0,  0):  2a/hx^2 + 2b/hy^2
+
+compose builds it, and the compact pair of cfds, from the 1-D factors of
+basis, exact numerators over divisors: each entry is its formula bit for bit.
 
 A stencil matrix stores one plane per live offset in the field layout,
 zero where the offset reaches a boundary node, so a product runs on the
@@ -153,15 +156,33 @@ def coefficient_fields(problem: ProblemSpec, grid: Grid2D):
     return a, b, c, d
 
 
+def basis(grid: Grid2D):
+    """The 1-D factors I, Dx, D2x, Dy, D2y over offsets (-1, 0, +1), each an
+    exact numerator with its divisor."""
+    hx, hy = grid.hx, grid.hy
+    return (((0, 1, 0), 1.0), ((-1, 0, 1), 2 * hx), ((1, -2, 1), hx ** 2),
+            ((-1, 0, 1), 2 * hy), ((1, -2, 1), hy ** 2))
+
+
+def compose(terms) -> np.ndarray:
+    """(S, 3, 3, My-1, Mx-1) planes of the sum over terms (coef, fx, fy) of
+    the node-wise coef times the outer product of the x factor fx and the y
+    factor fy: entry (k1, k2) adds (coef num_x[k1] num_y[k2]) / (div_x
+    div_y) in term order, one rounding per product, and skips the zero
+    numerators, so an entry no term reaches stays +0."""
+    shape = np.broadcast_shapes(*(np.shape(coef) for coef, _, _ in terms))
+    out = np.zeros(shape[:1] + (3, 3) + shape[1:])
+    for coef, (num_x, div_x), (num_y, div_y) in terms:
+        for i, p in enumerate(num_x):
+            for j, q in enumerate(num_y):
+                if p * q:    # a power of two: div / (p q) is exact
+                    out[:, i, j] += coef / (div_x * div_y / (p * q))
+    return out
+
+
 def cds_full_stencil(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
     """All 9 coefficient planes of the 5-point operator (corners zero),
     (S, 3, 3, My-1, Mx-1) over coefficient_fields' species axis."""
     a, b, c, d = (f[:, 1:-1, 1:-1] for f in coefficient_fields(problem, grid))
-    hx, hy = grid.hx, grid.hy
-    coeffs = np.zeros((len(a), 3, 3, grid.ny, grid.nx))
-    coeffs[:, 2, 1] = c / (2 * hx) - a / hx ** 2
-    coeffs[:, 0, 1] = -c / (2 * hx) - a / hx ** 2
-    coeffs[:, 1, 2] = d / (2 * hy) - b / hy ** 2
-    coeffs[:, 1, 0] = -d / (2 * hy) - b / hy ** 2
-    coeffs[:, 1, 1] = 2 * a / hx ** 2 + 2 * b / hy ** 2
-    return coeffs
+    I, Dx, D2x, Dy, D2y = basis(grid)
+    return compose([(-a, D2x, I), (-b, I, D2y), (c, Dx, I), (d, I, Dy)])

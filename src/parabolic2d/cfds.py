@@ -16,10 +16,10 @@ where all ten node-wise coefficients derive from a, b, c, d and their central
 differences (a~ = (c + 2 dx a)/a, b~ = (d + 2 dy b)/b, etc.).  The assembled
 matrices are the scaled operators P = 6 hx^2 l^h and Q = 6 hx^2 nu^h.
 
-P and Q are built by composing the basic central difference stencils with
-the node-wise coefficients, i.e. directly from the operator definitions
-above.  The boundary offsets of P and Q are folded into the right-hand side
-by stepper.boundary_fold.
+P and Q are built by cds.compose, which also builds the central operator,
+from the node-wise coefficients and the difference factors of cds.basis,
+i.e. directly from the operator definitions above.  The boundary offsets of
+P and Q are folded into the right-hand side by stepper.boundary_fold.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .cds import coefficient_fields
+from .cds import basis, coefficient_fields, compose
 from .grid import Grid2D
 from .model import ProblemSpec
 
@@ -78,51 +78,22 @@ def compact_coefficients(problem: ProblemSpec, grid: Grid2D) -> CompactCoefficie
                                theta_t, gamma, gamma_t)
 
 
-# 1D stencil factors over offsets (-1, 0, +1); outer products give the 2D terms
-def _basis(hx: float, hy: float):
-    ident = np.array([0.0, 1.0, 0.0])
-    sx1 = np.array([-1.0, 0.0, 1.0]) / (2 * hx)
-    sy1 = np.array([-1.0, 0.0, 1.0]) / (2 * hy)
-    sx2 = np.array([1.0, -2.0, 1.0]) / hx ** 2
-    sy2 = np.array([1.0, -2.0, 1.0]) / hy ** 2
-    return ident, sx1, sy1, sx2, sy2
-
-
-def _compose(terms) -> np.ndarray:
-    """Sum coefficient * (x-stencil outer y-stencil) into (S,3,3,ny,nx) planes."""
-    shape = np.shape(terms[0][0])
-    out = np.zeros(shape[:1] + (3, 3) + shape[1:])
-    for coef, sx, sy in terms:
-        out += coef[:, None, None] * np.einsum("i,j->ij", sx, sy)[:, :, None, None]
-    return out
-
-
 def cfds_full_stencils(problem: ProblemSpec, grid: Grid2D):
     """All 9 coefficient planes of P = 6 hx^2 l^h and of Q = 6 hx^2 nu^h,
     (p_full, q_full), each (S, 3, 3, My-1, Mx-1), from one evaluation."""
     cc = compact_coefficients(problem, grid)
-    hx, hy = grid.hx, grid.hy
-    ident, sx1, sy1, sx2, sy2 = _basis(hx, hy)
-    coeffs = _compose([
-        (-cc.alpha, sx2, ident),
-        (-cc.beta, ident, sy2),
-        (cc.alpha_tilde, sx1, ident),
-        (cc.beta_tilde, ident, sy1),
-        (-cc.gamma, sx2, sy2),
-        (cc.theta, sx1, sy2),
-        (cc.theta_tilde, sx2, sy1),
-        (cc.gamma_tilde, sx1, sy1),
+    I, Dx, D2x, Dy, D2y = basis(grid)
+    qx, qy = grid.hx ** 2 / 12.0, grid.hy ** 2 / 12.0
+    p = compose([
+        (-cc.alpha, D2x, I),
+        (-cc.beta, I, D2y),
+        (cc.alpha_tilde, Dx, I),
+        (cc.beta_tilde, I, Dy),
+        (-cc.gamma, D2x, D2y),
+        (cc.theta, Dx, D2y),
+        (cc.theta_tilde, D2x, Dy),
+        (cc.gamma_tilde, Dx, Dy),
     ])
-    return 6 * hx ** 2 * coeffs, _stencil_q(grid, cc)
-
-
-def _stencil_q(grid: Grid2D, cc: CompactCoefficients) -> np.ndarray:
-    """All 9 coefficient planes of Q = 6 hx^2 nu^h (corners identically zero)."""
-    hx, hy = grid.hx, grid.hy
-    coeffs = np.zeros((len(cc.a_tilde), 3, 3, grid.ny, grid.nx))
-    coeffs[:, 1, 1] = 4 * hx ** 2
-    coeffs[:, 2, 1] = hx ** 2 / 4 * (2 - cc.a_tilde * hx)
-    coeffs[:, 0, 1] = hx ** 2 / 4 * (2 + cc.a_tilde * hx)
-    coeffs[:, 1, 2] = hx ** 2 / 4 * (2 - cc.b_tilde * hy)
-    coeffs[:, 1, 0] = hx ** 2 / 4 * (2 + cc.b_tilde * hy)
-    return coeffs
+    q = compose([(1.0, I, I), (qx, D2x, I), (-qx * cc.a_tilde, Dx, I),
+                 (qy, I, D2y), (-qy * cc.b_tilde, I, Dy)])
+    return 6 * grid.hx ** 2 * p, 6 * grid.hx ** 2 * q

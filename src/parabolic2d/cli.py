@@ -244,11 +244,13 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
 
 
 def git_revision() -> str:
+    """The HEAD commit of the work tree holding this module, if that commit
+    has this cli.py, else "unknown" (a copy not in the enclosing repo)."""
     try:
-        return subprocess.run(["git", "rev-parse", "HEAD"],
+        return subprocess.run(["git", "rev-parse", "HEAD", "HEAD:./cli.py"],
                               capture_output=True, text=True, check=True,
                               cwd=os.path.dirname(os.path.abspath(__file__))
-                              ).stdout.strip()
+                              ).stdout.split()[0]
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 

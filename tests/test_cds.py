@@ -69,6 +69,45 @@ def test_corner_offsets_zero():
             assert np.all(c[k1, k2] == 0.0)
 
 
+def species_varied(prob):
+    """prob with a and c scaled per species: c by 1 - l/2, so that species 2
+    has signed zeros and the later ones a reversed wind."""
+    import dataclasses
+    scale = np.arange(prob.L)[:, None, None]
+
+    def a(x, y):
+        return (1 + scale / 10) * prob.diffusion_a(x, y)
+
+    def c(x, y):
+        return (1 - scale / 2) * prob.advection_c(x, y)
+
+    return dataclasses.replace(prob, diffusion_a=a, advection_c=c)
+
+
+@pytest.mark.parametrize("M", [(6, 5), (12, 24)])
+@pytest.mark.parametrize("name", ["example1", "example2", "species-varied"])
+def test_central_stencil_is_the_hand_written_entries(name, M):
+    # the five entry formulas of the 5-point operator, bit for bit and with
+    # signed zeros, from the exact-divisor composer
+    from parabolic2d import make_example2
+    from parabolic2d.cds import coefficient_fields
+    prob = {"example1": make_example1, "example2": make_example2,
+            "species-varied": lambda: species_varied(make_example2())}[name]()
+    g = build_grid(prob.X, prob.Y, *M)
+    a, b, c, d = (f[:, 1:-1, 1:-1] for f in coefficient_fields(prob, g))
+    hx, hy = g.hx, g.hy
+    expected = np.zeros((len(a), 3, 3, g.ny, g.nx))
+    expected[:, 2, 1] = c / (2 * hx) - a / hx ** 2
+    expected[:, 0, 1] = -c / (2 * hx) - a / hx ** 2
+    expected[:, 1, 2] = d / (2 * hy) - b / hy ** 2
+    expected[:, 1, 0] = -d / (2 * hy) - b / hy ** 2
+    expected[:, 1, 1] = 2 * a / hx ** 2 + 2 * b / hy ** 2
+    got = cds_full_stencil(prob, g)
+    assert got.shape == expected.shape == ((prob.L if name == "species-varied"
+                                            else 1), 3, 3, M[1] - 1, M[0] - 1)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_row_sums_vanish_in_full_interior():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)

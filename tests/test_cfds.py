@@ -7,7 +7,7 @@ from parabolic2d.cfds import cfds_full_stencils, compact_coefficients
 from parabolic2d.krylov import matvec
 from parabolic2d.model import MU_STANDARD
 
-from test_cds import constant_problem, fold
+from test_cds import constant_problem, fold, species_varied
 
 
 def test_constant_coefficient_invariants():
@@ -68,6 +68,36 @@ def test_q_corners_zero_and_row_sums_exact():
         for k2 in (0, 2):
             assert np.all(Q[:, k1, k2] == 0.0)
     assert np.allclose(Q.sum(axis=(1, 2)), 6 * g.hx ** 2, rtol=1e-15)
+
+
+@pytest.mark.parametrize("M", [(9, 6), (12, 24)])
+@pytest.mark.parametrize("varied", [False, True])
+def test_composed_q_is_its_closed_form(M, varied):
+    # Q = 6 hx^2 (I + qx (D2x - a~ Dx) + qy (D2y - b~ Dy)) from the composer
+    # is the closed form within a few ulps, with dead (+0) corners, so the
+    # live planes stay 5 in Q, 9 in P and 14 in the Newton stack
+    from parabolic2d import make_example2
+    from parabolic2d.stepper import _newton_stencil, build_scheme
+    prob = species_varied(make_example2()) if varied else make_example1()
+    g = build_grid(prob.X, prob.Y, *M)
+    hx, hy = g.hx, g.hy
+    cc = compact_coefficients(prob, g)
+    at, bt = cc.a_tilde, cc.b_tilde
+    _, Q = cfds_full_stencils(prob, g)
+    assert len(Q) == len(at) == (prob.L if varied else 1)
+    closed = {(1, 1): np.full_like(at, 4 * hx ** 2),
+              (2, 1): hx ** 2 / 4 * (2 - at * hx),
+              (0, 1): hx ** 2 / 4 * (2 + at * hx),
+              (1, 2): hx ** 2 / 4 * (2 - bt * hy),
+              (1, 0): hx ** 2 / 4 * (2 + bt * hy)}
+    for (i, j), entry in closed.items():
+        assert np.all(np.abs(Q[:, i, j] - entry)
+                      <= 4 * np.spacing(np.abs(entry))), (i, j)
+    corners = Q[:, ::2, ::2]
+    assert np.all(corners == 0.0) and not np.any(np.signbit(corners))
+    scheme = build_scheme(prob, g, "cfds")
+    assert (len(scheme.Q.offsets), len(scheme.P.offsets)) == (5, 9)
+    assert len(_newton_stencil(scheme, 0.5, 0.5).offsets) == 14
 
 
 def test_p_row_sums_vanish():

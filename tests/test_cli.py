@@ -2,11 +2,13 @@ import io
 import math
 import os
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
-from parabolic2d import build_grid
+from parabolic2d import build_grid, cli
 from parabolic2d.cli import (CHOICES, CSV_COLUMNS, ConfigError, RunConfig,
                              emit_field_dump, main, make_parser, parse_config,
                              parse_mesh, probe_node, run_study,
@@ -256,6 +258,29 @@ mu_value=0.0043633231299858239
 cos_theta=0.5
 probe=sixth
 """
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_revision_only_for_a_committed_cli(tmp_path, monkeypatch):
+    # a work tree whose HEAD has pkg/cli.py, and an ignored copy of the
+    # package beside it: only the committed module reports HEAD
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+             "-c", "commit.gpgsign=false", *args], cwd=tmp_path, check=True,
+            capture_output=True, text=True).stdout.strip()
+
+    for d in ("pkg", ".venv/pkg"):
+        (tmp_path / d).mkdir(parents=True)
+        (tmp_path / d / "cli.py").write_text("")
+    (tmp_path / ".gitignore").write_text(".venv/\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "pkg")
+    for d, expected in (("pkg", git("rev-parse", "HEAD")),
+                        (".venv/pkg", "unknown")):
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / d / "cli.py"))
+        assert cli.git_revision() == expected
 
 
 def test_main_config_error_exit_code(tmp_path):
