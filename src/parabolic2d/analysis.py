@@ -74,10 +74,13 @@ def runge_order(u_h: np.ndarray, u_h2: np.ndarray, u_h4: np.ndarray,
                 probe: Optional[Tuple[float, float]] = None) -> np.ndarray:
     """Observed order from three nested solutions without an exact reference.
 
-    order = log2(|u_h - u_h2| / |u_h2 - u_h4|), measured per species either at
-    a probe node (x, y) shared by the three meshes or in the max norm over
-    the coarse-mesh nodes.  Vanishing denominators give NaN.
+    order = log2(|u_h - u_h2| / |u_h2 - u_h4|) on meshes that halve h in x
+    and y in turn, per species at a probe node (x, y) of all three meshes or
+    in the max norm over the coarse-mesh nodes.  Zero differences give NaN.
     """
+    for coarse, fine in ((grid_h, grid_h2), (grid_h2, grid_h4)):
+        if fine.Mx != 2 * coarse.Mx or fine.My != 2 * coarse.My:
+            raise ValueError("Runge order needs factor-2 refinements")
     r2 = restrict(u_h2, grid_h2, grid_h)
     r4 = restrict(u_h4, grid_h4, grid_h)
     u_h = np.asarray(u_h, dtype=float)

@@ -40,9 +40,9 @@ import numpy as np
 
 from . import analysis, model, richardson
 from .airchem import rate_coefficients
-from .grid import Grid2D, build_grid, build_time_grid, is_bool, lex_index
+from .grid import Grid2D, build_grid, build_time_grid, lex_index
 from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
-                      integrate)
+                      check_solver_options, integrate)
 
 CSV_COLUMNS = ("problem", "scheme", "re_mode", "Mx", "My", "N", "species",
                "error", "ratio", "order", "newton_avg", "krylov_avg", "wall_ms")
@@ -81,8 +81,12 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(cfg, key)
         if value not in values:
             raise ConfigError(f"{key}: must be one of {values}, got {value!r}")
-    if is_bool(cfg.theta) or not 0.0 <= cfg.theta <= 1.0:
-        raise ConfigError(f"theta: must be in [0, 1], got {cfg.theta}")
+    for key, check in (("theta", lambda: check_solver_options(theta=cfg.theta)),
+                       ("cos-theta", lambda: rate_coefficients(cfg.cos_theta))):
+        try:   # the solver's and the chemistry's own rules
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     if not cfg.mesh:
         raise ConfigError("mesh: at least one MxxMyxN triple is required")
     for m in cfg.mesh:
@@ -95,10 +99,6 @@ def validate_config(cfg: RunConfig) -> None:
     mxs = [m[0] for m in cfg.mesh]
     if any(b <= a for a, b in zip(mxs, mxs[1:])):
         raise ConfigError(f"mesh: Mx must increase strictly, got {mxs}")
-    try:
-        rate_coefficients(cfg.cos_theta)
-    except ValueError as exc:
-        raise ConfigError(f"cos-theta: {exc}") from None
     if cfg.problem == "manufactured":   # fixed wind, error over all nodes
         for key, value, only in (("mu", cfg.mu, "standard"),
                                  ("probe", cfg.probe, "center")):

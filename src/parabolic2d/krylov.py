@@ -8,13 +8,12 @@ the convention used by the iteration-count reports.
 
 The operator A(v, out) writes A v into out, an array of the solver that
 shares no memory with v or b, so no result is copied.  The iteration starts
-from zero, so its first residual is b itself.  A `precond` callable M is a
-right preconditioner: the solver iterates on A M z = b from z = 0 and
-returns M z.  A converged solve reports the recursive residual that met the
-tolerance; only a non-converged one pays an extra application for the true
-residual ||b - A x||/||b||.  A converged solve without restart makes
-exactly 2 ell applications per cycle, or 2 ell iterations - 1 when it stops
-inside the BiCG part, which tests before it makes a step's second one.
+from zero, so its first residual is b itself.  A converged solve reports
+the recursive residual that met the tolerance; only a non-converged one pays
+an extra application for the true residual ||b - A x||/||b||.  A converged
+solve without restart makes exactly 2 ell applications per cycle, or
+2 ell iterations - 1 when it stops inside the BiCG part, which tests before
+it makes a step's second one.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,12 +40,15 @@ class KrylovReport:
 
 
 def check_solver_options(**options) -> None:
-    """Raise ValueError for a tolerance (tol, newton_tol) that is not
-    positive and finite, or an iteration limit (maxit, ell) that is not an
-    integer of at least 1; a bool is neither."""
+    """Raise ValueError for a tolerance (tol, newton_tol) or step tau not
+    positive and finite, a theta outside [0, 1], or an iteration limit
+    (maxit, ell) not an integer of at least 1; a bool is none of them."""
     for name, value in options.items():
-        if name.endswith("tol") and (is_bool(value) or not 0 < value < np.inf):
+        if (name.endswith("tol") or name == "tau") and (
+                is_bool(value) or not 0 < value < np.inf):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+        if name == "theta" and (is_bool(value) or not 0 <= value <= 1):
+            raise ValueError(f"theta must be in [0, 1], got {value}")
         if name in ("maxit", "ell") and (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Integral) or value < 1):
@@ -69,7 +70,7 @@ def matvec(A: StencilMatrix, w: np.ndarray, *, out=None) -> np.ndarray:
 
 
 def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
-               maxit: int = 200, precond: Optional[Callable] = None):
+               maxit: int = 200):
     """Solve A x = b from x = 0 until the recursive residual is <= tol ||b||.
 
     Returns (x, KrylovReport).  A converged report carries that recursive
@@ -82,10 +83,10 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
     On a recurrence breakdown the iteration restarts once from the current
     iterate; a second breakdown raises KrylovBreakdown.  Exceeding maxit
     cycles, or a residual norm that is no longer finite, returns a
-    non-converged report.
+    non-converged report.  A right preconditioner M is applied by passing
+    the operator A(M v) and taking M z of the returned z.
     """
     check_solver_options(tol=tol, ell=ell, maxit=maxit)
-    inner_apply = A if precond is None else lambda v, out: A(precond(v), out)
 
     b = np.asarray(b, dtype=float)
     norm_b = math.sqrt(np.dot(b, b))
@@ -101,15 +102,11 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
     iters = 0.0
     restarted = False
 
-    def iterate() -> np.ndarray:
-        return z if precond is None else precond(z)
-
     def finish(converged: bool):
-        x = iterate()
         if not converged:
-            A(x, buf)
+            A(z, buf)
         res = rnorm if converged else np.linalg.norm(b - buf)
-        return x, KrylovReport(iters, res / norm_b, converged)
+        return z, KrylovReport(iters, res / norm_b, converged)
 
     rnorm = norm_b
     if rnorm <= tol * norm_b:
@@ -128,7 +125,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
             for i in range(j + 1):
                 us[i] *= -beta
                 us[i] += rs[i]
-            inner_apply(us[j], us[j + 1])
+            A(us[j], us[j + 1])
             gam = np.dot(us[j + 1], rtilde)
             if gam == 0.0:
                 broke = True
@@ -141,7 +138,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
             rnorm = math.sqrt(np.dot(rs[0], rs[0]))
             if rnorm <= tol * norm_b:
                 return finish(True)
-            inner_apply(rs[j], rs[j + 1])
+            A(rs[j], rs[j + 1])
 
         if not broke:
             # minimal-residual polynomial step (modified Gram-Schmidt) on
@@ -183,7 +180,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
                     f"BiCGStab({ell}) breakdown persisted after restart "
                     f"(cycle {iters:.2f}, |rho|={abs(rho0):.3e})")
             restarted = True
-            A(iterate(), rs[0])
+            A(z, rs[0])
             np.subtract(b, rs[0], out=rs[0])
             rtilde = rs[0].copy()
             us[0] = np.zeros_like(b)

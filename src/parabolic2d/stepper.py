@@ -47,7 +47,7 @@ import numpy as np
 from . import cds as cds_mod
 from . import cfds as cfds_mod
 from .cds import StencilMatrix, apply_full
-from .grid import Grid2D, TimeGrid, is_bool, validate_field
+from .grid import Grid2D, TimeGrid, validate_field
 from .krylov import KrylovBreakdown, bicgstab_l, check_solver_options, matvec
 from .model import ProblemSpec, check_compatibility, species_field
 
@@ -304,16 +304,16 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     The new layer sits at t_next (default t_n + tau).  Converged when
     ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
     satisfies the same scaled bound, so the accepted layer always fulfils
-    ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf); an invalid newton_tol
-    raises ValueError.  The iteration and inner-solve limits are the module
-    constants MAX_NEWTON, KRYLOV_TOL, ELL and KRYLOV_MAXIT.  A non-finite
-    reaction (checked before the residual, which it makes NaN), residual,
-    reaction Jacobian or Newton update fails at once, naming species and
-    node; a step that does not converge names those of max |Ups|.
-    `run` carries B and the accepted layer from step to step (integrate
-    passes one); without it the step builds its own.
+    ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf); an invalid theta, tau or
+    newton_tol raises ValueError.  The iteration and inner-solve limits are the
+    module constants MAX_NEWTON, KRYLOV_TOL, ELL and KRYLOV_MAXIT.  A
+    non-finite reaction (checked before the residual, which it makes NaN),
+    residual, reaction Jacobian or Newton update fails at once, naming species
+    and node; a step that does not converge names those of max |Ups|.
+    `run` carries B and the accepted layer from step to step (integrate passes
+    one); without it the step builds its own.
     """
-    check_solver_options(newton_tol=newton_tol)
+    check_solver_options(theta=theta, tau=tau, newton_tol=newton_tol)
     t_start = time.perf_counter()
     L, n = W_old.shape
     t1 = t_n + tau if t_next is None else t_next
@@ -384,9 +384,7 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     first step.  Step failures propagate as SolverFailure with the failing
     step index attached.
     """
-    if is_bool(theta) or not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
-    check_solver_options(newton_tol=newton_tol)
+    check_solver_options(theta=theta, newton_tol=newton_tol)
     run = _Run(_newton_stencil(scheme, time_grid.tau, theta),
                _layer(scheme, problem, grid, time_grid.t(0)))
     check_compatibility(problem, grid, run.layer.g)

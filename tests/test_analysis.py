@@ -58,8 +58,8 @@ def test_ratio_and_order_requires_increasing_m():
         ratio_and_order([(8, 1.0), (8, 0.5)])
 
 
-def grids_and_powerlaw(sigma):
-    grids = [build_grid(2, 2, M, M) for M in (4, 8, 16)]
+def grids_and_powerlaw(sigma, Ms=(4, 8, 16)):
+    grids = [build_grid(2, 2, M, M) for M in Ms]
     sols = []
     for g in grids:
         XX, YY = g.interior_mesh()
@@ -76,6 +76,14 @@ def test_runge_order_synthetic(sigma):
     orders_node = runge_order(sols[0], sols[1], sols[2], *grids,
                               probe=(0.5, 1.0))
     assert orders_node[0] == pytest.approx(sigma, abs=1e-10)
+
+
+@pytest.mark.parametrize("Ms", [(4, 12, 36), (4, 8, 24)])
+def test_runge_order_rejects_refinement_other_than_halving(Ms):
+    # nested meshes refined by 3 would read log2(9) for an exact h^2 error
+    grids, sols = grids_and_powerlaw(2, Ms)
+    with pytest.raises(ValueError, match="factor-2 refinements"):
+        runge_order(sols[0], sols[1], sols[2], *grids)
 
 
 def test_runge_order_nan_when_differences_vanish():

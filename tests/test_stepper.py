@@ -223,6 +223,19 @@ def test_newton_failure_names_worst_species_and_node(monkeypatch):
         f"node (i={k % 3 + 1}, j={k // 3 + 1})")
 
 
+def recording_problem(calls):
+    """make_example1 and a copy whose initial, boundary, reaction and
+    forcing data append their arguments to calls."""
+    base = make_example1()
+
+    def record(f):
+        return lambda *a: calls.append(a) or f(*a)
+
+    return base, dataclasses.replace(base, **{
+        name: record(getattr(base, name))
+        for name in ("initial", "boundary", "reaction", "forcing")})
+
+
 @pytest.mark.parametrize("option,value", [
     ("ell", 0), ("krylov_tol", 0.0), ("krylov_maxit", 0), ("newton_tol", -1e-9),
     ("newton_tol", float("nan")), ("max_newton", 0), ("ell", 2.5),
@@ -234,10 +247,7 @@ def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     # newton_tol is the one solver keyword; the other limits are constants
     error = ValueError if option == "newton_tol" else TypeError
     calls = []
-    base = make_example1()
-    prob = dataclasses.replace(
-        base, reaction=lambda *a: calls.append(a) or base.reaction(*a),
-        initial=lambda *a: calls.append(a) or base.initial(*a))
+    base, prob = recording_problem(calls)
     g = build_grid(prob.X, prob.Y, 4, 4)
     sch = build_scheme(prob, g, "cds")
     with pytest.raises(error, match=option):
@@ -245,6 +255,24 @@ def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     with pytest.raises(error, match=option):
         advance(initial_field(base, g), 0.0, sch, prob, g, 720.0, 0.5,
                 **{option: value})
+    assert calls == []
+
+
+@pytest.mark.parametrize("option,value", [
+    ("theta", True), ("theta", 7.0), ("theta", -1.0), ("theta", float("nan")),
+    ("tau", -10.0), ("tau", 0.0), ("tau", float("inf")), ("tau", True)])
+def test_advance_rejects_bad_theta_and_tau_before_any_problem_call(option,
+                                                                   value):
+    # integrate checks theta, and its TimeGrid tau, before the first step;
+    # advance takes both from its caller and checks them the same way
+    calls = []
+    base, prob = recording_problem(calls)
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    sch = build_scheme(prob, g, "cds")
+    step = {"tau": 720.0, "theta": 0.5, option: value}
+    with pytest.raises(ValueError, match=f"^{option} must be"):
+        advance(initial_field(base, g), 0.0, sch, prob, g, step["tau"],
+                step["theta"])
     assert calls == []
 
 
