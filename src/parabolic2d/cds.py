@@ -40,35 +40,34 @@ class StencilMatrix:
     planes[m, l, j, i] multiplies, at interior node (i, j) of species l, the
     value of operand o at (i+k1, j+k2) for the m-th live offset (k1, k2, o)
     = offsets[m], by operand and in OFFSETS order, and is zero where that is
-    a boundary node.  full holds the S distinct species rows (S = 1 or L)
-    over the full node array, with those boundary coefficients and a zero
-    ring; None if never folded.  plan and full_plan are the product_plan
-    of the field and of the full node layout (None without full).
+    a boundary node.  full holds the same L species rows over the full node
+    array, with those boundary coefficients and a zero ring; None if never
+    folded.  plan and full_plan are the product_plan of the field and of
+    the full node layout (None without full).
     """
 
     grid: Grid2D
     planes: np.ndarray                 # (k, L, My-1, Mx-1)
     offsets: tuple                     # k live offsets (k1, k2, o)
-    full: np.ndarray | None = None     # (k, S, My+1, Mx+1)
+    full: np.ndarray | None = None     # (k, L, My+1, Mx+1)
 
     def __post_init__(self):
         self.plan = product_plan(self.offsets, self.planes.shape[1:])
         self.full_plan = None if self.full is None else product_plan(
-            self.offsets, self.planes.shape[1:2] + self.full.shape[2:])
+            self.offsets, self.full.shape[1:])
 
     @classmethod
     def from_coeffs(cls, grid: Grid2D, coeffs: list, L: int) -> StencilMatrix:
         """Tile the list of per-operand arrays coeffs[o][s, k1+1, k2+1, j-1,
-        i-1], each (S, 3, 3, My-1, Mx-1), into the live planes of L species:
-        S = L gives one row per species, S = 1 one for all."""
+        i-1], each (S, 3, 3, My-1, Mx-1), into the live full and product
+        planes of L species: S = L gives one row per species, S = 1 one for
+        all."""
         offsets = tuple((k1, k2, o) for o, c in enumerate(coeffs)
                         for k1, k2 in OFFSETS if np.any(c[:, k1 + 1, k2 + 1]))
-        full = np.zeros((len(offsets), max(map(len, coeffs)), grid.My + 1,
-                         grid.Mx + 1))
+        full = np.zeros((len(offsets), L, grid.My + 1, grid.Mx + 1))
         for plane, (k1, k2, o) in zip(full, offsets):
             plane[:, 1:-1, 1:-1] = coeffs[o][:, k1 + 1, k2 + 1]
-        planes = np.empty((len(offsets), L, grid.ny, grid.nx))
-        planes[:] = full[:, :, 1:-1, 1:-1]
+        planes = full[:, :, 1:-1, 1:-1].copy()
         for plane, (k1, k2, _) in zip(planes, offsets):
             plane[:, :, EDGE[k1]] = plane[:, EDGE[k2]] = 0.0
         return cls(grid, planes, offsets, full)

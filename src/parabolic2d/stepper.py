@@ -16,24 +16,26 @@ boundary ring.  Each step solves Ups(W1) = 0 by Newton iteration
 with BiCGStab(ell) inner solves; the initial guess on the new time layer is
 the solution on the previous one.
 
-What depends only on the run or on one time layer is evaluated once.  Per
-run: the stencil B below, fixed by tau and theta, and the interior
-coordinates (Grid2D.interior_xy, per grid).  Per layer t, every species in
-one call: the Dirichlet data g(t) on the boundary ring, the forcing xi(t)
-and the rate-free fold F(t) = -P g, or F(t) = -P g + Q (r(g) + xi) for the
-compact scheme.  A step combines its two layers as
+What depends only on the grid or on one time layer is evaluated once.  Per
+grid: the interior coordinates (Grid2D.interior_xy).  Per layer t, every
+species in one call: the Dirichlet data g(t) on the boundary ring, the
+forcing xi(t) and the rate-free fold F(t) = -P g, or
+F(t) = -P g + Q (r(g) + xi) for the compact scheme.  A step combines its two
+layers as
 
     Phi^th = theta F(t1) + (1-theta) F(t_n),
 
 minus, for the compact scheme, Q applied to (g(t1) - g(t_n))/tau on the
-boundary ring.  integrate carries the last
+boundary ring.  integrate builds each step's terms and carries the new
 layer to the next step, with the R^1 of the accepted residual as its R^0.
 
 The Newton matrix is I/tau + theta P - theta J (central) or
-Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian;
-each compact A u + C v is one product of a two-operand stack: [B; -theta Q]
-on (x, J x), B = Q/tau + theta P, or the scheme's [Q; P] (residual, fold).
-Products run on the (L, n) field arrays, folds on the full node arrays.
+Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian.
+The compact one is the derivative of the residual, so its application, the
+residual and the fold are each one product of the scheme's stack [Q; P]:
+on (x/tau - theta J x, theta x), on the residual's two terms, or on the
+ring data.  Products run on the (L, n) field arrays, folds on the full node
+arrays.
 """
 
 from __future__ import annotations
@@ -120,14 +122,12 @@ def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
 
 def _ring_product(A: StencilMatrix, grid: Grid2D, *vs: np.ndarray) -> np.ndarray:
     """A applied to the operands vs, each the values (L, 2(Mx+My)) on the
-    nodes of grid.boundary_ring(), zero elsewhere, through A's full planes
-    tiled to the L species; shape (L, n)."""
+    nodes of grid.boundary_ring(), zero elsewhere, through A's full planes;
+    shape (L, n)."""
     (j, i), _ = grid.boundary_ring()
-    L = len(vs[0])
-    ring = np.zeros((len(vs) * L, grid.My + 1, grid.Mx + 1))
+    ring = np.zeros((len(vs) * len(vs[0]), grid.My + 1, grid.Mx + 1))
     ring[:, j, i] = np.concatenate(vs)
-    planes = np.broadcast_to(A.full, (len(A.full), L) + ring.shape[1:])
-    return apply_full(planes, ring, plan=A.full_plan)[:, 1:-1, 1:-1].reshape(
+    return apply_full(A.full, ring, plan=A.full_plan)[:, 1:-1, 1:-1].reshape(
         -1, grid.n_interior)
 
 
@@ -231,45 +231,21 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
                   np.concatenate(((W_new - W_old) / tau - rth, wth))) - phi
 
 
-def _newton_stencil(scheme: Scheme, tau: float,
-                    theta: float) -> Optional[StencilMatrix]:
-    """The product-only stack [B; -theta Q] over two operands (no full
-    planes), B = Q/tau + theta P the spatial part of the compact Newton
-    matrix, fixed for a run; None for "cds".  A dead offset counts as zero."""
-    if scheme.kind == "cds":
-        return None
-    P, Q = (dict(zip(A.offsets, A.planes)) for A in (scheme.P, scheme.Q))
-    offsets = sorted(P.keys() | Q.keys())   # cds.OFFSETS order
-    planes = np.empty((len(offsets) + len(Q),) + scheme.Q.planes.shape[1:])
-    for plane, o in zip(planes, offsets):
-        np.add(Q.get(o, 0.0) / tau, theta * P.get(o, 0.0), out=plane)
-    np.multiply(-theta, scheme.Q.planes, out=planes[len(offsets):])
-    return StencilMatrix(scheme.P.grid, planes, tuple(offsets) + tuple(
-        (k1, k2, 1) for k1, k2, _ in scheme.Q.offsets))
-
-
-@dataclass
-class _Run:
-    """What the steps of one run share: the compact Newton stack B
-    (_newton_stencil, None for "cds"), fixed by tau and theta, and the last
-    accepted layer (None before the first step)."""
-
-    B: Optional[StencilMatrix]
-    layer: Optional[_Layer] = None
-
-
-def _apply_jacobian(scheme: Scheme, B: Optional[StencilMatrix], J: np.ndarray,
-                    tau: float, theta: float, x: np.ndarray,
-                    out: np.ndarray) -> None:
+def _apply_jacobian(scheme: Scheme, J: np.ndarray, tau: float, theta: float,
+                    x: np.ndarray, out: np.ndarray) -> None:
     """Write the action of the Newton matrix on x (L, n) for reaction
-    Jacobian J (L, L, n) into out (L, n); B is _newton_stencil(scheme, tau,
-    theta).  Evaluated in place as ((x/tau) + theta (P x)) - theta (J x), or
-    as B applied to (x, J x), both written into one (2L, n) operand."""
+    Jacobian J (L, L, n) into out (L, n), in place: for "cds" as
+    ((x/tau) + theta (P x)) - theta (J x); for "cfds", the derivative of the
+    residual, as QP applied to (x/tau - theta (J x), theta x), both written
+    into one (2L, n) operand."""
     if scheme.kind == "cfds":
-        xJx = np.empty((2 * len(x), x.shape[1]))
-        xJx[:len(x)] = x
-        np.einsum("lmn,mn->ln", J, x, out=xJx[len(x):])
-        matvec(B, xJx, out=out)
+        uv = np.empty((2 * len(x), x.shape[1]))
+        u, v = uv[:len(x)], uv[len(x):]
+        np.divide(x, tau, out=u)
+        np.einsum("lmn,mn->ln", J, x, out=v)
+        u -= np.multiply(theta, v, out=v)
+        np.multiply(theta, x, out=v)
+        matvec(scheme.QP, uv, out=out)
         return
     np.divide(x, tau, out=out)
     Px, Jx = matvec(scheme.P, x), np.einsum("lmn,mn->ln", J, x)
@@ -296,12 +272,12 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
 
 def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
             problem: ProblemSpec, grid: Grid2D, tau: float, theta: float, *,
-            t_next: Optional[float] = None, newton_tol: float = 1e-11,
-            run: Optional[_Run] = None):
+            newton_tol: float = 1e-11, terms: Optional[tuple] = None):
     """One theta-scheme step from the layer W_old at t_n by inexact Newton
     iteration; returns (new layer, SolverReport).
 
-    The new layer sits at t_next (default t_n + tau).  Converged when
+    `terms` holds the parts fixed within the step, as in residual; without
+    it they are computed here for the new layer t_n + tau.  Converged when
     ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
     satisfies the same scaled bound, so the accepted layer always fulfils
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf); an invalid theta, tau or
@@ -310,19 +286,15 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     non-finite reaction (checked before the residual, which it makes NaN),
     residual, reaction Jacobian or Newton update fails at once, naming species
     and node; a step that does not converge names those of max |Ups|.
-    `run` carries B and the accepted layer from step to step (integrate passes
-    one); without it the step builds its own.
     """
     check_solver_options(theta=theta, tau=tau, newton_tol=newton_tol)
     t_start = time.perf_counter()
     L, n = W_old.shape
-    t1 = t_n + tau if t_next is None else t_next
-    if run is None:
-        run = _Run(_newton_stencil(scheme, tau, theta))
+    if terms is None:
+        terms = _step_terms(scheme, problem, grid, tau, theta, t_n,
+                            t_n + tau, W_old)
     xi, yi = grid.interior_xy
     W = W_old.copy()
-    terms = _step_terms(scheme, problem, grid, tau, theta, t_n, t1, W_old,
-                        run.layer)
     _check_finite("reaction", terms[0].R, grid, t_n, 0)
     ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
                    terms=terms)
@@ -330,11 +302,12 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     for it in range(MAX_NEWTON):
         _check_finite("reaction", terms[1].R, grid, t_n, it)
         _check_finite("residual", ups, grid, t_n, it)
-        J = np.asarray(problem.reaction_jacobian(xi, yi, t1, W), dtype=float)
+        J = np.asarray(problem.reaction_jacobian(xi, yi, terms[1].t, W),
+                       dtype=float)
         _check_finite("reaction Jacobian", J, grid, t_n, it)
         try:
             delta, krep = bicgstab_l(
-                lambda v, out: _apply_jacobian(scheme, run.B, J, tau, theta,
+                lambda v, out: _apply_jacobian(scheme, J, tau, theta,
                                                v.reshape(L, n),
                                                out.reshape(L, n)),
                 -ups.ravel(), tol=KRYLOV_TOL, ell=ELL, maxit=KRYLOV_MAXIT)
@@ -362,7 +335,6 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
             f"Newton did not converge in {MAX_NEWTON} iterations at "
             f"t={t_n:.6g}: max |Ups| {abs(ups.flat[k]):.3e} at "
             f"{_species_node(ups, k, grid)}")
-    run.layer = terms[1]
     return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
                            wall_ms=(time.perf_counter() - t_start) * 1e3,
                            final_residual=float(np.max(np.abs(ups))))
@@ -385,20 +357,21 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     step index attached.
     """
     check_solver_options(theta=theta, newton_tol=newton_tol)
-    run = _Run(_newton_stencil(scheme, time_grid.tau, theta),
-               _layer(scheme, problem, grid, time_grid.t(0)))
-    check_compatibility(problem, grid, run.layer.g)
+    layer = _layer(scheme, problem, grid, time_grid.t(0))
+    check_compatibility(problem, grid, layer.g)
     W = validate_field(initial_field(problem, grid), grid, problem.L)
     reports: List[SolverReport] = []
     for n in range(time_grid.N):
+        terms = _step_terms(scheme, problem, grid, time_grid.tau, theta,
+                            time_grid.t(n), time_grid.t(n + 1), W, layer)
         try:
             W, report = advance(W, time_grid.t(n), scheme, problem, grid,
-                                time_grid.tau, theta,
-                                t_next=time_grid.t(n + 1),
-                                newton_tol=newton_tol, run=run)
+                                time_grid.tau, theta, newton_tol=newton_tol,
+                                terms=terms)
         except SolverFailure as exc:
             exc.step = n
             raise SolverFailure(f"step {n} failed: {exc}", step=n) from exc
+        layer = terms[1]
         reports.append(report)
     return W, reports
 

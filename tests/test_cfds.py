@@ -75,9 +75,10 @@ def test_q_corners_zero_and_row_sums_exact():
 def test_composed_q_is_its_closed_form(M, varied):
     # Q = 6 hx^2 (I + qx (D2x - a~ Dx) + qy (D2y - b~ Dy)) from the composer
     # is the closed form within a few ulps, with dead (+0) corners, so the
-    # live planes stay 5 in Q, 9 in P and 14 in the Newton stack
+    # live planes stay 5 in Q, 9 in P and 14 in the stack QP that the
+    # residual and the Newton application share
     from parabolic2d import make_example2
-    from parabolic2d.stepper import _newton_stencil, build_scheme
+    from parabolic2d.stepper import build_scheme
     prob = species_varied(make_example2()) if varied else make_example1()
     g = build_grid(prob.X, prob.Y, *M)
     hx, hy = g.hx, g.hy
@@ -97,7 +98,7 @@ def test_composed_q_is_its_closed_form(M, varied):
     assert np.all(corners == 0.0) and not np.any(np.signbit(corners))
     scheme = build_scheme(prob, g, "cfds")
     assert (len(scheme.Q.offsets), len(scheme.P.offsets)) == (5, 9)
-    assert len(_newton_stencil(scheme, 0.5, 0.5).offsets) == 14
+    assert len(scheme.QP.offsets) == 14
 
 
 def test_p_row_sums_vanish():

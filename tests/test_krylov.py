@@ -192,12 +192,11 @@ def test_nonconverged_solve_reports_the_true_residual():
 def newton_matrix_apply(sch, prob, g, tau, theta, W, x, t):
     """The step's Newton matrix at iterate W applied to x (L, n), with the
     reaction Jacobian and the stencils that advance uses."""
-    from parabolic2d.stepper import _apply_jacobian, _newton_stencil
+    from parabolic2d.stepper import _apply_jacobian
     XX, YY = g.interior_mesh()
     J = np.asarray(prob.reaction_jacobian(XX.ravel(), YY.ravel(), t, W), float)
     out = np.empty_like(x)
-    _apply_jacobian(sch, _newton_stencil(sch, tau, theta), J, tau, theta, x,
-                    out)
+    _apply_jacobian(sch, J, tau, theta, x, out)
     return out
 
 
@@ -380,12 +379,13 @@ def test_batched_matvec_matches_per_species_dense(make, S, kind):
     singles = [build_scheme(species_problem(prob, l), g, kind)
                for l in range(prob.L)]
     for k, A in enumerate(ops):
-        # the stack holds S distinct stencils over the L species, tiled in
-        # the field layout and kept once over the full node array
+        # the stack holds S distinct stencils tiled over the L species, in
+        # the field layout and over the full node array
         assert A.planes.shape[1:] == (prob.L, g.ny, g.nx)
-        assert A.full.shape[1:] == (S, g.My + 1, g.Mx + 1)
-        assert len(np.unique(A.planes.swapaxes(0, 1).reshape(prob.L, -1),
-                             axis=0)) == S
+        assert A.full.shape[1:] == (prob.L, g.My + 1, g.Mx + 1)
+        for planes in (A.planes, A.full):
+            assert len(np.unique(planes.swapaxes(0, 1).reshape(prob.L, -1),
+                                 axis=0)) == S
         y = matvec(A, x)
         dense = A.to_dense()
         expected = np.einsum("lij,lj->li", dense, x)

@@ -13,16 +13,10 @@ from parabolic2d import (build_grid, build_scheme, make_example1,
                          make_example2)
 from parabolic2d.cds import OFFSETS, StencilMatrix, apply_full
 from parabolic2d.krylov import matvec
-from parabolic2d.stepper import (Scheme, _newton_stencil, _ring_product,
-                                 boundary_fold)
+from parabolic2d.stepper import Scheme, _ring_product, boundary_fold
 
 from test_cds import constant_problem
 from test_krylov import bits, species_varied_problem
-
-
-def tiled(A, L):
-    """A's full planes with their species rows tiled to L species."""
-    return np.broadcast_to(A.full, (len(A.full), L) + A.full.shape[2:])
 
 
 def padded_window_sum(A, w_full):
@@ -33,7 +27,7 @@ def padded_window_sum(A, w_full):
     g = A.grid
     L = len(w_full) // (A.offsets[-1][2] + 1)
     out = np.zeros((L, g.ny, g.nx))
-    for plane, (k1, k2, o) in zip(tiled(A, L), A.offsets):
+    for plane, (k1, k2, o) in zip(A.full, A.offsets):
         w = w_full[o * L:(o + 1) * L]
         out += plane[:, 1:-1, 1:-1] \
             * w[:, 1 + k2:1 + k2 + g.ny, 1 + k1:1 + k1 + g.nx]
@@ -75,15 +69,15 @@ def reaches_ring(g, k1, k2):
 
 
 def assert_layouts_agree(A):
-    """A's product planes are its full planes' interiors, tiled to L and
-    zeroed where the offset reaches the ring; the full planes' ring is
-    zero."""
+    """A's product planes are its full planes' interiors, both with L
+    species rows, zeroed where the offset reaches the ring; the full
+    planes' ring is zero."""
     g, L = A.grid, A.planes.shape[1]
     assert A.planes.shape[2:] == (g.ny, g.nx)
-    assert A.full.shape[2:] == (g.My + 1, g.Mx + 1)
+    assert A.full.shape[1:] == (L, g.My + 1, g.Mx + 1)
     assert np.all(A.full[..., [0, -1], :] == 0.0)
     assert np.all(A.full[..., [0, -1]] == 0.0)
-    for plane, full, (k1, k2, _) in zip(A.planes, tiled(A, L), A.offsets):
+    for plane, full, (k1, k2, _) in zip(A.planes, A.full, A.offsets):
         ring = reaches_ring(g, k1, k2)
         assert np.all(bits(plane[:, ring]) == 0)
         assert np.array_equal(bits(plane[:, ~ring]),
@@ -91,11 +85,8 @@ def assert_layouts_agree(A):
 
 
 def operator(name, S):
-    """P or Q of the species-varied problem on a 7x6 mesh, or B (the first
-    operand of the compact Newton stack), each with L distinct species rows
-    ("L"), or with species 2's row tiled over all L ("1"); and the stack
-    with full planes for the padded product: the operator itself, or for B
-    the full planes Q/tau + theta P that the padded product used."""
+    """P or Q of the species-varied problem on a 7x6 mesh, with L distinct
+    species rows ("L"), or with species 2's row tiled over all L ("1")."""
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob, g, "cds" if name == "cds" else "cfds")
@@ -104,31 +95,25 @@ def operator(name, S):
         A = getattr(sch, stack)
         sch = dataclasses.replace(sch, **{stack: StencilMatrix(
             g, np.repeat(A.planes[:, 2:3], prob.L, axis=1), A.offsets,
-            A.full[:, 2:3].copy())})
-    if name == "B":
-        B = _newton_stencil(sch, 3.0, 0.4).operand(0)
-        P, Q = (dict(zip(A.offsets, A.full)) for A in (sch.P, sch.Q))
-        full = np.stack([Q.get(o, 0.0) / 3.0 + 0.4 * P.get(o, 0.0)
-                         for o in B.offsets])
-        return B, prob.L, dataclasses.replace(B, full=full)
-    A = {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q}[name]
-    return A, prob.L, A
+            np.repeat(A.full[:, 2:3], prob.L, axis=1))})
+    return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q}[name], prob.L
 
 
 @pytest.mark.parametrize("S", ["1", "L"])
 @pytest.mark.parametrize("name,live", [("cds", 5), ("cfds-P", 9),
-                                       ("cfds-Q", 5), ("B", 9)])
+                                       ("cfds-Q", 5)])
 def test_kernel_matches_padded_window_literal(name, live, S):
     # on field arrays the kernel is the field-layout literal bit for bit,
     # and equals the padded window sum on zero-padded operands; on full
     # node arrays (a fold) it is the padded window sum bit for bit
-    A, L, padded = operator(name, S)
+    A, L = operator(name, S)
     assert len(A.offsets) == live
     assert A.planes.shape[1] == L
-    distinct = len(np.unique(A.planes.swapaxes(0, 1).reshape(L, -1), axis=0))
-    assert distinct == {"1": 1, "L": L}[S]
-    assert padded.full.shape[1] == {"1": 1, "L": L}[S]
-    assert_layouts_agree(padded)
+    for planes in (A.planes, A.full):
+        distinct = len(np.unique(planes.swapaxes(0, 1).reshape(L, -1),
+                                 axis=0))
+        assert distinct == {"1": 1, "L": L}[S]
+    assert_layouts_agree(A)
     g = A.grid
     rng = np.random.default_rng(83)
     x = rng.standard_normal((L, g.n_interior))
@@ -139,14 +124,11 @@ def test_kernel_matches_padded_window_literal(name, live, S):
     # matvec is the same product, on the field array itself, and equals
     # the product on the zero-padded operand that it replaces
     assert np.array_equal(bits(matvec(A, x)), bits(expected))
-    assert np.array_equal(matvec(A, x), padded_product(padded, x))
+    assert np.array_equal(matvec(A, x), padded_product(A, x))
     w = rng.standard_normal((L, g.My + 1, g.Mx + 1))
     assert np.array_equal(
-        bits(apply_full(tiled(padded, L), w,
-                        plan=padded.full_plan)[:, 1:-1, 1:-1]),
-        bits(padded_window_sum(padded, w)))
-    # the compact Newton stack is never folded: it keeps no full planes
-    assert (A.full is None) == (name == "B")
+        bits(apply_full(A.full, w, plan=A.full_plan)[:, 1:-1, 1:-1]),
+        bits(padded_window_sum(A, w)))
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -157,54 +139,12 @@ def test_matvec_matches_padded_product(kind, S):
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
     A = sch.P if kind == "cds" else sch.QP
-    assert A.full.shape[1] == {"1": 1, "L": prob.L}[S]
+    assert len(np.unique(A.full.swapaxes(0, 1).reshape(prob.L, -1),
+                         axis=0)) == {"1": 1, "L": prob.L}[S]
     xs = np.random.default_rng(89).standard_normal(
         ({"cds": 1, "cfds": 2}[kind], prob.L, g.n_interior))
     assert np.array_equal(matvec(A, np.concatenate(xs)),
                           padded_product(A, *xs))
-
-
-def test_newton_stencil_adds_the_two_stacks():
-    # the compact Newton stack is [B; -theta Q] over the operands (x, J x),
-    # B = Q/tau + theta P, with every plane tagged by its operand
-    A, _, _ = operator("cfds-P", "L")
-    Q, _, _ = operator("cfds-Q", "L")
-    prob = species_varied_problem()
-    stack = _newton_stencil(build_scheme(prob, A.grid, "cfds"), 3.0, 0.4)
-    assert stack.offsets == A.offsets + tuple((k1, k2, 1)
-                                              for k1, k2, _ in Q.offsets)
-    B, minus_theta_q = stack.operand(0), stack.operand(1)
-    assert set(Q.offsets) < set(B.offsets)
-    for plane, p, o in zip(B.planes, A.planes, A.offsets):
-        q = Q.planes[Q.offsets.index(o)] if o in Q.offsets else 0.0
-        assert np.array_equal(bits(plane), bits(q / 3.0 + 0.4 * p))
-    assert np.array_equal(bits(minus_theta_q.planes), bits(-0.4 * Q.planes))
-    # a product-only stack: field planes, zero where they reach the ring,
-    # and no full planes
-    assert stack.planes.shape[2:] == (A.grid.ny, A.grid.nx)
-    assert stack.full is None and B.full is None
-    for plane, (k1, k2, _) in zip(stack.planes, stack.offsets):
-        assert np.all(plane[:, reaches_ring(A.grid, k1, k2)] == 0.0)
-
-
-@pytest.mark.parametrize("make", [species_varied_problem, make_example2])
-def test_newton_stack_matches_two_operand_dense_oracle(make):
-    # [B; -theta Q] as one dense (L, n, 2n) matrix: operand 0's columns are
-    # Q/tau + theta P, operand 1's -theta Q, from the one-operand oracles
-    prob = make()
-    g = build_grid(prob.X, prob.Y, 7, 6)
-    sch = build_scheme(prob, g, "cfds")
-    stack, n = _newton_stencil(sch, 3.0, 0.4), g.n_interior
-    dense = stack.to_dense()
-    assert dense.shape == (prob.L, n, 2 * n)
-    P, Q = sch.P.to_dense(), sch.Q.to_dense()
-    assert P.shape == Q.shape == (prob.L, n, n)
-    assert np.array_equal(dense[..., :n], Q / 3.0 + 0.4 * P)
-    assert np.array_equal(dense[..., n:], -0.4 * Q)
-    x, y = np.random.default_rng(101).standard_normal((2, prob.L, n))
-    expected = np.einsum("lij,lj->li", dense, np.concatenate([x, y], axis=1))
-    assert np.allclose(matvec(stack, np.concatenate([x, y])), expected, rtol=0,
-                       atol=1e-13 * np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -238,7 +178,7 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
                                                          live, seed):
     # on full node arrays, one product of a stack over (u, v) is the literal
     # sum, in plane order, of A's windows of u and then C's windows of v, bit
-    # for bit; S = 1 (shared) keeps one coefficient row for the L species
+    # for bit; S = 1 (shared) tiles one coefficient row over the L species
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
     parts = rng.standard_normal((2, 1 if shared else L, 3, 3, g.ny, g.nx))
@@ -248,7 +188,7 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
     stack = StencilMatrix.from_coeffs(g, list(parts), L)
     assert stack.offsets == tuple((k1, k2, o) for o, keep in enumerate(live)
                                   for k1, k2 in OFFSETS if (k1, k2) in keep)
-    assert stack.full.shape[:2] == (len(stack.offsets), 1 if shared else L)
+    assert stack.full.shape[:2] == (len(stack.offsets), L)
     assert_layouts_agree(stack)
     w = rng.standard_normal((2, L, g.My + 1, g.Mx + 1))
     coeffs = np.broadcast_to(parts, (2, L) + parts.shape[2:])
@@ -259,7 +199,7 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
     # the operands follow one another on the species axis
     operands = w.reshape(2 * L, g.My + 1, g.Mx + 1)
     assert np.array_equal(
-        bits(apply_full(tiled(stack, L), operands,
+        bits(apply_full(stack.full, operands,
                         plan=stack.full_plan)[:, 1:-1, 1:-1]),
         bits(expected))
     # on field arrays matvec is the field literal, and equals the product
@@ -291,7 +231,8 @@ def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
     assert A.offsets == tuple((k1, k2, 0) for k1, k2 in OFFSETS
                               if (k1, k2) in live)
     for plane, (k1, k2, _) in zip(A.full, A.offsets):
-        assert np.array_equal(plane[:, 1:-1, 1:-1], coeffs[:, k1 + 1, k2 + 1])
+        assert np.array_equal(plane[:, 1:-1, 1:-1], np.broadcast_to(
+            coeffs[:, k1 + 1, k2 + 1], (L, g.ny, g.nx)))
     assert_layouts_agree(A)
     x = rng.standard_normal((L, g.n_interior))
     expected = np.einsum("lij,lj->li", A.to_dense(), x)
@@ -384,7 +325,8 @@ def test_product_into_out_matches_allocating_product(kind, S):
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
     A, L = (sch.P if kind == "cds" else sch.QP), prob.L
-    assert A.full.shape[1] == {"1": 1, "L": L}[S]
+    assert len(np.unique(A.full.swapaxes(0, 1).reshape(L, -1),
+                         axis=0)) == {"1": 1, "L": L}[S]
     K = A.offsets[-1][2] + 1
     rng = np.random.default_rng(97)
     x = rng.standard_normal((K * L, g.n_interior))
@@ -394,9 +336,9 @@ def test_product_into_out_matches_allocating_product(kind, S):
     assert np.array_equal(bits(out), bits(matvec(A, x)))
     w = rng.standard_normal((K * L, g.My + 1, g.Mx + 1))
     out = np.full((L, g.My + 1, g.Mx + 1), np.nan)
-    assert apply_full(tiled(A, L), w, plan=A.full_plan, out=out) is out
+    assert apply_full(A.full, w, plan=A.full_plan, out=out) is out
     assert np.array_equal(
-        bits(out), bits(apply_full(tiled(A, L), w, plan=A.full_plan)))
+        bits(out), bits(apply_full(A.full, w, plan=A.full_plan)))
 
 
 def test_product_rejects_out_that_may_share_memory_with_operands():
@@ -420,8 +362,7 @@ def test_product_rejects_out_that_may_share_memory_with_operands():
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
 def test_stack_builds_its_plans_once(kind, monkeypatch):
     # a stack computes its product plans when it is built; products and
-    # folds reuse them, so a whole run builds only the compact Newton
-    # stack's field plan
+    # folds reuse them, so a whole run builds none
     from parabolic2d import cds, make_example2, stepper
     from parabolic2d.grid import build_time_grid
 
@@ -438,6 +379,6 @@ def test_stack_builds_its_plans_once(kind, monkeypatch):
     assert all(A.plan == real(A.offsets, A.planes.shape[1:]) for A in stacks)
     built.clear()
     stepper.integrate(prob, g, build_time_grid(60.0, 2), sch)
-    assert len(built) == {"cds": 0, "cfds": 1}[kind]
+    assert built == []
     assert all(A.plan is p and A.full_plan is f
                for A, (p, f) in zip(stacks, plans))

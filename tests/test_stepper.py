@@ -390,13 +390,11 @@ def test_initial_field_shape():
 
 def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
     """Phi^th from the data on the whole node array with the interior
-    zeroed, applied through the full planes of P and Q, tiled to the L
-    species."""
+    zeroed, applied through the full planes of P and Q."""
     from parabolic2d.cds import apply_full
 
     def product(A, w):
-        planes = np.broadcast_to(A.full, (len(A.full), prob.L) + w.shape[1:])
-        return apply_full(planes, w, plan=A.full_plan)[:, 1:-1, 1:-1]
+        return apply_full(A.full, w, plan=A.full_plan)[:, 1:-1, 1:-1]
 
     XX, YY = g.full_mesh()
     data = {}
@@ -541,24 +539,33 @@ def test_integrate_matches_plain_advance_loop(kind, example):
     W_run, reports = integrate(prob, g, tg, sch, theta=0.5)
     W = initial_field(prob, g)
     for n in range(tg.N):
-        W, report = advance(W, tg.t(n), sch, prob, g, tg.tau, 0.5,
-                            t_next=tg.t(n + 1))
+        W, report = advance(W, tg.t(n), sch, prob, g, tg.tau, 0.5)
         assert report.krylov_cycles == reports[n].krylov_cycles
     assert np.array_equal(W_run, W)
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
-def test_newton_stencil_built_once_per_integrate(kind, monkeypatch):
-    from parabolic2d import make_example2, stepper
-    built = []
-    newton_stencil = stepper._newton_stencil
-    monkeypatch.setattr(stepper, "_newton_stencil",
-                        lambda *a: built.append(a) or newton_stencil(*a))
-    prob = make_example2()
+def test_plain_advance_evaluates_new_layer_at_t_n_plus_tau(kind):
+    # without terms, advance builds them itself: the boundary data, the
+    # forcing and the reaction Jacobian of the new layer are evaluated at
+    # exactly t_n + tau (0.1 + 0.7 rounds to 0.7999999999999999, not 0.8),
+    # and only the old layer's data at t_n
+    seen = {"boundary": set(), "forcing": set(), "jacobian": set()}
+    base = make_example1()
+    prob = dataclasses.replace(
+        base,
+        boundary=lambda x, y, t: seen["boundary"].add(t)
+        or base.boundary(x, y, t),
+        forcing=lambda x, y, t: seen["forcing"].add(t)
+        or base.forcing(x, y, t),
+        reaction_jacobian=lambda x, y, t, W: seen["jacobian"].add(t)
+        or base.reaction_jacobian(x, y, t, W))
     g = build_grid(prob.X, prob.Y, 4, 4)
-    tg = build_time_grid(30.0, 3)
-    integrate(prob, g, tg, build_scheme(prob, g, kind), theta=0.5)
-    assert len(built) == 1
+    t_n, tau = 0.1, 0.7
+    advance(initial_field(prob, g), t_n, build_scheme(prob, g, kind), prob,
+            g, tau, 0.5)
+    assert seen == {"boundary": {t_n, t_n + tau}, "forcing": {t_n, t_n + tau},
+                    "jacobian": {t_n + tau}}
 
 
 def test_hoisted_step_matches_public_residual_driver():
@@ -748,7 +755,7 @@ def dense_newton_matrix(sch, J, tau, theta):
 @pytest.mark.parametrize("make,S", [(species_varied_problem, 10),
                                     (make_example2, 1)])
 def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
-    from parabolic2d.stepper import _apply_jacobian, _newton_stencil
+    from parabolic2d.stepper import _apply_jacobian
 
     prob = make()
     g = build_grid(prob.X, prob.Y, 5, 4)
@@ -760,8 +767,7 @@ def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
     x = rng.standard_normal((prob.L, g.n_interior))
     y = np.empty_like(x)
-    _apply_jacobian(sch, _newton_stencil(sch, tau, theta), J, tau, theta, x,
-                    y)
+    _apply_jacobian(sch, J, tau, theta, x, y)
     expected = (dense_newton_matrix(sch, J, tau, theta)
                 @ x.ravel()).reshape(x.shape)
     assert np.allclose(y, expected, rtol=1e-12,
@@ -771,18 +777,17 @@ def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
 def test_central_newton_matrix_keeps_its_arithmetic():
     from parabolic2d import make_example2
     from parabolic2d.krylov import matvec
-    from parabolic2d.stepper import _apply_jacobian, _newton_stencil
+    from parabolic2d.stepper import _apply_jacobian
 
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 6, 5)
     sch = build_scheme(prob, g, "cds")
     tau, theta = 3.0, 0.4
-    assert _newton_stencil(sch, tau, theta) is None
     rng = np.random.default_rng(67)
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
     x = rng.standard_normal((prob.L, g.n_interior))
     y = np.empty_like(x)
-    _apply_jacobian(sch, None, J, tau, theta, x, y)
+    _apply_jacobian(sch, J, tau, theta, x, y)
     expected = x / tau + theta * matvec(sch.P, x) \
         - theta * np.einsum("lmn,mn->ln", J, x)
     assert np.array_equal(y, expected)
@@ -791,7 +796,7 @@ def test_central_newton_matrix_keeps_its_arithmetic():
 @pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 1)])
 def test_krylov_application_stencil_products(monkeypatch, kind, products):
     # each inner-solver application costs one stencil product: P x for cds,
-    # and for cfds B x - theta Q (J x) from the stack [B; -theta Q]
+    # and for cfds QP over (x/tau - theta J x, theta x)
     from parabolic2d import make_example2, stepper
 
     counts = {"apply": 0, "matvec": 0}
@@ -824,10 +829,11 @@ def test_krylov_application_stencil_products(monkeypatch, kind, products):
 @pytest.mark.parametrize("make,S", [(species_varied_problem, 10),
                                     (make_example2, 1)])
 def test_compact_application_matches_the_two_product_composition(make, S):
-    # one product of [B; -theta Q] over (x, J x) against the composition
-    # B x - theta Q (J x) of two one-operand products
+    # one product of QP over (x/tau - theta J x, theta x) against the
+    # composition Q (x/tau - theta J x) + P (theta x) of two one-operand
+    # products
     from parabolic2d.krylov import matvec
-    from parabolic2d.stepper import _apply_jacobian, _newton_stencil
+    from parabolic2d.stepper import _apply_jacobian
 
     prob = make()
     g = build_grid(prob.X, prob.Y, 7, 6)
@@ -838,19 +844,18 @@ def test_compact_application_matches_the_two_product_composition(make, S):
     rng = np.random.default_rng(71)
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
     x = rng.standard_normal((prob.L, g.n_interior))
-    stack = _newton_stencil(sch, tau, theta)
     y = np.empty_like(x)
-    _apply_jacobian(sch, stack, J, tau, theta, x, y)
-    expected = matvec(stack.operand(0), x) \
-        - theta * matvec(sch.Q, np.einsum("lmn,mn->ln", J, x))
+    _apply_jacobian(sch, J, tau, theta, x, y)
+    expected = matvec(sch.Q, x / tau - theta * np.einsum("lmn,mn->ln", J, x)) \
+        + matvec(sch.P, theta * x)
     assert np.allclose(y, expected, rtol=0,
                        atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_air_compact_small_mesh_step_counts():
     # per-step Newton iterations and Krylov cycles of an 8x8, N=4 air cfds
-    # run, pinned to the counts that the Krylov application and residual
-    # gave as two stencil products each: fusing them moves no half-cycle
+    # run, with each Newton application one QP product over
+    # (x/tau - theta J x, theta x)
     from parabolic2d import make_example2
 
     prob = make_example2()
@@ -859,7 +864,7 @@ def test_air_compact_small_mesh_step_counts():
                            build_scheme(prob, g, "cfds"), theta=0.5)
     assert [r.newton_iters for r in reports] == [3, 3, 3, 3]
     assert [r.krylov_cycles for r in reports] == [
-        [4.0, 4.0, 5.0], [4.0, 4.0, 4.5], [4.5, 4.0, 4.5], [4.5, 4.0, 4.5]]
+        [4.0, 4.0, 5.0], [4.0, 4.0, 4.5], [4.5, 4.0, 4.0], [4.5, 4.0, 4.5]]
 
 
 def test_air_compact_iteration_averages():
