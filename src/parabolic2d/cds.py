@@ -12,10 +12,11 @@ basis, exact numerators over divisors: each entry is its formula bit for bit.
 
 A stencil matrix stores one plane per live offset in the field layout,
 zero where the offset reaches a boundary node, so a product runs on the
-(L, n) field arrays.  A folded stack also keeps its planes over the full
-node array with those boundary coefficients, which stepper.boundary_fold
-applies to the boundary data through the same kernel, along the product
-plan of each layout that a stack computes once, when it is built.
+(L, n) field arrays.  Each scheme has one such stack, over one operand or
+two.  A folded stack also keeps its planes over the full node array with
+those boundary coefficients, which stepper.boundary_fold applies to the
+boundary data through the same kernel, along the product plan of each
+layout that a stack computes once, when it is built.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ EDGE = {-1: slice(0, 1), 0: slice(0, 0), 1: slice(-1, None)}
 @dataclass
 class StencilMatrix:
     """Banded operator over the interior nodes of L species with a 3x3
-    stencil footprint, reading K operands (K = 1 for a plain operator).
+    stencil footprint, reading K operands: K = 1 for the central P, K = 2
+    for the compact stack [Q; P], whose operand 0 is read by Q and operand
+    1 by P, so one product gives Q u + P v.
 
     planes[m, l, j, i] multiplies, at interior node (i, j) of species l, the
     value of operand o at (i+k1, j+k2) for the m-th live offset (k1, k2, o)
@@ -71,14 +74,6 @@ class StencilMatrix:
         for plane, (k1, k2, _) in zip(planes, offsets):
             plane[:, :, EDGE[k1]] = plane[:, EDGE[k2]] = 0.0
         return cls(grid, planes, offsets, full)
-
-    def operand(self, o: int) -> StencilMatrix:
-        """The planes of operand o as a one-operand stack, a view."""
-        m = [k for k, off in enumerate(self.offsets) if off[2] == o]
-        part = slice(m[0], m[-1] + 1)
-        return StencilMatrix(self.grid, self.planes[part], tuple(
-            (k1, k2, 0) for k1, k2, _ in self.offsets[part]),
-            None if self.full is None else self.full[part])
 
     def to_dense(self) -> np.ndarray:
         """Dense (L, n, K n) matrix, one per species, with operand o in

@@ -79,8 +79,9 @@ def compact_coefficients(problem: ProblemSpec, grid: Grid2D) -> CompactCoefficie
 
 
 def cfds_full_stencils(problem: ProblemSpec, grid: Grid2D):
-    """All 9 coefficient planes of P = 6 hx^2 l^h and of Q = 6 hx^2 nu^h,
-    (p_full, q_full), each (S, 3, 3, My-1, Mx-1), from one evaluation."""
+    """All 9 coefficient planes of Q = 6 hx^2 nu^h and of P = 6 hx^2 l^h,
+    (q_full, p_full) in the operand order of the scheme's stack [Q; P],
+    each (S, 3, 3, My-1, Mx-1), from one evaluation."""
     cc = compact_coefficients(problem, grid)
     I, Dx, D2x, Dy, D2y = basis(grid)
     qx, qy = grid.hx ** 2 / 12.0, grid.hy ** 2 / 12.0
@@ -96,4 +97,4 @@ def cfds_full_stencils(problem: ProblemSpec, grid: Grid2D):
     ])
     q = compose([(1.0, I, I), (qx, D2x, I), (-qx * cc.a_tilde, Dx, I),
                  (qy, I, D2y), (-qy * cc.b_tilde, I, Dy)])
-    return 6 * grid.hx ** 2 * p, 6 * grid.hx ** 2 * q
+    return 6 * grid.hx ** 2 * q, 6 * grid.hx ** 2 * p

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, TimeGrid, restrict
+from .grid import Grid2D, TimeGrid, is_bool, restrict
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class REWeights:
 def re_weights(sigma: int) -> REWeights:
     """Weights (gamma1, gamma2) eliminating the h^sigma term; sigma=2 gives
     (-1/3, 4/3), sigma=4 gives (-1/15, 16/15)."""
-    if sigma < 1:
+    if is_bool(sigma) or sigma < 1:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     gamma2 = 2.0 ** sigma / (2.0 ** sigma - 1.0)
     return REWeights(gamma1=1.0 - gamma2, gamma2=gamma2)

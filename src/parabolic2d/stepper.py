@@ -26,16 +26,18 @@ layers as
     Phi^th = theta F(t1) + (1-theta) F(t_n),
 
 minus, for the compact scheme, Q applied to (g(t1) - g(t_n))/tau on the
-boundary ring.  integrate builds each step's terms and carries the new
-layer to the next step, with the R^1 of the accepted residual as its R^0.
+boundary ring, as [Q; P] applied to that quotient and zeros.  integrate
+builds each step's terms and carries the new layer to the next step, with
+the R^1 of the accepted residual as its R^0.
 
 The Newton matrix is I/tau + theta P - theta J (central) or
 Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian.
-The compact one is the derivative of the residual, so its application, the
-residual and the fold are each one product of the scheme's stack [Q; P]:
-on (x/tau - theta J x, theta x), on the residual's two terms, or on the
-ring data.  Products run on the (L, n) field arrays, folds on the full node
-arrays.
+The compact one is the derivative of the residual.  Every operator product
+is one product of the scheme's one stencil stack A: P for the central
+scheme, [Q; P] for the compact one, there on (x/tau - theta J x, theta x),
+on the residual's two terms, on the ring data of the fold, or on the ring
+term and zeros.  Products run on the (L, n) field arrays, folds on the full
+node arrays.
 """
 
 from __future__ import annotations
@@ -72,21 +74,14 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class Scheme:
-    """Assembled spatial operators for one problem/grid/scheme combination.
-
-    "cds" carries the stiffness operator P (mass = identity), "cfds" QP, one
-    stack [Q; P] over two operands, with P and Q views of it; build_scheme
-    makes both.  Boundary coefficients act only in folds, via full planes.
+    """Assembled spatial operators for one problem/grid/scheme combination:
+    the one stencil stack A of the scheme, P for "cds" (mass = identity),
+    [Q; P] over two operands for "cfds".  Boundary coefficients act only in
+    folds, via full planes.
     """
 
     kind: str
-    P: Optional[StencilMatrix]
-    Q: Optional[StencilMatrix] = None
-    QP: Optional[StencilMatrix] = None
-
-    def __post_init__(self):
-        if self.kind == "cfds":
-            self.Q, self.P = self.QP.operand(0), self.QP.operand(1)
+    A: StencilMatrix
 
 
 @dataclass
@@ -100,17 +95,15 @@ class SolverReport:
 
 
 def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
-    """The operators of `kind`, assembled once over the species axis of the
-    problem's coefficient fields (length 1 when every species shares them)
-    and tiled to the L species."""
+    """The stack A of `kind`, one StencilMatrix.from_coeffs over the
+    stencils of its operands (P, or Q then P), assembled once over the
+    species axis of the problem's coefficient fields (length 1 when every
+    species shares them) and tiled to the L species."""
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if kind == "cds":
-        return Scheme(kind, StencilMatrix.from_coeffs(
-            grid, [cds_mod.cds_full_stencil(problem, grid)], problem.L))
-    p, q = cfds_mod.cfds_full_stencils(problem, grid)
-    return Scheme(kind, None, QP=StencilMatrix.from_coeffs(grid, [q, p],
-                                                           problem.L))
+    coeffs = ([cds_mod.cds_full_stencil(problem, grid)] if kind == "cds"
+              else cfds_mod.cfds_full_stencils(problem, grid))
+    return Scheme(kind, StencilMatrix.from_coeffs(grid, coeffs, problem.L))
 
 
 def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
@@ -137,18 +130,18 @@ def boundary_fold(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
 
     g holds the Dirichlet data of every species at time t on the nodes of
     grid.boundary_ring(), shape (L, 2(Mx+My)).  "cds" gives F = -P g;
-    "cfds" gives F = Q (r(g) + xi) - P g, one product of QP, with the
-    reaction r and the forcing xi evaluated on the ring only; _boundary_phi
+    "cfds" gives F = Q (r(g) + xi) - P g, one product of A = [Q; P], with
+    the reaction r and the forcing xi evaluated on the ring only; _boundary_phi
     subtracts Q times the time derivative of g, so that
     Q dU/dt + P U = Q R + Phi.  The boundary coefficients of P and Q reach the ring.
     """
     if scheme.kind == "cds":
-        return -_ring_product(scheme.P, grid, g)
+        return -_ring_product(scheme.A, grid, g)
     _, (x, y) = grid.boundary_ring()
     r = np.asarray(problem.reaction(x, y, t, g), dtype=float)
     if problem.forcing is not None:
         r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
-    return _ring_product(scheme.QP, grid, r, -g)
+    return _ring_product(scheme.A, grid, r, -g)
 
 
 @dataclass
@@ -182,11 +175,13 @@ def _boundary_phi(scheme: Scheme, grid: Grid2D, tau: float, theta: float,
                   old: _Layer, new: _Layer) -> np.ndarray:
     """Theta-averaged boundary contribution Phi^th of the step from layer
     old to layer new, shape (L, n): theta F(t1) + (1-theta) F(t_n), and for
-    "cfds" minus Q applied to the difference quotient (g1 - g0)/tau, the
-    time derivative of the Dirichlet data on the ring."""
+    "cfds" minus Q applied to the difference quotient dq = (g1 - g0)/tau,
+    the time derivative of the Dirichlet data on the ring, as A = [Q; P]
+    applied to (dq, 0)."""
     phi = theta * new.F + (1.0 - theta) * old.F
     if scheme.kind == "cfds":
-        phi -= _ring_product(scheme.Q, grid, (new.g - old.g) / tau)
+        dq = (new.g - old.g) / tau
+        phi -= _ring_product(scheme.A, grid, dq, np.zeros_like(dq))
     return phi
 
 
@@ -226,8 +221,8 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     wth = theta * W_new + (1.0 - theta) * W_old
     rth = theta * R1 + (1.0 - theta) * old.R
     if scheme.kind == "cds":
-        return (W_new - W_old) / tau + matvec(scheme.P, wth) - rth - phi
-    return matvec(scheme.QP,
+        return (W_new - W_old) / tau + matvec(scheme.A, wth) - rth - phi
+    return matvec(scheme.A,
                   np.concatenate(((W_new - W_old) / tau - rth, wth))) - phi
 
 
@@ -236,8 +231,8 @@ def _apply_jacobian(scheme: Scheme, J: np.ndarray, tau: float, theta: float,
     """Write the action of the Newton matrix on x (L, n) for reaction
     Jacobian J (L, L, n) into out (L, n), in place: for "cds" as
     ((x/tau) + theta (P x)) - theta (J x); for "cfds", the derivative of the
-    residual, as QP applied to (x/tau - theta (J x), theta x), both written
-    into one (2L, n) operand."""
+    residual, as A = [Q; P] applied to (x/tau - theta (J x), theta x), both
+    written into one (2L, n) operand."""
     if scheme.kind == "cfds":
         uv = np.empty((2 * len(x), x.shape[1]))
         u, v = uv[:len(x)], uv[len(x):]
@@ -245,10 +240,10 @@ def _apply_jacobian(scheme: Scheme, J: np.ndarray, tau: float, theta: float,
         np.einsum("lmn,mn->ln", J, x, out=v)
         u -= np.multiply(theta, v, out=v)
         np.multiply(theta, x, out=v)
-        matvec(scheme.QP, uv, out=out)
+        matvec(scheme.A, uv, out=out)
         return
     np.divide(x, tau, out=out)
-    Px, Jx = matvec(scheme.P, x), np.einsum("lmn,mn->ln", J, x)
+    Px, Jx = matvec(scheme.A, x), np.einsum("lmn,mn->ln", J, x)
     out += np.multiply(theta, Px, out=Px)
     out -= np.multiply(theta, Jx, out=Jx)
 

@@ -41,7 +41,7 @@ def test_gamma_value_equal_spacing():
 def test_classical_compact_laplacian_stencil():
     # constant a=b=1, square cells: P/1 has center 20, edges -4, corners -1
     g = build_grid(1.0, 1.0, 5, 5)
-    P, _ = cfds_full_stencils(constant_problem(), g)
+    _, P = cfds_full_stencils(constant_problem(), g)
     c = P[0, :, :, 2, 2] / (6 * g.hx ** 2) * 6 * g.hx ** 2  # raw scaled entries
     assert c[1, 1] == pytest.approx(20.0)
     for k1, k2 in [(0, 1), (2, 1), (1, 0), (1, 2)]:
@@ -53,7 +53,7 @@ def test_classical_compact_laplacian_stencil():
 
 def test_classical_compact_mass_stencil():
     g = build_grid(1.0, 1.0, 5, 5)
-    _, Q = cfds_full_stencils(constant_problem(), g)
+    Q, _ = cfds_full_stencils(constant_problem(), g)
     w = Q[0, :, :, 2, 2] / (6 * g.hx ** 2)
     assert w[1, 1] == pytest.approx(2.0 / 3.0)
     for k1, k2 in [(0, 1), (2, 1), (1, 0), (1, 2)]:
@@ -63,7 +63,7 @@ def test_classical_compact_mass_stencil():
 def test_q_corners_zero_and_row_sums_exact():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 9, 6)
-    _, Q = cfds_full_stencils(prob, g)
+    Q, _ = cfds_full_stencils(prob, g)
     for k1 in (0, 2):
         for k2 in (0, 2):
             assert np.all(Q[:, k1, k2] == 0.0)
@@ -75,8 +75,8 @@ def test_q_corners_zero_and_row_sums_exact():
 def test_composed_q_is_its_closed_form(M, varied):
     # Q = 6 hx^2 (I + qx (D2x - a~ Dx) + qy (D2y - b~ Dy)) from the composer
     # is the closed form within a few ulps, with dead (+0) corners, so the
-    # live planes stay 5 in Q, 9 in P and 14 in the stack QP that the
-    # residual and the Newton application share
+    # live planes stay 5 in Q, 9 in P and 14 in the stack [Q; P] that
+    # every product of the scheme reads
     from parabolic2d import make_example2
     from parabolic2d.stepper import build_scheme
     prob = species_varied(make_example2()) if varied else make_example1()
@@ -84,7 +84,7 @@ def test_composed_q_is_its_closed_form(M, varied):
     hx, hy = g.hx, g.hy
     cc = compact_coefficients(prob, g)
     at, bt = cc.a_tilde, cc.b_tilde
-    _, Q = cfds_full_stencils(prob, g)
+    Q, _ = cfds_full_stencils(prob, g)
     assert len(Q) == len(at) == (prob.L if varied else 1)
     closed = {(1, 1): np.full_like(at, 4 * hx ** 2),
               (2, 1): hx ** 2 / 4 * (2 - at * hx),
@@ -96,15 +96,15 @@ def test_composed_q_is_its_closed_form(M, varied):
                       <= 4 * np.spacing(np.abs(entry))), (i, j)
     corners = Q[:, ::2, ::2]
     assert np.all(corners == 0.0) and not np.any(np.signbit(corners))
-    scheme = build_scheme(prob, g, "cfds")
-    assert (len(scheme.Q.offsets), len(scheme.P.offsets)) == (5, 9)
-    assert len(scheme.QP.offsets) == 14
+    # the scheme's stack reads 5 live offsets of Q, then 9 of P
+    operands = [o for *_, o in build_scheme(prob, g, "cfds").A.offsets]
+    assert operands == 5 * [0] + 9 * [1]
 
 
 def test_p_row_sums_vanish():
     prob = make_example1()
     g = build_grid(prob.X, prob.Y, 8, 8)
-    P, _ = cfds_full_stencils(prob, g)
+    _, P = cfds_full_stencils(prob, g)
     assert np.allclose(P.sum(axis=(1, 2)), 0.0,
                        atol=1e-12 * np.max(np.abs(P)))
 
@@ -141,7 +141,7 @@ def test_semidiscrete_identity_fourth_order():
         uvec = np.broadcast_to(u, (prob.L,) + u.shape)
         xi = prob.forcing(XX.ravel(), YY.ravel(), t)[0]
         r = prob.reaction(XX.ravel(), YY.ravel(), t, uvec)[0] + xi
-        P, Q = (StencilMatrix.from_coeffs(g, [c], 1)
+        Q, P = (StencilMatrix.from_coeffs(g, [c], 1)
                 for c in cfds_full_stencils(prob, g))
         phi = fold(prob, g, "cfds", t)[0]
         res = matvec(P, u[None])[0] - matvec(Q, (r - u_t)[None])[0] - phi

@@ -8,6 +8,8 @@ from parabolic2d.cds import StencilMatrix, cds_full_stencil
 from parabolic2d.krylov import (KrylovBreakdown, bicgstab_l, check_solver_options,
                               matvec)
 
+from test_cds import lone_operators
+
 
 def writing(f):
     """The operator A(v, out) of bicgstab_l for the function f(v) = A v."""
@@ -372,11 +374,10 @@ def species_problem(prob, l):
 def test_batched_matvec_matches_per_species_dense(make, S, kind):
     prob = make()
     g = build_grid(prob.X, prob.Y, 6, 5)
-    sch = build_scheme(prob, g, kind)
     x = np.random.default_rng(5).standard_normal((prob.L, g.n_interior))
-    ops = (sch.P,) if kind == "cds" else (sch.P, sch.Q)
+    ops = lone_operators(prob, g, kind)
     # the species-at-a-time operators, each built from species l alone
-    singles = [build_scheme(species_problem(prob, l), g, kind)
+    singles = [lone_operators(species_problem(prob, l), g, kind)
                for l in range(prob.L)]
     for k, A in enumerate(ops):
         # the stack holds S distinct stencils tiled over the L species, in
@@ -391,8 +392,7 @@ def test_batched_matvec_matches_per_species_dense(make, S, kind):
         expected = np.einsum("lij,lj->li", dense, x)
         assert np.allclose(y, expected, rtol=0,
                            atol=1e-13 * np.max(np.abs(expected)))
-        for l, single in enumerate(singles):
-            single = (single.P, single.Q)[k]
+        for l, single in enumerate(lone[k] for lone in singles):
             assert single.planes.shape[1] == 1
             assert np.array_equal(single.to_dense()[0], dense[l])
             assert np.array_equal(matvec(single, x[l:l + 1])[0], y[l])
@@ -409,6 +409,5 @@ def test_species_free_fields_match_fields_repeated_per_species(kind):
         for name in COEFFICIENTS})
     g = build_grid(prob.X, prob.Y, 7, 5)
     a, b = build_scheme(prob, g, kind), build_scheme(repeated, g, kind)
-    for A, B in ((a.P, b.P), (a.Q, b.Q))[:1 if kind == "cds" else 2]:
-        assert A.offsets == B.offsets
-        assert np.array_equal(bits(A.planes), bits(B.planes))
+    assert a.A.offsets == b.A.offsets
+    assert np.array_equal(bits(a.A.planes), bits(b.A.planes))

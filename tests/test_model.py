@@ -122,6 +122,13 @@ def test_example2_rejects_nonfinite_mu(mu):
         make_example2(mu=mu)
 
 
+@pytest.mark.parametrize("mu", [True, np.True_])
+def test_example2_rejects_bool_mu(mu):
+    # a bool would pass the finiteness check as a wind of rate 1
+    with pytest.raises(ValueError, match="mu must be finite"):
+        make_example2(mu=mu)
+
+
 def test_example2_initial_values():
     prob = make_example2()
     xs = np.linspace(0, 500, 7)

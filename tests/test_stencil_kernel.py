@@ -2,8 +2,6 @@
 full node layouts, the padded product it replaces, the dense oracle and the
 boundary fold."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,11 @@ from hypothesis import strategies as st
 from parabolic2d import (build_grid, build_scheme, make_example1,
                          make_example2)
 from parabolic2d.cds import OFFSETS, StencilMatrix, apply_full
+from parabolic2d.cfds import cfds_full_stencils
 from parabolic2d.krylov import matvec
 from parabolic2d.stepper import Scheme, _ring_product, boundary_fold
 
-from test_cds import constant_problem
+from test_cds import constant_problem, lone_operators
 from test_krylov import bits, species_varied_problem
 
 
@@ -85,18 +84,18 @@ def assert_layouts_agree(A):
 
 
 def operator(name, S):
-    """P or Q of the species-varied problem on a 7x6 mesh, with L distinct
-    species rows ("L"), or with species 2's row tiled over all L ("1")."""
+    """P or Q of the species-varied problem on a 7x6 mesh, built alone, with
+    L distinct species rows ("L"), or with species 2's row tiled over all L
+    ("1")."""
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    sch = build_scheme(prob, g, "cds" if name == "cds" else "cfds")
+    kind = "cds" if name == "cds" else "cfds"
+    ops = lone_operators(prob, g, kind)
+    A = ops[1] if name == "cfds-P" else ops[0]
     if S == "1":
-        stack = "P" if sch.kind == "cds" else "QP"
-        A = getattr(sch, stack)
-        sch = dataclasses.replace(sch, **{stack: StencilMatrix(
-            g, np.repeat(A.planes[:, 2:3], prob.L, axis=1), A.offsets,
-            np.repeat(A.full[:, 2:3], prob.L, axis=1))})
-    return {"cds": sch.P, "cfds-P": sch.P, "cfds-Q": sch.Q}[name], prob.L
+        A = StencilMatrix(g, np.repeat(A.planes[:, 2:3], prob.L, axis=1),
+                          A.offsets, np.repeat(A.full[:, 2:3], prob.L, axis=1))
+    return A, prob.L
 
 
 @pytest.mark.parametrize("S", ["1", "L"])
@@ -138,7 +137,7 @@ def test_matvec_matches_padded_product(kind, S):
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
-    A = sch.P if kind == "cds" else sch.QP
+    A = sch.A
     assert len(np.unique(A.full.swapaxes(0, 1).reshape(prob.L, -1),
                          axis=0)) == {"1": 1, "L": prob.L}[S]
     xs = np.random.default_rng(89).standard_normal(
@@ -147,23 +146,20 @@ def test_matvec_matches_padded_product(kind, S):
                           padded_product(A, *xs))
 
 
-@pytest.mark.parametrize("kind", ["cds", "cfds"])
-def test_scheme_operators_are_views_of_one_stack(kind):
-    prob = species_varied_problem()
+@pytest.mark.parametrize("make", [species_varied_problem, make_example2])
+def test_compact_scheme_stack_is_one_stack_over_q_and_p(make):
+    # the cfds stack is from_coeffs over the pair (q, p) bit for bit: Q's
+    # live offsets on operand 0, then P's on operand 1
+    prob = make()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    sch = build_scheme(prob, g, kind)
-    if kind == "cds":
-        assert sch.Q is None and sch.QP is None
-        return
-    # the views read operand 0 of their own planes
-    assert {o for *_, o in sch.P.offsets + sch.Q.offsets} == {0}
-    assert sch.QP.offsets == sch.Q.offsets + tuple(
-        (k1, k2, 1) for k1, k2, _ in sch.P.offsets)
-    for A in (sch.P, sch.Q):
-        assert A.planes.base is sch.QP.planes
-        assert A.full.base is sch.QP.full
-    assert sch.P.planes.nbytes + sch.Q.planes.nbytes == sch.QP.planes.nbytes
-    assert sch.P.full.nbytes + sch.Q.full.nbytes == sch.QP.full.nbytes
+    A = build_scheme(prob, g, "cfds").A
+    expected = StencilMatrix.from_coeffs(g, list(cfds_full_stencils(prob, g)),
+                                         prob.L)
+    Q, P = lone_operators(prob, g, "cfds")
+    assert A.offsets == expected.offsets == Q.offsets + tuple(
+        (k1, k2, 1) for k1, k2, _ in P.offsets)
+    assert np.array_equal(bits(A.planes), bits(expected.planes))
+    assert np.array_equal(bits(A.full), bits(expected.full))
 
 
 grids = st.tuples(st.integers(2, 7), st.integers(2, 7))
@@ -209,12 +205,14 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
     xy = np.concatenate([x, y])
     assert np.array_equal(bits(matvec(stack, xy)), bits(field))
     assert np.array_equal(matvec(stack, xy), padded_product(stack, x, y))
-    # and the operands' views are the one-operand stacks of each part
+    # and the planes of each operand are the one-operand stack of its part
     for o, c in enumerate(parts):
         single = StencilMatrix.from_coeffs(g, [c], L)
-        assert stack.operand(o).offsets == single.offsets
-        assert np.array_equal(bits(stack.operand(o).planes), bits(single.planes))
-        assert np.array_equal(bits(stack.operand(o).full), bits(single.full))
+        m = [k for k, off in enumerate(stack.offsets) if off[2] == o]
+        assert [stack.offsets[k][:2] for k in m] == [
+            off[:2] for off in single.offsets]
+        assert np.array_equal(bits(stack.planes[m]), bits(single.planes))
+        assert np.array_equal(bits(stack.full[m]), bits(single.full))
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,15 +271,13 @@ def test_fold_matches_ring_definition(mesh, kind, L, shared, seed):
     rng = np.random.default_rng(seed)
     S = 1 if shared else L
     Pc, Qc = (rng.standard_normal((S, 3, 3, g.ny, g.nx)) for _ in range(2))
-    scheme = (Scheme(kind, StencilMatrix.from_coeffs(g, [Pc], L))
-              if kind == "cds"
-              else Scheme(kind, None,
-                          QP=StencilMatrix.from_coeffs(g, [Qc, Pc], L)))
+    scheme = Scheme(kind, StencilMatrix.from_coeffs(
+        g, [Pc] if kind == "cds" else [Qc, Pc], L))
     (j, i), _ = g.boundary_ring()
     data, rate = rng.standard_normal((2, L, len(i)))
     phi = boundary_fold(scheme, constant_problem(), g, 0.0, data)
     if kind == "cfds":
-        phi -= _ring_product(scheme.Q, g, rate)
+        phi -= _ring_product(scheme.A, g, rate, np.zeros_like(rate))
     expected = np.zeros((L, g.ny, g.nx))
     Pc, Qc = (np.broadcast_to(c, (L,) + c.shape[1:]) for c in (Pc, Qc))
     for r, (jr, ir) in enumerate(zip(j, i)):
@@ -304,7 +300,7 @@ def test_ring_product_is_the_padded_window_sum(kind, S):
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
-    A = sch.P if kind == "cds" else sch.QP
+    A = sch.A
     (j, i), _ = g.boundary_ring()
     vs = np.random.default_rng(97).standard_normal(
         ({"cds": 1, "cfds": 2}[kind], prob.L, len(i)))
@@ -320,11 +316,11 @@ def test_ring_product_is_the_padded_window_sum(kind, S):
 def test_product_into_out_matches_allocating_product(kind, S):
     # matvec and apply_full write into a given out the bits of the
     # allocating call, on field arrays and on full node arrays, for the
-    # scheme's one-operand (cds P) and two-operand (cfds QP) stacks
+    # scheme's one-operand (cds P) and two-operand (cfds [Q; P]) stacks
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
-    A, L = (sch.P if kind == "cds" else sch.QP), prob.L
+    A, L = sch.A, prob.L
     assert len(np.unique(A.full.swapaxes(0, 1).reshape(L, -1),
                          axis=0)) == {"1": 1, "L": L}[S]
     K = A.offsets[-1][2] + 1
@@ -344,11 +340,11 @@ def test_product_into_out_matches_allocating_product(kind, S):
 def test_product_rejects_out_that_may_share_memory_with_operands():
     # the kernel reads shifted operands while it writes out, so an out that
     # overlaps them would give wrong sums without a sign
-    sch = build_scheme(make_example1(), build_grid(1.0, 1.0, 6, 5), "cfds")
-    L, n = sch.QP.planes.shape[1], sch.QP.grid.n_interior
+    prob, g = make_example1(), build_grid(1.0, 1.0, 6, 5)
+    P, QP = (build_scheme(prob, g, kind).A for kind in ("cds", "cfds"))
+    L, n = prob.L, g.n_interior
     x = np.random.default_rng(3).standard_normal((2 * L, n))
-    for A, w, out in ((sch.P, x[:L], x[:L]), (sch.QP, x, x[L:]),
-                      (sch.QP, x, x[:L])):
+    for A, w, out in ((P, x[:L], x[:L]), (QP, x, x[L:]), (QP, x, x[:L])):
         with pytest.raises(ValueError, match="share no memory"):
             matvec(A, w, out=out)
         with pytest.raises(ValueError, match="share no memory"):
@@ -356,7 +352,7 @@ def test_product_rejects_out_that_may_share_memory_with_operands():
     # an out of the wrong size, or not contiguous, is refused the same way
     for out in (np.empty((L, n + 1)), np.empty((2 * L, n))[::2]):
         with pytest.raises(ValueError, match="contiguous"):
-            matvec(sch.QP, x, out=out)
+            matvec(QP, x, out=out)
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -373,12 +369,11 @@ def test_stack_builds_its_plans_once(kind, monkeypatch):
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 6, 6)
     sch = build_scheme(prob, g, kind)
-    stacks = [sch.P] if kind == "cds" else [sch.QP, sch.Q, sch.P]
-    assert len(built) == 2 * len(stacks)   # the field and the full layout
-    plans = [(A.plan, A.full_plan) for A in stacks]
-    assert all(A.plan == real(A.offsets, A.planes.shape[1:]) for A in stacks)
+    A = sch.A
+    assert len(built) == 2   # the field and the full layout
+    plans = A.plan, A.full_plan
+    assert A.plan == real(A.offsets, A.planes.shape[1:])
     built.clear()
     stepper.integrate(prob, g, build_time_grid(60.0, 2), sch)
     assert built == []
-    assert all(A.plan is p and A.full_plan is f
-               for A, (p, f) in zip(stacks, plans))
+    assert A.plan is plans[0] and A.full_plan is plans[1]

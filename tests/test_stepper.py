@@ -11,7 +11,7 @@ from parabolic2d.model import ProblemSpec
 from parabolic2d.stepper import (SolverFailure, advance, initial_field,
                                  residual)
 
-from test_cds import constant_problem
+from test_cds import constant_problem, lone_operators
 from test_krylov import newton_matrix_apply, species_varied_problem, writing
 
 
@@ -90,10 +90,11 @@ def test_newton_matrix_reduces_to_mass_and_stiffness():
     from parabolic2d.krylov import matvec
     sch = build_scheme(prob, g, "cds")
     y = newton_matrix_apply(sch, prob, g, tau, theta, W, x, 0.1)
-    assert np.allclose(y, x / tau + theta * matvec(sch.P, x), rtol=1e-14)
+    assert np.allclose(y, x / tau + theta * matvec(sch.A, x), rtol=1e-14)
     sch = build_scheme(prob, g, "cfds")
     y = newton_matrix_apply(sch, prob, g, tau, theta, W, x, 0.1)
-    assert np.allclose(y, matvec(sch.Q, x) / tau + theta * matvec(sch.P, x),
+    Q, P = lone_operators(prob, g, "cfds")
+    assert np.allclose(y, matvec(Q, x) / tau + theta * matvec(P, x),
                        rtol=1e-14)
 
 
@@ -388,10 +389,13 @@ def test_initial_field_shape():
     assert np.max(W) <= 1.0 + 1e-12
 
 
-def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
-    """Phi^th from the data on the whole node array with the interior
-    zeroed, applied through the full planes of P and Q."""
+def reference_boundary_phi(kind, prob, g, tau, theta, t0, t1):
+    """Phi^th of the scheme `kind` from the data on the whole node array
+    with the interior zeroed, applied through the full planes of P and Q,
+    each built alone."""
     from parabolic2d.cds import apply_full
+
+    ops = lone_operators(prob, g, kind)
 
     def product(A, w):
         return apply_full(A.full, w, plan=A.full_plan)[:, 1:-1, 1:-1]
@@ -406,13 +410,13 @@ def reference_boundary_phi(sch, prob, g, tau, theta, t0, t1):
     rate = (data[t1] - data[t0]) / tau
     phi = np.zeros((prob.L, g.n_interior))
     for t, weight in ((t0, 1.0 - theta), (t1, theta)):
-        part = -product(sch.P, data[t])
-        if sch.kind == "cfds":
+        part = -product(ops[-1], data[t])
+        if kind == "cfds":
             r = prob.reaction(XX, YY, t, data[t]) - rate
             if prob.forcing is not None:
                 r = r + prob.forcing(XX, YY, t)
             r[:, 1:-1, 1:-1] = 0.0
-            part = part + product(sch.Q, r)
+            part = part + product(ops[0], r)
         phi += weight * part.reshape(prob.L, g.n_interior)
     return phi
 
@@ -438,9 +442,9 @@ def test_residual_matches_dense_oracle(kind, example):
 
     rth = theta * rhs(t_n + tau, W1) + (1 - theta) * rhs(t_n, W0)
     wth = theta * W1 + (1 - theta) * W0
-    P = sch.P.to_dense()
-    M = np.eye(g.n_interior)[None] if kind == "cds" else sch.Q.to_dense()
-    phi = reference_boundary_phi(sch, prob, g, tau, theta, t_n, t_n + tau)
+    *mass, P = (A.to_dense() for A in lone_operators(prob, g, kind))
+    M = mass[0] if mass else np.eye(g.n_interior)[None]
+    phi = reference_boundary_phi(kind, prob, g, tau, theta, t_n, t_n + tau)
     expected = np.einsum("lij,lj->li", M, (W1 - W0) / tau - rth) \
         + np.einsum("lij,lj->li", P, wth) - phi
     ups = residual(W1, W0, sch, prob, g, tau, theta, t_n)
@@ -467,6 +471,32 @@ def test_residual_stencil_products(monkeypatch, kind, products):
     assert len(calls) == products
 
 
+@pytest.mark.parametrize("make,S", [(species_varied_problem, 10),
+                                    (make_example2, 1)])
+def test_compact_boundary_phi_subtracts_q_times_the_rate(make, S):
+    # the ring term of the stack [Q; P] over (dq, 0) is Q dq, with Q built
+    # alone: Phi^th = theta F1 + (1 - theta) F0 - Q dq
+    from parabolic2d.stepper import _boundary_phi, _Layer, _ring_product
+
+    prob = make()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    sch = build_scheme(prob, g, "cfds")
+    Q, _ = lone_operators(prob, g, "cfds")
+    assert len(np.unique(Q.full.swapaxes(0, 1).reshape(prob.L, -1),
+                         axis=0)) == S
+    tau, theta = 3.0, 0.4
+    rng = np.random.default_rng(73)
+    (j, _), _ = g.boundary_ring()
+    old, new = (_Layer(t, rng.standard_normal((prob.L, len(j))), None,
+                       rng.standard_normal((prob.L, g.n_interior)))
+                for t in (0.0, tau))
+    dq = (new.g - old.g) / tau
+    expected = theta * new.F + (1.0 - theta) * old.F \
+        - _ring_product(Q, g, dq)
+    assert np.array_equal(_boundary_phi(sch, g, tau, theta, old, new),
+                          expected)
+
+
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
 @pytest.mark.parametrize("example", ["make_example1", "make_example2"])
 def test_boundary_phi_matches_full_array_reference(kind, example):
@@ -479,7 +509,7 @@ def test_boundary_phi_matches_full_array_reference(kind, example):
     sch = build_scheme(prob, g, kind)
     phi = _boundary_phi(sch, g, tau, theta, _layer(sch, prob, g, t0),
                         _layer(sch, prob, g, t0 + tau))
-    expected = reference_boundary_phi(sch, prob, g, tau, theta, t0, t0 + tau)
+    expected = reference_boundary_phi(kind, prob, g, tau, theta, t0, t0 + tau)
     # example 1 has homogeneous Dirichlet data: its cds fold vanishes
     trivial = (kind, example) == ("cds", "make_example1")
     assert np.any(expected != 0.0) != trivial
@@ -738,11 +768,11 @@ def test_layer_times_come_from_time_grid():
     assert set(seen) <= {tg.t(n) for n in range(tg.N + 1)}
 
 
-def dense_newton_matrix(sch, J, tau, theta):
-    """Q/tau + theta P - theta Q blockdiag(J) of a cfds scheme as one dense
-    (L n, L n) matrix, from StencilMatrix.to_dense."""
+def dense_newton_matrix(Q, P, J, tau, theta):
+    """Q/tau + theta P - theta Q blockdiag(J) of the compact operators Q and
+    P as one dense (L n, L n) matrix, from StencilMatrix.to_dense."""
     L, _, n = J.shape
-    P, Q = sch.P.to_dense(), sch.Q.to_dense()
+    P, Q = P.to_dense(), Q.to_dense()
     A = np.zeros((L, n, L, n))
     for l in range(L):
         A[l, :, l, :] = Q[l] / tau + theta * P[l]
@@ -760,7 +790,8 @@ def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
     prob = make()
     g = build_grid(prob.X, prob.Y, 5, 4)
     sch = build_scheme(prob, g, "cfds")
-    assert len(np.unique(sch.Q.planes.swapaxes(0, 1).reshape(prob.L, -1),
+    Q, P = lone_operators(prob, g, "cfds")
+    assert len(np.unique(Q.planes.swapaxes(0, 1).reshape(prob.L, -1),
                          axis=0)) == S
     tau = 3.0
     rng = np.random.default_rng(61)
@@ -768,7 +799,7 @@ def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
     x = rng.standard_normal((prob.L, g.n_interior))
     y = np.empty_like(x)
     _apply_jacobian(sch, J, tau, theta, x, y)
-    expected = (dense_newton_matrix(sch, J, tau, theta)
+    expected = (dense_newton_matrix(Q, P, J, tau, theta)
                 @ x.ravel()).reshape(x.shape)
     assert np.allclose(y, expected, rtol=1e-12,
                        atol=1e-12 * np.max(np.abs(expected)))
@@ -788,7 +819,7 @@ def test_central_newton_matrix_keeps_its_arithmetic():
     x = rng.standard_normal((prob.L, g.n_interior))
     y = np.empty_like(x)
     _apply_jacobian(sch, J, tau, theta, x, y)
-    expected = x / tau + theta * matvec(sch.P, x) \
+    expected = x / tau + theta * matvec(sch.A, x) \
         - theta * np.einsum("lmn,mn->ln", J, x)
     assert np.array_equal(y, expected)
 
@@ -796,7 +827,7 @@ def test_central_newton_matrix_keeps_its_arithmetic():
 @pytest.mark.parametrize("kind,products", [("cds", 1), ("cfds", 1)])
 def test_krylov_application_stencil_products(monkeypatch, kind, products):
     # each inner-solver application costs one stencil product: P x for cds,
-    # and for cfds QP over (x/tau - theta J x, theta x)
+    # and for cfds [Q; P] over (x/tau - theta J x, theta x)
     from parabolic2d import make_example2, stepper
 
     counts = {"apply": 0, "matvec": 0}
@@ -829,7 +860,7 @@ def test_krylov_application_stencil_products(monkeypatch, kind, products):
 @pytest.mark.parametrize("make,S", [(species_varied_problem, 10),
                                     (make_example2, 1)])
 def test_compact_application_matches_the_two_product_composition(make, S):
-    # one product of QP over (x/tau - theta J x, theta x) against the
+    # one product of [Q; P] over (x/tau - theta J x, theta x) against the
     # composition Q (x/tau - theta J x) + P (theta x) of two one-operand
     # products
     from parabolic2d.krylov import matvec
@@ -838,7 +869,8 @@ def test_compact_application_matches_the_two_product_composition(make, S):
     prob = make()
     g = build_grid(prob.X, prob.Y, 7, 6)
     sch = build_scheme(prob, g, "cfds")
-    assert len(np.unique(sch.Q.planes.swapaxes(0, 1).reshape(prob.L, -1),
+    Q, P = lone_operators(prob, g, "cfds")
+    assert len(np.unique(Q.planes.swapaxes(0, 1).reshape(prob.L, -1),
                          axis=0)) == S
     tau, theta = 3.0, 0.4
     rng = np.random.default_rng(71)
@@ -846,15 +878,15 @@ def test_compact_application_matches_the_two_product_composition(make, S):
     x = rng.standard_normal((prob.L, g.n_interior))
     y = np.empty_like(x)
     _apply_jacobian(sch, J, tau, theta, x, y)
-    expected = matvec(sch.Q, x / tau - theta * np.einsum("lmn,mn->ln", J, x)) \
-        + matvec(sch.P, theta * x)
+    expected = matvec(Q, x / tau - theta * np.einsum("lmn,mn->ln", J, x)) \
+        + matvec(P, theta * x)
     assert np.allclose(y, expected, rtol=0,
                        atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_air_compact_small_mesh_step_counts():
     # per-step Newton iterations and Krylov cycles of an 8x8, N=4 air cfds
-    # run, with each Newton application one QP product over
+    # run, with each Newton application one [Q; P] product over
     # (x/tau - theta J x, theta x)
     from parabolic2d import make_example2
 
