@@ -1,7 +1,7 @@
 """Finite-difference solvers for 2D semilinear weakly coupled parabolic systems.
 
 Second-order central (cds) and fourth-order compact (cfds) spatial schemes,
-theta-weighted time stepping with inexact Newton/BiCGStab(ell) solves, and
+theta-weighted time stepping with inexact Newton/BiCGStab(2) solves, and
 Richardson extrapolation in space and space-time, validated on a
 manufactured-solution problem and a 10-species air-pollution model.
 """

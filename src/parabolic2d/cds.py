@@ -135,12 +135,19 @@ def apply_full(planes: np.ndarray, w: np.ndarray, *, plan: tuple,
 def coefficient_fields(problem: ProblemSpec, grid: Grid2D):
     """(a, b, c, d) on the full node array, each (S, My+1, Mx+1) with one
     species axis for the four: S = L if any of them returns a species axis
-    of length L, else S = 1.  Raises ValueError naming the species and node of the smallest
-    nonpositive diffusion coefficient."""
+    of length L, else S = 1.  Raises ValueError naming the coefficient,
+    species and node of the first non-finite value, or else the species and
+    node of the smallest nonpositive diffusion coefficient."""
     XX, YY = grid.full_mesh()
     a, b, c, d = np.broadcast_arrays(*(
         species_field(fn, getattr(problem, fn)(XX, YY), problem.L, XX.shape)
         for fn in ("diffusion_a", "diffusion_b", "advection_c", "advection_d")))
+    for name, vals in zip("abcd", (a, b, c, d)):
+        finite = np.isfinite(vals)
+        if not finite.all():
+            l, j, i = np.unravel_index(np.argmin(finite), vals.shape)
+            raise ValueError(f"species {l}: coefficient {name} not finite at "
+                             f"node (i={i}, j={j}), value {vals[l, j, i]}")
     for name, vals in (("a", a), ("b", b)):
         if np.any(vals <= 0):
             l, j, i = np.unravel_index(np.argmin(vals), vals.shape)

@@ -110,8 +110,8 @@ def _count(name: str, value, least: int) -> int:
 
 def build_grid(X: float, Y: float, Mx: int, My: int) -> Grid2D:
     """Build a uniform grid; requires positive finite extents and integral
-    Mx, My >= 2."""
-    if not (0 < X < np.inf and 0 < Y < np.inf):
+    Mx, My >= 2, none of them a bool."""
+    if is_bool(X) or is_bool(Y) or not (0 < X < np.inf and 0 < Y < np.inf):
         raise ValueError(f"domain extents must be positive and finite, "
                          f"got X={X}, Y={Y}")
     Mx, My = _count("Mx", Mx, 2), _count("My", My, 2)
@@ -121,8 +121,8 @@ def build_grid(X: float, Y: float, Mx: int, My: int) -> Grid2D:
 
 def build_time_grid(T: float, N: int) -> TimeGrid:
     """Build a uniform time mesh; requires a positive finite T and an
-    integral N >= 1."""
-    if not 0 < T < np.inf:
+    integral N >= 1, neither a bool."""
+    if is_bool(T) or not 0 < T < np.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     N = _count("N", N, 1)
     return TimeGrid(T=float(T), N=N, tau=float(T) / N)

@@ -1,19 +1,19 @@
-"""Matrix-free stencil application and a BiCGStab(ell) iterative solver.
+"""Matrix-free stencil application and a BiCGStab(2) iterative solver.
 
-The solver follows the standard BiCGStab(ell) construction: each cycle runs
-ell BiCG steps followed by an ell-dimensional minimal-residual polynomial
-update.  One iteration means one full cycle; convergence inside the BiCG part
-counts fractionally (with ell=2 a single BiCG step counts as 0.5), which is
-the convention used by the iteration-count reports.
+Each cycle of BiCGStab(ell) (Sleijpen & Fokkema 1993) at ell = 2 runs two
+BiCG steps followed by a two-dimensional minimal-residual polynomial update
+in closed form.  One iteration means one full cycle; convergence inside the
+BiCG part counts a single BiCG step as 0.5, the convention used by the
+iteration-count reports.
 
 The operator A(v, out) writes A v into out, an array of the solver that
 shares no memory with v or b, so no result is copied.  The iteration starts
 from zero, so its first residual is b itself.  A converged solve reports
 the recursive residual that met the tolerance; only a non-converged one pays
 an extra application for the true residual ||b - A x||/||b||.  A converged
-solve without restart makes exactly 2 ell applications per cycle, or
-2 ell iterations - 1 when it stops inside the BiCG part, which tests before
-it makes a step's second one.
+solve without restart makes exactly 4 applications per cycle, or
+4 iterations - 1 when it stops inside the BiCG part, which tests before it
+makes a step's second one.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ class KrylovReport:
 def check_solver_options(**options) -> None:
     """Raise ValueError for a tolerance (tol, newton_tol) or step tau not
     positive and finite, a theta outside [0, 1], or an iteration limit
-    (maxit, ell) not an integer of at least 1; a bool is none of them."""
+    maxit not an integer of at least 1; a bool is none of them."""
     for name, value in options.items():
         if (name.endswith("tol") or name == "tau") and (
                 is_bool(value) or not 0 < value < np.inf):
             raise ValueError(f"{name} must be positive and finite, got {value}")
         if name == "theta" and (is_bool(value) or not 0 <= value <= 1):
             raise ValueError(f"theta must be in [0, 1], got {value}")
-        if name in ("maxit", "ell") and (
+        if name == "maxit" and (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Integral) or value < 1):
             raise ValueError(f"{name} must be an integer of at least 1, "
@@ -69,8 +69,7 @@ def matvec(A: StencilMatrix, w: np.ndarray, *, out=None) -> np.ndarray:
     return apply_full(A.planes, w, plan=A.plan, out=out).reshape(L, n)
 
 
-def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
-               maxit: int = 200):
+def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 200):
     """Solve A x = b from x = 0 until the recursive residual is <= tol ||b||.
 
     Returns (x, KrylovReport).  A converged report carries that recursive
@@ -86,7 +85,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
     non-converged report.  A right preconditioner M is applied by passing
     the operator A(M v) and taking M z of the returned z.
     """
-    check_solver_options(tol=tol, ell=ell, maxit=maxit)
+    check_solver_options(tol=tol, maxit=maxit)
 
     b = np.asarray(b, dtype=float)
     norm_b = math.sqrt(np.dot(b, b))
@@ -96,8 +95,8 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
     z = np.zeros_like(b)
     rtilde = b.copy()
     rho0, alpha, omega = 1.0, 0.0, 1.0
-    rs = [b.copy()] + [np.empty_like(b) for _ in range(ell)]
-    us = [np.zeros_like(b)] + [np.empty_like(b) for _ in range(ell)]
+    rs = [b.copy(), np.empty_like(b), np.empty_like(b)]
+    us = [np.zeros_like(b), np.empty_like(b), np.empty_like(b)]
     buf = np.empty_like(b)
     iters = 0.0
     restarted = False
@@ -115,7 +114,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
     while iters < maxit and np.isfinite(rnorm):
         rho0 = -omega * rho0
         broke = False
-        for j in range(ell):
+        for j in (0, 1):
             rho1 = np.dot(rs[j], rtilde)
             if rho0 == 0.0:
                 broke = True
@@ -134,42 +133,34 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
             for i in range(j + 1):
                 rs[i] -= np.multiply(alpha, us[i + 1], out=buf)
             z += np.multiply(alpha, us[0], out=buf)
-            iters += 1.0 / ell
+            iters += 0.5
             rnorm = math.sqrt(np.dot(rs[0], rs[0]))
             if rnorm <= tol * norm_b:
                 return finish(True)
             A(rs[j], rs[j + 1])
 
         if not broke:
-            # minimal-residual polynomial step (modified Gram-Schmidt) on
-            # Python floats; a zero sigma[j] stops it with gamma_p[ell] = 0
-            tau = [[0.0] * (ell + 1) for _ in range(ell + 1)]
-            sigma, gamma_p = [0.0] * (ell + 1), [0.0] * (ell + 1)
-            for j in range(1, ell + 1):
-                for i in range(1, j):
-                    tau[i][j] = float(np.dot(rs[j], rs[i])) / sigma[i]
-                    rs[j] -= np.multiply(tau[i][j], rs[i], out=buf)
-                sigma[j] = float(np.dot(rs[j], rs[j]))
-                if sigma[j] == 0.0:
-                    break
-                gamma_p[j] = float(np.dot(rs[0], rs[j])) / sigma[j]
-            broke = gamma_p[ell] == 0.0
+            # minimal-residual step in closed form, on Python floats: r2 is
+            # made orthogonal to r1; a zero sigma1, sigma2 or omega is a
+            # breakdown, after which the restart resets omega
+            sigma1 = float(np.dot(rs[1], rs[1]))
+            broke = sigma1 == 0.0
             if not broke:
-                omega = gamma_p[ell]
-                gamma = [0.0] * ell + [omega]
-                for j in range(ell - 1, 0, -1):
-                    gamma[j] = gamma_p[j] - sum(
-                        tau[j][i] * gamma[i] for i in range(j + 1, ell + 1))
-                gamma_pp = [0.0] + [gamma[j + 1] + sum(
-                    tau[j][i] * gamma[i + 1] for i in range(j + 1, ell))
-                    for j in range(1, ell)]
-                z += np.multiply(gamma[1], rs[0], out=buf)
-                rs[0] -= np.multiply(gamma_p[ell], rs[ell], out=buf)
-                us[0] -= np.multiply(gamma[ell], us[ell], out=buf)
-                for j in range(1, ell):
-                    us[0] -= np.multiply(gamma[j], us[j], out=buf)
-                    z += np.multiply(gamma_pp[j], rs[j], out=buf)
-                    rs[0] -= np.multiply(gamma_p[j], rs[j], out=buf)
+                gp1 = float(np.dot(rs[0], rs[1])) / sigma1
+                tau12 = float(np.dot(rs[2], rs[1])) / sigma1
+                rs[2] -= np.multiply(tau12, rs[1], out=buf)
+                sigma2 = float(np.dot(rs[2], rs[2]))
+                omega = (float(np.dot(rs[0], rs[2])) / sigma2
+                         if sigma2 != 0.0 else 0.0)
+                broke = omega == 0.0
+            if not broke:
+                g1 = gp1 - tau12 * omega
+                z += np.multiply(g1, rs[0], out=buf)
+                rs[0] -= np.multiply(omega, rs[2], out=buf)
+                us[0] -= np.multiply(omega, us[2], out=buf)
+                us[0] -= np.multiply(g1, us[1], out=buf)
+                z += np.multiply(omega, rs[1], out=buf)
+                rs[0] -= np.multiply(gp1, rs[1], out=buf)
                 rnorm = math.sqrt(np.dot(rs[0], rs[0]))
                 if rnorm <= tol * norm_b:
                     return finish(True)
@@ -177,7 +168,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, ell: int = 2,
         if broke:
             if restarted:
                 raise KrylovBreakdown(
-                    f"BiCGStab({ell}) breakdown persisted after restart "
+                    f"BiCGStab(2) breakdown persisted after restart "
                     f"(cycle {iters:.2f}, |rho|={abs(rho0):.3e})")
             restarted = True
             A(z, rs[0])

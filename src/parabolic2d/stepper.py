@@ -13,7 +13,7 @@ reaction (plus manufactured forcing xi, when present) on interior nodes; Phi
 folds the Dirichlet data (and, for the compact scheme, the boundary values of
 r - du/dt weighted by Q); boundary_fold builds it from the data on the
 boundary ring.  Each step solves Ups(W1) = 0 by Newton iteration
-with BiCGStab(ell) inner solves; the initial guess on the new time layer is
+with BiCGStab(2) inner solves; the initial guess on the new time layer is
 the solution on the previous one.
 
 What depends only on the grid or on one time layer is evaluated once.  Per
@@ -57,10 +57,9 @@ from .model import ProblemSpec, check_compatibility, species_field
 
 KINDS = ("cds", "cfds")
 
-# Newton iterations per step; the inner BiCGStab(ELL) tolerance and cycles
+# Newton iterations per step; the inner BiCGStab(2) tolerance and cycles
 MAX_NEWTON = 25
 KRYLOV_TOL = 1e-10
-ELL = 2
 KRYLOV_MAXIT = 200
 
 
@@ -277,7 +276,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     satisfies the same scaled bound, so the accepted layer always fulfils
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf); an invalid theta, tau or
     newton_tol raises ValueError.  The iteration and inner-solve limits are the
-    module constants MAX_NEWTON, KRYLOV_TOL, ELL and KRYLOV_MAXIT.  A
+    module constants MAX_NEWTON, KRYLOV_TOL and KRYLOV_MAXIT.  A
     non-finite reaction (checked before the residual, which it makes NaN),
     residual, reaction Jacobian or Newton update fails at once, naming species
     and node; a step that does not converge names those of max |Ups|.
@@ -305,7 +304,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
                 lambda v, out: _apply_jacobian(scheme, J, tau, theta,
                                                v.reshape(L, n),
                                                out.reshape(L, n)),
-                -ups.ravel(), tol=KRYLOV_TOL, ell=ELL, maxit=KRYLOV_MAXIT)
+                -ups.ravel(), tol=KRYLOV_TOL, maxit=KRYLOV_MAXIT)
         except KrylovBreakdown as exc:
             raise SolverFailure(f"inner solver broke down at t={t_n:.6g}, "
                                 f"Newton iteration {it}: {exc}") from exc

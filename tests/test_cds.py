@@ -154,6 +154,28 @@ def test_nonpositive_diffusion_names_species_and_node(species_axis):
             build_scheme(prob, grid, kind)
 
 
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_nonfinite_coefficient_names_coefficient_species_and_node(kind):
+    # a NaN a everywhere, or an infinite c at node (i=3, j=1) of species 1
+    # of 3, is named where the scheme is built, not as a solver failure
+    import dataclasses
+    grid = build_grid(1.0, 1.0, 5, 4)
+
+    def advection_c(x, y):
+        spike = np.where(np.isclose(x, 0.6) & np.isclose(y, 0.25), np.inf, 0.0)
+        return np.stack([np.zeros_like(spike), spike, spike])
+
+    for prob, match in [
+            (constant_problem(a=np.nan), r"^species 0: coefficient a not "
+             r"finite at node \(i=0, j=0\), value nan$"),
+            (dataclasses.replace(constant_problem(), L=3,
+                                 advection_c=advection_c),
+             r"^species 1: coefficient c not finite at node \(i=3, j=1\), "
+             r"value inf$")]:
+        with pytest.raises(ValueError, match=match):
+            build_scheme(prob, grid, kind)
+
+
 @pytest.mark.parametrize("name", ["diffusion_a", "advection_d", "boundary",
                                   "initial"])
 def test_species_axis_neither_one_nor_L_rejected(name):

@@ -50,7 +50,9 @@ def test_build_grid_anisotropic_counts():
     # a fractional count used to be truncated (Mx=2.5 gave Mx=2, hx=0.4),
     # and an infinite extent gave hx or hy = inf
     (1, 1, 2.5, 4), (1, 1, 4, 2.5), (1, 1, True, 4), (1, 1, 4, "4"),
-    (1, 1, np.inf, 4), (np.inf, 1, 4, 4), (1, np.inf, 4, 4), (np.nan, 1, 4, 4)])
+    (1, 1, np.inf, 4), (np.inf, 1, 4, 4), (1, np.inf, 4, 4), (np.nan, 1, 4, 4),
+    # a bool extent used to be taken as 1.0
+    (True, 1, 4, 4), (np.True_, 1, 4, 4), (1, True, 4, 4), (1, np.True_, 4, 4)])
 def test_build_grid_rejects(X, Y, Mx, My):
     with pytest.raises(ValueError):
         build_grid(X, Y, Mx, My)
@@ -66,7 +68,9 @@ def test_grid_builders_accept_integral_counts_of_any_number_type():
 @pytest.mark.parametrize("T,N,match", [
     # N=2.5 used to give N=2, tau=0.4, so N*tau = 0.8 != T
     (1.0, 2.5, "N"), (1.0, np.inf, "N"), (1.0, True, "N"), (1.0, 0, "N"),
-    (np.inf, 4, "T"), (np.nan, 4, "T"), (0.0, 4, "T")])
+    (np.inf, 4, "T"), (np.nan, 4, "T"), (0.0, 4, "T"),
+    # a bool T used to be taken as 1.0
+    (True, 4, "T"), (np.True_, 4, "T")])
 def test_build_time_grid_rejects(T, N, match):
     with pytest.raises(ValueError, match=match):
         build_time_grid(T, N)

@@ -300,8 +300,8 @@ def test_numpy_integer_iteration_limits_accepted():
                                                v.reshape(W.shape),
                                                720.0).ravel())
     b = np.ones(W.size)
-    x, rep = bicgstab_l(op, b, maxit=200, ell=2)
-    x_np, rep_np = bicgstab_l(op, b, maxit=np.int64(200), ell=np.int64(2))
+    x, rep = bicgstab_l(op, b, maxit=200)
+    x_np, rep_np = bicgstab_l(op, b, maxit=np.int64(200))
     assert rep.converged and rep_np == rep
     assert np.array_equal(x_np, x)
 
@@ -618,7 +618,7 @@ def test_hoisted_step_matches_public_residual_driver():
                 writing(lambda v, W=W: newton_matrix_apply(
                     sch, prob, g, tau, theta, W, v.reshape(W.shape),
                     t_n + tau).ravel()),
-                -ups.ravel(), tol=1e-10, ell=2, maxit=200)
+                -ups.ravel(), tol=1e-10, maxit=200)
             assert rep.converged
             delta = delta.reshape(W.shape)
             W = W + delta
