@@ -84,12 +84,11 @@ def reaction_jacobian(u: np.ndarray, k: RateSet) -> np.ndarray:
     u1, u2, u3, u4, u5, u6, u7, u8, u9, u10 = u
     tail = u.shape[1:]
     J = np.zeros((N_SPECIES, N_SPECIES) + tail)
-    one = np.ones(tail)
 
     no_loss = k.k6 * u5 + k.k4 * u7 + k.k3 * u8
     # R1 = k5 u2 - (k6 u5 + k4 u7 + k3 u8) u1
     J[0, 0] = -no_loss
-    J[0, 1] = k.k5 * one
+    J[0, 1] = k.k5
     J[0, 4] = -k.k6 * u1
     J[0, 6] = -k.k4 * u1
     J[0, 7] = -k.k3 * u1
@@ -106,20 +105,20 @@ def reaction_jacobian(u: np.ndarray, k: RateSet) -> np.ndarray:
     # R4 = 2 k1 u3 u9 + k3 u1 u8 - k2 u4
     J[3, 0] = k.k3 * u8
     J[3, 2] = 2 * k.k1 * u9
-    J[3, 3] = -k.k2 * one
+    J[3, 3] = -k.k2
     J[3, 7] = k.k3 * u1
     J[3, 8] = 2 * k.k1 * u3
     # R5 = k2 u5
-    J[4, 4] = k.k2 * one
+    J[4, 4] = k.k2
     # R6 = k9 u2 u9
     J[5, 1] = k.k9 * u9
     J[5, 8] = k.k9 * u2
     # R7 = 2 k2 u4 + k3 u1 u8 + k10 u9 - k4 u1 u7
     J[6, 0] = k.k3 * u8 - k.k4 * u7
-    J[6, 3] = 2 * k.k2 * one
+    J[6, 3] = 2 * k.k2
     J[6, 6] = -k.k4 * u1
     J[6, 7] = k.k3 * u1
-    J[6, 8] = k.k10 * one
+    J[6, 8] = k.k10
     # R8 = 4 k1 u3 u9 - k3 u1 u8
     J[7, 0] = -k.k3 * u8
     J[7, 2] = 4 * k.k1 * u9
@@ -131,10 +130,10 @@ def reaction_jacobian(u: np.ndarray, k: RateSet) -> np.ndarray:
     J[8, 2] = -k.k1 * u9
     J[8, 6] = k.k4 * u1
     J[8, 8] = -(k.k1 * u3 - k.k9 * u2 + k.k10)
-    J[8, 9] = 2 * k.k8 * one
+    J[8, 9] = 2 * k.k8
     # R10 = k7 u5 - k8 u10
-    J[9, 4] = k.k7 * one
-    J[9, 9] = -k.k8 * one
+    J[9, 4] = k.k7
+    J[9, 9] = -k.k8
     return J
 
 

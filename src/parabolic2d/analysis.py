@@ -3,15 +3,15 @@
 Conventions: errors are final-layer maximum-norm values over interior nodes
 (Dirichlet data makes boundary nodes exact).  For problems without an exact
 solution, relative errors are taken against the run on the finest mesh, and
-orders may also be estimated from three nested meshes without any reference
-(the Runge method).
+orders may also be estimated at a probe node from three nested meshes
+without any reference (the Runge method).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,26 +71,21 @@ def probe_values(u: np.ndarray, grid: Grid2D, x: float, y: float) -> np.ndarray:
 
 def runge_order(u_h: np.ndarray, u_h2: np.ndarray, u_h4: np.ndarray,
                 grid_h: Grid2D, grid_h2: Grid2D, grid_h4: Grid2D,
-                probe: Optional[Tuple[float, float]] = None) -> np.ndarray:
+                probe: Tuple[float, float]) -> np.ndarray:
     """Observed order from three nested solutions without an exact reference.
 
     order = log2(|u_h - u_h2| / |u_h2 - u_h4|) on meshes that halve h in x
-    and y in turn, per species at a probe node (x, y) of all three meshes or
-    in the max norm over the coarse-mesh nodes.  Zero differences give NaN.
+    and y in turn, per species at a probe node (x, y) of all three meshes.
+    Zero differences give NaN.
     """
     for coarse, fine in ((grid_h, grid_h2), (grid_h2, grid_h4)):
         if fine.Mx != 2 * coarse.Mx or fine.My != 2 * coarse.My:
             raise ValueError("Runge order needs factor-2 refinements")
     r2 = restrict(u_h2, grid_h2, grid_h)
     r4 = restrict(u_h4, grid_h4, grid_h)
-    u_h = np.asarray(u_h, dtype=float)
-    if probe is not None:
-        x, y = probe
-        d1 = np.abs(probe_values(u_h, grid_h, x, y) - probe_values(r2, grid_h, x, y))
-        d2 = np.abs(probe_values(r2, grid_h, x, y) - probe_values(r4, grid_h, x, y))
-    else:
-        d1 = np.max(np.abs(u_h - r2), axis=1)
-        d2 = np.max(np.abs(r2 - r4), axis=1)
+    x, y = probe
+    d1 = np.abs(probe_values(u_h, grid_h, x, y) - probe_values(r2, grid_h, x, y))
+    d2 = np.abs(probe_values(r2, grid_h, x, y) - probe_values(r4, grid_h, x, y))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log2(d1 / d2)
     out[(d2 == 0) | (d1 == 0)] = math.nan

@@ -13,7 +13,7 @@ basis, exact numerators over divisors: each entry is its formula bit for bit.
 A stencil matrix stores one plane per live offset in the field layout,
 zero where the offset reaches a boundary node, so a product runs on the
 (L, n) field arrays.  Each scheme has one such stack, over one operand or
-two.  A folded stack also keeps its planes over the full node array with
+two.  Every stack also keeps its planes over the full node array with
 those boundary coefficients, which stepper.boundary_fold applies to the
 boundary data through the same kernel, along the product plan of each
 layout that a stack computes once, when it is built.
@@ -44,20 +44,22 @@ class StencilMatrix:
     value of operand o at (i+k1, j+k2) for the m-th live offset (k1, k2, o)
     = offsets[m], by operand and in OFFSETS order, and is zero where that is
     a boundary node.  full holds the same L species rows over the full node
-    array, with those boundary coefficients and a zero ring; None if never
-    folded.  plan and full_plan are the product_plan of the field and of
-    the full node layout (None without full).
+    array, with those boundary coefficients and a zero ring.  plan and
+    full_plan are the product_plan of the field and of the full node
+    layout.  A stack has at least one live offset: the centre entry of the
+    central P and of the compact Q is positive.
     """
 
     grid: Grid2D
-    planes: np.ndarray                 # (k, L, My-1, Mx-1)
-    offsets: tuple                     # k live offsets (k1, k2, o)
-    full: np.ndarray | None = None     # (k, L, My+1, Mx+1)
+    planes: np.ndarray      # (k, L, My-1, Mx-1)
+    offsets: tuple          # k live offsets (k1, k2, o)
+    full: np.ndarray        # (k, L, My+1, Mx+1)
 
     def __post_init__(self):
+        if not self.offsets:
+            raise ValueError("a stencil stack needs at least one live offset")
         self.plan = product_plan(self.offsets, self.planes.shape[1:])
-        self.full_plan = None if self.full is None else product_plan(
-            self.offsets, self.full.shape[1:])
+        self.full_plan = product_plan(self.offsets, self.full.shape[1:])
 
     @classmethod
     def from_coeffs(cls, grid: Grid2D, coeffs: list, L: int) -> StencilMatrix:
@@ -79,7 +81,7 @@ class StencilMatrix:
         """Dense (L, n, K n) matrix, one per species, with operand o in
         columns o n + node; test/oracle use only."""
         g, n = self.grid, self.grid.n_interior
-        K = self.offsets[-1][2] + 1 if self.offsets else 1
+        K = self.offsets[-1][2] + 1
         A = np.zeros(self.planes.shape[1:2] + (n, K * n))
         j0, i0 = np.mgrid[0:g.ny, 0:g.nx]
         for plane, (k1, k2, o) in zip(self.planes, self.offsets):
@@ -95,7 +97,7 @@ def product_plan(offsets, shape) -> tuple:
     and result, and of the K operands of result shape (L, ny, nx) shifted
     by s = o L ny nx + k2 nx + k1, clipped to the arrays."""
     n = int(np.prod(shape))
-    size = n * (offsets[-1][2] + 1 if offsets else 1)
+    size = n * (offsets[-1][2] + 1)
     plan = []
     for k1, k2, o in offsets:
         s = k2 * shape[-1] + k1 + n * o
@@ -121,8 +123,6 @@ def apply_full(planes: np.ndarray, w: np.ndarray, *, plan: tuple,
                          "and share no memory with w")
     acc, w = out.reshape(-1), w.reshape(-1)
     term, planes = term.reshape(-1), planes.reshape(len(planes), term.size)
-    if not plan:
-        acc[:] = 0.0
     for m, (plane, (r, s)) in enumerate(zip(planes, plan)):
         if m == 0:
             acc[:r.start], acc[r.stop:] = 0.0, 0.0

@@ -62,7 +62,7 @@ def matvec(A: StencilMatrix, w: np.ndarray, *, out=None) -> np.ndarray:
     the (L, n) operands x_k in turn; w is read in place, and boundary nodes
     add zero.  y goes into out if given (see cds.apply_full)."""
     L, n = A.planes.shape[1], A.grid.n_interior
-    K = A.offsets[-1][2] + 1 if A.offsets else 1
+    K = A.offsets[-1][2] + 1
     w = np.asarray(w, dtype=float)
     if w.shape != (K * L, n):
         raise ValueError(f"operand shape {w.shape}, expected {(K * L, n)}")
@@ -99,7 +99,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 200):
     us = [np.zeros_like(b), np.empty_like(b), np.empty_like(b)]
     buf = np.empty_like(b)
     iters = 0.0
-    restarted = False
+    first = None    # the quantity whose zero made the restart
 
     def finish(converged: bool):
         if not converged:
@@ -113,11 +113,11 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 200):
 
     while iters < maxit and np.isfinite(rnorm):
         rho0 = -omega * rho0
-        broke = False
+        broke = None    # the quantity found zero in this cycle
         for j in (0, 1):
             rho1 = np.dot(rs[j], rtilde)
             if rho0 == 0.0:
-                broke = True
+                broke = "rho"
                 break
             beta = alpha * rho1 / rho0
             rho0 = rho1
@@ -127,7 +127,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 200):
             A(us[j], us[j + 1])
             gam = np.dot(us[j + 1], rtilde)
             if gam == 0.0:
-                broke = True
+                broke = "gam"
                 break
             alpha = rho0 / gam
             for i in range(j + 1):
@@ -144,7 +144,7 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 200):
             # made orthogonal to r1; a zero sigma1, sigma2 or omega is a
             # breakdown, after which the restart resets omega
             sigma1 = float(np.dot(rs[1], rs[1]))
-            broke = sigma1 == 0.0
+            broke = "sigma1" if sigma1 == 0.0 else None
             if not broke:
                 gp1 = float(np.dot(rs[0], rs[1])) / sigma1
                 tau12 = float(np.dot(rs[2], rs[1])) / sigma1
@@ -152,7 +152,8 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 200):
                 sigma2 = float(np.dot(rs[2], rs[2]))
                 omega = (float(np.dot(rs[0], rs[2])) / sigma2
                          if sigma2 != 0.0 else 0.0)
-                broke = omega == 0.0
+                broke = ("sigma2" if sigma2 == 0.0
+                         else "omega" if omega == 0.0 else None)
             if not broke:
                 g1 = gp1 - tau12 * omega
                 z += np.multiply(g1, rs[0], out=buf)
@@ -166,11 +167,11 @@ def bicgstab_l(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 200):
                     return finish(True)
 
         if broke:
-            if restarted:
+            if first:
                 raise KrylovBreakdown(
                     f"BiCGStab(2) breakdown persisted after restart "
-                    f"(cycle {iters:.2f}, |rho|={abs(rho0):.3e})")
-            restarted = True
+                    f"(cycle {iters:.2f}: {first} = 0, then {broke} = 0)")
+            first = broke
             A(z, rs[0])
             np.subtract(b, rs[0], out=rs[0])
             rtilde = rs[0].copy()

@@ -29,8 +29,8 @@ class REWeights:
 def re_weights(sigma: int) -> REWeights:
     """Weights (gamma1, gamma2) eliminating the h^sigma term; sigma=2 gives
     (-1/3, 4/3), sigma=4 gives (-1/15, 16/15)."""
-    if is_bool(sigma) or sigma < 1:
-        raise ValueError(f"sigma must be >= 1, got {sigma}")
+    if is_bool(sigma) or not 1 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 1, got {sigma}")
     gamma2 = 2.0 ** sigma / (2.0 ** sigma - 1.0)
     return REWeights(gamma1=1.0 - gamma2, gamma2=gamma2)
 

@@ -275,13 +275,15 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
     ||delta||_inf drops below newton_tol * (1 + ||W||_inf) and the residual
     satisfies the same scaled bound, so the accepted layer always fulfils
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf); an invalid theta, tau or
-    newton_tol raises ValueError.  The iteration and inner-solve limits are the
+    newton_tol, or a W_old not of shape (L, n) and finite, raises ValueError
+    before any problem call.  The iteration and inner-solve limits are the
     module constants MAX_NEWTON, KRYLOV_TOL and KRYLOV_MAXIT.  A
     non-finite reaction (checked before the residual, which it makes NaN),
     residual, reaction Jacobian or Newton update fails at once, naming species
     and node; a step that does not converge names those of max |Ups|.
     """
     check_solver_options(theta=theta, tau=tau, newton_tol=newton_tol)
+    W_old = validate_field(W_old, grid, problem.L)
     t_start = time.perf_counter()
     L, n = W_old.shape
     if terms is None:

@@ -71,11 +71,16 @@ def grids_and_powerlaw(sigma, Ms=(4, 8, 16)):
 @pytest.mark.parametrize("sigma", [2, 4])
 def test_runge_order_synthetic(sigma):
     grids, sols = grids_and_powerlaw(sigma)
-    orders = runge_order(sols[0], sols[1], sols[2], *grids)
-    assert orders[0] == pytest.approx(sigma, abs=1e-12)
     orders_node = runge_order(sols[0], sols[1], sols[2], *grids,
                               probe=(0.5, 1.0))
     assert orders_node[0] == pytest.approx(sigma, abs=1e-10)
+
+
+def test_runge_order_needs_a_probe():
+    # the order is read at a probe node only; there is no max-norm order
+    grids, sols = grids_and_powerlaw(2)
+    with pytest.raises(TypeError, match="probe"):
+        runge_order(sols[0], sols[1], sols[2], *grids)
 
 
 @pytest.mark.parametrize("Ms", [(4, 12, 36), (4, 8, 24)])
@@ -83,7 +88,7 @@ def test_runge_order_rejects_refinement_other_than_halving(Ms):
     # nested meshes refined by 3 would read log2(9) for an exact h^2 error
     grids, sols = grids_and_powerlaw(2, Ms)
     with pytest.raises(ValueError, match="factor-2 refinements"):
-        runge_order(sols[0], sols[1], sols[2], *grids)
+        runge_order(sols[0], sols[1], sols[2], *grids, probe=(0.5, 1.0))
 
 
 def test_runge_order_nan_when_differences_vanish():
@@ -92,7 +97,7 @@ def test_runge_order_nan_when_differences_vanish():
     grids = [build_grid(2, 2, M, M) for M in (4, 8, 16)]
     u_h, u_h2, u_h4 = ((x + 3.0 * y)[None, :]
                        for x, y in (g.interior_xy for g in grids))
-    orders = runge_order(u_h, u_h2, u_h4, *grids)
+    orders = runge_order(u_h, u_h2, u_h4, *grids, probe=(0.5, 1.0))
     assert math.isnan(orders[0])
 
 

@@ -35,8 +35,10 @@ def test_weight_identities_up_to_sigma_40(sigma):
 def test_weights_reject_bad_sigma():
     with pytest.raises(ValueError):
         re_weights(0)
-    # a bool would pass the range check as order 1
-    for sigma in (True, np.True_):
+    # a bool would pass the range check as order 1, and a non-finite sigma
+    # gives NaN weights
+    for sigma in (True, np.True_, float("nan"), float("inf"),
+                  np.float64("nan")):
         with pytest.raises(ValueError):
             re_weights(sigma)
 

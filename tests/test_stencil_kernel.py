@@ -217,9 +217,10 @@ def test_two_operand_stack_matches_padded_window_literal(mesh, L, shared,
 
 @settings(max_examples=60, deadline=None)
 @given(mesh=grids, L=st.integers(1, 3), shared=st.booleans(),
-       live=st.sets(st.sampled_from(OFFSETS)), seed=seeds)
+       live=st.sets(st.sampled_from(OFFSETS), min_size=1), seed=seeds)
 def test_matvec_matches_dense_oracle(mesh, L, shared, live, seed):
-    # L distinct stencils, or one stencil array serving every species
+    # L distinct stencils, or one stencil array serving every species; a
+    # stack without a live offset is refused (test_stack_needs_a_live_offset)
     g = build_grid(1.0, 1.0, *mesh)
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((1 if shared else L, 3, 3, g.ny, g.nx))
@@ -254,9 +255,27 @@ def test_matvec_is_linear(mesh, L, operands, ab, seed):
     x, y = rng.standard_normal((2, operands * L, g.n_interior))
     lhs = matvec(A, a * x + b * y)
     rhs = a * matvec(A, x) + b * matvec(A, y)
-    absA = StencilMatrix(g, np.abs(A.planes), A.offsets)
+    absA = StencilMatrix(g, np.abs(A.planes), A.offsets, np.abs(A.full))
     scale = abs(a) * matvec(absA, np.abs(x)) + abs(b) * matvec(absA, np.abs(y))
     assert np.all(np.abs(lhs - rhs) <= 4e-15 * np.max(scale))
+
+
+def test_stack_needs_full_planes():
+    # every stack carries its full planes, which the fold reads
+    g = build_grid(1.0, 1.0, 4, 5)
+    A = StencilMatrix.from_coeffs(g, [np.ones((1, 3, 3, g.ny, g.nx))], 2)
+    with pytest.raises(TypeError, match="full"):
+        StencilMatrix(g, A.planes, A.offsets)
+
+
+def test_stack_needs_a_live_offset():
+    # the centre entry of the central P and of the compact Q is positive,
+    # so all-zero coefficients are no operator of either scheme
+    g = build_grid(1.0, 1.0, 4, 5)
+    for operands in (1, 2):
+        with pytest.raises(ValueError, match="at least one live offset"):
+            StencilMatrix.from_coeffs(
+                g, operands * [np.zeros((1, 3, 3, g.ny, g.nx))], 2)
 
 
 @settings(max_examples=40, deadline=None)

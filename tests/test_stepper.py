@@ -277,6 +277,24 @@ def test_advance_rejects_bad_theta_and_tau_before_any_problem_call(option,
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_advance_rejects_bad_field_before_any_problem_call(bad):
+    # a non-finite entry would otherwise fail as a non-finite reaction,
+    # blaming the chemistry, and a wrong shape only in the first product
+    calls = []
+    base, prob = recording_problem(calls)
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    sch = build_scheme(prob, g, "cds")
+    W = initial_field(base, g)
+    if bad == "nan":
+        W[3, 7] = np.nan
+    else:
+        W = W[:, :5]
+    with pytest.raises(ValueError, match="field"):
+        advance(W, 0.0, sch, prob, g, 720.0, 0.5)
+    assert calls == []
+
+
 def test_unknown_solver_option_rejected_before_any_boundary_call():
     calls = []
     base = make_example1()
