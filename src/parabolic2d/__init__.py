@@ -16,9 +16,9 @@ from .airchem import (RateSet, SPECIES, boundary_signal, rate_coefficients,
 from .cds import StencilMatrix
 from .cfds import CompactCoefficients, compact_coefficients
 from .krylov import KrylovBreakdown, KrylovReport, bicgstab_l, matvec
-from .stepper import (Scheme, SolverFailure, SolverReport, advance,
-                      average_counts, boundary_fold, build_scheme,
-                      initial_field, integrate, residual)
+from .stepper import (SolverFailure, SolverReport, advance, average_counts,
+                      boundary_fold, build_scheme, initial_field, integrate,
+                      residual)
 from .richardson import (REWeights, extrapolate_space, extrapolate_spacetime,
                          re_weights)
 from .analysis import (ConvergenceRow, max_norm_error, positivity_scan,

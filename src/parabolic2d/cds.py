@@ -12,10 +12,10 @@ basis, exact numerators over divisors: each entry is its formula bit for bit.
 
 A stencil matrix stores one plane per live offset in the field layout,
 zero where the offset reaches a boundary node, so a product runs on the
-(L, n) field arrays.  Each scheme has one such stack, over one operand or
-two.  Every stack also keeps its planes over the full node array with
-those boundary coefficients, which stepper.boundary_fold applies to the
-boundary data through the same kernel, along the product plan of each
+(L, n) field arrays.  A scheme is one such stack, over one operand (cds)
+or two (cfds).  Every stack also keeps its planes over the full node array
+with those boundary coefficients, which stepper.boundary_fold applies to
+the boundary data through the same kernel, along the product plan of each
 layout that a stack computes once, when it is built.
 """
 
@@ -28,6 +28,7 @@ import numpy as np
 from .grid import Grid2D
 from .model import ProblemSpec, species_field
 
+KINDS = ("cds", "cfds")   # by the operand count of the stack: P, [Q; P]
 OFFSETS = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
 # interior rows (columns) whose neighbour at offset -1, 0, +1 is a ring node
 EDGE = {-1: slice(0, 1), 0: slice(0, 0), 1: slice(-1, None)}
@@ -47,7 +48,8 @@ class StencilMatrix:
     array, with those boundary coefficients and a zero ring.  plan and
     full_plan are the product_plan of the field and of the full node
     layout.  A stack has at least one live offset: the centre entry of the
-    central P and of the compact Q is positive.
+    central P and of the compact Q is positive.  A stack is a scheme, of
+    kind "cds" over one operand and "cfds" over two; more is a ValueError.
     """
 
     grid: Grid2D
@@ -58,6 +60,10 @@ class StencilMatrix:
     def __post_init__(self):
         if not self.offsets:
             raise ValueError("a stencil stack needs at least one live offset")
+        K = self.offsets[-1][2] + 1
+        if K > len(KINDS):
+            raise ValueError(f"a stencil stack reads 1 or 2 operands, not {K}")
+        self.kind = KINDS[K - 1]
         self.plan = product_plan(self.offsets, self.planes.shape[1:])
         self.full_plan = product_plan(self.offsets, self.full.shape[1:])
 

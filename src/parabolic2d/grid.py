@@ -143,6 +143,13 @@ def to_interior_grid(u: np.ndarray, grid: Grid2D) -> np.ndarray:
     return u.reshape(u.shape[:-1] + (grid.ny, grid.nx))
 
 
+def species_node(v: np.ndarray, k: int, grid: Grid2D) -> str:
+    """The species and node (i, j) of the flat index k into v (L, ..., n)."""
+    idx = np.unravel_index(k, v.shape)
+    return (f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
+            f"j={idx[-1] // grid.nx + 1})")
+
+
 def validate_field(u: np.ndarray, grid: Grid2D, L: int | None = None) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != grid.n_interior:
@@ -150,8 +157,10 @@ def validate_field(u: np.ndarray, grid: Grid2D, L: int | None = None) -> np.ndar
                          f"(expected (L, {grid.n_interior}))")
     if L is not None and u.shape[0] != L:
         raise ValueError(f"expected {L} species, got {u.shape[0]}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("field contains non-finite entries")
+    finite = np.isfinite(u)
+    if not finite.all():
+        raise ValueError(f"field has a non-finite entry at "
+                         f"{species_node(u, np.argmin(finite), grid)}")
     return u
 
 

@@ -32,12 +32,13 @@ the R^1 of the accepted residual as its R^0.
 
 The Newton matrix is I/tau + theta P - theta J (central) or
 Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian.
-The compact one is the derivative of the residual.  Every operator product
-is one product of the scheme's one stencil stack A: P for the central
-scheme, [Q; P] for the compact one, there on (x/tau - theta J x, theta x),
-on the residual's two terms, on the ring data of the fold, or on the ring
-term and zeros.  Products run on the (L, n) field arrays, folds on the full
-node arrays.
+The compact one is the derivative of the residual.  A scheme is its one
+stencil stack A (cds.StencilMatrix): P for the central scheme, [Q; P] for
+the compact one, whose operand count gives A.kind.  Every operator product
+is one product of A, there on (x/tau - theta J x, theta x), on the
+residual's two terms, on the ring data of the fold, or on the ring term and
+zeros.  Products run on the (L, n) field arrays, folds on the full node
+arrays.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ import numpy as np
 
 from . import cds as cds_mod
 from . import cfds as cfds_mod
-from .cds import StencilMatrix, apply_full
-from .grid import Grid2D, TimeGrid, validate_field
+from .cds import KINDS, StencilMatrix, apply_full
+from .grid import Grid2D, TimeGrid, species_node, validate_field
 from .krylov import KrylovBreakdown, bicgstab_l, check_solver_options, matvec
 from .model import ProblemSpec, check_compatibility, species_field
-
-KINDS = ("cds", "cfds")
 
 # Newton iterations per step; the inner BiCGStab(2) tolerance and cycles
 MAX_NEWTON = 25
@@ -72,18 +71,6 @@ class SolverFailure(RuntimeError):
 
 
 @dataclass
-class Scheme:
-    """Assembled spatial operators for one problem/grid/scheme combination:
-    the one stencil stack A of the scheme, P for "cds" (mass = identity),
-    [Q; P] over two operands for "cfds".  Boundary coefficients act only in
-    folds, via full planes.
-    """
-
-    kind: str
-    A: StencilMatrix
-
-
-@dataclass
 class SolverReport:
     """Per-step iteration counts and timings."""
 
@@ -93,16 +80,17 @@ class SolverReport:
     final_residual: float
 
 
-def build_scheme(problem: ProblemSpec, grid: Grid2D, kind: str) -> Scheme:
-    """The stack A of `kind`, one StencilMatrix.from_coeffs over the
-    stencils of its operands (P, or Q then P), assembled once over the
-    species axis of the problem's coefficient fields (length 1 when every
-    species shares them) and tiled to the L species."""
+def build_scheme(problem: ProblemSpec, grid: Grid2D,
+                 kind: str) -> StencilMatrix:
+    """The scheme `kind`: its stack, one StencilMatrix.from_coeffs over the
+    stencils of its operands (P for "cds", Q then P for "cfds"), assembled
+    once over the species axis of the problem's coefficient fields (length
+    1 when every species shares them) and tiled to the L species."""
     if kind not in KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
     coeffs = ([cds_mod.cds_full_stencil(problem, grid)] if kind == "cds"
               else cfds_mod.cfds_full_stencils(problem, grid))
-    return Scheme(kind, StencilMatrix.from_coeffs(grid, coeffs, problem.L))
+    return StencilMatrix.from_coeffs(grid, coeffs, problem.L)
 
 
 def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
@@ -112,10 +100,11 @@ def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
     return R if forcing is None else R + forcing
 
 
-def _ring_product(A: StencilMatrix, grid: Grid2D, *vs: np.ndarray) -> np.ndarray:
+def _ring_product(A: StencilMatrix, *vs: np.ndarray) -> np.ndarray:
     """A applied to the operands vs, each the values (L, 2(Mx+My)) on the
-    nodes of grid.boundary_ring(), zero elsewhere, through A's full planes;
-    shape (L, n)."""
+    nodes of A.grid.boundary_ring(), zero elsewhere, through A's full
+    planes; shape (L, n)."""
+    grid = A.grid
     (j, i), _ = grid.boundary_ring()
     ring = np.zeros((len(vs) * len(vs[0]), grid.My + 1, grid.Mx + 1))
     ring[:, j, i] = np.concatenate(vs)
@@ -123,24 +112,24 @@ def _ring_product(A: StencilMatrix, grid: Grid2D, *vs: np.ndarray) -> np.ndarray
         -1, grid.n_interior)
 
 
-def boundary_fold(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
+def boundary_fold(scheme: StencilMatrix, problem: ProblemSpec, grid: Grid2D,
                   t: float, g: np.ndarray) -> np.ndarray:
     """Rate-free boundary part F(t) of the right-hand side, shape (L, n).
 
     g holds the Dirichlet data of every species at time t on the nodes of
     grid.boundary_ring(), shape (L, 2(Mx+My)).  "cds" gives F = -P g;
-    "cfds" gives F = Q (r(g) + xi) - P g, one product of A = [Q; P], with
+    "cfds" gives F = Q (r(g) + xi) - P g, one product of [Q; P], with
     the reaction r and the forcing xi evaluated on the ring only; _boundary_phi
     subtracts Q times the time derivative of g, so that
     Q dU/dt + P U = Q R + Phi.  The boundary coefficients of P and Q reach the ring.
     """
     if scheme.kind == "cds":
-        return -_ring_product(scheme.A, grid, g)
+        return -_ring_product(scheme, g)
     _, (x, y) = grid.boundary_ring()
     r = np.asarray(problem.reaction(x, y, t, g), dtype=float)
     if problem.forcing is not None:
         r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
-    return _ring_product(scheme.A, grid, r, -g)
+    return _ring_product(scheme, r, -g)
 
 
 @dataclass
@@ -158,7 +147,7 @@ class _Layer:
     R: Optional[np.ndarray] = None
 
 
-def _layer(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
+def _layer(scheme: StencilMatrix, problem: ProblemSpec, grid: Grid2D,
            t: float) -> _Layer:
     """g, xi and F of the layer t, every species in one call each."""
     _, (x, y) = grid.boundary_ring()
@@ -170,21 +159,21 @@ def _layer(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
     return _Layer(t, g, xi, boundary_fold(scheme, problem, grid, t, g))
 
 
-def _boundary_phi(scheme: Scheme, grid: Grid2D, tau: float, theta: float,
+def _boundary_phi(scheme: StencilMatrix, tau: float, theta: float,
                   old: _Layer, new: _Layer) -> np.ndarray:
     """Theta-averaged boundary contribution Phi^th of the step from layer
     old to layer new, shape (L, n): theta F(t1) + (1-theta) F(t_n), and for
     "cfds" minus Q applied to the difference quotient dq = (g1 - g0)/tau,
-    the time derivative of the Dirichlet data on the ring, as A = [Q; P]
+    the time derivative of the Dirichlet data on the ring, as [Q; P]
     applied to (dq, 0)."""
     phi = theta * new.F + (1.0 - theta) * old.F
     if scheme.kind == "cfds":
         dq = (new.g - old.g) / tau
-        phi -= _ring_product(scheme.A, grid, dq, np.zeros_like(dq))
+        phi -= _ring_product(scheme, dq, np.zeros_like(dq))
     return phi
 
 
-def _step_terms(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
+def _step_terms(scheme: StencilMatrix, problem: ProblemSpec, grid: Grid2D,
                 tau: float, theta: float, t_n: float, t1: float,
                 W_old: np.ndarray, old: Optional[_Layer] = None):
     """(old, new, Phi^th): the residual terms fixed within the step from
@@ -196,10 +185,10 @@ def _step_terms(scheme: Scheme, problem: ProblemSpec, grid: Grid2D,
     if old.R is None:
         old.R = _interior_rhs(problem, grid, t_n, W_old, old.xi)
     new = _layer(scheme, problem, grid, t1)
-    return old, new, _boundary_phi(scheme, grid, tau, theta, old, new)
+    return old, new, _boundary_phi(scheme, tau, theta, old, new)
 
 
-def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
+def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: StencilMatrix,
              problem: ProblemSpec, grid: Grid2D, tau: float, theta: float,
              t_n: float, *, terms: Optional[tuple] = None) -> np.ndarray:
     """Nonlinear residual Ups(W_new) of the theta-scheme step from t_n.
@@ -220,17 +209,17 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: Scheme,
     wth = theta * W_new + (1.0 - theta) * W_old
     rth = theta * R1 + (1.0 - theta) * old.R
     if scheme.kind == "cds":
-        return (W_new - W_old) / tau + matvec(scheme.A, wth) - rth - phi
-    return matvec(scheme.A,
+        return (W_new - W_old) / tau + matvec(scheme, wth) - rth - phi
+    return matvec(scheme,
                   np.concatenate(((W_new - W_old) / tau - rth, wth))) - phi
 
 
-def _apply_jacobian(scheme: Scheme, J: np.ndarray, tau: float, theta: float,
-                    x: np.ndarray, out: np.ndarray) -> None:
+def _apply_jacobian(scheme: StencilMatrix, J: np.ndarray, tau: float,
+                    theta: float, x: np.ndarray, out: np.ndarray) -> None:
     """Write the action of the Newton matrix on x (L, n) for reaction
     Jacobian J (L, L, n) into out (L, n), in place: for "cds" as
     ((x/tau) + theta (P x)) - theta (J x); for "cfds", the derivative of the
-    residual, as A = [Q; P] applied to (x/tau - theta (J x), theta x), both
+    residual, as [Q; P] applied to (x/tau - theta (J x), theta x), both
     written into one (2L, n) operand."""
     if scheme.kind == "cfds":
         uv = np.empty((2 * len(x), x.shape[1]))
@@ -239,19 +228,12 @@ def _apply_jacobian(scheme: Scheme, J: np.ndarray, tau: float, theta: float,
         np.einsum("lmn,mn->ln", J, x, out=v)
         u -= np.multiply(theta, v, out=v)
         np.multiply(theta, x, out=v)
-        matvec(scheme.A, uv, out=out)
+        matvec(scheme, uv, out=out)
         return
     np.divide(x, tau, out=out)
-    Px, Jx = matvec(scheme.A, x), np.einsum("lmn,mn->ln", J, x)
+    Px, Jx = matvec(scheme, x), np.einsum("lmn,mn->ln", J, x)
     out += np.multiply(theta, Px, out=Px)
     out -= np.multiply(theta, Jx, out=Jx)
-
-
-def _species_node(v: np.ndarray, k: int, grid: Grid2D) -> str:
-    """The species and node (i, j) of the flat index k into v (L, ..., n)."""
-    idx = np.unravel_index(k, v.shape)
-    return (f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
-            f"j={idx[-1] // grid.nx + 1})")
 
 
 def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
@@ -261,10 +243,10 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
     if not finite.all():
         raise SolverFailure(
             f"non-finite {what} at t={t_n:.6g}, Newton iteration {it}: "
-            f"{_species_node(v, np.argmin(finite), grid)}")
+            f"{species_node(v, np.argmin(finite), grid)}")
 
 
-def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
+def advance(W_old: np.ndarray, t_n: float, scheme: StencilMatrix,
             problem: ProblemSpec, grid: Grid2D, tau: float, theta: float, *,
             newton_tol: float = 1e-11, terms: Optional[tuple] = None):
     """One theta-scheme step from the layer W_old at t_n by inexact Newton
@@ -310,6 +292,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
         except KrylovBreakdown as exc:
             raise SolverFailure(f"inner solver broke down at t={t_n:.6g}, "
                                 f"Newton iteration {it}: {exc}") from exc
+        del J   # freed before the next one is evaluated
         cycles.append(krep.iterations)
         delta = delta.reshape(L, n)
         _check_finite("Newton update", delta, grid, t_n, it)
@@ -330,7 +313,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: Scheme,
         raise SolverFailure(
             f"Newton did not converge in {MAX_NEWTON} iterations at "
             f"t={t_n:.6g}: max |Ups| {abs(ups.flat[k]):.3e} at "
-            f"{_species_node(ups, k, grid)}")
+            f"{species_node(ups, k, grid)}")
     return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
                            wall_ms=(time.perf_counter() - t_start) * 1e3,
                            final_residual=float(np.max(np.abs(ups))))
@@ -344,7 +327,8 @@ def initial_field(problem: ProblemSpec, grid: Grid2D) -> np.ndarray:
 
 
 def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
-              scheme: Scheme, theta: float = 0.5, *, newton_tol: float = 1e-11):
+              scheme: StencilMatrix, theta: float = 0.5, *,
+              newton_tol: float = 1e-11):
     """March the nodal initial data through all N steps.
 
     Returns (final field, list of per-step SolverReports).  newton_tol is

@@ -97,7 +97,7 @@ def test_composed_q_is_its_closed_form(M, varied):
     corners = Q[:, ::2, ::2]
     assert np.all(corners == 0.0) and not np.any(np.signbit(corners))
     # the scheme's stack reads 5 live offsets of Q, then 9 of P
-    operands = [o for *_, o in build_scheme(prob, g, "cfds").A.offsets]
+    operands = [o for *_, o in build_scheme(prob, g, "cfds").offsets]
     assert operands == 5 * [0] + 9 * [1]
 
 

@@ -147,3 +147,17 @@ def test_validate_field_rejects_nonfinite():
         validate_field(u, g)
     with pytest.raises(ValueError):
         validate_field(np.zeros((2, 5)), g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_field_entry_named_by_species_and_node(bad):
+    # flat index 7 of a 6x6 grid (5 interior nodes per row) is node (3, 2);
+    # the first non-finite entry is named, for validate_field and restrict
+    g = build_grid(1, 1, 6, 6)
+    u = np.zeros((4, g.n_interior))
+    u[3, 7] = u[3, 20] = bad
+    msg = r"non-finite entry at species 3, node \(i=3, j=2\)"
+    with pytest.raises(ValueError, match=msg):
+        validate_field(u, g)
+    with pytest.raises(ValueError, match=msg):
+        restrict(u, g, build_grid(1, 1, 3, 3))

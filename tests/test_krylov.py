@@ -429,5 +429,5 @@ def test_species_free_fields_match_fields_repeated_per_species(kind):
         for name in COEFFICIENTS})
     g = build_grid(prob.X, prob.Y, 7, 5)
     a, b = build_scheme(prob, g, kind), build_scheme(repeated, g, kind)
-    assert a.A.offsets == b.A.offsets
-    assert np.array_equal(bits(a.A.planes), bits(b.A.planes))
+    assert a.offsets == b.offsets
+    assert np.array_equal(bits(a.planes), bits(b.planes))

@@ -12,7 +12,7 @@ from parabolic2d import (build_grid, build_scheme, make_example1,
 from parabolic2d.cds import OFFSETS, StencilMatrix, apply_full
 from parabolic2d.cfds import cfds_full_stencils
 from parabolic2d.krylov import matvec
-from parabolic2d.stepper import Scheme, _ring_product, boundary_fold
+from parabolic2d.stepper import _ring_product, boundary_fold
 
 from test_cds import constant_problem, lone_operators
 from test_krylov import bits, species_varied_problem
@@ -136,8 +136,7 @@ def test_matvec_matches_padded_product(kind, S):
     # the scheme's one- or two-operand stack on random operands, 7x6 mesh
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
-    A = sch.A
+    A = build_scheme(prob if S == "L" else make_example1(), g, kind)
     assert len(np.unique(A.full.swapaxes(0, 1).reshape(prob.L, -1),
                          axis=0)) == {"1": 1, "L": prob.L}[S]
     xs = np.random.default_rng(89).standard_normal(
@@ -152,7 +151,7 @@ def test_compact_scheme_stack_is_one_stack_over_q_and_p(make):
     # live offsets on operand 0, then P's on operand 1
     prob = make()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    A = build_scheme(prob, g, "cfds").A
+    A = build_scheme(prob, g, "cfds")
     expected = StencilMatrix.from_coeffs(g, list(cfds_full_stencils(prob, g)),
                                          prob.L)
     Q, P = lone_operators(prob, g, "cfds")
@@ -278,6 +277,21 @@ def test_stack_needs_a_live_offset():
                 g, operands * [np.zeros((1, 3, 3, g.ny, g.nx))], 2)
 
 
+def test_scheme_kind_is_the_operand_count():
+    # a stack over one operand is the central scheme, over two the compact
+    # one; no scheme reads three, and build_scheme knows no other kind
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 6, 5)
+    c = np.random.default_rng(5).standard_normal((1, 3, 3, g.ny, g.nx))
+    for K, kind in ((1, "cds"), (2, "cfds")):
+        assert StencilMatrix.from_coeffs(g, K * [c], prob.L).kind == kind
+        assert build_scheme(prob, g, kind).kind == kind
+    with pytest.raises(ValueError, match="not 3"):
+        StencilMatrix.from_coeffs(g, 3 * [c], prob.L)
+    with pytest.raises(ValueError, match="unknown scheme kind 'xyz'"):
+        build_scheme(prob, g, "xyz")
+
+
 @settings(max_examples=40, deadline=None)
 @given(mesh=grids, kind=st.sampled_from(["cds", "cfds"]),
        L=st.integers(1, 3), shared=st.booleans(), seed=seeds)
@@ -290,13 +304,14 @@ def test_fold_matches_ring_definition(mesh, kind, L, shared, seed):
     rng = np.random.default_rng(seed)
     S = 1 if shared else L
     Pc, Qc = (rng.standard_normal((S, 3, 3, g.ny, g.nx)) for _ in range(2))
-    scheme = Scheme(kind, StencilMatrix.from_coeffs(
-        g, [Pc] if kind == "cds" else [Qc, Pc], L))
+    scheme = StencilMatrix.from_coeffs(
+        g, [Pc] if kind == "cds" else [Qc, Pc], L)
+    assert scheme.kind == kind
     (j, i), _ = g.boundary_ring()
     data, rate = rng.standard_normal((2, L, len(i)))
     phi = boundary_fold(scheme, constant_problem(), g, 0.0, data)
     if kind == "cfds":
-        phi -= _ring_product(scheme.A, g, rate, np.zeros_like(rate))
+        phi -= _ring_product(scheme, rate, np.zeros_like(rate))
     expected = np.zeros((L, g.ny, g.nx))
     Pc, Qc = (np.broadcast_to(c, (L,) + c.shape[1:]) for c in (Pc, Qc))
     for r, (jr, ir) in enumerate(zip(j, i)):
@@ -318,15 +333,14 @@ def test_ring_product_is_the_padded_window_sum(kind, S):
     # bit for bit, whether the planes hold one species row or L
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
-    A = sch.A
+    A = build_scheme(prob if S == "L" else make_example1(), g, kind)
     (j, i), _ = g.boundary_ring()
     vs = np.random.default_rng(97).standard_normal(
         ({"cds": 1, "cfds": 2}[kind], prob.L, len(i)))
     w = np.zeros((len(vs) * prob.L, g.My + 1, g.Mx + 1))
     w[:, j, i] = np.concatenate(vs)
     assert np.array_equal(
-        bits(_ring_product(A, g, *vs)),
+        bits(_ring_product(A, *vs)),
         bits(padded_window_sum(A, w).reshape(prob.L, -1)))
 
 
@@ -338,8 +352,8 @@ def test_product_into_out_matches_allocating_product(kind, S):
     # scheme's one-operand (cds P) and two-operand (cfds [Q; P]) stacks
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
-    sch = build_scheme(prob if S == "L" else make_example1(), g, kind)
-    A, L = sch.A, prob.L
+    A = build_scheme(prob if S == "L" else make_example1(), g, kind)
+    L = prob.L
     assert len(np.unique(A.full.swapaxes(0, 1).reshape(L, -1),
                          axis=0)) == {"1": 1, "L": L}[S]
     K = A.offsets[-1][2] + 1
@@ -360,7 +374,7 @@ def test_product_rejects_out_that_may_share_memory_with_operands():
     # the kernel reads shifted operands while it writes out, so an out that
     # overlaps them would give wrong sums without a sign
     prob, g = make_example1(), build_grid(1.0, 1.0, 6, 5)
-    P, QP = (build_scheme(prob, g, kind).A for kind in ("cds", "cfds"))
+    P, QP = (build_scheme(prob, g, kind) for kind in ("cds", "cfds"))
     L, n = prob.L, g.n_interior
     x = np.random.default_rng(3).standard_normal((2 * L, n))
     for A, w, out in ((P, x[:L], x[:L]), (QP, x, x[L:]), (QP, x, x[:L])):
@@ -387,12 +401,11 @@ def test_stack_builds_its_plans_once(kind, monkeypatch):
                         lambda *args: built.append(args) or real(*args))
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 6, 6)
-    sch = build_scheme(prob, g, kind)
-    A = sch.A
+    A = build_scheme(prob, g, kind)
     assert len(built) == 2   # the field and the full layout
     plans = A.plan, A.full_plan
     assert A.plan == real(A.offsets, A.planes.shape[1:])
     built.clear()
-    stepper.integrate(prob, g, build_time_grid(60.0, 2), sch)
+    stepper.integrate(prob, g, build_time_grid(60.0, 2), A)
     assert built == []
     assert A.plan is plans[0] and A.full_plan is plans[1]

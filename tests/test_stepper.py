@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -6,13 +7,15 @@ import pytest
 from parabolic2d import (build_grid, build_time_grid, build_scheme, integrate,
                          make_example1, make_example2, manufactured_solution,
                          max_norm_error)
+from parabolic2d.cds import StencilMatrix, cds_full_stencil
 from parabolic2d.krylov import bicgstab_l
 from parabolic2d.model import ProblemSpec
 from parabolic2d.stepper import (SolverFailure, advance, initial_field,
                                  residual)
 
 from test_cds import constant_problem, lone_operators
-from test_krylov import newton_matrix_apply, species_varied_problem, writing
+from test_krylov import (bits, newton_matrix_apply, species_varied_problem,
+                         writing)
 
 
 def nodal_exact_field(prob, grid, t):
@@ -90,7 +93,7 @@ def test_newton_matrix_reduces_to_mass_and_stiffness():
     from parabolic2d.krylov import matvec
     sch = build_scheme(prob, g, "cds")
     y = newton_matrix_apply(sch, prob, g, tau, theta, W, x, 0.1)
-    assert np.allclose(y, x / tau + theta * matvec(sch.A, x), rtol=1e-14)
+    assert np.allclose(y, x / tau + theta * matvec(sch, x), rtol=1e-14)
     sch = build_scheme(prob, g, "cfds")
     y = newton_matrix_apply(sch, prob, g, tau, theta, W, x, 0.1)
     Q, P = lone_operators(prob, g, "cfds")
@@ -290,9 +293,31 @@ def test_advance_rejects_bad_field_before_any_problem_call(bad):
         W[3, 7] = np.nan
     else:
         W = W[:, :5]
-    with pytest.raises(ValueError, match="field"):
+    # flat index 7 of a 6x6 grid (5 interior nodes per row) is node (3, 2)
+    match = {"nan": r"field has a non-finite entry at species 3, "
+                    r"node \(i=3, j=2\)",
+             "shape": "field shape"}[bad]
+    with pytest.raises(ValueError, match=match):
         advance(W, 0.0, sch, prob, g, 720.0, 0.5)
     assert calls == []
+
+
+def test_integrate_names_the_nonfinite_initial_entry():
+    # the initial field is checked before the first step, and its first
+    # non-finite entry named by species and node
+    base = make_example1()
+    g = build_grid(base.X, base.Y, 6, 6)
+
+    def initial(x, y):
+        u = np.broadcast_to(base.initial(x, y), (base.L,) + np.shape(x)).copy()
+        u[3, (x == 3 * g.hx) & (y == 2 * g.hy)] = np.nan
+        return u
+
+    prob = dataclasses.replace(base, initial=initial)
+    with pytest.raises(ValueError, match=r"non-finite entry at species 3, "
+                                         r"node \(i=3, j=2\)"):
+        integrate(prob, g, build_time_grid(prob.T, 2),
+                  build_scheme(prob, g, "cds"))
 
 
 def test_unknown_solver_option_rejected_before_any_boundary_call():
@@ -509,10 +534,8 @@ def test_compact_boundary_phi_subtracts_q_times_the_rate(make, S):
                        rng.standard_normal((prob.L, g.n_interior)))
                 for t in (0.0, tau))
     dq = (new.g - old.g) / tau
-    expected = theta * new.F + (1.0 - theta) * old.F \
-        - _ring_product(Q, g, dq)
-    assert np.array_equal(_boundary_phi(sch, g, tau, theta, old, new),
-                          expected)
+    expected = theta * new.F + (1.0 - theta) * old.F - _ring_product(Q, dq)
+    assert np.array_equal(_boundary_phi(sch, tau, theta, old, new), expected)
 
 
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
@@ -525,7 +548,7 @@ def test_boundary_phi_matches_full_array_reference(kind, example):
     g = build_grid(prob.X, prob.Y, 6, 6)
     tau, theta, t0 = 7.5, 0.4, 33.0
     sch = build_scheme(prob, g, kind)
-    phi = _boundary_phi(sch, g, tau, theta, _layer(sch, prob, g, t0),
+    phi = _boundary_phi(sch, tau, theta, _layer(sch, prob, g, t0),
                         _layer(sch, prob, g, t0 + tau))
     expected = reference_boundary_phi(kind, prob, g, tau, theta, t0, t0 + tau)
     # example 1 has homogeneous Dirichlet data: its cds fold vanishes
@@ -837,7 +860,7 @@ def test_central_newton_matrix_keeps_its_arithmetic():
     x = rng.standard_normal((prob.L, g.n_interior))
     y = np.empty_like(x)
     _apply_jacobian(sch, J, tau, theta, x, y)
-    expected = x / tau + theta * matvec(sch.A, x) \
+    expected = x / tau + theta * matvec(sch, x) \
         - theta * np.einsum("lmn,mn->ln", J, x)
     assert np.array_equal(y, expected)
 
@@ -928,3 +951,40 @@ def test_air_compact_iteration_averages():
     _, reports = integrate(prob, g, build_time_grid(prob.T, 64),
                            build_scheme(prob, g, "cfds"), theta=0.5)
     assert average_counts(reports) == (2.109375, 2.6703703703703705)
+
+
+def test_scheme_is_its_stack():
+    # integrate takes any stencil stack as the scheme: the central P built
+    # by hand gives build_scheme's field and counts bit for bit
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 8, 8)
+    tg = build_time_grid(240.0, 4)
+    stack = StencilMatrix.from_coeffs(g, [cds_full_stencil(prob, g)], prob.L)
+    assert stack.kind == "cds"
+    runs = [integrate(prob, g, tg, sch)
+            for sch in (stack, build_scheme(prob, g, "cds"))]
+    (W, reports), (W0, reports0) = runs
+    assert np.array_equal(bits(W), bits(W0))
+    assert [(r.newton_iters, r.krylov_cycles, r.final_residual)
+            for r in reports] == [(r.newton_iters, r.krylov_cycles,
+                                   r.final_residual) for r in reports0]
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_advance_holds_one_reaction_jacobian_at_a_time(kind):
+    # each Newton iteration's (L, L, n) Jacobian is freed when its inner
+    # solve returns, so it is dead when the next one is requested
+    base = make_example2()
+    refs = []
+
+    def jacobian(*args):
+        assert [r for r in refs if r() is not None] == []
+        J = np.asarray(base.reaction_jacobian(*args), dtype=float)
+        refs.append(weakref.ref(J))
+        return J
+
+    prob = dataclasses.replace(base, reaction_jacobian=jacobian)
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    _, reports = integrate(prob, g, build_time_grid(240.0, 4),
+                           build_scheme(prob, g, kind))
+    assert len(refs) == sum(r.newton_iters for r in reports) > len(reports)
