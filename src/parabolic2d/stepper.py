@@ -39,11 +39,23 @@ is one product of A, there on (x/tau - theta J x, theta x), on the
 residual's two terms, on the ring data of the fold, or on the ring term and
 zeros.  Products run on the (L, n) field arrays, folds on the full node
 arrays.
+
+The central application runs J x on a helper thread (_JxOverlap) while
+the calling thread computes x/tau + theta P x, when both of two conditions
+hold: the process may run on two or more CPUs, and J has at least
+OVERLAP_MIN entries L^2 n.  np.einsum releases the GIL for its loop, so
+the two products run at once; the arithmetic and its order are the serial
+ones, and results are bit for bit the same.  advance starts the thread for
+its Newton loop and joins it before it returns or raises.  The compact
+application needs J x before its one product, so it stays serial.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -60,6 +72,10 @@ from .model import ProblemSpec, check_compatibility, species_field
 MAX_NEWTON = 25
 KRYLOV_TOL = 1e-10
 KRYLOV_MAXIT = 200
+# the fewest reaction Jacobian entries L^2 n for which a central step
+# computes J x on a helper thread (_JxOverlap); below it the handoff costs
+# more than the overlap saves
+OVERLAP_MIN = 2 ** 17
 
 
 class SolverFailure(RuntimeError):
@@ -72,7 +88,8 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class SolverReport:
-    """Per-step iteration counts and timings."""
+    """Per-step iteration counts and timings; wall_ms is the step's wall
+    time, the building of its terms included."""
 
     newton_iters: int
     krylov_cycles: List[float]
@@ -214,13 +231,85 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: StencilMatrix,
                   np.concatenate(((W_new - W_old) / tau - rth, wth))) - phi
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on: its affinity mask, where
+    the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _JxOverlap:
+    """A helper thread that writes J x while the calling thread computes
+    x/tau + theta P x, for the central Newton application.
+
+    Two locks hand a job over: submit releases `_go`, and the helper
+    releases `_done` when the job has run.  The helper calls only
+    np.einsum, which releases the GIL for its loop, and drops the job, J
+    with it, after each run; wait re-raises in the caller what the job
+    raised.  As a context manager the thread lives for one `with` block:
+    its exit waits for a job still running, then stops and joins the
+    thread.
+    """
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = None    # (J, x, out); None on _go stops the thread
+        self._pending = False
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def __enter__(self) -> "_JxOverlap":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pending:
+            self._done.acquire()    # the job may still read J and x
+            self._pending = False
+        self._job = None
+        self._go.release()
+        self._thread.join()
+
+    def _run(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            J, x, out = self._job
+            self._job = None
+            try:
+                np.einsum("lmn,mn->ln", J, x, out=out)
+            except BaseException as exc:    # raised again by wait
+                self._error = exc
+            del J, x, out
+            self._done.release()
+
+    def submit(self, J: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        """Start writing J x into out on the helper thread."""
+        self._job = (J, x, out)
+        self._pending = True
+        self._go.release()
+
+    def wait(self) -> None:
+        """Wait for the submitted job; raise what it raised."""
+        self._done.acquire()
+        self._pending = False
+        if self._error is not None:
+            raise self._error
+
+
 def _apply_jacobian(scheme: StencilMatrix, J: np.ndarray, tau: float,
-                    theta: float, x: np.ndarray, out: np.ndarray) -> None:
+                    theta: float, x: np.ndarray, out: np.ndarray,
+                    overlap: Optional[_JxOverlap] = None) -> None:
     """Write the action of the Newton matrix on x (L, n) for reaction
     Jacobian J (L, L, n) into out (L, n), in place: for "cds" as
-    ((x/tau) + theta (P x)) - theta (J x); for "cfds", the derivative of the
-    residual, as [Q; P] applied to (x/tau - theta (J x), theta x), both
-    written into one (2L, n) operand."""
+    ((x/tau) + theta (P x)) - theta (J x), with J x on the helper thread of
+    `overlap` when one is given, while P x runs here; for "cfds", the
+    derivative of the residual, as [Q; P] applied to
+    (x/tau - theta (J x), theta x), both written into one (2L, n) operand."""
     if scheme.kind == "cfds":
         uv = np.empty((2 * len(x), x.shape[1]))
         u, v = uv[:len(x)], uv[len(x):]
@@ -230,9 +319,17 @@ def _apply_jacobian(scheme: StencilMatrix, J: np.ndarray, tau: float,
         np.multiply(theta, x, out=v)
         matvec(scheme, uv, out=out)
         return
-    np.divide(x, tau, out=out)
-    Px, Jx = matvec(scheme, x), np.einsum("lmn,mn->ln", J, x)
+    if overlap is None:
+        np.divide(x, tau, out=out)
+        Px, Jx = matvec(scheme, x), np.einsum("lmn,mn->ln", J, x)
+    else:
+        Jx = np.empty_like(x)
+        overlap.submit(J, x, Jx)
+        np.divide(x, tau, out=out)
+        Px = matvec(scheme, x)
     out += np.multiply(theta, Px, out=Px)
+    if overlap is not None:
+        overlap.wait()
     out -= np.multiply(theta, Jx, out=Jx)
 
 
@@ -259,7 +356,10 @@ def advance(W_old: np.ndarray, t_n: float, scheme: StencilMatrix,
     ||Ups(W)||_inf <= newton_tol * (1 + ||W||_inf); an invalid theta, tau or
     newton_tol, or a W_old not of shape (L, n) and finite, raises ValueError
     before any problem call.  The iteration and inner-solve limits are the
-    module constants MAX_NEWTON, KRYLOV_TOL and KRYLOV_MAXIT.  A
+    module constants MAX_NEWTON, KRYLOV_TOL and KRYLOV_MAXIT.  A "cds"
+    step with at least OVERLAP_MIN Jacobian entries, on two or more CPUs,
+    computes J x on a helper thread that lives for this call only (see the
+    module docstring); its results are bit for bit the serial ones.  A
     non-finite reaction (checked before the residual, which it makes NaN),
     residual, reaction Jacobian or Newton update fails at once, naming species
     and node; a step that does not converge names those of max |Ups|.
@@ -277,43 +377,48 @@ def advance(W_old: np.ndarray, t_n: float, scheme: StencilMatrix,
     ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
                    terms=terms)
     cycles: List[float] = []
-    for it in range(MAX_NEWTON):
-        _check_finite("reaction", terms[1].R, grid, t_n, it)
-        _check_finite("residual", ups, grid, t_n, it)
-        J = np.asarray(problem.reaction_jacobian(xi, yi, terms[1].t, W),
-                       dtype=float)
-        _check_finite("reaction Jacobian", J, grid, t_n, it)
-        try:
-            delta, krep = bicgstab_l(
-                lambda v, out: _apply_jacobian(scheme, J, tau, theta,
-                                               v.reshape(L, n),
-                                               out.reshape(L, n)),
-                -ups.ravel(), tol=KRYLOV_TOL, maxit=KRYLOV_MAXIT)
-        except KrylovBreakdown as exc:
-            raise SolverFailure(f"inner solver broke down at t={t_n:.6g}, "
-                                f"Newton iteration {it}: {exc}") from exc
-        del J   # freed before the next one is evaluated
-        cycles.append(krep.iterations)
-        delta = delta.reshape(L, n)
-        _check_finite("Newton update", delta, grid, t_n, it)
-        if not krep.converged:
+    overlap = (scheme.kind == "cds" and L * L * n >= OVERLAP_MIN
+               and _cpu_count() >= 2)
+    with _JxOverlap() if overlap else nullcontext() as jx:
+        for it in range(MAX_NEWTON):
+            _check_finite("reaction", terms[1].R, grid, t_n, it)
+            _check_finite("residual", ups, grid, t_n, it)
+            J = np.asarray(
+                problem.reaction_jacobian(xi, yi, terms[1].t, W), dtype=float)
+            _check_finite("reaction Jacobian", J, grid, t_n, it)
+            try:
+                delta, krep = bicgstab_l(
+                    lambda v, out: _apply_jacobian(scheme, J, tau, theta,
+                                                   v.reshape(L, n),
+                                                   out.reshape(L, n), jx),
+                    -ups.ravel(), tol=KRYLOV_TOL, maxit=KRYLOV_MAXIT)
+            except KrylovBreakdown as exc:
+                raise SolverFailure(
+                    f"inner solver broke down at t={t_n:.6g}, "
+                    f"Newton iteration {it}: {exc}") from exc
+            del J   # freed before the next one is evaluated
+            cycles.append(krep.iterations)
+            delta = delta.reshape(L, n)
+            _check_finite("Newton update", delta, grid, t_n, it)
+            if not krep.converged:
+                raise SolverFailure(
+                    f"inner solver stalled at t={t_n:.6g}, "
+                    f"Newton iteration {it}: relative residual "
+                    f"{krep.final_relative_residual:.3e} "
+                    f"after {krep.iterations:.1f} cycles")
+            W = W + delta
+            scale = 1.0 + np.max(np.abs(W))
+            ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
+                           terms=terms)
+            if np.max(np.abs(delta)) <= newton_tol * scale \
+                    and np.max(np.abs(ups)) <= newton_tol * scale:
+                break
+        else:
+            k = np.argmax(np.abs(ups))
             raise SolverFailure(
-                f"inner solver stalled at t={t_n:.6g}, Newton iteration {it}: "
-                f"relative residual {krep.final_relative_residual:.3e} "
-                f"after {krep.iterations:.1f} cycles")
-        W = W + delta
-        scale = 1.0 + np.max(np.abs(W))
-        ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
-                       terms=terms)
-        if np.max(np.abs(delta)) <= newton_tol * scale \
-                and np.max(np.abs(ups)) <= newton_tol * scale:
-            break
-    else:
-        k = np.argmax(np.abs(ups))
-        raise SolverFailure(
-            f"Newton did not converge in {MAX_NEWTON} iterations at "
-            f"t={t_n:.6g}: max |Ups| {abs(ups.flat[k]):.3e} at "
-            f"{species_node(ups, k, grid)}")
+                f"Newton did not converge in {MAX_NEWTON} iterations at "
+                f"t={t_n:.6g}: max |Ups| {abs(ups.flat[k]):.3e} at "
+                f"{species_node(ups, k, grid)}")
     return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
                            wall_ms=(time.perf_counter() - t_start) * 1e3,
                            final_residual=float(np.max(np.abs(ups))))
@@ -334,7 +439,8 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     Returns (final field, list of per-step SolverReports).  newton_tol is
     advance's; an invalid theta or newton_tol raises ValueError before the
     first step.  Step failures propagate as SolverFailure with the failing
-    step index attached.
+    step index attached.  A report's wall_ms includes the step terms built
+    here before advance, so it counts what a plain advance call counts.
     """
     check_solver_options(theta=theta, newton_tol=newton_tol)
     layer = _layer(scheme, problem, grid, time_grid.t(0))
@@ -342,8 +448,10 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     W = validate_field(initial_field(problem, grid), grid, problem.L)
     reports: List[SolverReport] = []
     for n in range(time_grid.N):
+        t_start = time.perf_counter()
         terms = _step_terms(scheme, problem, grid, time_grid.tau, theta,
                             time_grid.t(n), time_grid.t(n + 1), W, layer)
+        terms_ms = (time.perf_counter() - t_start) * 1e3
         try:
             W, report = advance(W, time_grid.t(n), scheme, problem, grid,
                                 time_grid.tau, theta, newton_tol=newton_tol,
@@ -352,6 +460,7 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
             exc.step = n
             raise SolverFailure(f"step {n} failed: {exc}", step=n) from exc
         layer = terms[1]
+        report.wall_ms += terms_ms
         reports.append(report)
     return W, reports
 

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -9,9 +11,9 @@ from parabolic2d import (build_grid, build_time_grid, build_scheme, integrate,
                          max_norm_error)
 from parabolic2d.cds import StencilMatrix, cds_full_stencil
 from parabolic2d.krylov import bicgstab_l
-from parabolic2d.model import ProblemSpec
-from parabolic2d.stepper import (SolverFailure, advance, initial_field,
-                                 residual)
+from parabolic2d.model import MU_FAST, ProblemSpec
+from parabolic2d.stepper import (OVERLAP_MIN, SolverFailure, advance,
+                                 initial_field, residual)
 
 from test_cds import constant_problem, lone_operators
 from test_krylov import (bits, newton_matrix_apply, species_varied_problem,
@@ -847,9 +849,10 @@ def test_compact_newton_matrix_matches_dense_oracle(make, S, theta):
 
 
 def test_central_newton_matrix_keeps_its_arithmetic():
+    # the same bits whether J x runs here or on the helper thread
     from parabolic2d import make_example2
     from parabolic2d.krylov import matvec
-    from parabolic2d.stepper import _apply_jacobian
+    from parabolic2d.stepper import _apply_jacobian, _JxOverlap
 
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 6, 5)
@@ -858,10 +861,14 @@ def test_central_newton_matrix_keeps_its_arithmetic():
     rng = np.random.default_rng(67)
     J = rng.standard_normal((prob.L, prob.L, g.n_interior))
     x = rng.standard_normal((prob.L, g.n_interior))
-    y = np.empty_like(x)
-    _apply_jacobian(sch, J, tau, theta, x, y)
     expected = x / tau + theta * matvec(sch, x) \
         - theta * np.einsum("lmn,mn->ln", J, x)
+    y = np.empty_like(x)
+    _apply_jacobian(sch, J, tau, theta, x, y)
+    assert np.array_equal(y, expected)
+    y = np.empty_like(x)
+    with _JxOverlap() as jx:
+        _apply_jacobian(sch, J, tau, theta, x, y, jx)
     assert np.array_equal(y, expected)
 
 
@@ -970,10 +977,16 @@ def test_scheme_is_its_stack():
                                    r.final_residual) for r in reports0]
 
 
-@pytest.mark.parametrize("kind", ["cds", "cfds"])
-def test_advance_holds_one_reaction_jacobian_at_a_time(kind):
+@pytest.mark.parametrize("kind,M", [
+    pytest.param("cds", 6, id="cds"), pytest.param("cfds", 6, id="cfds"),
+    pytest.param("cds", 40, id="cds-above-OVERLAP_MIN")])
+def test_advance_holds_one_reaction_jacobian_at_a_time(monkeypatch, kind, M):
     # each Newton iteration's (L, L, n) Jacobian is freed when its inner
-    # solve returns, so it is dead when the next one is requested
+    # solve returns, so it is dead when the next one is requested; at 40x40
+    # (L^2 n above OVERLAP_MIN) the helper thread has dropped it too
+    from parabolic2d import stepper
+
+    monkeypatch.setattr(stepper, "_cpu_count", lambda: 2)
     base = make_example2()
     refs = []
 
@@ -984,7 +997,173 @@ def test_advance_holds_one_reaction_jacobian_at_a_time(kind):
         return J
 
     prob = dataclasses.replace(base, reaction_jacobian=jacobian)
-    g = build_grid(prob.X, prob.Y, 6, 6)
+    g = build_grid(prob.X, prob.Y, M, M)
+    assert (prob.L ** 2 * g.n_interior >= OVERLAP_MIN) == (M == 40)
     _, reports = integrate(prob, g, build_time_grid(240.0, 4),
                            build_scheme(prob, g, kind))
     assert len(refs) == sum(r.newton_iters for r in reports) > len(reports)
+
+
+def force_overlap(monkeypatch):
+    """Select the J x helper thread for every central step, whatever the
+    mesh and the CPUs."""
+    from parabolic2d import stepper
+
+    monkeypatch.setattr(stepper, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(stepper, "OVERLAP_MIN", 0)
+
+
+def counting_threads(base, seen):
+    """base whose reaction Jacobian appends the live thread count to seen."""
+    def jacobian(*args):
+        seen.append(threading.active_count())
+        return base.reaction_jacobian(*args)
+
+    return dataclasses.replace(base, reaction_jacobian=jacobian)
+
+
+@pytest.mark.parametrize("kind,helpers", [("cds", 1), ("cfds", 0)])
+def test_overlap_thread_lives_for_one_advance(monkeypatch, kind, helpers):
+    # a central step runs one helper thread for its Newton loop and joins it
+    # before it returns; a compact step, whose J x comes before its one
+    # product, starts none
+    force_overlap(monkeypatch)
+    seen = []
+    prob = counting_threads(make_example2(), seen)
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    before = threading.active_count()
+    integrate(prob, g, build_time_grid(240.0, 3), build_scheme(prob, g, kind))
+    assert len(seen) > 3 and set(seen) == {before + helpers}
+    assert threading.active_count() == before
+
+
+def test_overlap_thread_stopped_when_a_step_fails(monkeypatch):
+    # a SolverFailure raised inside the Newton loop leaves no thread behind
+    force_overlap(monkeypatch)
+    base, seen = make_example2(), []
+
+    def jacobian(*args):
+        seen.append(threading.active_count())
+        J = np.asarray(base.reaction_jacobian(*args), dtype=float)
+        return J * np.nan if len(seen) == 2 else J
+
+    prob = dataclasses.replace(base, reaction_jacobian=jacobian)
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    before = threading.active_count()
+    with pytest.raises(SolverFailure, match="non-finite reaction Jacobian"):
+        integrate(prob, g, build_time_grid(240.0, 3),
+                  build_scheme(prob, g, "cds"))
+    assert seen == [before + 1] * 2
+    assert threading.active_count() == before
+
+
+def test_overlap_thread_stopped_after_a_raise_between_handoff_and_wait(
+        monkeypatch):
+    # P x raises on the main thread while J x is handed off: leaving the
+    # with block waits for the job before it stops the thread, so the
+    # exception itself propagates (no hang, no release of an unlocked lock)
+    from parabolic2d import stepper
+
+    force_overlap(monkeypatch)
+
+    class Interrupt(Exception):
+        pass
+
+    real_matvec, calls = stepper.matvec, []
+
+    def matvec(A, x, **kwargs):
+        calls.append(threading.active_count())
+        if len(calls) == 5:     # after the residual's, inside an application
+            raise Interrupt
+        return real_matvec(A, x, **kwargs)
+
+    monkeypatch.setattr(stepper, "matvec", matvec)
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    before = threading.active_count()
+    with pytest.raises(Interrupt):
+        integrate(prob, g, build_time_grid(240.0, 3),
+                  build_scheme(prob, g, "cds"))
+    assert calls[-1] == before + 1
+    assert threading.active_count() == before
+
+
+def test_overlap_helper_exception_raised_in_the_caller(monkeypatch):
+    # a J x that fails on the helper thread fails the caller, and the
+    # thread is still stopped
+    force_overlap(monkeypatch)
+    base = make_example2()
+
+    def jacobian(*args):    # one node too many: einsum cannot apply it
+        J = np.asarray(base.reaction_jacobian(*args), dtype=float)
+        return np.concatenate((J, J[..., :1]), axis=2)
+
+    prob = dataclasses.replace(base, reaction_jacobian=jacobian)
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as exc:
+        integrate(prob, g, build_time_grid(240.0, 3),
+                  build_scheme(prob, g, "cds"))
+    assert "_run" in [entry.name for entry in exc.traceback]
+    assert threading.active_count() == before
+
+
+def test_overlap_handoff_under_frequent_thread_switches():
+    # many handoffs while the interpreter switches threads as often as it
+    # can: each J x lands in its own buffer before wait returns
+    import sys
+    from parabolic2d.stepper import _JxOverlap
+
+    rng = np.random.default_rng(5)
+    J, xs = rng.standard_normal((3, 3, 50)), rng.standard_normal((300, 3, 50))
+    outs = np.full_like(xs, np.nan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _JxOverlap() as jx:
+            for x, out in zip(xs, outs):
+                jx.submit(J, x, out)
+                jx.wait()
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(outs, [np.einsum("lmn,mn->ln", J, x) for x in xs])
+
+
+def test_overlap_keeps_rot_central_bits(monkeypatch):
+    # fast rotation, cds 48x48 (L^2 n above OVERLAP_MIN), N=4: the field,
+    # per-step counts and residuals are bit for bit those of the serial
+    # application, which the CPU check selects on one CPU
+    from parabolic2d import stepper
+
+    runs, seen = [], []
+    prob = counting_threads(make_example2(mu=MU_FAST), seen)
+    g = build_grid(prob.X, prob.Y, 48, 48)
+    assert prob.L ** 2 * g.n_interior >= OVERLAP_MIN
+    sch = build_scheme(prob, g, "cds")
+    before = threading.active_count()
+    for cpus in (2, 1):
+        monkeypatch.setattr(stepper, "_cpu_count", lambda: cpus)
+        seen.clear()
+        W, reports = integrate(prob, g, build_time_grid(prob.T, 4), sch)
+        assert set(seen) == {before + (cpus == 2)}
+        runs.append((bits(W), [(r.newton_iters, r.krylov_cycles,
+                                r.final_residual) for r in reports]))
+    (W1, counts1), (W0, counts0) = runs
+    assert np.array_equal(W1, W0)
+    assert counts1 == counts0
+
+
+def test_integrate_report_counts_the_step_terms():
+    # the new layer's boundary data, evaluated by integrate before advance,
+    # is part of the step's wall_ms, as in a plain advance call
+    base = make_example1()
+
+    def boundary(*args):
+        time.sleep(0.02)
+        return base.boundary(*args)
+
+    prob = dataclasses.replace(base, boundary=boundary)
+    g = build_grid(prob.X, prob.Y, 4, 4)
+    _, reports = integrate(prob, g, build_time_grid(prob.T, 3),
+                           build_scheme(prob, g, "cds"))
+    assert [r.wall_ms >= 20.0 for r in reports] == [True] * 3
