@@ -144,10 +144,14 @@ def to_interior_grid(u: np.ndarray, grid: Grid2D) -> np.ndarray:
 
 
 def species_node(v: np.ndarray, k: int, grid: Grid2D) -> str:
-    """The species and node (i, j) of the flat index k into v (L, ..., n)."""
+    """The species and node (i, j) of the flat index k into v (L, n), and
+    for a Jacobian v (L, L, n) the species of its column."""
     idx = np.unravel_index(k, v.shape)
-    return (f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
-            f"j={idx[-1] // grid.nx + 1})")
+    where = (f"species {idx[0]}, node (i={idx[-1] % grid.nx + 1}, "
+             f"j={idx[-1] // grid.nx + 1})")
+    if v.ndim == 3:
+        where += f", with respect to species {idx[1]}"
+    return where
 
 
 def validate_field(u: np.ndarray, grid: Grid2D, L: int | None = None) -> np.ndarray:

@@ -53,6 +53,7 @@ application needs J x before its one product, so it stays serial.
 from __future__ import annotations
 
 import os
+import queue
 import threading
 import time
 from contextlib import nullcontext
@@ -243,22 +244,17 @@ class _JxOverlap:
     """A helper thread that writes J x while the calling thread computes
     x/tau + theta P x, for the central Newton application.
 
-    Two locks hand a job over: submit releases `_go`, and the helper
-    releases `_done` when the job has run.  The helper calls only
-    np.einsum, which releases the GIL for its loop, and drops the job, J
-    with it, after each run; wait re-raises in the caller what the job
-    raised.  As a context manager the thread lives for one `with` block:
-    its exit waits for a job still running, then stops and joins the
-    thread.
+    Two queues hand a job over: submit puts (J, x, out) on `_jobs`, and the
+    helper puts what the job raised, or None, on `_results`.  The helper
+    calls only np.einsum, which releases the GIL for its loop, and drops
+    the job, J with it, after each run; wait re-raises in the caller what
+    the job raised.  As a context manager the thread lives for one `with`
+    block: its exit queues the stop behind any job still queued or
+    running, and joins the thread.
     """
 
     def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = None    # (J, x, out); None on _go stops the thread
-        self._pending = False
-        self._error: Optional[BaseException] = None
+        self._jobs, self._results = queue.SimpleQueue(), queue.SimpleQueue()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def __enter__(self) -> "_JxOverlap":
@@ -266,39 +262,28 @@ class _JxOverlap:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._pending:
-            self._done.acquire()    # the job may still read J and x
-            self._pending = False
-        self._job = None
-        self._go.release()
+        self._jobs.put(None)
         self._thread.join()
 
     def _run(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            J, x, out = self._job
-            self._job = None
+        for J, x, out in iter(self._jobs.get, None):
+            error = None
             try:
                 np.einsum("lmn,mn->ln", J, x, out=out)
             except BaseException as exc:    # raised again by wait
-                self._error = exc
+                error = exc
             del J, x, out
-            self._done.release()
+            self._results.put(error)
 
     def submit(self, J: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
         """Start writing J x into out on the helper thread."""
-        self._job = (J, x, out)
-        self._pending = True
-        self._go.release()
+        self._jobs.put((J, x, out))
 
     def wait(self) -> None:
         """Wait for the submitted job; raise what it raised."""
-        self._done.acquire()
-        self._pending = False
-        if self._error is not None:
-            raise self._error
+        error = self._results.get()
+        if error is not None:
+            raise error
 
 
 def _apply_jacobian(scheme: StencilMatrix, J: np.ndarray, tau: float,
@@ -335,7 +320,8 @@ def _apply_jacobian(scheme: StencilMatrix, J: np.ndarray, tau: float,
 
 def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
                   it: int) -> None:
-    """Raise SolverFailure naming the first non-finite entry of v (L, ..., n)."""
+    """Raise SolverFailure naming the first non-finite entry of v, a field
+    (L, n) or a Jacobian (L, L, n)."""
     finite = np.isfinite(v)
     if not finite.all():
         raise SolverFailure(

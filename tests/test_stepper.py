@@ -751,6 +751,25 @@ def test_nonfinite_input_fails_at_once_naming_the_node(kind, what):
         advance(W, 0.0, build_scheme(prob, g, "cds"), prob, g, 0.25, 0.5)
 
 
+def test_nonfinite_jacobian_names_both_species():
+    # ten species: J[3, 7] at flat node 4 (i=5, j=1 of the 5x5 interior)
+    # is named by its row species, its node and its column species
+    base = make_example2()
+
+    def jacobian(*args):
+        J = np.asarray(base.reaction_jacobian(*args), dtype=float)
+        J[3, 7, 4] = np.nan
+        return J
+
+    prob = dataclasses.replace(base, reaction_jacobian=jacobian)
+    g = build_grid(prob.X, prob.Y, 6, 6)
+    with pytest.raises(SolverFailure, match=r"non-finite reaction Jacobian "
+                       r".* iteration 0: species 3, node \(i=5, j=1\), "
+                       r"with respect to species 7$"):
+        integrate(prob, g, build_time_grid(prob.T, 2),
+                  build_scheme(prob, g, "cds"))
+
+
 @pytest.mark.parametrize("kind", ["cds", "cfds"])
 def test_nonfinite_reaction_names_its_own_node(kind):
     # an inf in the new layer's reaction is named at its own node, not at
@@ -1060,8 +1079,8 @@ def test_overlap_thread_stopped_when_a_step_fails(monkeypatch):
 def test_overlap_thread_stopped_after_a_raise_between_handoff_and_wait(
         monkeypatch):
     # P x raises on the main thread while J x is handed off: leaving the
-    # with block waits for the job before it stops the thread, so the
-    # exception itself propagates (no hang, no release of an unlocked lock)
+    # with block queues the stop behind the job, so the exception itself
+    # propagates (no hang, no error from the handoff)
     from parabolic2d import stepper
 
     force_overlap(monkeypatch)
@@ -1127,6 +1146,21 @@ def test_overlap_handoff_under_frequent_thread_switches():
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(outs, [np.einsum("lmn,mn->ln", J, x) for x in xs])
+
+
+def test_overlap_exit_waits_for_a_running_job():
+    # a with block left without wait still lets the submitted J x finish
+    # before the thread stops: the stop is queued behind the job
+    from parabolic2d.stepper import _JxOverlap
+
+    rng = np.random.default_rng(11)
+    J, x = rng.standard_normal((10, 10, 4000)), rng.standard_normal((10, 4000))
+    out = np.full_like(x, np.nan)
+    before = threading.active_count()
+    with _JxOverlap() as jx:
+        jx.submit(J, x, out)
+    assert np.array_equal(out, np.einsum("lmn,mn->ln", J, x))
+    assert threading.active_count() == before
 
 
 def test_overlap_keeps_rot_central_bits(monkeypatch):
