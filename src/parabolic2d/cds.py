@@ -13,10 +13,10 @@ basis, exact numerators over divisors: each entry is its formula bit for bit.
 A stencil matrix stores one plane per live offset in the field layout,
 zero where the offset reaches a boundary node, so a product runs on the
 (L, n) field arrays.  A scheme is one such stack, over one operand (cds)
-or two (cfds).  Every stack also keeps its planes over the full node array
-with those boundary coefficients, which stepper.boundary_fold applies to
-the boundary data through the same kernel, along the product plan of each
-layout that a stack computes once, when it is built.
+or two (cfds), on its mesh (StencilMatrix.grid).  Every stack also keeps
+its planes over the full node array with those boundary coefficients,
+which stepper.boundary_fold applies to the boundary data through the same
+kernel, along the product plan of each layout that a stack computes once.
 """
 
 from __future__ import annotations

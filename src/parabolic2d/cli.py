@@ -223,7 +223,7 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
     XX, YY = grid.full_mesh()
     full = np.empty((L, grid.My + 1, grid.Mx + 1))
     full[:, 1:-1, 1:-1] = u.reshape(L, grid.ny, grid.nx)
-    (jr, ir), (xr, yr) = grid.boundary_ring()
+    (jr, ir), (xr, yr) = grid.boundary_ring
     full[:, jr, ir] = model.species_field(
         "boundary", boundary(xr, yr, t), L, xr.shape)
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",

@@ -4,8 +4,8 @@ Interior unknowns are stored per species as flat blocks of length
 (Mx-1)*(My-1), ordered x-fastest (lexicographically): node (i, j) with
 1 <= i <= Mx-1, 1 <= j <= My-1 sits at position (j-1)*(Mx-1) + (i-1).
 Boundary values are never stored in field vectors; the stepper folds
-their values on the boundary ring (Grid2D.boundary_ring) into the
-right-hand side.
+their values on the boundary ring (the cached property
+Grid2D.boundary_ring of the scheme's grid) into the right-hand side.
 
 A "field vector" throughout the package is a numpy array of shape
 (L, (Mx-1)*(My-1)), one block row per species.
@@ -66,14 +66,11 @@ class Grid2D:
         """Coordinate arrays of all nodes, shape (My+1, Mx+1)."""
         return np.meshgrid(self.x_nodes(), self.y_nodes())
 
+    @cached_property
     def boundary_ring(self):
         """The 2(Mx+My) boundary nodes, row-major: ((j, i), (x, y)), their
         indices into the full (My+1, Mx+1) node array and their coordinates;
         computed once per grid and read-only."""
-        return self._ring
-
-    @cached_property
-    def _ring(self):
         j, i = np.nonzero(np.pad(np.zeros((self.ny, self.nx), dtype=bool), 1,
                                  constant_values=True))
         x, y = self.x_nodes()[i], self.y_nodes()[j]

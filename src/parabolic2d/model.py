@@ -184,9 +184,9 @@ def make_example2(cos_theta: float = 1.0,
 def check_compatibility(problem: ProblemSpec, grid: Grid2D,
                         g: np.ndarray) -> None:
     """Require the boundary data g at t=0 on the nodes of
-    grid.boundary_ring(), shape (L, 2(Mx+My)), to equal initial(.,.) there;
+    grid.boundary_ring, shape (L, 2(Mx+My)), to equal initial(.,.) there;
     the error names the first species."""
-    _, (x, y) = grid.boundary_ring()
+    _, (x, y) = grid.boundary_ring
     p = species_field("initial", problem.initial(x, y), problem.L, x.shape)
     dev, scale = np.abs(g - p), np.maximum(np.abs(p), 1.0)
     bad = np.any(dev > 1e-12 * scale, axis=1)

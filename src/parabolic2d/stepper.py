@@ -34,11 +34,12 @@ The Newton matrix is I/tau + theta P - theta J (central) or
 Q/tau + theta P - theta Q J (compact), J the pointwise reaction Jacobian.
 The compact one is the derivative of the residual.  A scheme is its one
 stencil stack A (cds.StencilMatrix): P for the central scheme, [Q; P] for
-the compact one, whose operand count gives A.kind.  Every operator product
-is one product of A, there on (x/tau - theta J x, theta x), on the
-residual's two terms, on the ring data of the fold, or on the ring term and
-zeros.  Products run on the (L, n) field arrays, folds on the full node
-arrays.
+the compact one, whose operand count gives A.kind, on its mesh A.grid;
+integrate rejects a grid argument not equal to A.grid.  Every operator
+product is one product of A, there on (x/tau - theta J x, theta x), on the
+residual's two terms, on the ring data of the fold, or on the ring term
+and zeros.  Products run on the (L, n) field arrays, folds on the full
+node arrays.
 
 The central application runs J x on a helper thread (_JxOverlap) while
 the calling thread computes x/tau + theta P x, when both of two conditions
@@ -120,22 +121,22 @@ def _interior_rhs(problem: ProblemSpec, grid: Grid2D, t: float,
 
 def _ring_product(A: StencilMatrix, *vs: np.ndarray) -> np.ndarray:
     """A applied to the operands vs, each the values (L, 2(Mx+My)) on the
-    nodes of A.grid.boundary_ring(), zero elsewhere, through A's full
+    nodes of A.grid.boundary_ring, zero elsewhere, through A's full
     planes; shape (L, n)."""
     grid = A.grid
-    (j, i), _ = grid.boundary_ring()
+    (j, i), _ = grid.boundary_ring
     ring = np.zeros((len(vs) * len(vs[0]), grid.My + 1, grid.Mx + 1))
     ring[:, j, i] = np.concatenate(vs)
     return apply_full(A.full, ring, plan=A.full_plan)[:, 1:-1, 1:-1].reshape(
         -1, grid.n_interior)
 
 
-def boundary_fold(scheme: StencilMatrix, problem: ProblemSpec, grid: Grid2D,
-                  t: float, g: np.ndarray) -> np.ndarray:
+def boundary_fold(scheme: StencilMatrix, problem: ProblemSpec, t: float,
+                  g: np.ndarray) -> np.ndarray:
     """Rate-free boundary part F(t) of the right-hand side, shape (L, n).
 
     g holds the Dirichlet data of every species at time t on the nodes of
-    grid.boundary_ring(), shape (L, 2(Mx+My)).  "cds" gives F = -P g;
+    scheme.grid.boundary_ring, shape (L, 2(Mx+My)).  "cds" gives F = -P g;
     "cfds" gives F = Q (r(g) + xi) - P g, one product of [Q; P], with
     the reaction r and the forcing xi evaluated on the ring only; _boundary_phi
     subtracts Q times the time derivative of g, so that
@@ -143,7 +144,7 @@ def boundary_fold(scheme: StencilMatrix, problem: ProblemSpec, grid: Grid2D,
     """
     if scheme.kind == "cds":
         return -_ring_product(scheme, g)
-    _, (x, y) = grid.boundary_ring()
+    _, (x, y) = scheme.grid.boundary_ring
     r = np.asarray(problem.reaction(x, y, t, g), dtype=float)
     if problem.forcing is not None:
         r = r + np.asarray(problem.forcing(x, y, t), dtype=float)
@@ -165,16 +166,15 @@ class _Layer:
     R: Optional[np.ndarray] = None
 
 
-def _layer(scheme: StencilMatrix, problem: ProblemSpec, grid: Grid2D,
-           t: float) -> _Layer:
+def _layer(scheme: StencilMatrix, problem: ProblemSpec, t: float) -> _Layer:
     """g, xi and F of the layer t, every species in one call each."""
-    _, (x, y) = grid.boundary_ring()
+    _, (x, y) = scheme.grid.boundary_ring
     g = np.broadcast_to(species_field("boundary", problem.boundary(x, y, t),
                                       problem.L, x.shape),
                         (problem.L,) + x.shape)
     xi = None if problem.forcing is None else np.asarray(
-        problem.forcing(*grid.interior_xy, t), dtype=float)
-    return _Layer(t, g, xi, boundary_fold(scheme, problem, grid, t, g))
+        problem.forcing(*scheme.grid.interior_xy, t), dtype=float)
+    return _Layer(t, g, xi, boundary_fold(scheme, problem, t, g))
 
 
 def _boundary_phi(scheme: StencilMatrix, tau: float, theta: float,
@@ -191,24 +191,24 @@ def _boundary_phi(scheme: StencilMatrix, tau: float, theta: float,
     return phi
 
 
-def _step_terms(scheme: StencilMatrix, problem: ProblemSpec, grid: Grid2D,
-                tau: float, theta: float, t_n: float, t1: float,
-                W_old: np.ndarray, old: Optional[_Layer] = None):
+def _step_terms(scheme: StencilMatrix, problem: ProblemSpec, tau: float,
+                theta: float, t_n: float, t1: float, W_old: np.ndarray,
+                old: Optional[_Layer] = None):
     """(old, new, Phi^th): the residual terms fixed within the step from
     (t_n, W_old) to t1; old is the layer t_n with R = R^0 at W_old, new the
     layer t1.  A carried `old` must be that layer of W_old; without it the
     layer is evaluated here, and without its R the R^0 at W_old."""
     if old is None:
-        old = _layer(scheme, problem, grid, t_n)
+        old = _layer(scheme, problem, t_n)
     if old.R is None:
-        old.R = _interior_rhs(problem, grid, t_n, W_old, old.xi)
-    new = _layer(scheme, problem, grid, t1)
+        old.R = _interior_rhs(problem, scheme.grid, t_n, W_old, old.xi)
+    new = _layer(scheme, problem, t1)
     return old, new, _boundary_phi(scheme, tau, theta, old, new)
 
 
 def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: StencilMatrix,
-             problem: ProblemSpec, grid: Grid2D, tau: float, theta: float,
-             t_n: float, *, terms: Optional[tuple] = None) -> np.ndarray:
+             problem: ProblemSpec, tau: float, theta: float, t_n: float, *,
+             terms: Optional[tuple] = None) -> np.ndarray:
     """Nonlinear residual Ups(W_new) of the theta-scheme step from t_n.
 
     `terms` holds the parts fixed within the step (see _step_terms); without
@@ -218,10 +218,10 @@ def residual(W_new: np.ndarray, W_old: np.ndarray, scheme: StencilMatrix,
     gives a residual of NaN, without a stencil product.
     """
     if terms is None:
-        terms = _step_terms(scheme, problem, grid, tau, theta, t_n,
-                            t_n + tau, W_old)
+        terms = _step_terms(scheme, problem, tau, theta, t_n, t_n + tau,
+                            W_old)
     old, new, phi = terms
-    R1 = new.R = _interior_rhs(problem, grid, new.t, W_new, new.xi)
+    R1 = new.R = _interior_rhs(problem, scheme.grid, new.t, W_new, new.xi)
     if not np.isfinite(R1).all():
         return np.full_like(W_new, np.nan)
     wth = theta * W_new + (1.0 - theta) * W_old
@@ -305,13 +305,12 @@ def _apply_jacobian(scheme: StencilMatrix, J: np.ndarray, tau: float,
         matvec(scheme, uv, out=out)
         return
     if overlap is None:
-        np.divide(x, tau, out=out)
-        Px, Jx = matvec(scheme, x), np.einsum("lmn,mn->ln", J, x)
+        Jx = np.einsum("lmn,mn->ln", J, x)
     else:
         Jx = np.empty_like(x)
         overlap.submit(J, x, Jx)
-        np.divide(x, tau, out=out)
-        Px = matvec(scheme, x)
+    np.divide(x, tau, out=out)
+    Px = matvec(scheme, x)
     out += np.multiply(theta, Px, out=Px)
     if overlap is not None:
         overlap.wait()
@@ -330,7 +329,7 @@ def _check_finite(what: str, v: np.ndarray, grid: Grid2D, t_n: float,
 
 
 def advance(W_old: np.ndarray, t_n: float, scheme: StencilMatrix,
-            problem: ProblemSpec, grid: Grid2D, tau: float, theta: float, *,
+            problem: ProblemSpec, tau: float, theta: float, *,
             newton_tol: float = 1e-11, terms: Optional[tuple] = None):
     """One theta-scheme step from the layer W_old at t_n by inexact Newton
     iteration; returns (new layer, SolverReport).
@@ -351,17 +350,17 @@ def advance(W_old: np.ndarray, t_n: float, scheme: StencilMatrix,
     and node; a step that does not converge names those of max |Ups|.
     """
     check_solver_options(theta=theta, tau=tau, newton_tol=newton_tol)
+    grid = scheme.grid
     W_old = validate_field(W_old, grid, problem.L)
     t_start = time.perf_counter()
     L, n = W_old.shape
     if terms is None:
-        terms = _step_terms(scheme, problem, grid, tau, theta, t_n,
-                            t_n + tau, W_old)
+        terms = _step_terms(scheme, problem, tau, theta, t_n, t_n + tau,
+                            W_old)
     xi, yi = grid.interior_xy
     W = W_old.copy()
     _check_finite("reaction", terms[0].R, grid, t_n, 0)
-    ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
-                   terms=terms)
+    ups = residual(W, W_old, scheme, problem, tau, theta, t_n, terms=terms)
     cycles: List[float] = []
     overlap = (scheme.kind == "cds" and L * L * n >= OVERLAP_MIN
                and _cpu_count() >= 2)
@@ -394,7 +393,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: StencilMatrix,
                     f"after {krep.iterations:.1f} cycles")
             W = W + delta
             scale = 1.0 + np.max(np.abs(W))
-            ups = residual(W, W_old, scheme, problem, grid, tau, theta, t_n,
+            ups = residual(W, W_old, scheme, problem, tau, theta, t_n,
                            terms=terms)
             if np.max(np.abs(delta)) <= newton_tol * scale \
                     and np.max(np.abs(ups)) <= newton_tol * scale:
@@ -423,23 +422,26 @@ def integrate(problem: ProblemSpec, grid: Grid2D, time_grid: TimeGrid,
     """March the nodal initial data through all N steps.
 
     Returns (final field, list of per-step SolverReports).  newton_tol is
-    advance's; an invalid theta or newton_tol raises ValueError before the
-    first step.  Step failures propagate as SolverFailure with the failing
-    step index attached.  A report's wall_ms includes the step terms built
-    here before advance, so it counts what a plain advance call counts.
+    advance's; an invalid theta or newton_tol, or a grid not equal to
+    scheme.grid, raises ValueError before any problem call.  Step failures
+    propagate as SolverFailure with the failing step index attached.  A
+    report's wall_ms includes the step terms built here before advance, so
+    it counts what a plain advance call counts.
     """
     check_solver_options(theta=theta, newton_tol=newton_tol)
-    layer = _layer(scheme, problem, grid, time_grid.t(0))
+    if grid != scheme.grid:
+        raise ValueError(f"grid {grid} is not the scheme's grid {scheme.grid}")
+    layer = _layer(scheme, problem, time_grid.t(0))
     check_compatibility(problem, grid, layer.g)
     W = validate_field(initial_field(problem, grid), grid, problem.L)
     reports: List[SolverReport] = []
     for n in range(time_grid.N):
         t_start = time.perf_counter()
-        terms = _step_terms(scheme, problem, grid, time_grid.tau, theta,
+        terms = _step_terms(scheme, problem, time_grid.tau, theta,
                             time_grid.t(n), time_grid.t(n + 1), W, layer)
         terms_ms = (time.perf_counter() - t_start) * 1e3
         try:
-            W, report = advance(W, time_grid.t(n), scheme, problem, grid,
+            W, report = advance(W, time_grid.t(n), scheme, problem,
                                 time_grid.tau, theta, newton_tol=newton_tol,
                                 terms=terms)
         except SolverFailure as exc:

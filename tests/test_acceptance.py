@@ -2,7 +2,8 @@
 
 Each test prints one PASS line (run with -s to see them); failures carry the
 measured values.  Solves are cached and shared across criteria, so the whole
-module runs in roughly ten minutes on a laptop-class machine.
+module runs in about 71 s on a 2-vCPU Intel Xeon with single-threaded BLAS;
+criterion 6 (27 s) and the compact 24/48/96 companion (23 s) take most of it.
 """
 
 import math

@@ -35,14 +35,14 @@ def lone_operators(prob, g, kind):
 
 def ring_data(prob, g, t):
     """Dirichlet data of every species on g's boundary ring, (L, 2(Mx+My))."""
-    _, (x, y) = g.boundary_ring()
+    _, (x, y) = g.boundary_ring
     return np.broadcast_to(prob.boundary(x, y, t),
                            (prob.L,) + x.shape).astype(float)
 
 
 def fold(prob, g, kind, t):
     """boundary_fold of the whole problem at t."""
-    return boundary_fold(build_scheme(prob, g, kind), prob, g, t,
+    return boundary_fold(build_scheme(prob, g, kind), prob, t,
                          ring_data(prob, g, t))
 
 
@@ -256,7 +256,7 @@ def test_apply_full_matches_boundary_ring_definition():
     from parabolic2d import make_example2
     prob = make_example2()
     g = build_grid(prob.X, prob.Y, 5, 5)
-    (j, i), _ = g.boundary_ring()
+    (j, i), _ = g.boundary_ring
     ring = np.zeros((g.My + 1, g.Mx + 1))
     ring[j, i] = ring_data(prob, g, 3.0)[2]
     full = cds_full_stencil(prob, g)[0]   # shared by every species

@@ -105,14 +105,14 @@ def test_field_dump_bytes_match_savetxt(tmp_path):
     u = rng.standard_normal((2, g.n_interior)) * 10.0 ** rng.integers(
         -320, 300, (2, g.n_interior))
     u[0, :4] = [-0.0, 0.0, -1e-310, 5e-324]
-    ring = len(g.boundary_ring()[0][0])
+    ring = len(g.boundary_ring[0][0])
     data = np.stack([np.full(ring, -0.0), -np.linspace(1e-305, 1.0, ring)])
     path = tmp_path / "dump.txt"
     emit_field_dump(u, g, 0.25, str(path), boundary=lambda x, y, t: data)
     XX, YY = g.full_mesh()
     full = np.empty((2, g.My + 1, g.Mx + 1))
     full[:, 1:-1, 1:-1] = u.reshape(2, g.ny, g.nx)
-    (j, i), _ = g.boundary_ring()
+    (j, i), _ = g.boundary_ring
     full[:, j, i] = data
     expected = io.BytesIO()
     for l in range(2):

@@ -14,7 +14,7 @@ def test_build_grid_paper_mesh():
 
 def test_boundary_ring_lists_every_boundary_node_once():
     g = build_grid(3.0, 2.0, 7, 5)
-    (j, i), (x, y) = g.boundary_ring()
+    (j, i), (x, y) = g.boundary_ring
     assert len(j) == len(i) == 2 * (g.Mx + g.My) == 24
     assert len(set(zip(j.tolist(), i.tolist()))) == 24
     on_edge = (i == 0) | (i == g.Mx) | (j == 0) | (j == g.My)
@@ -24,8 +24,8 @@ def test_boundary_ring_lists_every_boundary_node_once():
 
 def test_boundary_ring_is_built_once_and_read_only():
     g = build_grid(3.0, 2.0, 7, 5)
-    (j, i), (x, y) = g.boundary_ring()
-    (j2, i2), (x2, y2) = g.boundary_ring()
+    (j, i), (x, y) = g.boundary_ring
+    (j2, i2), (x2, y2) = g.boundary_ring
     assert j is j2 and i is i2 and x is x2 and y is y2
     for a in (j, i, x, y):
         with pytest.raises(ValueError, match="read-only"):

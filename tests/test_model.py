@@ -144,7 +144,7 @@ def test_example2_initial_values():
 def grid_and_ring_data(prob, M):
     """An M x M grid of prob and the boundary data at t=0 on its ring."""
     grid = build_grid(prob.X, prob.Y, M, M)
-    _, (x, y) = grid.boundary_ring()
+    _, (x, y) = grid.boundary_ring
     return grid, species_field("boundary", prob.boundary(x, y, 0.0), prob.L,
                                x.shape)
 

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import io
 import os
 import re
@@ -25,3 +27,38 @@ def test_flags_list_the_parser_choices():
         listed = re.findall(r"`--([\w-]+) \{([^}]*)\}`", f.read())
     assert [key for key, _ in listed] == list(CHOICES)
     assert {key: tuple(values.split(",")) for key, values in listed} == CHOICES
+
+
+GUARDED = ("build_scheme", "boundary_fold", "residual", "advance",
+           "integrate")
+
+
+def test_backticked_calls_name_the_parameters_in_order():
+    # a backticked call of a stepper entry point that lists its arguments
+    # without "..." names the function's parameters in order, with the
+    # keyword-only marker "*" where the signature has one, and any default
+    # it writes equals the signature's
+    from parabolic2d import stepper
+    with open(README) as f:
+        prose = re.sub(r"```.*?```", "", f.read(), flags=re.S)
+    calls = [call for span in re.findall(r"`([^`]*)`", prose)
+             for call in re.findall(rf"\b({'|'.join(GUARDED)})\(([^()]*)\)",
+                                    span)]
+    checked = []
+    for name, args in calls:
+        if "..." in args:
+            continue
+        params = inspect.signature(getattr(stepper, name)).parameters
+        expected = []
+        for p in params.values():
+            if p.kind is p.KEYWORD_ONLY and "*" not in expected:
+                expected.append("*")
+            expected.append(p.name)
+        written = [a.strip().partition("=") for a in args.split(",")]
+        assert [key for key, _, _ in written] == expected, (name, args)
+        for key, eq, default in written:
+            if eq:
+                assert ast.literal_eval(default) == params[key].default, \
+                    (name, key)
+        checked.append(name)
+    assert {"boundary_fold", "advance", "integrate"} <= set(checked), checked

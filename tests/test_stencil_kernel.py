@@ -307,9 +307,9 @@ def test_fold_matches_ring_definition(mesh, kind, L, shared, seed):
     scheme = StencilMatrix.from_coeffs(
         g, [Pc] if kind == "cds" else [Qc, Pc], L)
     assert scheme.kind == kind
-    (j, i), _ = g.boundary_ring()
+    (j, i), _ = g.boundary_ring
     data, rate = rng.standard_normal((2, L, len(i)))
-    phi = boundary_fold(scheme, constant_problem(), g, 0.0, data)
+    phi = boundary_fold(scheme, constant_problem(), 0.0, data)
     if kind == "cfds":
         phi -= _ring_product(scheme, rate, np.zeros_like(rate))
     expected = np.zeros((L, g.ny, g.nx))
@@ -334,7 +334,7 @@ def test_ring_product_is_the_padded_window_sum(kind, S):
     prob = species_varied_problem()
     g = build_grid(prob.X, prob.Y, 7, 6)
     A = build_scheme(prob if S == "L" else make_example1(), g, kind)
-    (j, i), _ = g.boundary_ring()
+    (j, i), _ = g.boundary_ring
     vs = np.random.default_rng(97).standard_normal(
         ({"cds": 1, "cfds": 2}[kind], prob.L, len(i)))
     w = np.zeros((len(vs) * prob.L, g.My + 1, g.Mx + 1))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import threading
 import time
 import weakref
@@ -32,7 +33,7 @@ def test_residual_zero_for_zero_everything():
     for kind in ("cds", "cfds"):
         sch = build_scheme(prob, g, kind)
         W = np.zeros((1, g.n_interior))
-        ups = residual(W, W, sch, prob, g, 0.1, 0.5, 0.0)
+        ups = residual(W, W, sch, prob, 0.1, 0.5, 0.0)
         assert np.all(ups == 0.0)
 
 
@@ -54,7 +55,7 @@ def test_residual_truncation_order(kind, taus, window):
         sch = build_scheme(prob, g, kind)
         W0 = nodal_exact_field(prob, g, t_n)
         W1 = nodal_exact_field(prob, g, t_n + tau)
-        ups = residual(W1, W0, sch, prob, g, tau, 0.5, t_n)
+        ups = residual(W1, W0, sch, prob, tau, 0.5, t_n)
         scale = 6 * g.hx ** 2 if kind == "cfds" else 1.0
         errs.append(np.max(np.abs(ups)) / scale)
         hs.append(g.hx)
@@ -80,8 +81,8 @@ def test_residual_affine_in_forcing():
     rng = np.random.default_rng(4)
     W0 = rng.standard_normal((prob.L, g.n_interior))
     W1 = rng.standard_normal((prob.L, g.n_interior))
-    u0 = residual(W1, W0, sch0, prob, g, 90.0, 0.5, 100.0)
-    u1 = residual(W1, W0, sch1, shifted, g, 90.0, 0.5, 100.0)
+    u0 = residual(W1, W0, sch0, prob, 90.0, 0.5, 100.0)
+    u1 = residual(W1, W0, sch1, shifted, 90.0, 0.5, 100.0)
     assert np.allclose(u1, u0 - kappa, rtol=0, atol=1e-12)
 
 
@@ -120,8 +121,8 @@ def test_newton_matrix_is_residual_derivative():
         Jx = newton_matrix_apply(sch, prob, g, tau, theta, W, x, t_n + tau)
         errs = []
         for eps in (1e-1, 1e-2, 1e-3):
-            diff = (residual(W + eps * x, W0, sch, prob, g, tau, theta, t_n)
-                    - residual(W, W0, sch, prob, g, tau, theta, t_n)) / eps
+            diff = (residual(W + eps * x, W0, sch, prob, tau, theta, t_n)
+                    - residual(W, W0, sch, prob, tau, theta, t_n)) / eps
             errs.append(np.max(np.abs(diff - Jx)) / np.max(np.abs(Jx)))
         assert errs[2] < 1e-10, errs
         assert 5.0 <= errs[0] / errs[1] <= 20.0, errs
@@ -132,8 +133,7 @@ def test_advance_zero_state_single_iteration():
     prob = constant_problem(a=1.0, b=1.0)
     g = build_grid(1, 1, 4, 4)
     sch = build_scheme(prob, g, "cds")
-    W, report = advance(np.zeros((1, g.n_interior)), 0.0, sch, prob, g, 0.1,
-                        0.5)
+    W, report = advance(np.zeros((1, g.n_interior)), 0.0, sch, prob, 0.1, 0.5)
     assert np.all(W == 0.0)
     assert report.newton_iters == 1
 
@@ -259,7 +259,7 @@ def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     with pytest.raises(error, match=option):
         integrate(prob, g, build_time_grid(prob.T, 2), sch, **{option: value})
     with pytest.raises(error, match=option):
-        advance(initial_field(base, g), 0.0, sch, prob, g, 720.0, 0.5,
+        advance(initial_field(base, g), 0.0, sch, prob, 720.0, 0.5,
                 **{option: value})
     assert calls == []
 
@@ -277,7 +277,7 @@ def test_advance_rejects_bad_theta_and_tau_before_any_problem_call(option,
     sch = build_scheme(prob, g, "cds")
     step = {"tau": 720.0, "theta": 0.5, option: value}
     with pytest.raises(ValueError, match=f"^{option} must be"):
-        advance(initial_field(base, g), 0.0, sch, prob, g, step["tau"],
+        advance(initial_field(base, g), 0.0, sch, prob, step["tau"],
                 step["theta"])
     assert calls == []
 
@@ -300,8 +300,42 @@ def test_advance_rejects_bad_field_before_any_problem_call(bad):
                     r"node \(i=3, j=2\)",
              "shape": "field shape"}[bad]
     with pytest.raises(ValueError, match=match):
-        advance(W, 0.0, sch, prob, g, 720.0, 0.5)
+        advance(W, 0.0, sch, prob, 720.0, 0.5)
     assert calls == []
+
+
+@pytest.mark.parametrize("other", ["extent", "counts"])
+def test_integrate_rejects_a_grid_that_is_not_the_schemes(other):
+    # the scheme carries its mesh: a grid with its node counts but another
+    # extent would step one mesh's data with the other's operator, and one
+    # with other counts would fail in a numpy broadcast after `boundary` ran
+    calls = []
+    base, prob = recording_problem(calls)
+    g = build_grid(prob.X, prob.Y, 8, 8)
+    wrong = {"extent": build_grid(prob.X, 2 * prob.Y, 8, 8),
+             "counts": build_grid(prob.X, prob.Y, 16, 16)}[other]
+    with pytest.raises(ValueError, match=re.escape(
+            f"grid {wrong} is not the scheme's grid {g}")):
+        integrate(prob, wrong, build_time_grid(prob.T, 2),
+                  build_scheme(base, g, "cds"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+def test_integrate_accepts_an_equal_rebuilt_grid(kind):
+    # the check compares values: a grid built again from the same arguments
+    # gives the run of scheme.grid itself, bit for bit
+    prob = make_example1()
+    g = build_grid(prob.X, prob.Y, 8, 8)
+    rebuilt = build_grid(prob.X, prob.Y, 8, 8)
+    assert rebuilt == g and rebuilt is not g
+    sch, tg = build_scheme(prob, g, kind), build_time_grid(prob.T, 4)
+    W, reports = integrate(prob, sch.grid, tg, sch)
+    W_rebuilt, reports_rebuilt = integrate(prob, rebuilt, tg, sch)
+    assert np.array_equal(bits(W_rebuilt), bits(W))
+    assert [(r.newton_iters, r.krylov_cycles, r.final_residual)
+            for r in reports_rebuilt] == [
+        (r.newton_iters, r.krylov_cycles, r.final_residual) for r in reports]
 
 
 def test_integrate_names_the_nonfinite_initial_entry():
@@ -382,10 +416,10 @@ def test_residual_with_step_terms_matches_plain_call(kind):
     rng = np.random.default_rng(11)
     W0 = nodal_exact_field(prob, g, t_n)
     W1 = W0 + 1e-3 * rng.standard_normal(W0.shape)
-    terms = _step_terms(sch, prob, g, tau, theta, t_n, t_n + tau, W0)
+    terms = _step_terms(sch, prob, tau, theta, t_n, t_n + tau, W0)
     assert np.array_equal(
-        residual(W1, W0, sch, prob, g, tau, theta, t_n, terms=terms),
-        residual(W1, W0, sch, prob, g, tau, theta, t_n))
+        residual(W1, W0, sch, prob, tau, theta, t_n, terms=terms),
+        residual(W1, W0, sch, prob, tau, theta, t_n))
 
 
 @pytest.mark.parametrize("kind,tol", [("cds", 1.0), ("cfds", 1.0)])
@@ -492,7 +526,7 @@ def test_residual_matches_dense_oracle(kind, example):
     phi = reference_boundary_phi(kind, prob, g, tau, theta, t_n, t_n + tau)
     expected = np.einsum("lij,lj->li", M, (W1 - W0) / tau - rth) \
         + np.einsum("lij,lj->li", P, wth) - phi
-    ups = residual(W1, W0, sch, prob, g, tau, theta, t_n)
+    ups = residual(W1, W0, sch, prob, tau, theta, t_n)
     assert np.allclose(ups, expected, rtol=1e-12,
                        atol=1e-12 * np.max(np.abs(expected)))
 
@@ -507,12 +541,12 @@ def test_residual_stencil_products(monkeypatch, kind, products):
     g = build_grid(prob.X, prob.Y, 6, 6)
     sch = build_scheme(prob, g, kind)
     W0 = initial_field(prob, g)
-    terms = _step_terms(sch, prob, g, 7.5, 0.5, 0.0, 7.5, W0)
+    terms = _step_terms(sch, prob, 7.5, 0.5, 0.0, 7.5, W0)
     calls = []
     real_matvec = stepper.matvec
     monkeypatch.setattr(stepper, "matvec",
                         lambda A, *xs: calls.append(A) or real_matvec(A, *xs))
-    residual(1.01 * W0, W0, sch, prob, g, 7.5, 0.5, 0.0, terms=terms)
+    residual(1.01 * W0, W0, sch, prob, 7.5, 0.5, 0.0, terms=terms)
     assert len(calls) == products
 
 
@@ -531,7 +565,7 @@ def test_compact_boundary_phi_subtracts_q_times_the_rate(make, S):
                          axis=0)) == S
     tau, theta = 3.0, 0.4
     rng = np.random.default_rng(73)
-    (j, _), _ = g.boundary_ring()
+    (j, _), _ = g.boundary_ring
     old, new = (_Layer(t, rng.standard_normal((prob.L, len(j))), None,
                        rng.standard_normal((prob.L, g.n_interior)))
                 for t in (0.0, tau))
@@ -550,8 +584,8 @@ def test_boundary_phi_matches_full_array_reference(kind, example):
     g = build_grid(prob.X, prob.Y, 6, 6)
     tau, theta, t0 = 7.5, 0.4, 33.0
     sch = build_scheme(prob, g, kind)
-    phi = _boundary_phi(sch, tau, theta, _layer(sch, prob, g, t0),
-                        _layer(sch, prob, g, t0 + tau))
+    phi = _boundary_phi(sch, tau, theta, _layer(sch, prob, t0),
+                        _layer(sch, prob, t0 + tau))
     expected = reference_boundary_phi(kind, prob, g, tau, theta, t0, t0 + tau)
     # example 1 has homogeneous Dirichlet data: its cds fold vanishes
     trivial = (kind, example) == ("cds", "make_example1")
@@ -612,7 +646,7 @@ def test_integrate_matches_plain_advance_loop(kind, example):
     W_run, reports = integrate(prob, g, tg, sch, theta=0.5)
     W = initial_field(prob, g)
     for n in range(tg.N):
-        W, report = advance(W, tg.t(n), sch, prob, g, tg.tau, 0.5)
+        W, report = advance(W, tg.t(n), sch, prob, tg.tau, 0.5)
         assert report.krylov_cycles == reports[n].krylov_cycles
     assert np.array_equal(W_run, W)
 
@@ -636,7 +670,7 @@ def test_plain_advance_evaluates_new_layer_at_t_n_plus_tau(kind):
     g = build_grid(prob.X, prob.Y, 4, 4)
     t_n, tau = 0.1, 0.7
     advance(initial_field(prob, g), t_n, build_scheme(prob, g, kind), prob,
-            g, tau, 0.5)
+            tau, 0.5)
     assert seen == {"boundary": {t_n, t_n + tau}, "forcing": {t_n, t_n + tau},
                     "jacobian": {t_n + tau}}
 
@@ -655,7 +689,7 @@ def test_hoisted_step_matches_public_residual_driver():
     for kind in ("cds", "cfds"):
         sch = build_scheme(prob, g, kind)
         W = W0.copy()
-        ups = residual(W, W0, sch, prob, g, tau, theta, t_n)
+        ups = residual(W, W0, sch, prob, tau, theta, t_n)
         for _ in range(25):
             delta, rep = bicgstab_l(
                 writing(lambda v, W=W: newton_matrix_apply(
@@ -665,12 +699,12 @@ def test_hoisted_step_matches_public_residual_driver():
             assert rep.converged
             delta = delta.reshape(W.shape)
             W = W + delta
-            ups = residual(W, W0, sch, prob, g, tau, theta, t_n)
+            ups = residual(W, W0, sch, prob, tau, theta, t_n)
             scale = 1.0 + np.max(np.abs(W))
             if np.max(np.abs(delta)) <= 1e-11 * scale \
                     and np.max(np.abs(ups)) <= 1e-11 * scale:
                 break
-        W_step, _ = advance(W0, t_n, sch, prob, g, tau, theta)
+        W_step, _ = advance(W0, t_n, sch, prob, tau, theta)
         assert np.array_equal(W_step, W), kind
 
 
@@ -748,7 +782,7 @@ def test_nonfinite_input_fails_at_once_naming_the_node(kind, what):
     W = np.full((1, g.n_interior), 1.5)
     with pytest.raises(SolverFailure, match=rf"non-finite {what} .* "
                        r"iteration 0: species 0, node \(i=2, j=3\)"):
-        advance(W, 0.0, build_scheme(prob, g, "cds"), prob, g, 0.25, 0.5)
+        advance(W, 0.0, build_scheme(prob, g, "cds"), prob, 0.25, 0.5)
 
 
 def test_nonfinite_jacobian_names_both_species():
@@ -809,7 +843,7 @@ def test_nonfinite_newton_update_fails_at_once(monkeypatch):
     W = np.full((1, g.n_interior), 1.5)
     with pytest.raises(SolverFailure, match=r"non-finite Newton update .* "
                        r"iteration 0: species 0, node \(i=2, j=3\)"):
-        advance(W, 0.0, build_scheme(prob, g, "cds"), prob, g, 0.25, 0.5)
+        advance(W, 0.0, build_scheme(prob, g, "cds"), prob, 0.25, 0.5)
 
 
 def test_layer_times_come_from_time_grid():
