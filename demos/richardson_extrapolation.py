@@ -31,9 +31,9 @@ def solve(kind, M, N):
 
 
 def space_study(kind, sigma, cases):
-    w = re_weights(sigma)
+    gamma1, gamma2 = re_weights(sigma)
     print(f"\n{kind.upper()} + extrapolation in space "
-          f"(weights {w.gamma1:+.4f}, {w.gamma2:+.4f}):")
+          f"(weights {gamma1:+.4f}, {gamma2:+.4f}):")
     prev = None
     for M, N in cases:
         W, grid, tg = solve(kind, M, N)

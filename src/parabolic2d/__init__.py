@@ -19,8 +19,7 @@ from .krylov import KrylovBreakdown, KrylovReport, bicgstab_l, matvec
 from .stepper import (SolverFailure, SolverReport, advance, average_counts,
                       boundary_fold, build_scheme, initial_field, integrate,
                       residual)
-from .richardson import (REWeights, extrapolate_space, extrapolate_spacetime,
-                         re_weights)
+from .richardson import extrapolate_space, extrapolate_spacetime, re_weights
 from .analysis import (ConvergenceRow, max_norm_error, positivity_scan,
                        probe_values, ratio_and_order, runge_order)
 

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import Grid2D, lex_index, restrict, to_interior_grid
+from .grid import Grid2D, lex_index, restrict, to_interior_grid, validate_field
 from .model import species_field
 
 
@@ -57,7 +57,8 @@ def ratio_and_order(errors: Sequence[Tuple[int, float]]) -> List[ConvergenceRow]
 
 
 def probe_values(u: np.ndarray, grid: Grid2D, x: float, y: float) -> np.ndarray:
-    """Per-species values at the grid node nearest (x, y); must be a node."""
+    """Per-species values of the finite field u of grid at the grid node
+    nearest (x, y); must be a node."""
     fi, fj = x / grid.hx, y / grid.hy
     i, j = round(fi), round(fj)
     if abs(fi - i) > 1e-9 * max(1.0, abs(fi)) or abs(fj - j) > 1e-9 * max(1.0, abs(fj)):
@@ -65,8 +66,7 @@ def probe_values(u: np.ndarray, grid: Grid2D, x: float, y: float) -> np.ndarray:
                          f"{grid.Mx}x{grid.My} grid")
     if not 1 <= j <= grid.My - 1:
         raise ValueError(f"j={j} outside interior range 1..{grid.My - 1}")
-    k = lex_index(i, j, grid.Mx)
-    return np.asarray(u, dtype=float)[:, k]
+    return validate_field(u, grid)[:, lex_index(i, j, grid.Mx)]
 
 
 def runge_order(u_h: np.ndarray, u_h2: np.ndarray, u_h4: np.ndarray,

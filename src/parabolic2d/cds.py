@@ -10,13 +10,13 @@ interior nodes, with entries (offsets relative to the centre node)
 compose builds it, and the compact pair of cfds, from the 1-D factors of
 basis, exact numerators over divisors: each entry is its formula bit for bit.
 
-A stencil matrix stores one plane per live offset in the field layout,
-zero where the offset reaches a boundary node, so a product runs on the
-(L, n) field arrays.  A scheme is one such stack, over one operand (cds)
-or two (cfds), on its mesh (StencilMatrix.grid).  Every stack also keeps
-its planes over the full node array with those boundary coefficients,
-which stepper.boundary_fold applies to the boundary data through the same
-kernel, along the product plan of each layout that a stack computes once.
+A stencil matrix stores one plane per live offset over the full node
+array, with the coefficients that reach boundary nodes, which
+stepper.boundary_fold applies to the boundary data.  From them it derives
+once its planes in the field layout, zero where the offset reaches a
+boundary node, so a product runs on the (L, n) field arrays through the
+same kernel, and the product plan of each layout.  A scheme is one such
+stack, over one operand (cds) or two (cfds), on its mesh (.grid).
 """
 
 from __future__ import annotations
@@ -41,19 +41,18 @@ class StencilMatrix:
     for the compact stack [Q; P], whose operand 0 is read by Q and operand
     1 by P, so one product gives Q u + P v.
 
-    planes[m, l, j, i] multiplies, at interior node (i, j) of species l, the
-    value of operand o at (i+k1, j+k2) for the m-th live offset (k1, k2, o)
-    = offsets[m], by operand and in OFFSETS order, and is zero where that is
-    a boundary node.  full holds the same L species rows over the full node
-    array, with those boundary coefficients and a zero ring.  plan and
-    full_plan are the product_plan of the field and of the full node
-    layout.  A stack has at least one live offset: the centre entry of the
-    central P and of the compact Q is positive.  A stack is a scheme, of
-    kind "cds" over one operand and "cfds" over two; more is a ValueError.
+    full[m, l, j, i] multiplies, at interior node (i, j) of species l of
+    the full node array, the value of operand o at (i+k1, j+k2) for the
+    m-th live offset (k1, k2, o) = offsets[m], by operand and in OFFSETS
+    order; its ring is zero.  The stack derives the rest once: planes, the
+    interior of full in the field layout, zero where the offset reaches a
+    boundary node; kind, "cds" over one operand and "cfds" over two (more
+    is a ValueError); and plan and full_plan, the product_plan of the field
+    and of the full node layout.  A stack has at least one live offset: the
+    centre entry of the central P and of the compact Q is positive.
     """
 
     grid: Grid2D
-    planes: np.ndarray      # (k, L, My-1, Mx-1)
     offsets: tuple          # k live offsets (k1, k2, o)
     full: np.ndarray        # (k, L, My+1, Mx+1)
 
@@ -64,24 +63,23 @@ class StencilMatrix:
         if K > len(KINDS):
             raise ValueError(f"a stencil stack reads 1 or 2 operands, not {K}")
         self.kind = KINDS[K - 1]
+        self.planes = self.full[:, :, 1:-1, 1:-1].copy()   # (k, L, My-1, Mx-1)
+        for plane, (k1, k2, _) in zip(self.planes, self.offsets):
+            plane[:, :, EDGE[k1]] = plane[:, EDGE[k2]] = 0.0
         self.plan = product_plan(self.offsets, self.planes.shape[1:])
         self.full_plan = product_plan(self.offsets, self.full.shape[1:])
 
     @classmethod
     def from_coeffs(cls, grid: Grid2D, coeffs: list, L: int) -> StencilMatrix:
         """Tile the list of per-operand arrays coeffs[o][s, k1+1, k2+1, j-1,
-        i-1], each (S, 3, 3, My-1, Mx-1), into the live full and product
-        planes of L species: S = L gives one row per species, S = 1 one for
-        all."""
+        i-1], each (S, 3, 3, My-1, Mx-1), into the live full planes of L
+        species: S = L gives one row per species, S = 1 one for all."""
         offsets = tuple((k1, k2, o) for o, c in enumerate(coeffs)
                         for k1, k2 in OFFSETS if np.any(c[:, k1 + 1, k2 + 1]))
         full = np.zeros((len(offsets), L, grid.My + 1, grid.Mx + 1))
         for plane, (k1, k2, o) in zip(full, offsets):
             plane[:, 1:-1, 1:-1] = coeffs[o][:, k1 + 1, k2 + 1]
-        planes = full[:, :, 1:-1, 1:-1].copy()
-        for plane, (k1, k2, _) in zip(planes, offsets):
-            plane[:, :, EDGE[k1]] = plane[:, EDGE[k2]] = 0.0
-        return cls(grid, planes, offsets, full)
+        return cls(grid, offsets, full)
 
     def to_dense(self) -> np.ndarray:
         """Dense (L, n, K n) matrix, one per species, with operand o in

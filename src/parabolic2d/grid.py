@@ -6,6 +6,8 @@ Interior unknowns are stored per species as flat blocks of length
 Boundary values are never stored in field vectors; the stepper folds
 their values on the boundary ring (the cached property
 Grid2D.boundary_ring of the scheme's grid) into the right-hand side.
+Grid2D and TimeGrid keep only their extents and counts; the spacings hx,
+hy and the step tau are derived from them, so they always match.
 
 A "field vector" throughout the package is a numpy array of shape
 (L, (Mx-1)*(My-1)), one block row per species.
@@ -28,8 +30,14 @@ class Grid2D:
     Y: float
     Mx: int
     My: int
-    hx: float
-    hy: float
+
+    @property
+    def hx(self) -> float:
+        return self.X / self.Mx
+
+    @property
+    def hy(self) -> float:
+        return self.Y / self.My
 
     @property
     def nx(self) -> int:
@@ -85,7 +93,10 @@ class TimeGrid:
 
     T: float
     N: int
-    tau: float
+
+    @property
+    def tau(self) -> float:
+        return self.T / self.N
 
     def t(self, n: int) -> float:
         return n * self.tau
@@ -96,9 +107,9 @@ def is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def _count(name: str, value, least: int) -> int:
+def check_count(name: str, value, least: int) -> int:
     """value as an int; rejects a bool, a non-integral value and value < least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+    if is_bool(value) or not isinstance(value, numbers.Real) \
             or not float(value).is_integer() or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, "
                          f"got {value!r}")
@@ -111,9 +122,8 @@ def build_grid(X: float, Y: float, Mx: int, My: int) -> Grid2D:
     if is_bool(X) or is_bool(Y) or not (0 < X < np.inf and 0 < Y < np.inf):
         raise ValueError(f"domain extents must be positive and finite, "
                          f"got X={X}, Y={Y}")
-    Mx, My = _count("Mx", Mx, 2), _count("My", My, 2)
-    return Grid2D(X=float(X), Y=float(Y), Mx=Mx, My=My,
-                  hx=float(X) / Mx, hy=float(Y) / My)
+    Mx, My = check_count("Mx", Mx, 2), check_count("My", My, 2)
+    return Grid2D(X=float(X), Y=float(Y), Mx=Mx, My=My)
 
 
 def build_time_grid(T: float, N: int) -> TimeGrid:
@@ -121,8 +131,7 @@ def build_time_grid(T: float, N: int) -> TimeGrid:
     integral N >= 1, neither a bool."""
     if is_bool(T) or not 0 < T < np.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
-    N = _count("N", N, 1)
-    return TimeGrid(T=float(T), N=N, tau=float(T) / N)
+    return TimeGrid(T=float(T), N=check_count("N", N, 1))
 
 
 def lex_index(i: int, j: int, Mx: int) -> int:

@@ -19,13 +19,12 @@ makes a step's second one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cds import StencilMatrix, apply_full
-from .grid import is_bool
+from .grid import check_count, is_bool
 
 
 class KrylovBreakdown(RuntimeError):
@@ -49,11 +48,8 @@ def check_solver_options(**options) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
         if name == "theta" and (is_bool(value) or not 0 <= value <= 1):
             raise ValueError(f"theta must be in [0, 1], got {value}")
-        if name == "maxit" and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral) or value < 1):
-            raise ValueError(f"{name} must be an integer of at least 1, "
-                             f"got {value!r}")
+        if name == "maxit":
+            check_count(name, value, 1)
 
 
 def matvec(A: StencilMatrix, w: np.ndarray, *, out=None) -> np.ndarray:

@@ -9,40 +9,34 @@ scheme of order sigma.  The space-time variant tensors the spatial weights
 with temporal ones over four solves on {(h,tau), (h,tau/2), (h/2,tau),
 (h/2,tau/2)}, removing both leading terms at once.  The temporal sigma is
 the theta-scheme's order: 2 for theta = 1/2 (Crank-Nicolson), else 1.
+re_weights gives the pair (gamma1, gamma2).  Every field an extrapolation
+reads must be finite, of its mesh and of the others' species.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Grid2D, TimeGrid, is_bool, restrict
+from .grid import Grid2D, TimeGrid, is_bool, restrict, validate_field
 
 
-@dataclass(frozen=True)
-class REWeights:
-    gamma1: float
-    gamma2: float
-
-
-def re_weights(sigma: int) -> REWeights:
-    """Weights (gamma1, gamma2) eliminating the h^sigma term; sigma=2 gives
-    (-1/3, 4/3), sigma=4 gives (-1/15, 16/15)."""
+def re_weights(sigma: int) -> tuple:
+    """The weights (gamma1, gamma2) eliminating the h^sigma term; sigma=2
+    gives (-1/3, 4/3), sigma=4 gives (-1/15, 16/15)."""
     if is_bool(sigma) or not 1 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and >= 1, got {sigma}")
     gamma2 = 2.0 ** sigma / (2.0 ** sigma - 1.0)
-    return REWeights(gamma1=1.0 - gamma2, gamma2=gamma2)
+    return 1.0 - gamma2, gamma2
 
 
 def extrapolate_space(u_h: np.ndarray, u_h2: np.ndarray, coarse_grid: Grid2D,
                       fine_grid: Grid2D, sigma: int) -> np.ndarray:
     """gamma1 * u_h + gamma2 * (u_h2 restricted to the coarse mesh)."""
-    w = re_weights(sigma)
+    gamma1, gamma2 = re_weights(sigma)
     if fine_grid.Mx != 2 * coarse_grid.Mx or fine_grid.My != 2 * coarse_grid.My:
         raise ValueError("spatial extrapolation needs a factor-2 refinement")
-    return w.gamma1 * np.asarray(u_h, dtype=float) \
-        + w.gamma2 * restrict(u_h2, fine_grid, coarse_grid)
+    fine = restrict(u_h2, fine_grid, coarse_grid)
+    return gamma1 * validate_field(u_h, coarse_grid, len(fine)) + gamma2 * fine
 
 
 def extrapolate_spacetime(u_hh: np.ndarray, u_ht: np.ndarray,
@@ -60,9 +54,10 @@ def extrapolate_spacetime(u_hh: np.ndarray, u_ht: np.ndarray,
         raise ValueError("space-time extrapolation needs a factor-2 space refinement")
     if fine_time.N != 2 * coarse_time.N or fine_time.T != coarse_time.T:
         raise ValueError("space-time extrapolation needs a factor-2 time refinement")
-    ws, wt = re_weights(sigma_space), re_weights(sigma_time)
+    (s1, s2), (t1, t2) = re_weights(sigma_space), re_weights(sigma_time)
     fine_h = restrict(u_fh, fine_grid, coarse_grid)
     fine_t = restrict(u_ft, fine_grid, coarse_grid)
-    return (ws.gamma1 * wt.gamma1 * np.asarray(u_hh, dtype=float)
-            + ws.gamma1 * wt.gamma2 * np.asarray(u_ht, dtype=float)
-            + ws.gamma2 * wt.gamma1 * fine_h + ws.gamma2 * wt.gamma2 * fine_t)
+    u_hh, u_ht, fine_t = (validate_field(u, coarse_grid, len(fine_h))
+                          for u in (u_hh, u_ht, fine_t))
+    return (s1 * t1 * u_hh + s1 * t2 * u_ht
+            + s2 * t1 * fine_h + s2 * t2 * fine_t)

@@ -90,13 +90,16 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class SolverReport:
-    """Per-step iteration counts and timings; wall_ms is the step's wall
-    time, the building of its terms included."""
+    """Per step: the Krylov cycles of each Newton iteration, their count
+    newton_iters, and the wall time wall_ms, step terms included."""
 
-    newton_iters: int
     krylov_cycles: List[float]
     wall_ms: float
     final_residual: float
+
+    @property
+    def newton_iters(self) -> int:
+        return len(self.krylov_cycles)
 
 
 def build_scheme(problem: ProblemSpec, grid: Grid2D,
@@ -404,7 +407,7 @@ def advance(W_old: np.ndarray, t_n: float, scheme: StencilMatrix,
                 f"Newton did not converge in {MAX_NEWTON} iterations at "
                 f"t={t_n:.6g}: max |Ups| {abs(ups.flat[k]):.3e} at "
                 f"{species_node(ups, k, grid)}")
-    return W, SolverReport(newton_iters=len(cycles), krylov_cycles=cycles,
+    return W, SolverReport(krylov_cycles=cycles,
                            wall_ms=(time.perf_counter() - t_start) * 1e3,
                            final_residual=float(np.max(np.abs(ups))))
 

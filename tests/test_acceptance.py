@@ -260,9 +260,9 @@ def test_criterion_8_unit_oracles():
 
     # extrapolation weight identities
     for sigma in (1, 2, 3, 4, 5, 6):
-        w = re_weights(sigma)
-        assert abs(w.gamma1 + w.gamma2 - 1.0) <= 1e-15
-        assert abs(w.gamma1 + w.gamma2 / 2 ** sigma) <= 1e-15
+        gamma1, gamma2 = re_weights(sigma)
+        assert abs(gamma1 + gamma2 - 1.0) <= 1e-15
+        assert abs(gamma1 + gamma2 / 2 ** sigma) <= 1e-15
 
     # synthetic power-law extrapolation cancels to roundoff
     for sigma in (2, 4):

@@ -127,3 +127,18 @@ def test_probe_values_and_validation():
     for x, y in ((250.0, 500.0), (250.0, 0.0), (0.0, 250.0), (500.0, 250.0)):
         with pytest.raises(ValueError, match="outside interior range"):
             probe_values(u, g, x, y)
+
+
+def test_probe_values_checks_the_field():
+    # a field of another grid, or with a NaN, used to be indexed as it was
+    g = build_grid(500, 500, 8, 8)
+    u = np.ones((2, g.n_interior))
+    with pytest.raises(ValueError, match="does not match grid"):
+        probe_values(u[:, :-1], g, 250.0, 250.0)
+    u[1, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite entry at species 1"):
+        probe_values(u, g, 250.0, 250.0)
+    grids, sols = grids_and_powerlaw(2)
+    with pytest.raises(ValueError, match="non-finite"):
+        runge_order(np.full_like(sols[0], np.nan), sols[1], sols[2], *grids,
+                    probe=(0.5, 1.0))

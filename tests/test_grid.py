@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from parabolic2d import (build_grid, build_time_grid, lex_index, restrict,
-                         to_interior_grid, validate_field)
+from parabolic2d import (Grid2D, TimeGrid, build_grid, build_time_grid,
+                         lex_index, restrict, to_interior_grid,
+                         validate_field)
 
 
 def test_build_grid_paper_mesh():
@@ -30,6 +33,25 @@ def test_boundary_ring_is_built_once_and_read_only():
     for a in (j, i, x, y):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
+
+
+def test_records_keep_only_what_they_are_built_from():
+    # the spacings are derived from the extents and counts, so a replaced
+    # count moves them: a grid replaced to My=16 used to keep hy = Y/8 and
+    # put its nodes out to 2Y, a time grid its tau = T/8
+    assert [f.name for f in dataclasses.fields(Grid2D)] == ["X", "Y", "Mx",
+                                                           "My"]
+    assert [f.name for f in dataclasses.fields(TimeGrid)] == ["T", "N"]
+    g = dataclasses.replace(build_grid(500, 500, 8, 8), My=16)
+    assert g == build_grid(500, 500, 8, 16)
+    assert (g.hx, g.hy, g.y_nodes()[-1]) == (62.5, 31.25, 500.0)
+    tg = dataclasses.replace(build_time_grid(1440, 8), N=16)
+    assert tg == build_time_grid(1440, 16) and tg.tau == 90.0
+    assert tg.t(tg.N) == tg.T
+    with pytest.raises(TypeError):
+        Grid2D(500.0, 500.0, 8, 8, 62.5, 62.5)
+    with pytest.raises(TypeError):
+        TimeGrid(1440.0, 8, 180.0)
 
 
 def test_build_grid_smallest():

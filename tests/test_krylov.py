@@ -261,6 +261,20 @@ def test_bicgstab_maxit_reports_nonconvergence():
     assert rep.iterations <= 1.0
 
 
+def test_bicgstab_takes_an_integral_float_maxit():
+    # maxit follows the one count rule of the grid builders (grid.check_count):
+    # an integral float is its integer, so 4.0 gives the maxit=4 run bit for
+    # bit; it used to be rejected
+    rng = np.random.default_rng(37)
+    d, b = np.logspace(0, 8, 60), rng.standard_normal(60)
+    x4, rep4 = bicgstab_l(writing(lambda v: d * v), b, tol=1e-14, maxit=4)
+    assert not rep4.converged and rep4.iterations == 4.0
+    for maxit in (4.0, np.float64(4.0), np.int64(4)):
+        x, rep = bicgstab_l(writing(lambda v: d * v), b, tol=1e-14,
+                            maxit=maxit)
+        assert np.array_equal(bits(x), bits(x4)) and rep == rep4
+
+
 def test_bicgstab_parameter_validation():
     op = writing(lambda v: v)
     with pytest.raises(TypeError, match="ell"):
@@ -272,7 +286,7 @@ def test_bicgstab_parameter_validation():
 @pytest.mark.parametrize("option,value", [
     ("tol", float("nan")), ("tol", float("inf")), ("maxit", 2.5),
     ("maxit", float("nan")), ("maxit", 0), ("maxit", True), ("tol", True),
-    ("tol", np.True_)])
+    ("tol", np.True_), ("maxit", float("inf")), ("maxit", np.True_)])
 def test_bicgstab_checks_options_like_advance(option, value):
     # the rules of check_solver_options, before any application of A
     from parabolic2d import stepper

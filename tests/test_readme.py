@@ -30,15 +30,15 @@ def test_flags_list_the_parser_choices():
 
 
 GUARDED = ("build_scheme", "boundary_fold", "residual", "advance",
-           "integrate")
+           "integrate", "Grid2D", "TimeGrid", "StencilMatrix")
 
 
 def test_backticked_calls_name_the_parameters_in_order():
-    # a backticked call of a stepper entry point that lists its arguments
-    # without "..." names the function's parameters in order, with the
-    # keyword-only marker "*" where the signature has one, and any default
-    # it writes equals the signature's
-    from parabolic2d import stepper
+    # a backticked call of a stepper entry point or a record constructor
+    # that lists its arguments without "..." names the parameters in order,
+    # with the keyword-only marker "*" where the signature has one, and any
+    # default it writes equals the signature's
+    import parabolic2d
     with open(README) as f:
         prose = re.sub(r"```.*?```", "", f.read(), flags=re.S)
     calls = [call for span in re.findall(r"`([^`]*)`", prose)
@@ -48,7 +48,7 @@ def test_backticked_calls_name_the_parameters_in_order():
     for name, args in calls:
         if "..." in args:
             continue
-        params = inspect.signature(getattr(stepper, name)).parameters
+        params = inspect.signature(getattr(parabolic2d, name)).parameters
         expected = []
         for p in params.values():
             if p.kind is p.KEYWORD_ONLY and "*" not in expected:
@@ -61,4 +61,5 @@ def test_backticked_calls_name_the_parameters_in_order():
                 assert ast.literal_eval(default) == params[key].default, \
                     (name, key)
         checked.append(name)
-    assert {"boundary_fold", "advance", "integrate"} <= set(checked), checked
+    assert {"boundary_fold", "advance", "integrate", "Grid2D", "TimeGrid",
+            "StencilMatrix"} <= set(checked), checked

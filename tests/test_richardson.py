@@ -11,25 +11,25 @@ from parabolic2d import (build_grid, build_time_grid, extrapolate_space,
                                          (4, -1 / 15, 16 / 15),
                                          (6, -1 / 63, 64 / 63)])
 def test_weights_values(sigma, g1, g2):
-    w = re_weights(sigma)
-    assert w.gamma1 == pytest.approx(g1, abs=1e-15)
-    assert w.gamma2 == pytest.approx(g2, abs=1e-15)
+    gamma1, gamma2 = re_weights(sigma)
+    assert gamma1 == pytest.approx(g1, abs=1e-15)
+    assert gamma2 == pytest.approx(g2, abs=1e-15)
 
 
 @pytest.mark.parametrize("sigma", range(1, 12))
 def test_weight_identities(sigma):
-    w = re_weights(sigma)
-    assert abs(w.gamma1 + w.gamma2 - 1.0) <= 1e-15
-    assert abs(w.gamma1 + w.gamma2 / 2 ** sigma) <= 1e-15
+    gamma1, gamma2 = re_weights(sigma)
+    assert abs(gamma1 + gamma2 - 1.0) <= 1e-15
+    assert abs(gamma1 + gamma2 / 2 ** sigma) <= 1e-15
 
 
 @given(sigma=st.integers(1, 40))
 def test_weight_identities_up_to_sigma_40(sigma):
     # gamma1 = 1 - gamma2 is exact for gamma2 in (1, 2]; the cancellation
     # misses zero by at most a quarter of an ulp of 1 (2**-54) for sigma <= 40
-    w = re_weights(sigma)
-    assert w.gamma1 + w.gamma2 == 1.0
-    assert abs(w.gamma1 + w.gamma2 / 2 ** sigma) <= 2.0 ** -53
+    gamma1, gamma2 = re_weights(sigma)
+    assert gamma1 + gamma2 == 1.0
+    assert abs(gamma1 + gamma2 / 2 ** sigma) <= 2.0 ** -53
 
 
 def test_weights_reject_bad_sigma():
@@ -113,3 +113,49 @@ def test_spacetime_rejects_bad_time_nesting():
     zf = np.zeros((1, gf.n_interior))
     with pytest.raises(ValueError):
         extrapolate_spacetime(z, z, zf, zf, gc, gf, tc, tf, 2, 2)
+
+
+def mismatched_coarse_fields(gc):
+    # the coarse field of one species of ten, a coarse field of one node
+    # per species, and a coarse field with a NaN
+    W = np.random.default_rng(9).standard_normal((10, gc.n_interior))
+    nan = W.copy()
+    nan[3, 4] = np.nan
+    return W, [(W[:1], "expected 10 species, got 1"),
+               (W[:, :1], r"field shape \(10, 1\)"),
+               (nan, "non-finite entry at species 3, node")]
+
+
+def test_space_checks_the_coarse_field():
+    # a coarse field used to broadcast against the restricted fine one
+    # (W[:1] gave a (10, 9) result), and a NaN in it passed
+    gc, gf = build_grid(1, 1, 4, 4), build_grid(1, 1, 8, 8)
+    W, bad = mismatched_coarse_fields(gc)
+    W2 = np.random.default_rng(10).standard_normal((10, gf.n_interior))
+    assert extrapolate_space(W, W2, gc, gf, 2).shape == W.shape
+    for u_h, match in bad:
+        with pytest.raises(ValueError, match=match):
+            extrapolate_space(u_h, W2, gc, gf, 2)
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_spacetime_checks_the_coarse_fields(slot):
+    gc, gf = build_grid(1, 1, 4, 4), build_grid(1, 1, 8, 8)
+    tc, tf = build_time_grid(1.0, 10), build_time_grid(1.0, 20)
+    W, bad = mismatched_coarse_fields(gc)
+    W2 = np.random.default_rng(10).standard_normal((10, gf.n_interior))
+    for u, match in bad:
+        coarse = [W, W]
+        coarse[slot] = u
+        with pytest.raises(ValueError, match=match):
+            extrapolate_spacetime(*coarse, W2, W2, gc, gf, tc, tf, 2, 2)
+    # so is the second fine field, against the species of the first
+    with pytest.raises(ValueError, match="expected 10 species, got 1"):
+        extrapolate_spacetime(W, W, W2, W2[:1], gc, gf, tc, tf, 2, 2)
+
+
+def test_weights_are_a_pair():
+    # re_weights gives the tuple (gamma1, gamma2); the record type is gone
+    import parabolic2d
+    assert re_weights(2) == (1.0 - 4.0 / 3.0, 4.0 / 3.0)
+    assert not hasattr(parabolic2d, "REWeights")

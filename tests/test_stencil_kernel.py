@@ -2,6 +2,8 @@
 full node layouts, the padded product it replaces, the dense oracle and the
 boundary fold."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,8 +95,8 @@ def operator(name, S):
     ops = lone_operators(prob, g, kind)
     A = ops[1] if name == "cfds-P" else ops[0]
     if S == "1":
-        A = StencilMatrix(g, np.repeat(A.planes[:, 2:3], prob.L, axis=1),
-                          A.offsets, np.repeat(A.full[:, 2:3], prob.L, axis=1))
+        A = StencilMatrix(g, A.offsets,
+                          np.repeat(A.full[:, 2:3], prob.L, axis=1))
     return A, prob.L
 
 
@@ -254,7 +256,7 @@ def test_matvec_is_linear(mesh, L, operands, ab, seed):
     x, y = rng.standard_normal((2, operands * L, g.n_interior))
     lhs = matvec(A, a * x + b * y)
     rhs = a * matvec(A, x) + b * matvec(A, y)
-    absA = StencilMatrix(g, np.abs(A.planes), A.offsets, np.abs(A.full))
+    absA = StencilMatrix(g, A.offsets, np.abs(A.full))
     scale = abs(a) * matvec(absA, np.abs(x)) + abs(b) * matvec(absA, np.abs(y))
     assert np.all(np.abs(lhs - rhs) <= 4e-15 * np.max(scale))
 
@@ -264,7 +266,7 @@ def test_stack_needs_full_planes():
     g = build_grid(1.0, 1.0, 4, 5)
     A = StencilMatrix.from_coeffs(g, [np.ones((1, 3, 3, g.ny, g.nx))], 2)
     with pytest.raises(TypeError, match="full"):
-        StencilMatrix(g, A.planes, A.offsets)
+        StencilMatrix(g, A.offsets)
 
 
 def test_stack_needs_a_live_offset():
@@ -409,3 +411,27 @@ def test_stack_builds_its_plans_once(kind, monkeypatch):
     stepper.integrate(prob, g, build_time_grid(60.0, 2), A)
     assert built == []
     assert A.plan is plans[0] and A.full_plan is plans[1]
+
+
+@pytest.mark.parametrize("kind", ["cds", "cfds"])
+@pytest.mark.parametrize("S", ["1", "L"])
+def test_stack_derives_its_field_planes(kind, S):
+    # a stack is built from its offsets and full planes alone: the field
+    # planes, kind and plans it derives are those of build_scheme's stack
+    # bit for bit, and the field planes are a copy, not a view of full
+    prob = species_varied_problem() if S == "L" else make_example2()
+    g = build_grid(prob.X, prob.Y, 7, 6)
+    A = build_scheme(prob, g, kind)
+    distinct = len(np.unique(A.planes.swapaxes(0, 1).reshape(prob.L, -1),
+                             axis=0))
+    assert distinct == {"1": 1, "L": prob.L}[S]
+    B = StencilMatrix(g, A.offsets, A.full)
+    assert np.array_equal(bits(B.planes), bits(A.planes))
+    assert (B.kind, B.plan, B.full_plan) == (A.kind, A.plan, A.full_plan)
+    assert not np.may_share_memory(B.planes, B.full)
+    assert_layouts_agree(B)
+    # the field planes are no longer an argument that could disagree
+    with pytest.raises(TypeError):
+        StencilMatrix(g, A.planes, A.offsets, A.full)
+    assert [f.name for f in dataclasses.fields(StencilMatrix)] == [
+        "grid", "offsets", "full"]

@@ -13,8 +13,8 @@ from parabolic2d import (build_grid, build_time_grid, build_scheme, integrate,
 from parabolic2d.cds import StencilMatrix, cds_full_stencil
 from parabolic2d.krylov import bicgstab_l
 from parabolic2d.model import MU_FAST, ProblemSpec
-from parabolic2d.stepper import (OVERLAP_MIN, SolverFailure, advance,
-                                 initial_field, residual)
+from parabolic2d.stepper import (OVERLAP_MIN, SolverFailure, SolverReport,
+                                 advance, initial_field, residual)
 
 from test_cds import constant_problem, lone_operators
 from test_krylov import (bits, newton_matrix_apply, species_varied_problem,
@@ -336,6 +336,35 @@ def test_integrate_accepts_an_equal_rebuilt_grid(kind):
     assert [(r.newton_iters, r.krylov_cycles, r.final_residual)
             for r in reports_rebuilt] == [
         (r.newton_iters, r.krylov_cycles, r.final_residual) for r in reports]
+
+
+def test_integrate_runs_a_replaced_time_grid_as_built():
+    # tau is derived from T and N: a time grid replaced to N=16 used to
+    # keep tau = T/8 and run to 2T
+    prob = make_example1()
+    sch = build_scheme(prob, build_grid(prob.X, prob.Y, 4, 4), "cds")
+    built = build_time_grid(prob.T, 16)
+    replaced = dataclasses.replace(build_time_grid(prob.T, 8), N=16)
+    assert replaced == built and replaced.tau == built.tau
+    W, reports = integrate(prob, sch.grid, built, sch)
+    W_replaced, reports_replaced = integrate(prob, sch.grid, replaced, sch)
+    assert np.array_equal(bits(W_replaced), bits(W))
+    assert [(r.newton_iters, r.krylov_cycles, r.final_residual)
+            for r in reports_replaced] == [
+        (r.newton_iters, r.krylov_cycles, r.final_residual) for r in reports]
+
+
+def test_solver_report_counts_its_newton_iterations():
+    # newton_iters is the number of Krylov cycle entries, one per Newton
+    # iteration, and no longer a field that could disagree with them
+    r = SolverReport(krylov_cycles=[2.0, 3.5], wall_ms=1.0,
+                     final_residual=1e-12)
+    assert r.newton_iters == 2
+    with pytest.raises(TypeError, match="newton_iters"):
+        SolverReport(newton_iters=2, krylov_cycles=[2.0, 3.5], wall_ms=1.0,
+                     final_residual=1e-12)
+    assert [f.name for f in dataclasses.fields(SolverReport)] == [
+        "krylov_cycles", "wall_ms", "final_residual"]
 
 
 def test_integrate_names_the_nonfinite_initial_entry():
