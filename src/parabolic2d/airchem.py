@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import is_bool
+from .grid import check_real
 
 SPECIES = ("NO", "NO2", "HC", "ALD", "O3", "HNO3", "HO2", "RO2", "OH", "O1D")
 N_SPECIES = 10
@@ -45,8 +45,7 @@ class RateSet:
 def rate_coefficients(cos_theta: float) -> RateSet:
     """Reaction-rate coefficients; k2, k5, k7 are photolytic in cos(theta),
     which must lie in (0, 1]."""
-    if is_bool(cos_theta) or not 0 < cos_theta <= 1:
-        raise ValueError(f"cos_theta must be in (0, 1], got {cos_theta}")
+    check_real("cos_theta", cos_theta, "in (0, 1]", lambda c: 0 < c <= 1)
     return RateSet(
         k1=6.0e-12,
         k2=7.8e-05 * np.exp(-0.87 / cos_theta),

@@ -30,10 +30,10 @@ class ConvergenceRow:
 
 
 def max_norm_error(u_num: np.ndarray, exact, grid: Grid2D, t: float) -> np.ndarray:
-    """Per-species max |exact - u_num| over interior nodes at time t;
-    exact(x, y, t) returns every species at once, or one field for all."""
+    """Per-species max |exact - u_num| of a finite u_num at time t; exact(x,
+    y, t) returns every species at once, or one field for all."""
     XX, YY = grid.interior_mesh()
-    u2 = to_interior_grid(np.asarray(u_num, dtype=float), grid)
+    u2 = to_interior_grid(validate_field(u_num, grid), grid)
     e = species_field("exact", exact(XX, YY, t), len(u2), XX.shape)
     return np.max(np.abs(e - u2), axis=(1, 2))
 
@@ -93,8 +93,8 @@ def runge_order(u_h: np.ndarray, u_h2: np.ndarray, u_h4: np.ndarray,
 
 
 def positivity_scan(u: np.ndarray, grid: Grid2D) -> List[Tuple[float, Tuple[int, int]]]:
-    """Per species: (minimum value, one interior node (i, j) attaining it)."""
-    u2 = to_interior_grid(np.asarray(u, dtype=float), grid)
+    """Per species of the finite field u: (minimum, a node (i, j) with it)."""
+    u2 = to_interior_grid(validate_field(u, grid), grid)
     out = []
     for l in range(u2.shape[0]):
         j0, i0 = np.unravel_index(np.argmin(u2[l]), u2[l].shape)

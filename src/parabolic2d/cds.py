@@ -41,15 +41,15 @@ class StencilMatrix:
     for the compact stack [Q; P], whose operand 0 is read by Q and operand
     1 by P, so one product gives Q u + P v.
 
-    full[m, l, j, i] multiplies, at interior node (i, j) of species l of
-    the full node array, the value of operand o at (i+k1, j+k2) for the
-    m-th live offset (k1, k2, o) = offsets[m], by operand and in OFFSETS
-    order; its ring is zero.  The stack derives the rest once: planes, the
-    interior of full in the field layout, zero where the offset reaches a
-    boundary node; kind, "cds" over one operand and "cfds" over two (more
-    is a ValueError); and plan and full_plan, the product_plan of the field
-    and of the full node layout.  A stack has at least one live offset: the
-    centre entry of the central P and of the compact Q is positive.
+    full[m, l, j, i] multiplies, at interior node (i, j) of species l of the
+    full node array, the value of operand o at (i+k1, j+k2) for the m-th
+    live offset (k1, k2, o) = offsets[m], by operand and in OFFSETS order;
+    its ring is zero, and a shape other than (k, L, My+1, Mx+1) on grid is a
+    ValueError.  The stack derives the rest once: planes, the interior of
+    full in the field layout, zero where the offset reaches a boundary node;
+    kind, "cds" over one operand and "cfds" over two (more is a ValueError);
+    and plan and full_plan, the product_plan of the field and of the full
+    node layout.  Its offsets are never empty: P's and Q's centres are > 0.
     """
 
     grid: Grid2D
@@ -62,6 +62,9 @@ class StencilMatrix:
         K = self.offsets[-1][2] + 1
         if K > len(KINDS):
             raise ValueError(f"a stencil stack reads 1 or 2 operands, not {K}")
+        want = (len(self.offsets), "L", self.grid.My + 1, self.grid.Mx + 1)
+        if self.full.shape != want[:1] + self.full.shape[1:2] + want[2:]:
+            raise ValueError(f"full has shape {self.full.shape}, not {want}")
         self.kind = KINDS[K - 1]
         self.planes = self.full[:, :, 1:-1, 1:-1].copy()   # (k, L, My-1, Mx-1)
         for plane, (k1, k2, _) in zip(self.planes, self.offsets):

@@ -6,8 +6,9 @@ Interior unknowns are stored per species as flat blocks of length
 Boundary values are never stored in field vectors; the stepper folds
 their values on the boundary ring (the cached property
 Grid2D.boundary_ring of the scheme's grid) into the right-hand side.
-Grid2D and TimeGrid keep only their extents and counts; the spacings hx,
-hy and the step tau are derived from them, so they always match.
+Grid2D and TimeGrid keep only their extents and counts and check them
+however they are built (X, Y, T positive and finite, Mx, My >= 2 and N >= 1
+integral); hx, hy and tau are derived from them, so they always match.
 
 A "field vector" throughout the package is a numpy array of shape
 (L, (Mx-1)*(My-1)), one block row per species.
@@ -24,12 +25,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform mesh on [0, X] x [0, Y] with Mx, My subintervals."""
+    """Checked uniform mesh on [0, X] x [0, Y] with Mx, My subintervals."""
 
     X: float
     Y: float
     Mx: int
     My: int
+
+    def __post_init__(self):
+        checked = (check_real("X", self.X), check_real("Y", self.Y),
+                   check_count("Mx", self.Mx, 2), check_count("My", self.My, 2))
+        for name, value in zip(("X", "Y", "Mx", "My"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def hx(self) -> float:
@@ -89,10 +96,14 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time mesh on [0, T] with N steps of size tau = T/N."""
+    """Checked uniform time mesh on [0, T] with N steps of size tau = T/N."""
 
     T: float
     N: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "T", check_real("T", self.T))
+        object.__setattr__(self, "N", check_count("N", self.N, 1))
 
     @property
     def tau(self) -> float:
@@ -116,22 +127,16 @@ def check_count(name: str, value, least: int) -> int:
     return int(value)
 
 
-def build_grid(X: float, Y: float, Mx: int, My: int) -> Grid2D:
-    """Build a uniform grid; requires positive finite extents and integral
-    Mx, My >= 2, none of them a bool."""
-    if is_bool(X) or is_bool(Y) or not (0 < X < np.inf and 0 < Y < np.inf):
-        raise ValueError(f"domain extents must be positive and finite, "
-                         f"got X={X}, Y={Y}")
-    Mx, My = check_count("Mx", Mx, 2), check_count("My", My, 2)
-    return Grid2D(X=float(X), Y=float(Y), Mx=Mx, My=My)
+def check_real(name: str, value, rule: str = "positive and finite",
+               ok=lambda v: 0 < v < np.inf) -> float:
+    """value as a float; rejects a bool, a non-real value and one failing ok."""
+    if is_bool(value) or not isinstance(value, numbers.Real) \
+            or not ok(float(value)):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
 
 
-def build_time_grid(T: float, N: int) -> TimeGrid:
-    """Build a uniform time mesh; requires a positive finite T and an
-    integral N >= 1, neither a bool."""
-    if is_bool(T) or not 0 < T < np.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    return TimeGrid(T=float(T), N=check_count("N", N, 1))
+build_grid, build_time_grid = Grid2D, TimeGrid
 
 
 def lex_index(i: int, j: int, Mx: int) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cds import StencilMatrix, apply_full
-from .grid import check_count, is_bool
+from .grid import check_count, check_real
 
 
 class KrylovBreakdown(RuntimeError):
@@ -39,17 +39,16 @@ class KrylovReport:
 
 
 def check_solver_options(**options) -> None:
-    """Raise ValueError for a tolerance (tol, newton_tol) or step tau not
-    positive and finite, a theta outside [0, 1], or an iteration limit
-    maxit not an integer of at least 1; a bool is none of them."""
+    """Raise ValueError for an iteration limit maxit not an integer of at
+    least 1, a theta outside [0, 1], or any other option (tol, newton_tol,
+    tau) not positive and finite; a bool or a non-number is none of them."""
     for name, value in options.items():
-        if (name.endswith("tol") or name == "tau") and (
-                is_bool(value) or not 0 < value < np.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-        if name == "theta" and (is_bool(value) or not 0 <= value <= 1):
-            raise ValueError(f"theta must be in [0, 1], got {value}")
         if name == "maxit":
             check_count(name, value, 1)
+        elif name == "theta":
+            check_real(name, value, "in [0, 1]", lambda v: 0 <= v <= 1)
+        else:
+            check_real(name, value)
 
 
 def matvec(A: StencilMatrix, w: np.ndarray, *, out=None) -> np.ndarray:

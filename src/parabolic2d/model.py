@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import airchem
-from .grid import Grid2D, is_bool
+from .grid import Grid2D, check_real
 
 DEFAULT_X = 500.0      # domain side, km
 DEFAULT_Y = 500.0
@@ -136,8 +136,7 @@ def _wind_and_chemistry(cos_theta: float, mu: float):
     """(fields, rates): the ProblemSpec fields shared by both examples (L=10,
     constant diffusion, rotational wind of rate mu about the domain centre,
     the chemistry's reaction map and Jacobian) and the rate set."""
-    if is_bool(mu) or not np.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
+    check_real("mu", mu, "finite", math.isfinite)
     rates = airchem.rate_coefficients(cos_theta)
 
     def diffusion(x, y):

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid2D, TimeGrid, is_bool, restrict, validate_field
+from .grid import Grid2D, TimeGrid, check_real, restrict, validate_field
 
 
 def re_weights(sigma: int) -> tuple:
     """The weights (gamma1, gamma2) eliminating the h^sigma term; sigma=2
     gives (-1/3, 4/3), sigma=4 gives (-1/15, 16/15)."""
-    if is_bool(sigma) or not 1 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 1, got {sigma}")
+    check_real("sigma", sigma, "finite and >= 1", lambda s: 1 <= s < np.inf)
     gamma2 = 2.0 ** sigma / (2.0 ** sigma - 1.0)
     return 1.0 - gamma2, gamma2
 

@@ -36,9 +36,10 @@ def test_rejects_nonpositive_cos_theta():
         rate_coefficients(-0.5)
 
 
-@pytest.mark.parametrize("cos_theta", [float("nan"), float("inf"), 1.5])
+@pytest.mark.parametrize("cos_theta", [float("nan"), float("inf"), 1.5, "x"])
 def test_rejects_cos_theta_outside_unit_interval(cos_theta):
-    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+    # a string used to fail in the comparison, as a TypeError
+    with pytest.raises(ValueError, match=r"^cos_theta must be in \(0, 1\]"):
         rate_coefficients(cos_theta)
 
 

@@ -129,6 +129,24 @@ def test_probe_values_and_validation():
             probe_values(u, g, x, y)
 
 
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_error_and_positivity_scan_check_the_field(bad):
+    # a NaN field used to give positivity_scan a NaN "minimum" that no sign
+    # test catches, and a field of another grid failed in a numpy reshape
+    g = build_grid(1, 1, 6, 6)
+    u = np.ones((2, g.n_interior))
+    if bad == "nan":
+        u[1, 7] = np.nan
+    else:
+        u = u[:, :-1]
+    match = {"nan": r"non-finite entry at species 1, node \(i=3, j=2\)",
+             "shape": "does not match grid"}[bad]
+    with pytest.raises(ValueError, match=match):
+        positivity_scan(u, g)
+    with pytest.raises(ValueError, match=match):
+        max_norm_error(u, lambda x, y, t: x * y, g, 0.0)
+
+
 def test_probe_values_checks_the_field():
     # a field of another grid, or with a NaN, used to be indexed as it was
     g = build_grid(500, 500, 8, 8)

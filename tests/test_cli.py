@@ -45,10 +45,12 @@ def test_validate_rejects_bad_theta():
 
 
 @pytest.mark.parametrize("key,value", [("theta", True), ("theta", np.True_),
-                                       ("cos_theta", True)])
+                                       ("cos_theta", True), ("theta", "x"),
+                                       ("cos_theta", "x")])
 def test_validate_rejects_bool_settings(key, value):
-    # a bool passes the range checks as 0 or 1; a Python-built RunConfig
-    # with one is rejected before any output
+    # a bool passes the range checks as 0 or 1, and a string used to fail in
+    # them as a TypeError; a Python-built RunConfig with either is rejected
+    # before any output
     with pytest.raises(ConfigError, match=key.replace("_", "-")):
         validate_config(RunConfig(mesh=[(4, 4, 2)], **{key: value}))
 

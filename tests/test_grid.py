@@ -74,16 +74,25 @@ def test_build_grid_anisotropic_counts():
     (1, 1, 2.5, 4), (1, 1, 4, 2.5), (1, 1, True, 4), (1, 1, 4, "4"),
     (1, 1, np.inf, 4), (np.inf, 1, 4, 4), (1, np.inf, 4, 4), (np.nan, 1, 4, 4),
     # a bool extent used to be taken as 1.0
-    (True, 1, 4, 4), (np.True_, 1, 4, 4), (1, True, 4, 4), (1, np.True_, 4, 4)])
+    (True, 1, 4, 4), (np.True_, 1, 4, 4), (1, True, 4, 4), (1, np.True_, 4, 4),
+    # a string extent used to fail in a comparison, as a TypeError
+    ("500", 1, 4, 4)])
 def test_build_grid_rejects(X, Y, Mx, My):
-    with pytest.raises(ValueError):
-        build_grid(X, Y, Mx, My)
+    # the record checks itself: a constructor call and a replace of a valid
+    # grid used to build a grid that no rule had seen
+    fields = dict(X=X, Y=Y, Mx=Mx, My=My)
+    for build in (lambda: build_grid(X, Y, Mx, My), lambda: Grid2D(**fields),
+                  lambda: dataclasses.replace(Grid2D(1, 1, 4, 4), **fields)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_grid_builders_accept_integral_counts_of_any_number_type():
-    g = build_grid(1, 1, np.int64(4), 2.0)
+    # the builders are the records, so there is one way to build each one
+    assert build_grid is Grid2D and build_time_grid is TimeGrid
+    g = build_grid(np.int64(1), 1, np.int64(4), 2.0)
     assert (g.Mx, g.My, g.hx, g.hy) == (4, 2, 0.25, 0.5)
-    assert type(g.Mx) is int and type(g.My) is int
+    assert type(g.X) is float and type(g.Mx) is int and type(g.My) is int
     assert build_time_grid(1.0, 4.0) == build_time_grid(1.0, 4)
 
 
@@ -92,10 +101,16 @@ def test_grid_builders_accept_integral_counts_of_any_number_type():
     (1.0, 2.5, "N"), (1.0, np.inf, "N"), (1.0, True, "N"), (1.0, 0, "N"),
     (np.inf, 4, "T"), (np.nan, 4, "T"), (0.0, 4, "T"),
     # a bool T used to be taken as 1.0
-    (True, 4, "T"), (np.True_, 4, "T")])
+    (True, 4, "T"), (np.True_, 4, "T"),
+    # a string used to fail in a comparison or in range, as a TypeError
+    ("1.0", 4, "T"), (1.0, "4", "N")])
 def test_build_time_grid_rejects(T, N, match):
-    with pytest.raises(ValueError, match=match):
-        build_time_grid(T, N)
+    # as for the grid: N=0 made through the constructor or a replace used
+    # to fail only in tau, with a ZeroDivisionError
+    for build in (lambda: build_time_grid(T, N), lambda: TimeGrid(T=T, N=N),
+                  lambda: dataclasses.replace(TimeGrid(1.0, 4), T=T, N=N)):
+        with pytest.raises(ValueError, match=f"^{match} must be"):
+            build()
 
 
 def test_lex_index_values():

@@ -286,7 +286,8 @@ def test_bicgstab_parameter_validation():
 @pytest.mark.parametrize("option,value", [
     ("tol", float("nan")), ("tol", float("inf")), ("maxit", 2.5),
     ("maxit", float("nan")), ("maxit", 0), ("maxit", True), ("tol", True),
-    ("tol", np.True_), ("maxit", float("inf")), ("maxit", np.True_)])
+    ("tol", np.True_), ("maxit", float("inf")), ("maxit", np.True_),
+    ("tol", "x")])
 def test_bicgstab_checks_options_like_advance(option, value):
     # the rules of check_solver_options, before any application of A
     from parabolic2d import stepper

@@ -114,9 +114,12 @@ def test_example1_rejects_bad_cos_theta():
         make_example1(cos_theta=0.0)
     with pytest.raises(ValueError):
         make_example2(cos_theta=-1.0)
+    with pytest.raises(ValueError, match="^cos_theta must be"):
+        make_example2(cos_theta="x")
 
 
-@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"),
+                                "x"])
 def test_example2_rejects_nonfinite_mu(mu):
     with pytest.raises(ValueError, match="mu must be finite"):
         make_example2(mu=mu)

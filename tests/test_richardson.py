@@ -35,11 +35,11 @@ def test_weight_identities_up_to_sigma_40(sigma):
 def test_weights_reject_bad_sigma():
     with pytest.raises(ValueError):
         re_weights(0)
-    # a bool would pass the range check as order 1, and a non-finite sigma
-    # gives NaN weights
+    # a bool would pass the range check as order 1, a non-finite sigma
+    # gives NaN weights, and a string used to fail as a TypeError
     for sigma in (True, np.True_, float("nan"), float("inf"),
-                  np.float64("nan")):
-        with pytest.raises(ValueError):
+                  np.float64("nan"), "2"):
+        with pytest.raises(ValueError, match="^sigma must be"):
             re_weights(sigma)
 
 

@@ -3,6 +3,7 @@ full node layouts, the padded product it replaces, the dense oracle and the
 boundary fold."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,26 @@ def test_stack_needs_full_planes():
     A = StencilMatrix.from_coeffs(g, [np.ones((1, 3, 3, g.ny, g.nx))], 2)
     with pytest.raises(TypeError, match="full"):
         StencilMatrix(g, A.offsets)
+
+
+def test_stack_checks_its_planes_against_its_offsets_and_mesh():
+    # a stack with more planes than offsets used to build, and give
+    # products that differ from its own; one given another mesh failed only
+    # at its first product, in a numpy reshape
+    prob = make_example2()
+    g = build_grid(prob.X, prob.Y, 8, 8)
+    A = build_scheme(prob, g, "cds")
+    k = len(A.offsets)
+    with pytest.raises(ValueError, match=re.escape(
+            f"full has shape {A.full.shape}, not (3, 'L', 9, 9)")):
+        StencilMatrix(g, A.offsets[:3], A.full)
+    with pytest.raises(ValueError, match=re.escape(
+            f"not ({k}, 'L', 17, 17)")):
+        StencilMatrix(build_grid(prob.X, prob.Y, 16, 16), A.offsets, A.full)
+    for full in (A.full[:, 0], A.full[..., None]):   # not 4-dimensional
+        with pytest.raises(ValueError, match="full has shape"):
+            StencilMatrix(g, A.offsets, full)
+    assert StencilMatrix(g, A.offsets, A.full).kind == "cds"
 
 
 def test_stack_needs_a_live_offset():

@@ -247,7 +247,7 @@ def recording_problem(calls):
     ("newton_tol", float("nan")), ("max_newton", 0), ("ell", 2.5),
     ("max_newton", 2.5), ("ell", True), ("krylov_maxit", 2.5),
     ("newton_tol", float("inf")), ("krylov_tol", float("inf")),
-    ("newton_tol", True)])
+    ("newton_tol", True), ("newton_tol", "x")])
 def test_invalid_solver_options_rejected_before_the_first_step(option, value):
     # no problem data may be evaluated: neither initial data nor reactions;
     # newton_tol is the one solver keyword; the other limits are constants
@@ -266,7 +266,8 @@ def test_invalid_solver_options_rejected_before_the_first_step(option, value):
 
 @pytest.mark.parametrize("option,value", [
     ("theta", True), ("theta", 7.0), ("theta", -1.0), ("theta", float("nan")),
-    ("tau", -10.0), ("tau", 0.0), ("tau", float("inf")), ("tau", True)])
+    ("tau", -10.0), ("tau", 0.0), ("tau", float("inf")), ("tau", True),
+    ("theta", "x"), ("tau", "x")])
 def test_advance_rejects_bad_theta_and_tau_before_any_problem_call(option,
                                                                    value):
     # integrate checks theta, and its TimeGrid tau, before the first step;
@@ -318,6 +319,22 @@ def test_integrate_rejects_a_grid_that_is_not_the_schemes(other):
             f"grid {wrong} is not the scheme's grid {g}")):
         integrate(prob, wrong, build_time_grid(prob.T, 2),
                   build_scheme(base, g, "cds"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("N", [0, 2.5])
+def test_integrate_never_sees_a_time_grid_replaced_to_a_bad_count(N):
+    # the record checks itself: N=0 used to fail in tau with a
+    # ZeroDivisionError, and N=2.5 in range with a TypeError after the
+    # initial and boundary data had run
+    calls = []
+    base, prob = recording_problem(calls)
+    g = build_grid(prob.X, prob.Y, 8, 8)
+    sch = build_scheme(base, g, "cds")
+    with pytest.raises(ValueError, match=f"^N must be an integer of at least "
+                                         f"1, got {N}$"):
+        integrate(prob, g, dataclasses.replace(build_time_grid(prob.T, 4),
+                                               N=N), sch)
     assert calls == []
 
 
