@@ -37,9 +37,9 @@ def space_study(kind, sigma, cases):
     prev = None
     for M, N in cases:
         W, grid, tg = solve(kind, M, N)
-        W2, grid2, _ = solve(kind, 2 * M, N)
+        W2, _, _ = solve(kind, 2 * M, N)
         err_plain = max_norm_error(W, manufactured_solution, grid, tg.T).max()
-        Wx = extrapolate_space(W, W2, grid, grid2, sigma)
+        Wx = extrapolate_space(W, W2, grid, sigma)
         err = max_norm_error(Wx, manufactured_solution, grid, tg.T).max()
         ratio = f"{prev / err:8.2f}" if prev else "       -"
         print(f"  M={M:3d} N={N:4d}: plain {err_plain:.3e} -> "
@@ -52,11 +52,10 @@ def spacetime_study(kind, sigma, cases):
     prev = None
     for M, N in cases:
         W, grid, tg = solve(kind, M, N)
-        Wt, _, tgt = solve(kind, M, 2 * N)
-        Wf, gridf, _ = solve(kind, 2 * M, N)
+        Wt, _, _ = solve(kind, M, 2 * N)
+        Wf, _, _ = solve(kind, 2 * M, N)
         Wft, _, _ = solve(kind, 2 * M, 2 * N)
-        Wx = extrapolate_spacetime(W, Wt, Wf, Wft, grid, gridf, tg, tgt,
-                                   sigma, 2)
+        Wx = extrapolate_spacetime(W, Wt, Wf, Wft, grid, sigma, 2)
         err = max_norm_error(Wx, manufactured_solution, grid, tg.T).max()
         order = f"{np.log2(prev / err) / np.log2(2):6.2f}" if prev else "     -"
         print(f"  M={M:3d} N={N:4d}: error {err:.3e}  order {order}")

@@ -4,7 +4,7 @@ Conventions: errors are final-layer maximum-norm values over interior nodes
 (Dirichlet data makes boundary nodes exact).  For problems without an exact
 solution, relative errors are taken against the run on the finest mesh, and
 orders may also be estimated at a probe node from three nested meshes
-without any reference (the Runge method).
+without any reference (the Runge method, on a grid and two halvings of it).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import Grid2D, lex_index, restrict, to_interior_grid, validate_field
+from .grid import (Grid2D, check_real, lex_index, restrict, to_interior_grid,
+                   validate_field)
 from .model import species_field
 
 
@@ -59,6 +60,8 @@ def ratio_and_order(errors: Sequence[Tuple[int, float]]) -> List[ConvergenceRow]
 def probe_values(u: np.ndarray, grid: Grid2D, x: float, y: float) -> np.ndarray:
     """Per-species values of the finite field u of grid at the grid node
     nearest (x, y); must be a node."""
+    x = check_real("x", x, "finite", math.isfinite)
+    y = check_real("y", y, "finite", math.isfinite)
     fi, fj = x / grid.hx, y / grid.hy
     i, j = round(fi), round(fj)
     if abs(fi - i) > 1e-9 * max(1.0, abs(fi)) or abs(fj - j) > 1e-9 * max(1.0, abs(fj)):
@@ -70,22 +73,18 @@ def probe_values(u: np.ndarray, grid: Grid2D, x: float, y: float) -> np.ndarray:
 
 
 def runge_order(u_h: np.ndarray, u_h2: np.ndarray, u_h4: np.ndarray,
-                grid_h: Grid2D, grid_h2: Grid2D, grid_h4: Grid2D,
-                probe: Tuple[float, float]) -> np.ndarray:
+                grid: Grid2D, *, probe: Tuple[float, float]) -> np.ndarray:
     """Observed order from three nested solutions without an exact reference.
 
-    order = log2(|u_h - u_h2| / |u_h2 - u_h4|) on meshes that halve h in x
-    and y in turn, per species at a probe node (x, y) of all three meshes.
-    Zero differences give NaN.
+    order = log2(|u_h - u_h2| / |u_h2 - u_h4|) on grid, grid.refined() and
+    its refinement, per species at a probe node (x, y) of grid; u_h4 reaches
+    grid by two halvings.  Zero differences give NaN.
     """
-    for coarse, fine in ((grid_h, grid_h2), (grid_h2, grid_h4)):
-        if fine.Mx != 2 * coarse.Mx or fine.My != 2 * coarse.My:
-            raise ValueError("Runge order needs factor-2 refinements")
-    r2 = restrict(u_h2, grid_h2, grid_h)
-    r4 = restrict(u_h4, grid_h4, grid_h)
+    r2 = restrict(u_h2, grid)
+    r4 = restrict(restrict(u_h4, grid.refined()), grid)
     x, y = probe
-    d1 = np.abs(probe_values(u_h, grid_h, x, y) - probe_values(r2, grid_h, x, y))
-    d2 = np.abs(probe_values(r2, grid_h, x, y) - probe_values(r4, grid_h, x, y))
+    d1 = np.abs(probe_values(u_h, grid, x, y) - probe_values(r2, grid, x, y))
+    d2 = np.abs(probe_values(r2, grid, x, y) - probe_values(r4, grid, x, y))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log2(d1 / d2)
     out[(d2 == 0) | (d1 == 0)] = math.nan

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import analysis, model, richardson
 from .airchem import rate_coefficients
-from .grid import Grid2D, build_grid, build_time_grid, lex_index
+from .grid import Grid2D, build_grid, build_time_grid, lex_index, validate_field
 from .stepper import (KINDS, SolverFailure, average_counts, build_scheme,
                       check_solver_options, integrate)
 
@@ -154,12 +154,12 @@ def run_one_mesh(cfg: RunConfig, problem, Mx: int, My: int, N: int):
     sigma_space = 2 if cfg.scheme == "cds" else 4
     sigma_time = 2 if cfg.theta == 0.5 else 1
     if cfg.re == "space":
-        [(W2, grid2, *_)] = companions
-        W = richardson.extrapolate_space(W, W2, grid, grid2, sigma_space)
+        [(W2, *_)] = companions
+        W = richardson.extrapolate_space(W, W2, grid, sigma_space)
     elif cfg.re == "spacetime":
-        (W2, grid2, *_), (Wt, _, tgt, *_), (W2t, *_) = companions
-        W = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid, grid2, tg,
-                                             tgt, sigma_space, sigma_time)
+        (W2, *_), (Wt, *_), (W2t, *_) = companions
+        W = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid,
+                                             sigma_space, sigma_time)
     return (W, grid, tg, [rep for run in runs for rep in run[3]],
             sum(run[4] for run in runs))
 
@@ -217,8 +217,9 @@ def emit_field_dump(u: np.ndarray, grid: Grid2D, t: float, path: str,
     Rows are emitted row-major in y (all x for y=0, then y=hy, ...) and
     include boundary nodes; their values come from one call of
     boundary(x, y, t) for every species.  Values carry 17 significant digits
-    so a parsed dump reproduces the field exactly.
+    so a parsed dump reproduces the field exactly.  u is checked first.
     """
+    u = validate_field(u, grid)
     L = u.shape[0]
     XX, YY = grid.full_mesh()
     full = np.empty((L, grid.My + 1, grid.Mx + 1))

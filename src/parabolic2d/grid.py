@@ -9,6 +9,8 @@ Grid2D.boundary_ring of the scheme's grid) into the right-hand side.
 Grid2D and TimeGrid keep only their extents and counts and check them
 however they are built (X, Y, T positive and finite, Mx, My >= 2 and N >= 1
 integral); hx, hy and tau are derived from them, so they always match.
+Nested meshes are derived, never passed: grid.refined() is the mesh of
+h/2, and restrict(fine, grid) injects a field of it (and of no other) onto grid.
 
 A "field vector" throughout the package is a numpy array of shape
 (L, (Mx-1)*(My-1)), one block row per species.
@@ -37,6 +39,10 @@ class Grid2D:
                    check_count("Mx", self.Mx, 2), check_count("My", self.My, 2))
         for name, value in zip(("X", "Y", "Mx", "My"), checked):
             object.__setattr__(self, name, value)
+
+    def refined(self) -> Grid2D:
+        """The same domain with both counts doubled: the mesh of h/2."""
+        return Grid2D(self.X, self.Y, 2 * self.Mx, 2 * self.My)
 
     @property
     def hx(self) -> float:
@@ -179,28 +185,9 @@ def validate_field(u: np.ndarray, grid: Grid2D, L: int | None = None) -> np.ndar
     return u
 
 
-def refinement_factor(fine: Grid2D, coarse: Grid2D) -> int:
-    """Integer factor by which `fine` refines `coarse`; rejects non-nested pairs.
-
-    Nesting is checked structurally (subinterval counts and extents), never by
-    comparing floating-point node coordinates.
-    """
-    if fine.X != coarse.X or fine.Y != coarse.Y:
-        raise ValueError("grids cover different domains")
-    if fine.Mx % coarse.Mx or fine.My % coarse.My:
-        raise ValueError(f"grids not nested: {fine.Mx}x{fine.My} over "
-                         f"{coarse.Mx}x{coarse.My}")
-    r = fine.Mx // coarse.Mx
-    if fine.My // coarse.My != r:
-        raise ValueError("anisotropic refinement factors")
-    return r
-
-
-def restrict(fine: np.ndarray, fine_grid: Grid2D, coarse_grid: Grid2D) -> np.ndarray:
-    """Injection onto coincident nodes: coarse (i, j) takes fine (r*i, r*j)."""
-    r = refinement_factor(fine_grid, coarse_grid)
-    fine = validate_field(fine, fine_grid)
-    f2 = to_interior_grid(fine, fine_grid)
-    c2 = f2[:, r - 1::r, r - 1::r]
-    out = c2.reshape(fine.shape[0], coarse_grid.n_interior).copy()
-    return out
+def restrict(fine: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Injection of a field of grid.refined() onto grid: coarse node (i, j)
+    takes fine node (2i, 2j)."""
+    fine_grid = grid.refined()
+    f2 = to_interior_grid(validate_field(fine, fine_grid), fine_grid)
+    return f2[:, 1::2, 1::2].reshape(len(f2), grid.n_interior).copy()

@@ -71,7 +71,7 @@ def grids_and_powerlaw(sigma, Ms=(4, 8, 16)):
 @pytest.mark.parametrize("sigma", [2, 4])
 def test_runge_order_synthetic(sigma):
     grids, sols = grids_and_powerlaw(sigma)
-    orders_node = runge_order(sols[0], sols[1], sols[2], *grids,
+    orders_node = runge_order(sols[0], sols[1], sols[2], grids[0],
                               probe=(0.5, 1.0))
     assert orders_node[0] == pytest.approx(sigma, abs=1e-10)
 
@@ -80,15 +80,25 @@ def test_runge_order_needs_a_probe():
     # the order is read at a probe node only; there is no max-norm order
     grids, sols = grids_and_powerlaw(2)
     with pytest.raises(TypeError, match="probe"):
-        runge_order(sols[0], sols[1], sols[2], *grids)
+        runge_order(sols[0], sols[1], sols[2], grids[0])
+
+
+def test_runge_order_takes_only_the_coarse_grid():
+    # the finer grids are derived; the old form with all three grids is a
+    # TypeError, never a shifted argument
+    grids, sols = grids_and_powerlaw(2)
+    with pytest.raises(TypeError):
+        runge_order(*sols, *grids, probe=(0.5, 1.0))
+    with pytest.raises(TypeError):
+        runge_order(*sols, *grids, (0.5, 1.0))
 
 
 @pytest.mark.parametrize("Ms", [(4, 12, 36), (4, 8, 24)])
 def test_runge_order_rejects_refinement_other_than_halving(Ms):
     # nested meshes refined by 3 would read log2(9) for an exact h^2 error
     grids, sols = grids_and_powerlaw(2, Ms)
-    with pytest.raises(ValueError, match="factor-2 refinements"):
-        runge_order(sols[0], sols[1], sols[2], *grids, probe=(0.5, 1.0))
+    with pytest.raises(ValueError, match="does not match grid"):
+        runge_order(sols[0], sols[1], sols[2], grids[0], probe=(0.5, 1.0))
 
 
 def test_runge_order_nan_when_differences_vanish():
@@ -97,7 +107,7 @@ def test_runge_order_nan_when_differences_vanish():
     grids = [build_grid(2, 2, M, M) for M in (4, 8, 16)]
     u_h, u_h2, u_h4 = ((x + 3.0 * y)[None, :]
                        for x, y in (g.interior_xy for g in grids))
-    orders = runge_order(u_h, u_h2, u_h4, *grids, probe=(0.5, 1.0))
+    orders = runge_order(u_h, u_h2, u_h4, grids[0], probe=(0.5, 1.0))
     assert math.isnan(orders[0])
 
 
@@ -158,5 +168,20 @@ def test_probe_values_checks_the_field():
         probe_values(u, g, 250.0, 250.0)
     grids, sols = grids_and_powerlaw(2)
     with pytest.raises(ValueError, match="non-finite"):
-        runge_order(np.full_like(sols[0], np.nan), sols[1], sols[2], *grids,
+        runge_order(np.full_like(sols[0], np.nan), sols[1], sols[2], grids[0],
                     probe=(0.5, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, "250", True])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_probe_coordinates_must_be_finite_reals(bad, axis):
+    # inf and nan failed in round() with an OverflowError or a ValueError
+    # about int conversion, and a string failed with a TypeError
+    g = build_grid(500, 500, 8, 8)
+    u = np.ones((1, g.n_interior))
+    with pytest.raises(ValueError, match=f"^{axis} must be finite, got"):
+        probe_values(u, g, *((bad, 250.0) if axis == "x" else (250.0, bad)))
+    grids, sols = grids_and_powerlaw(2)
+    with pytest.raises(ValueError, match=f"^{axis} must be finite, got"):
+        runge_order(*sols, grids[0],
+                    probe=(bad, 1.0) if axis == "x" else (0.5, bad))

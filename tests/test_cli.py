@@ -127,6 +127,25 @@ def test_field_dump_bytes_match_savetxt(tmp_path):
                                                   b"e-311\n", b"e-324\n"))
 
 
+@pytest.mark.parametrize("bad", ["shape", "nan"])
+def test_field_dump_checks_the_field(tmp_path, bad):
+    # a field of another grid used to fail in a numpy reshape, and a NaN
+    # entry was written to the dump as "nan"; neither leaves a file now
+    g = build_grid(1.0, 1.0, 6, 6)
+    u = np.ones((10, g.n_interior))
+    if bad == "shape":
+        u = u[:, :5]
+    else:
+        u[4, 7] = np.nan
+    match = {"shape": r"field shape \(10, 5\) does not match grid "
+                      r"\(expected \(L, 25\)\)",
+             "nan": r"non-finite entry at species 4, node \(i=3, j=2\)"}[bad]
+    with pytest.raises(ValueError, match=match):
+        emit_field_dump(u, g, 0.5, str(tmp_path / "dump.txt"),
+                        boundary=lambda x, y, t: np.zeros(np.shape(x)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_study_manufactured(tmp_path):
     cfg = RunConfig(problem="manufactured", scheme="cds",
                     mesh=[(4, 4, 4), (8, 8, 8)], out=str(tmp_path / "out"))
@@ -228,12 +247,11 @@ def test_companion_solves_per_re_mode(tmp_path, monkeypatch, re_mode, solves):
     assert [(g.Mx, g.My, tg.N) for g, tg, _ in recorded] == solves
     (grid, tg, W), *companions = recorded[:len(solves) // 2]
     if re_mode == "space":
-        [(grid2, _, W2)] = companions
-        W = richardson.extrapolate_space(W, W2, grid, grid2, 2)
+        [(_, _, W2)] = companions
+        W = richardson.extrapolate_space(W, W2, grid, 2)
     elif re_mode == "spacetime":
-        (grid2, _, W2), (_, tgt, Wt), (_, _, W2t) = companions
-        W = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid, grid2,
-                                             tg, tgt, 2, 2)
+        (_, _, W2), (_, _, Wt), (_, _, W2t) = companions
+        W = richardson.extrapolate_spacetime(W, Wt, W2, W2t, grid, 2, 2)
     dump = read_dump(os.path.join(
         out, f"fields_manufactured_cds_{re_mode}_4x4x2.txt"), 10, 4, 4)
     assert np.array_equal(dump[:, 1:-1, 1:-1].reshape(10, -1), W)

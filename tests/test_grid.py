@@ -140,18 +140,15 @@ def test_lex_index_bijection_exhaustive():
             assert len(seen) == (Mx - 1) * (My - 1)
 
 
-def test_restrict_identity():
-    g = build_grid(1, 1, 6, 6)
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((3, g.n_interior))
-    assert np.array_equal(restrict(u, g, g), u)
+def test_refined_doubles_both_counts():
+    assert Grid2D(500, 300, 4, 6).refined() == build_grid(500, 300, 8, 12)
 
 
 def test_restrict_picks_every_other_node():
     gc = build_grid(1, 1, 3, 3)
     gf = build_grid(1, 1, 6, 6)
     u = np.arange(gf.n_interior, dtype=float)[None, :]
-    r = restrict(u, gf, gc)
+    r = restrict(u, gc)
     u2 = to_interior_grid(u, gf)[0]
     r2 = to_interior_grid(r, gc)[0]
     for j in range(1, 3):
@@ -161,19 +158,34 @@ def test_restrict_picks_every_other_node():
 
 def test_restrict_preserves_linear_field():
     gc = build_grid(2, 2, 4, 4)
-    gf = build_grid(2, 2, 12, 12)
+    gf = build_grid(2, 2, 8, 8)
     Xf, Yf = gf.interior_mesh()
     Xc, Yc = gc.interior_mesh()
     u = (Xf + Yf).ravel()[None, :]
-    r = restrict(u, gf, gc)
+    r = restrict(u, gc)
     assert np.allclose(r, (Xc + Yc).ravel()[None, :], rtol=0, atol=1e-14)
 
 
 def test_restrict_rejects_non_nested():
-    with pytest.raises(ValueError):
-        restrict(np.zeros((1, 4 * 6)), build_grid(1, 1, 5, 7), build_grid(1, 1, 3, 3))
-    with pytest.raises(ValueError):
-        restrict(np.zeros((1, 25)), build_grid(1, 1, 6, 6), build_grid(2, 1, 3, 3))
+    # a field of a 5x7 grid is not one of the 6x6 refinement of 3x3
+    with pytest.raises(ValueError, match="does not match grid"):
+        restrict(np.zeros((1, 4 * 6)), build_grid(1, 1, 3, 3))
+
+
+def test_two_halvings_are_the_factor_4_injection():
+    g, g4 = build_grid(2, 3, 4, 6), build_grid(2, 3, 16, 24)
+    u4 = np.random.default_rng(1).standard_normal((3, g4.n_interior))
+    twice = restrict(restrict(u4, g.refined()), g)
+    assert np.array_equal(to_interior_grid(twice, g),
+                          to_interior_grid(u4, g4)[:, 3::4, 3::4])
+
+
+def test_restrict_takes_only_the_coarse_grid():
+    # the fine grid is derived; the old form restrict(fine, fine_grid,
+    # coarse_grid) is a TypeError, never a shifted argument
+    gc, gf = build_grid(1, 1, 3, 3), build_grid(1, 1, 6, 6)
+    with pytest.raises(TypeError):
+        restrict(np.zeros((1, gf.n_interior)), gf, gc)
 
 
 def test_validate_field_rejects_nonfinite():
@@ -197,4 +209,4 @@ def test_nonfinite_field_entry_named_by_species_and_node(bad):
     with pytest.raises(ValueError, match=msg):
         validate_field(u, g)
     with pytest.raises(ValueError, match=msg):
-        restrict(u, g, build_grid(1, 1, 3, 3))
+        restrict(u, build_grid(1, 1, 3, 3))

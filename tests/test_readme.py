@@ -30,11 +30,13 @@ def test_flags_list_the_parser_choices():
 
 
 GUARDED = ("build_scheme", "boundary_fold", "residual", "advance",
-           "integrate", "Grid2D", "TimeGrid", "StencilMatrix")
+           "integrate", "Grid2D", "TimeGrid", "StencilMatrix", "restrict",
+           "extrapolate_space", "extrapolate_spacetime", "runge_order")
 
 
 def test_backticked_calls_name_the_parameters_in_order():
-    # a backticked call of a stepper entry point or a record constructor
+    # a backticked call of a stepper entry point, a record constructor or
+    # a nested-mesh function (restrict, the extrapolations, runge_order)
     # that lists its arguments without "..." names the parameters in order,
     # with the keyword-only marker "*" where the signature has one, and any
     # default it writes equals the signature's
@@ -62,4 +64,5 @@ def test_backticked_calls_name_the_parameters_in_order():
                     (name, key)
         checked.append(name)
     assert {"boundary_fold", "advance", "integrate", "Grid2D", "TimeGrid",
-            "StencilMatrix"} <= set(checked), checked
+            "StencilMatrix", "restrict", "extrapolate_space",
+            "extrapolate_spacetime", "runge_order"} <= set(checked), checked

@@ -57,8 +57,8 @@ def test_extrapolation_fixed_point():
     u = fields(gc)
     # the same function on the fine mesh: equal values on coincident nodes
     uf = fields(gf)
-    assert np.array_equal(restrict(uf, gf, gc), u)
-    out = extrapolate_space(u, uf, gc, gf, sigma=2)
+    assert np.array_equal(restrict(uf, gc), u)
+    out = extrapolate_space(u, uf, gc, sigma=2)
     assert np.allclose(out, u, rtol=1e-14)
 
 
@@ -68,7 +68,7 @@ def test_synthetic_power_law_cancellation(sigma):
     C = 3.7
     u_h = fields(gc, extra=C * gc.hx ** sigma)
     u_h2 = fields(gf, extra=C * gf.hx ** sigma)
-    out = extrapolate_space(u_h, u_h2, gc, gf, sigma)
+    out = extrapolate_space(u_h, u_h2, gc, sigma)
     assert np.allclose(out, fields(gc), rtol=0, atol=1e-12)
 
 
@@ -78,15 +78,16 @@ def test_affine_invariance():
     u = rng.standard_normal((2, gc.n_interior))
     uf = rng.standard_normal((2, gf.n_interior))
     c = 4.2
-    base = extrapolate_space(u, uf, gc, gf, 2)
-    shifted = extrapolate_space(u + c, uf + c, gc, gf, 2)
+    base = extrapolate_space(u, uf, gc, 2)
+    shifted = extrapolate_space(u + c, uf + c, gc, 2)
     assert np.allclose(shifted, base + c, rtol=1e-13)
 
 
 def test_space_rejects_wrong_refinement():
-    gc, gf = build_grid(1, 1, 4, 4), build_grid(1, 1, 12, 12)
-    with pytest.raises(ValueError):
-        extrapolate_space(np.zeros((1, 9)), np.zeros((1, 121)), gc, gf, 2)
+    # a field of 12x12, not of the 8x8 refinement of 4x4
+    gc = build_grid(1, 1, 4, 4)
+    with pytest.raises(ValueError, match="does not match grid"):
+        extrapolate_space(np.zeros((1, 9)), np.zeros((1, 121)), gc, 2)
 
 
 def test_spacetime_fixed_point_and_cancellation():
@@ -98,21 +99,39 @@ def test_spacetime_fixed_point_and_cancellation():
     u_ht = fields(gc, extra=A * gc.hx ** ps + B * tf.tau ** qt)
     u_fh = fields(gf, extra=A * gf.hx ** ps + B * tc.tau ** qt)
     u_ft = fields(gf, extra=A * gf.hx ** ps + B * tf.tau ** qt)
-    out = extrapolate_spacetime(u_hh, u_ht, u_fh, u_ft, gc, gf, tc, tf, ps, qt)
+    out = extrapolate_spacetime(u_hh, u_ht, u_fh, u_ft, gc, ps, qt)
     assert np.allclose(out, u_star_c, rtol=0, atol=1e-12)
-    same = extrapolate_spacetime(u_star_c,
-                                 u_star_c, fields(gf), fields(gf),
-                                 gc, gf, tc, tf, 2, 2)
+    same = extrapolate_spacetime(u_star_c, u_star_c, fields(gf), fields(gf),
+                                 gc, 2, 2)
     assert np.allclose(same, u_star_c, rtol=1e-13)
 
 
-def test_spacetime_rejects_bad_time_nesting():
+@pytest.mark.parametrize("slot", [2, 3])
+def test_spacetime_rejects_a_fine_field_of_another_mesh(slot):
+    # a field of 12x12 in either fine slot, not of the 8x8 refinement of 4x4
     gc, gf = build_grid(1, 1, 4, 4), build_grid(1, 1, 8, 8)
-    tc, tf = build_time_grid(1.0, 10), build_time_grid(1.0, 30)
-    z = np.zeros((1, gc.n_interior))
-    zf = np.zeros((1, gf.n_interior))
-    with pytest.raises(ValueError):
-        extrapolate_spacetime(z, z, zf, zf, gc, gf, tc, tf, 2, 2)
+    u = [np.zeros((1, g.n_interior)) for g in (gc, gc, gf, gf)]
+    u[slot] = np.zeros((1, build_grid(1, 1, 12, 12).n_interior))
+    with pytest.raises(ValueError, match=r"field shape \(1, 121\) does not "
+                                         r"match grid \(expected \(L, 49\)\)"):
+        extrapolate_spacetime(*u, gc, 2, 2)
+
+
+def test_extrapolations_take_only_the_coarse_grid():
+    # the fine grid and the time grids are derived or gone; each old call
+    # form is a TypeError, never a shifted argument
+    gc, gf = build_grid(1, 1, 4, 4), build_grid(1, 1, 8, 8)
+    tc, tf = build_time_grid(1.0, 10), build_time_grid(1.0, 20)
+    u, uf = np.zeros((1, gc.n_interior)), np.zeros((1, gf.n_interior))
+    with pytest.raises(TypeError):
+        extrapolate_space(u, uf, gc, gf, 2)
+    with pytest.raises(TypeError):
+        extrapolate_space(u, uf, gc, gf, sigma=2)
+    with pytest.raises(TypeError):
+        extrapolate_spacetime(u, u, uf, uf, gc, gf, tc, tf, 2, 2)
+    with pytest.raises(TypeError):
+        extrapolate_spacetime(u, u, uf, uf, gc, gf, tc, tf,
+                              sigma_space=2, sigma_time=2)
 
 
 def mismatched_coarse_fields(gc):
@@ -132,26 +151,25 @@ def test_space_checks_the_coarse_field():
     gc, gf = build_grid(1, 1, 4, 4), build_grid(1, 1, 8, 8)
     W, bad = mismatched_coarse_fields(gc)
     W2 = np.random.default_rng(10).standard_normal((10, gf.n_interior))
-    assert extrapolate_space(W, W2, gc, gf, 2).shape == W.shape
+    assert extrapolate_space(W, W2, gc, 2).shape == W.shape
     for u_h, match in bad:
         with pytest.raises(ValueError, match=match):
-            extrapolate_space(u_h, W2, gc, gf, 2)
+            extrapolate_space(u_h, W2, gc, 2)
 
 
 @pytest.mark.parametrize("slot", [0, 1])
 def test_spacetime_checks_the_coarse_fields(slot):
     gc, gf = build_grid(1, 1, 4, 4), build_grid(1, 1, 8, 8)
-    tc, tf = build_time_grid(1.0, 10), build_time_grid(1.0, 20)
     W, bad = mismatched_coarse_fields(gc)
     W2 = np.random.default_rng(10).standard_normal((10, gf.n_interior))
     for u, match in bad:
         coarse = [W, W]
         coarse[slot] = u
         with pytest.raises(ValueError, match=match):
-            extrapolate_spacetime(*coarse, W2, W2, gc, gf, tc, tf, 2, 2)
+            extrapolate_spacetime(*coarse, W2, W2, gc, 2, 2)
     # so is the second fine field, against the species of the first
     with pytest.raises(ValueError, match="expected 10 species, got 1"):
-        extrapolate_spacetime(W, W, W2, W2[:1], gc, gf, tc, tf, 2, 2)
+        extrapolate_spacetime(W, W, W2, W2[:1], gc, 2, 2)
 
 
 def test_weights_are_a_pair():
